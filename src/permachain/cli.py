@@ -97,6 +97,9 @@ def _load_inputs(args) -> tuple[RunConfig, NodeTable, LoadSchedule]:
                 raw_config = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise PermachainError(f"config {args.config}: invalid JSON: {exc}")
+        if not isinstance(raw_config, dict):
+            raise PermachainError(f"config {args.config}: must be a JSON object, "
+                                  f"got {type(raw_config).__name__}")
     elif scenario is not None:
         raw_config = dict(scenario["config"])
     else:

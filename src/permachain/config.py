@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .distributions import round_half_up_ms
+from .distributions import is_number, round_half_up_ms
 from .errors import ConfigError
 from .faults import FaultConfig
 from .ledger import ValidationDelays
@@ -15,6 +15,11 @@ from .network import LatencyTable
 PROTOCOLS = ("pbft", "poa", "poet")
 
 DAY_LENGTH_MS = 86_400_000
+
+INT_FIELDS = ("seed", "block_interval_ms", "block_capacity", "empty_block_threshold",
+              "day_length_ms", "tx_spread_ticks", "record_sampling")
+OPTIONAL_INT_FIELDS = ("tx_broadcast_interval_ms", "pbft_timeout_ms")
+NUMBER_FIELDS = ("drop_prob", "poet_rate")
 
 
 @dataclass
@@ -40,6 +45,18 @@ class RunConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
+        for name in INT_FIELDS + OPTIONAL_INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in OPTIONAL_INT_FIELDS:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in NUMBER_FIELDS:
+            value = getattr(self, name)
+            if not is_number(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.authority_rule, dict):
+            raise ConfigError(f"authority_rule must be an object, got {self.authority_rule!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.block_interval_ms <= 0:
@@ -118,9 +135,12 @@ class RunConfig:
         kwargs["latency"] = LatencyTable.from_config(data.get("latency"))
         kwargs["processing_delay"] = ValidationDelays.from_config(data.get("processing_delay"))
         if "drop_prob_overrides" in data:
-            kwargs["drop_prob_overrides"] = {
-                int(k): float(v) for k, v in data["drop_prob_overrides"].items()
-            }
+            overrides = data["drop_prob_overrides"]
+            if not isinstance(overrides, dict) or not all(
+                    str(k).isdigit() and is_number(v) for k, v in overrides.items()):
+                raise ConfigError("drop_prob_overrides must map integer node ids to "
+                                  f"numbers, got {overrides!r}")
+            kwargs["drop_prob_overrides"] = {int(k): float(v) for k, v in overrides.items()}
         return cls(**kwargs)
 
     @classmethod

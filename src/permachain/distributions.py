@@ -14,6 +14,13 @@ import numpy as np
 from .errors import ConfigError
 
 KINDS = ("constant", "uniform", "normal", "exponential", "empirical")
+NUMERIC_PARAMS = {"constant": ("ms",), "uniform": ("lo", "hi"), "normal": ("mean", "std"),
+                  "exponential": ("rate",)}
+
+
+def is_number(x) -> bool:
+    """An int or float; JSON true/false load as bools, which are not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def round_half_up_ms(x: float) -> int:
@@ -36,6 +43,10 @@ class Distribution:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
         p = self.params
+        for name in NUMERIC_PARAMS.get(self.kind, ()):
+            if not is_number(p.get(name)):
+                raise ConfigError(f"{self.kind} distribution needs a numeric {name!r}, "
+                                  f"got {p.get(name)!r}")
         if self.kind == "constant":
             if p.get("ms", -1) < 0:
                 raise ConfigError("constant distribution needs ms >= 0")
@@ -52,6 +63,8 @@ class Distribution:
             values = p.get("values")
             if not values:
                 raise ConfigError("empirical distribution needs a non-empty value list")
+            if not isinstance(values, (list, tuple)) or not all(is_number(v) for v in values):
+                raise ConfigError(f"empirical distribution values must be numbers, got {values!r}")
             if any(v < 0 for v in values):
                 raise ConfigError("empirical distribution values must be >= 0")
 

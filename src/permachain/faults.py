@@ -1,22 +1,20 @@
 """Byzantine node behaviors: honest (0), active tamperer (1), passive dropper (2).
 
-Active nodes deterministically corrupt the digest carried by every
-digest-bearing message they send (bitwise NOT, an involution), so every
-honest verifier rejects it. Passive nodes drop each outbound message
+Active nodes send every message in its corrupted form (see the
+``corrupted()`` method of each message class in messages.py), so every honest
+verifier rejects any digest it carries. Passive nodes drop each outbound message
 independently with a fixed probability and otherwise behave byte-identically
 to honest nodes. Honest nodes are untouched by this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from . import messages as m
 from .errors import ConfigError
-from .ledger import DIGEST_MASK, Block
 
 
 class ByzantineType(IntEnum):
@@ -43,34 +41,6 @@ class FaultConfig:
         if self.drop_prob_overrides and node in self.drop_prob_overrides:
             return self.drop_prob_overrides[node]
         return self.drop_prob
-
-
-def _flip(digest: int) -> int:
-    return ~digest & DIGEST_MASK
-
-
-def _flip_block(block: Block) -> Block:
-    return replace(block, digest=_flip(block.digest))
-
-
-def corrupt(body):
-    """Return a copy of a protocol message with its carried digest perturbed.
-
-    Applying corrupt twice restores the original digest (bitwise NOT is an
-    involution); messages without digests pass through unchanged.
-    """
-    if isinstance(body, m.PrePrepare):
-        return replace(body, block=_flip_block(body.block))
-    if isinstance(body, (m.Prepare, m.Commit)):
-        return replace(body, digest=_flip(body.digest))
-    if isinstance(body, m.BlockAnnounce):
-        return replace(body, digest=_flip(body.digest))
-    if isinstance(body, m.BlockMsg):
-        return replace(body, block=_flip_block(body.block))
-    if isinstance(body, m.ViewChange) and body.cert_digest is not None:
-        # the vote itself stays legible; only the carried certificate is junked
-        return replace(body, cert_digest=_flip(body.cert_digest))
-    return body
 
 
 def should_drop(byz: ByzantineType, node: int, config: FaultConfig,

@@ -2,89 +2,131 @@
 
 Network messages travel inside a MessageEnvelope (see network.py); control
 events are scheduled directly on the engine without latency.
+
+Each network body class carries what the rest of the simulator needs to know
+about it:
+  * ``delay_kind``: which processing-delay distribution a receiver applies;
+  * ``handler``: the node method that consumes it (see node.py);
+  * ``corrupted()``: the copy an active tamperer sends, with its carried
+    digest flipped by bitwise NOT (an involution), so every honest verifier
+    rejects it; a body without a digest returns itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .ledger import BLOCK, CONSENSUS_MESSAGE, TRANSACTION, Block, Transaction
+from .ledger import (BLOCK, CONSENSUS_MESSAGE, DIGEST_MASK, TRANSACTION, Block,
+                     Transaction)
+
+
+def _flip(digest: int) -> int:
+    return ~digest & DIGEST_MASK
+
+
+def _flip_block(block: Block) -> Block:
+    return replace(block, digest=_flip(block.digest))
 
 
 # --- network message bodies -------------------------------------------------
 
+class _Body:
+    """Defaults for a network body: consensus-message delay, no digest to corrupt."""
+    delay_kind = CONSENSUS_MESSAGE
+
+    def corrupted(self):
+        return self
+
+
 @dataclass(frozen=True)
-class TxGossip:
+class TxGossip(_Body):
     tx: Transaction
+    delay_kind = TRANSACTION
+    handler = "on_gossip"
 
 
 @dataclass(frozen=True)
-class BlockMsg:
+class BlockMsg(_Body):
     """Single-round block broadcast (round-robin / lottery protocols)."""
     block: Block
+    delay_kind = BLOCK
+    handler = "on_block"
+
+    def corrupted(self):
+        return replace(self, block=_flip_block(self.block))
 
 
 @dataclass(frozen=True)
-class PrePrepare:
+class PrePrepare(_Body):
     view: int
     height: int
     block: Block
+    handler = "on_preprepare"
+
+    def corrupted(self):
+        return replace(self, block=_flip_block(self.block))
 
 
 @dataclass(frozen=True)
-class Prepare:
+class Prepare(_Body):
     view: int
     height: int
     digest: int
+    handler = "on_prepare"
+
+    def corrupted(self):
+        return replace(self, digest=_flip(self.digest))
 
 
 @dataclass(frozen=True)
-class Commit:
+class Commit(_Body):
     view: int
     height: int
     digest: int
+    handler = "on_commit"
+
+    def corrupted(self):
+        return replace(self, digest=_flip(self.digest))
 
 
 @dataclass(frozen=True)
-class ViewChange:
+class ViewChange(_Body):
     proposed_view: int
     next_height: int  # sender's chain tip + 1, used by the new primary
     # prepared certificate for next_height, if the sender holds one
     cert_digest: int | None = None
     cert_view: int | None = None
     cert_block: Block | None = None
+    handler = "on_viewchange"
+
+    def corrupted(self):
+        if self.cert_digest is None:
+            return self
+        # the vote itself stays legible; only the carried certificate is junked
+        return replace(self, cert_digest=_flip(self.cert_digest))
 
 
 @dataclass(frozen=True)
-class NewView:
+class NewView(_Body):
     view: int
+    handler = "on_newview"
 
 
 @dataclass(frozen=True)
-class BlockAnnounce:
+class BlockAnnounce(_Body):
     height: int
     digest: int
     block: Block
+    delay_kind = BLOCK
+    handler = "on_announce"
+
+    def corrupted(self):
+        return replace(self, digest=_flip(self.digest))
 
 
 def kind_of(body) -> str:
     """Message kind name used in counters and reports."""
     return type(body).__name__
-
-
-def delay_kind_of(body) -> str:
-    """Which processing-delay distribution applies to a received body."""
-    if isinstance(body, TxGossip):
-        return TRANSACTION
-    if isinstance(body, (BlockMsg, BlockAnnounce)):
-        return BLOCK
-    return CONSENSUS_MESSAGE
-
-
-def is_digest_bearing(body) -> bool:
-    if isinstance(body, ViewChange):
-        return body.cert_digest is not None
-    return isinstance(body, (PrePrepare, Prepare, Commit, BlockAnnounce, BlockMsg))
 
 
 # --- control events (engine-scheduled, no network hop) ----------------------

@@ -2,8 +2,8 @@
 
 Latency is configured per location pair with a global default fallback.
 Sending consults the sender's fault behavior first (passive nodes drop
-outbound messages before any latency is sampled; active nodes corrupt
-digest-bearing bodies), then schedules one delivery event per recipient at
+outbound messages before any latency is sampled; active nodes send each
+body's ``corrupted()`` form), then schedules one delivery event per recipient at
 
     now + latency(src, dst) + processing_delay(kind, receiver)
 
@@ -19,19 +19,17 @@ from . import messages as m
 from .distributions import Distribution
 from .engine import EventEngine, EventId, RngStreams
 from .errors import ConfigError, UnknownNodeError
-from .faults import ByzantineType, FaultConfig, corrupt, should_drop
+from .faults import ByzantineType, FaultConfig, should_drop
 from .ledger import ValidationDelays
 
 
 @dataclass(slots=True)
 class MessageEnvelope:
-    msg_id: int
     sender: int
     recipient: int
     sent_at: int
     delivered_at: int  # arrival time, before the receiver's processing delay
     body: object
-    size_hint: int = 0
 
 
 class LatencyTable:
@@ -46,11 +44,15 @@ class LatencyTable:
     def from_config(cls, spec: dict | None) -> "LatencyTable":
         if spec is None:
             return cls(default=Distribution("constant", {"ms": 10}))
+        if not isinstance(spec, dict):
+            raise ConfigError(f"latency must be an object, got {spec!r}")
         default = None
         if "default" in spec:
             default = Distribution.from_dict(spec["default"])
         pairs: dict[tuple[str, str], Distribution] = {}
         for entry in spec.get("pairs", []):
+            if not isinstance(entry, dict) or "src" not in entry or "dst" not in entry:
+                raise ConfigError(f"latency pair needs 'src' and 'dst' fields, got {entry!r}")
             dist = Distribution.from_dict({k: v for k, v in entry.items()
                                            if k not in ("src", "dst")})
             a, b = entry["src"], entry["dst"]
@@ -96,14 +98,10 @@ class Network:
         self.recorder = recorder
         self._locations: dict[int, str] = {}
         self._byz: dict[int, ByzantineType] = {}
-        self._msg_ids = 0
 
     def register_node(self, node_id: int, location: str, byz: ByzantineType) -> None:
         self._locations[node_id] = location
         self._byz[node_id] = byz
-
-    def registered(self, node_id: int) -> bool:
-        return node_id in self._locations
 
     def sample_latency(self, src: int, dst: int) -> int:
         if src not in self._locations or dst not in self._locations:
@@ -123,14 +121,13 @@ class Network:
             if self.recorder is not None:
                 self.recorder.message_dropped(kind, src)
             return None
-        if byz is ByzantineType.ACTIVE and m.is_digest_bearing(body):
-            body = corrupt(body)
+        if byz is ByzantineType.ACTIVE:
+            body = body.corrupted()
         lat = self.sample_latency(src, dst)
         proc = self.delays.validation_delay(
-            m.delay_kind_of(body), self.streams.stream(dst, "processing-delay"))
-        self._msg_ids += 1
+            body.delay_kind, self.streams.stream(dst, "processing-delay"))
         env = MessageEnvelope(
-            msg_id=self._msg_ids, sender=src, recipient=dst,
+            sender=src, recipient=dst,
             sent_at=self.engine.now, delivered_at=self.engine.now + lat, body=body,
         )
         if self.recorder is not None:

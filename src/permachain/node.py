@@ -1,0 +1,60 @@
+"""State and behaviour every node shares, whatever its protocol.
+
+Each network message class names the handler method that consumes it (see
+messages.py); a node class that lacks that method counts the body under
+``unhandled_<Kind>`` in its stats and otherwise ignores it.
+"""
+
+from __future__ import annotations
+
+from . import messages as m
+from .ledger import Block, Chain
+from .workload import TransactionPool
+
+
+class Node:
+    view = 0  # only pbft replicas change views
+
+    def __init__(self, node_id: int, world):
+        self.id = node_id
+        self.world = world
+        self.chain = Chain(node_id)
+        self.pool = TransactionPool()
+        self.committed_txids: set[int] = set()
+        self.stats: dict[str, int] = {}
+
+    @property
+    def next_height(self) -> int:
+        return self.chain.height + 1
+
+    def _count(self, key: str) -> None:
+        self.stats[key] = self.stats.get(key, 0) + 1
+
+    def receive(self, env) -> None:
+        body = env.body
+        handler = getattr(self, body.handler, None)
+        if handler is None:
+            self._count("unhandled_" + m.kind_of(body))
+        else:
+            handler(env, body)
+
+    def on_gossip(self, env, msg) -> None:
+        if msg.tx.tx_id not in self.committed_txids:
+            self.pool.add(msg.tx)
+
+    def _append(self, block: Block) -> None:
+        self.chain.append(block)
+        ids = [tx.tx_id for tx in block.txs]
+        self.committed_txids.update(ids)
+        self.pool.discard(ids)
+        self.world.recorder.on_append(self.id, block, self.view)
+
+    # orchestrator hooks; protocols that need them override
+    def start_day(self) -> None:
+        pass
+
+    def on_timer(self, fire) -> None:
+        pass
+
+    def maybe_propose(self) -> None:
+        pass

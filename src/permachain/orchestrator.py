@@ -23,7 +23,7 @@ from .config import RunConfig
 from .engine import COORDINATOR, EventEngine, RngStreams
 from .errors import PermachainError
 from .faults import ByzantineType
-from .ledger import BLOCK, TRANSACTION, Chain, Transaction
+from .ledger import BLOCK, TRANSACTION, Transaction
 from .network import MessageEnvelope, Network
 from .nodetable import NodeTable
 from .pbft import PbftFollower, PbftReplica, quorum_params
@@ -90,34 +90,13 @@ class World:
 
     # -- wiring ------------------------------------------------------------
 
-    def new_chain(self, node_id: int) -> Chain:
-        return Chain(node_id)
-
-    def other_nodes(self, me: int) -> list[int]:
-        return [n for n in self.all_ids if n != me]
-
-    def other_authorities(self, me: int) -> list[int]:
-        return [a for a in self.authorities if a != me]
-
-    @property
-    def block_interval_ms(self) -> int:
-        return self.config.block_interval_ms
-
-    @property
-    def block_capacity(self) -> int:
-        return self.config.block_capacity
-
-    @property
-    def pbft_timeout_ms(self) -> int:
-        return self.config.effective_pbft_timeout_ms
-
     def _node_handler(self, node):
         def handle(payload):
             if isinstance(payload, m.TimerFire):
                 node.on_timer(payload)
                 return
             env: MessageEnvelope = payload
-            kind = m.delay_kind_of(env.body)
+            kind = env.body.delay_kind
             if kind in (TRANSACTION, BLOCK):
                 self.recorder.record_delivery(PropagationRecord(
                     kind, env.sender, env.recipient, env.sent_at, env.delivered_at))
@@ -132,7 +111,7 @@ class World:
                 return
             for a in self.authorities:
                 self.nodes[a].maybe_propose()
-            self.engine.schedule(self.block_interval_ms, COORDINATOR,
+            self.engine.schedule(self.config.block_interval_ms, COORDINATOR,
                                  m.ProposalTick(payload.day))
         elif isinstance(payload, m.InjectTxBatch):
             self._inject(payload)
@@ -150,14 +129,13 @@ class World:
 
     def _inject(self, cmd: m.InjectTxBatch) -> None:
         origin = self.nodes[cmd.origin]
-        recipients = [a for a in self.authorities if a != cmd.origin]
         for _ in range(cmd.count):
             self._tx_counter += 1
             tx = Transaction(self._tx_counter, cmd.origin, f"tx-{self._tx_counter}",
                              self.engine.now, cmd.day)
             self.recorder.tx_created(tx)
             origin.pool.add(tx)
-            self.network.broadcast(cmd.origin, m.TxGossip(tx), recipients)
+            self.network.broadcast(cmd.origin, m.TxGossip(tx), self.authorities)
 
     # -- day termination ------------------------------------------------------
 

@@ -38,7 +38,7 @@ from . import messages as m
 from .faults import ByzantineType
 from .ledger import Block, compute_digest, make_block
 from .network import MessageEnvelope
-from .workload import TransactionPool
+from .node import Node
 
 
 @dataclass(frozen=True)
@@ -99,21 +99,47 @@ class AnnouncementTally:
         return None
 
 
-class PbftReplica:
+class _AnnouncementReader(Node):
+    """A pbft node that appends blocks announced by enough distinct authorities.
+
+    Blocks are appended strictly in height order, each once `threshold`
+    authorities have announced the same valid digest for it.
+    """
+
+    def __init__(self, node_id: int, world, threshold: int):
+        super().__init__(node_id, world)
+        self.announce_threshold = threshold
+        self.announce_tally = AnnouncementTally()
+        self.committed_pending: dict[int, Block] = {}  # committed beyond the tip
+
+    def on_announce(self, env: MessageEnvelope, msg: m.BlockAnnounce) -> None:
+        if msg.block.digest != msg.digest or compute_digest(msg.block) != msg.digest:
+            self._count("announce_invalid_digest")
+            return
+        self.announce_tally.add(msg.height, msg.digest, msg.block, env.sender)
+        self._drain()
+
+    def _drain(self) -> None:
+        """Append every block that can now follow the tip, pending or announced."""
+        while True:
+            while self.next_height in self.committed_pending:
+                self._append(self.committed_pending.pop(self.next_height))
+            block = self.announce_tally.ready(self.next_height, self.announce_threshold)
+            if block is None:
+                return
+            self._append(block)
+
+
+class PbftReplica(_AnnouncementReader):
     """One authority's consensus state machine."""
 
     def __init__(self, node_id: int, byz: ByzantineType, world):
-        self.id = node_id
+        # f+1 matching valid announcements guarantee at least one announcer
+        # that truly committed the block, so this is a safe state transfer.
+        super().__init__(node_id, world, world.quorum_rule.f + 1)
         self.byz = byz
-        self.world = world
-        self.view = 0
-        self.chain = world.new_chain(node_id)
-        self.pool = TransactionPool()
-        self.committed_txids: set[int] = set()
         self.instances: dict[tuple[int, int], _Instance] = {}
         self.locks: dict[int, _Lock] = {}
-        self.committed_pending: dict[int, Block] = {}
-        self.announce_tally = AnnouncementTally()
         self.announced_heights: set[int] = set()
         self.in_flight: Optional[int] = None
         # view-change bookkeeping
@@ -124,22 +150,11 @@ class PbftReplica:
         self._timer_token = 0
         self._timer_height = 0
         self.timeout_log: list[tuple[int, int]] = []  # (height, grace_ms) per arming
-        self.stats: dict[str, int] = {}
 
     # -- derived ---------------------------------------------------------
 
-    @property
-    def next_height(self) -> int:
-        return self.chain.height + 1
-
-    def _rule(self) -> QuorumRule:
-        return self.world.quorum_rule
-
     def _instance(self, view: int, height: int) -> _Instance:
         return self.instances.setdefault((view, height), _Instance())
-
-    def _count(self, key: str) -> None:
-        self.stats[key] = self.stats.get(key, 0) + 1
 
     # -- timers ----------------------------------------------------------
 
@@ -152,10 +167,10 @@ class PbftReplica:
         self._timer_token += 1
         self._timer_height = self.next_height
         attempts = self.vc_attempts.get(self.next_height, 0)
-        grace = self.world.pbft_timeout_ms * (2 ** min(attempts, 20))
+        grace = self.world.config.effective_pbft_timeout_ms * (2 ** min(attempts, 20))
         self.timeout_log.append((self.next_height, grace))
         self.world.engine.schedule(
-            self.world.block_interval_ms + grace, self.id,
+            self.world.config.block_interval_ms + grace, self.id,
             m.TimerFire(self.id, self._timer_token))
 
     def on_timer(self, fire: m.TimerFire) -> None:
@@ -189,7 +204,7 @@ class PbftReplica:
                 if lock is not None:
                     block = lock.block  # retry my earlier attempt, same digest
                 else:
-                    txs = self.pool.take_batch(self.world.block_capacity)
+                    txs = self.pool.take_batch(self.world.config.block_capacity)
                     block = make_block(height, self.view, self.id,
                                        self.chain.tip.digest, txs,
                                        self.world.engine.now)
@@ -201,7 +216,7 @@ class PbftReplica:
         self.in_flight = height
         self.world.network.broadcast(
             self.id, m.PrePrepare(self.view, height, block),
-            self.world.other_authorities(self.id))
+            self.world.authorities)
         self._check_prepared(self.view, height)
 
     # -- three phases ----------------------------------------------------
@@ -249,7 +264,7 @@ class PbftReplica:
         inst.prepare_sent = True
         inst.prepare_senders.setdefault(digest, set()).add(self.id)
         self.world.network.broadcast(self.id, m.Prepare(view, height, digest),
-                                     self.world.other_authorities(self.id))
+                                     self.world.authorities)
 
     def on_prepare(self, env: MessageEnvelope, msg: m.Prepare) -> None:
         inst = self._instance(msg.view, msg.height)
@@ -261,12 +276,12 @@ class PbftReplica:
         digest = inst.pp_digest
         if digest is None or inst.commit_sent or view != self.view:
             return
-        if len(inst.prepare_senders.get(digest, ())) < self._rule().quorum:
+        if len(inst.prepare_senders.get(digest, ())) < self.world.quorum_rule.quorum:
             return
         inst.commit_sent = True
         inst.commit_senders.setdefault(digest, set()).add(self.id)
         self.world.network.broadcast(self.id, m.Commit(view, height, digest),
-                                     self.world.other_authorities(self.id))
+                                     self.world.authorities)
         if self.byz is ByzantineType.ACTIVE:
             # Self-deluded finalization: an active node believes its own
             # tampered votes, so its quorum is met one round early.
@@ -283,7 +298,7 @@ class PbftReplica:
         digest = inst.pp_digest
         if digest is None or inst.pp_block is None:
             return
-        if len(inst.commit_senders.get(digest, ())) < self._rule().quorum:
+        if len(inst.commit_senders.get(digest, ())) < self.world.quorum_rule.quorum:
             return
         if height <= self.chain.height:
             return  # late quorum for an already-committed height
@@ -298,42 +313,17 @@ class PbftReplica:
         if block is None or block.height != self.next_height:
             return
         self._append(block)
-        while self.next_height in self.committed_pending:
-            self._append(self.committed_pending.pop(self.next_height))
-        self._drain_announced()
+        self._drain()
 
     def _append(self, block: Block) -> None:
-        self.chain.append(block)
-        ids = [tx.tx_id for tx in block.txs]
-        self.committed_txids.update(ids)
-        self.pool.discard(ids)
+        super()._append(block)
         self.vc_attempts.pop(block.height, None)
-        self.world.recorder.on_append(self.id, block, self.view)
         self._arm_timer()
         if block.height not in self.announced_heights:
             self.announced_heights.add(block.height)
             self.world.network.broadcast(
                 self.id, m.BlockAnnounce(block.height, block.digest, block),
-                self.world.other_nodes(self.id))
-
-    def on_announce(self, env: MessageEnvelope, msg: m.BlockAnnounce) -> None:
-        if msg.block.digest != msg.digest or compute_digest(msg.block) != msg.digest:
-            self._count("announce_invalid_digest")
-            return
-        self.announce_tally.add(msg.height, msg.digest, msg.block, env.sender)
-        self._drain_announced()
-
-    def _drain_announced(self) -> None:
-        # f+1 matching valid announcements guarantee at least one announcer
-        # that truly committed the block, so this is a safe state transfer.
-        threshold = self._rule().f + 1
-        while True:
-            block = self.announce_tally.ready(self.next_height, threshold)
-            if block is None:
-                return
-            self._append(block)
-            while self.next_height in self.committed_pending:
-                self._append(self.committed_pending.pop(self.next_height))
+                self.world.all_ids)
 
     # -- view changes ------------------------------------------------------
 
@@ -343,7 +333,7 @@ class PbftReplica:
         self.my_top_vote = max(self.my_top_vote, proposed)
         vote = m.ViewChange(proposed, self.next_height, *cert)
         self.vc_votes.setdefault(proposed, {})[self.id] = (self.next_height, lock)
-        self.world.network.broadcast(self.id, vote, self.world.other_authorities(self.id))
+        self.world.network.broadcast(self.id, vote, self.world.authorities)
         self._check_viewchange(proposed)
 
     def on_viewchange(self, env: MessageEnvelope, msg: m.ViewChange) -> None:
@@ -366,7 +356,7 @@ class PbftReplica:
             distinct = set()
             for v in higher:
                 distinct.update(self.vc_votes[v])
-            if len(distinct) >= self._rule().f + 1:
+            if len(distinct) >= self.world.quorum_rule.f + 1:
                 self.vc_attempts[self.next_height] = self.vc_attempts.get(self.next_height, 0) + 1
                 self._send_viewchange(higher[0])
         self._check_viewchange(msg.proposed_view)
@@ -375,7 +365,7 @@ class PbftReplica:
         if proposed <= self.view:
             return
         votes = self.vc_votes.get(proposed, {})
-        if len(votes) < self._rule().quorum:
+        if len(votes) < self.world.quorum_rule.quorum:
             return
         self._adopt_view(proposed, votes)
 
@@ -388,7 +378,7 @@ class PbftReplica:
         if primary_of(new_view, self.world.authorities) != self.id:
             return
         self.world.network.broadcast(self.id, m.NewView(new_view),
-                                     self.world.other_authorities(self.id))
+                                     self.world.authorities)
         votes = votes or {}
         next_heights = [nh for nh, _lock in votes.values()] + [self.next_height]
         h_start = min(next_heights)
@@ -408,73 +398,9 @@ class PbftReplica:
         if msg.view > self.view and env.sender == primary_of(msg.view, self.world.authorities):
             self._adopt_view(msg.view)
 
-    # -- inbound dispatch ---------------------------------------------------
 
-    def receive(self, env: MessageEnvelope) -> None:
-        body = env.body
-        if isinstance(body, m.TxGossip):
-            if body.tx.tx_id not in self.committed_txids:
-                self.pool.add(body.tx)
-        elif isinstance(body, m.PrePrepare):
-            self.on_preprepare(env, body)
-        elif isinstance(body, m.Prepare):
-            self.on_prepare(env, body)
-        elif isinstance(body, m.Commit):
-            self.on_commit(env, body)
-        elif isinstance(body, m.ViewChange):
-            self.on_viewchange(env, body)
-        elif isinstance(body, m.NewView):
-            self.on_newview(env, body)
-        elif isinstance(body, m.BlockAnnounce):
-            self.on_announce(env, body)
-        else:
-            self._count("unhandled_" + m.kind_of(body))
-
-
-class PbftFollower:
+class PbftFollower(_AnnouncementReader):
     """Non-authority node: appends from 2f+1 matching announcements, in order."""
 
     def __init__(self, node_id: int, world):
-        self.id = node_id
-        self.world = world
-        self.view = 0  # followers take no part in view changes
-        self.chain = world.new_chain(node_id)
-        self.pool = TransactionPool()
-        self.announce_tally = AnnouncementTally()
-        self.stats: dict[str, int] = {}
-
-    @property
-    def next_height(self) -> int:
-        return self.chain.height + 1
-
-    def receive(self, env: MessageEnvelope) -> None:
-        body = env.body
-        if isinstance(body, m.BlockAnnounce):
-            self.on_announce(env, body)
-        elif isinstance(body, m.TxGossip):
-            self.pool.add(body.tx)
-        else:
-            self.stats[m.kind_of(body)] = self.stats.get(m.kind_of(body), 0) + 1
-
-    def on_announce(self, env: MessageEnvelope, msg: m.BlockAnnounce) -> None:
-        if msg.block.digest != msg.digest or compute_digest(msg.block) != msg.digest:
-            self.stats["announce_invalid_digest"] = self.stats.get("announce_invalid_digest", 0) + 1
-            return
-        self.announce_tally.add(msg.height, msg.digest, msg.block, env.sender)
-        threshold = self.world.quorum_rule.quorum
-        while True:
-            block = self.announce_tally.ready(self.next_height, threshold)
-            if block is None:
-                return
-            self.chain.append(block)
-            self.pool.discard(tx.tx_id for tx in block.txs)
-            self.world.recorder.on_append(self.id, block, self.view)
-
-    def maybe_propose(self) -> None:  # followers never lead
-        pass
-
-    def start_day(self) -> None:
-        pass
-
-    def on_timer(self, fire) -> None:
-        pass
+        super().__init__(node_id, world, world.quorum_rule.quorum)

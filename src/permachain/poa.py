@@ -17,7 +17,7 @@ from .distributions import round_half_up_ms
 from . import messages as m
 from .ledger import Block, compute_digest, make_block
 from .network import MessageEnvelope
-from .workload import TransactionPool
+from .node import Node
 
 
 def leader_for_height(height: int, authorities: list[int]) -> int:
@@ -48,23 +48,13 @@ def poet_elect(authorities: list[int], rate_per_ms: float, streams):
     return best_node, best_wait
 
 
-class PoaNode:
+class PoaNode(Node):
     """A node under round-robin or lottery consensus (any authority flag)."""
 
     def __init__(self, node_id: int, is_authority: bool, world):
-        self.id = node_id
+        super().__init__(node_id, world)
         self.is_authority = is_authority
-        self.world = world
-        self.view = 0  # single-leader protocols have no views
-        self.chain = world.new_chain(node_id)
-        self.pool = TransactionPool()
-        self.committed_txids: set[int] = set()
         self._buffer: dict[int, Block] = {}
-        self.stats: dict[str, int] = {}
-
-    @property
-    def next_height(self) -> int:
-        return self.chain.height + 1
 
     def maybe_propose(self) -> None:
         """Block-interval tick: propose iff the rotation points at me."""
@@ -82,26 +72,16 @@ class PoaNode:
         self._propose(self.next_height)
 
     def _propose(self, height: int) -> None:
-        txs = self.pool.take_batch(self.world.block_capacity)
+        txs = self.pool.take_batch(self.world.config.block_capacity)
         block = make_block(height, 0, self.id, self.chain.tip.digest, txs,
                            self.world.engine.now)
         self._append(block)
-        self.world.network.broadcast(self.id, m.BlockMsg(block),
-                                     self.world.other_nodes(self.id))
+        self.world.network.broadcast(self.id, m.BlockMsg(block), self.world.all_ids)
 
-    def receive(self, env: MessageEnvelope) -> None:
-        body = env.body
-        if isinstance(body, m.TxGossip):
-            if body.tx.tx_id not in self.committed_txids:
-                self.pool.add(body.tx)
-        elif isinstance(body, m.BlockMsg):
-            self.on_block(body.block)
-        else:
-            self.stats[m.kind_of(body)] = self.stats.get(m.kind_of(body), 0) + 1
-
-    def on_block(self, block: Block) -> None:
+    def on_block(self, env: MessageEnvelope, msg: m.BlockMsg) -> None:
+        block = msg.block
         if compute_digest(block) != block.digest:
-            self.stats["block_invalid_digest"] = self.stats.get("block_invalid_digest", 0) + 1
+            self._count("block_invalid_digest")
             return
         if block.height <= self.chain.height:
             return
@@ -109,16 +89,3 @@ class PoaNode:
         self._buffer[block.height] = block
         while self.next_height in self._buffer:
             self._append(self._buffer.pop(self.next_height))
-
-    def _append(self, block: Block) -> None:
-        self.chain.append(block)
-        ids = [tx.tx_id for tx in block.txs]
-        self.committed_txids.update(ids)
-        self.pool.discard(ids)
-        self.world.recorder.on_append(self.id, block, self.view)
-
-    def start_day(self) -> None:
-        pass
-
-    def on_timer(self, fire) -> None:
-        pass

@@ -102,11 +102,28 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_bad_config_schema_is_validation_error(tmp_path, capsys):
+@pytest.mark.parametrize("config, field", [
+    pytest.param({"protocol": "pbft", "bogus_knob": 1}, "bogus_knob", id="bogus_knob"),
+    pytest.param({"protocol": "pbft", "seed": "x"}, "seed", id="seed"),
+    pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "uniform", "lo": "a",
+                                                              "hi": 5}}}, "lo", id="lo"),
+    pytest.param({"protocol": "pbft", "drop_prob_overrides": {"x": 0.1}},
+                 "drop_prob_overrides", id="drop_prob_overrides"),
+    pytest.param({"protocol": "pbft", "latency": {"pairs": [{"src": "a", "kind": "constant",
+                                                             "ms": 1}]}}, "dst", id="dst"),
+    pytest.param([1, 2], "JSON object", id="top_level_list"),
+    pytest.param({"protocol": "pbft", "block_capacity": 2.5}, "block_capacity",
+                 id="block_capacity"),
+    pytest.param({"protocol": "pbft", "block_capacity": True}, "block_capacity",
+                 id="bool_block_capacity"),
+    pytest.param({"protocol": "pbft", "tx_spread_ticks": "3"}, "tx_spread_ticks",
+                 id="tx_spread_ticks"),
+])
+def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"protocol": "pbft", "bogus_knob": 1}))
+    path.write_text(json.dumps(config))
     assert main(["--config", str(path)]) == EXIT_VALIDATION
-    assert "bogus_knob" in capsys.readouterr().err
+    assert field in capsys.readouterr().err
 
 
 def test_explicit_files_run_end_to_end(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from permachain import messages as m
 from permachain.errors import ConfigError
-from permachain.faults import ByzantineType, FaultConfig, corrupt, should_drop
+from permachain.faults import ByzantineType, FaultConfig, should_drop
 from permachain.ledger import compute_digest, genesis_block, make_block
 
 
@@ -16,7 +16,7 @@ def sample_block():
 def test_corrupt_preprepare_fails_verification():
     block = sample_block()
     msg = m.PrePrepare(0, 1, block)
-    bad = corrupt(msg)
+    bad = msg.corrupted()
     assert bad.block.digest != block.digest
     assert compute_digest(bad.block) != bad.block.digest  # every verifier rejects
 
@@ -28,25 +28,24 @@ def test_corrupt_is_involution():
                 m.Commit(0, 1, block.digest),
                 m.BlockAnnounce(1, block.digest, block),
                 m.BlockMsg(block)):
-        assert corrupt(corrupt(msg)) == msg
+        assert msg.corrupted().corrupted() == msg
 
 
 def test_corrupt_viewchange_junks_only_the_certificate():
     block = sample_block()
     vote = m.ViewChange(3, 2, cert_digest=block.digest, cert_view=1, cert_block=block)
-    bad = corrupt(vote)
+    bad = vote.corrupted()
     assert bad.proposed_view == 3 and bad.next_height == 2
     assert bad.cert_digest != block.digest
     bare = m.ViewChange(3, 2)
-    assert corrupt(bare) == bare
+    assert bare.corrupted() == bare
 
 
 def test_corrupt_leaves_tx_gossip_alone():
     block = sample_block()
     gossip = m.TxGossip(tx=None)
-    assert corrupt(gossip) is gossip
-    assert not m.is_digest_bearing(gossip)
-    assert m.is_digest_bearing(m.BlockMsg(block))
+    assert gossip.corrupted() is gossip
+    assert m.BlockMsg(block).corrupted() != m.BlockMsg(block)
 
 
 def drop_fraction(byz, prob, n=10_000, seed=3):

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from conftest import make_world, quick_run
 from permachain import messages as m
-from permachain.faults import corrupt
 from permachain.ledger import genesis_block, make_block, Transaction
 from permachain.network import MessageEnvelope
 from permachain.pbft import primary_of, quorum_params
@@ -38,7 +37,7 @@ def test_primary_rotates_and_wraps():
 
 
 def env(sender, body, recipient=2, t=0):
-    return MessageEnvelope(0, sender, recipient, t, t, body)
+    return MessageEnvelope(sender, recipient, t, t, body)
 
 
 def block_at(height, parent, txs=(), view=0, proposer=1):
@@ -89,7 +88,7 @@ def test_corrupted_preprepare_never_prepared():
     world = make_world(13)
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
-    r.receive(env(1, corrupt(m.PrePrepare(0, 1, blk))))
+    r.receive(env(1, m.PrePrepare(0, 1, blk).corrupted()))
     assert world.recorder.message_counts.get("Prepare", 0) == 0
     assert r.stats["preprepare_invalid_digest"] == 1
 
@@ -188,7 +187,7 @@ def test_follower_rejects_corrupted_announces():
     follower = world.nodes[14]
     blk = block_at(1, genesis_block().digest)
     for sender in range(1, 14):
-        follower.receive(env(sender, corrupt(m.BlockAnnounce(1, blk.digest, blk)),
+        follower.receive(env(sender, m.BlockAnnounce(1, blk.digest, blk).corrupted(),
                              recipient=14))
     assert follower.chain.height == 0
     assert follower.stats["announce_invalid_digest"] == 13
@@ -210,11 +209,30 @@ def test_timeout_grace_doubles_per_failed_view():
     world.day_active = True
     r = world.nodes[2]
     r.start_day()
-    base = world.pbft_timeout_ms
+    base = world.config.effective_pbft_timeout_ms
     r.on_timer(m.TimerFire(2, r._timer_token))
     r.on_timer(m.TimerFire(2, r._timer_token))
     assert [grace for _, grace in r.timeout_log] == [base, 2 * base, 4 * base]
     assert world.recorder.message_counts["ViewChange"] == 2 * 3
+
+
+GENESIS_CHILD = block_at(1, genesis_block().digest)
+
+
+@pytest.mark.parametrize("protocol, node_id, body", [
+    pytest.param("poa", 2, m.PrePrepare(0, 1, GENESIS_CHILD), id="poa_node"),
+    pytest.param("pbft", 5, m.Prepare(0, 1, GENESIS_CHILD.digest), id="pbft_follower"),
+    pytest.param("pbft", 2, m.BlockMsg(GENESIS_CHILD), id="pbft_replica"),
+])
+def test_body_without_handler_is_counted_and_ignored(protocol, node_id, body):
+    world = make_world(4, n_followers=1, protocol=protocol)
+    node = world.nodes[node_id]
+    node.pool.add(tx(1))
+    node.receive(env(1, body, recipient=node_id))
+    assert node.stats == {f"unhandled_{type(body).__name__}": 1}
+    assert node.chain.height == 0
+    assert len(node.pool) == 1
+    assert not world.recorder.message_counts
 
 
 def test_stale_timer_tokens_ignored():

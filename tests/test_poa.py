@@ -61,9 +61,9 @@ def test_out_of_order_blocks_buffer_until_parent():
     g = genesis_block().digest
     blk1 = make_block(1, 0, 1, g, (), 1000)
     blk2 = make_block(2, 0, 2, blk1.digest, (), 2000)
-    node.receive(MessageEnvelope(0, 3, 2, 0, 0, m.BlockMsg(blk2)))
+    node.receive(MessageEnvelope(3, 2, 0, 0, m.BlockMsg(blk2)))
     assert node.chain.height == 0
-    node.receive(MessageEnvelope(0, 3, 2, 0, 0, m.BlockMsg(blk1)))
+    node.receive(MessageEnvelope(3, 2, 0, 0, m.BlockMsg(blk1)))
     assert node.chain.height == 2
 
 
@@ -71,8 +71,7 @@ def test_invalid_block_digest_ignored():
     world = make_world(3, protocol="poa")
     node = world.nodes[2]
     blk = make_block(1, 0, 1, genesis_block().digest, (), 1000)
-    from permachain.faults import corrupt
-    node.receive(MessageEnvelope(0, 3, 2, 0, 0, corrupt(m.BlockMsg(blk))))
+    node.receive(MessageEnvelope(3, 2, 0, 0, m.BlockMsg(blk).corrupted()))
     assert node.chain.height == 0
     assert node.stats["block_invalid_digest"] == 1
 
