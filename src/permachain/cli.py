@@ -2,7 +2,7 @@
 
 Parses the config, node table, and transaction schedule (or loads a bundled
 scenario preset), runs the simulation, writes the JSON report (and optional
-CSV time series), and prints a one-line summary.
+CSV time series and raw propagation records), and prints a one-line summary.
 
 Exit codes: 0 completed run (stalled-but-reported runs included),
 2 configuration/validation error, 3 I/O error.
@@ -11,6 +11,7 @@ Exit codes: 0 completed run (stalled-but-reported runs included),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -69,6 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", help="run a bundled scenario preset")
     parser.add_argument("--emit-csv", action="store_true",
                         help="also write the commit/view-change time series CSV")
+    parser.add_argument("--emit-records", action="store_true",
+                        help="also stream every transaction/block delivery to "
+                             "propagation.csv during the run")
     parser.add_argument("--list-scenarios", action="store_true",
                         help="print bundled scenario presets and exit")
     return parser
@@ -139,9 +143,16 @@ def main(argv=None) -> int:
 
     try:
         config, table, schedule = _load_inputs(args)
-        result = run_all(config, table, schedule)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        records_path = out_dir / "propagation.csv"
+        try:
+            with (open(records_path, "w", newline="") if args.emit_records
+                  else contextlib.nullcontext()) as records:
+                result = run_all(config, table, schedule, records)
+        except OSError as exc:  # run_all does no other I/O
+            raise OSError(f"cannot write propagation records to {records_path}: {exc}") \
+                from exc
         emit_json(result.report, out_dir / "report.json")
         if args.emit_csv:
             emit_timeseries_csv(result.world.recorder, out_dir / "timeseries.csv")

@@ -17,7 +17,7 @@ PROTOCOLS = ("pbft", "poa", "poet")
 DAY_LENGTH_MS = 86_400_000
 
 INT_FIELDS = ("seed", "block_interval_ms", "block_capacity", "empty_block_threshold",
-              "day_length_ms", "tx_spread_ticks", "record_sampling")
+              "day_length_ms", "tx_spread_ticks")
 OPTIONAL_INT_FIELDS = ("tx_broadcast_interval_ms", "pbft_timeout_ms")
 NUMBER_FIELDS = ("drop_prob", "poet_rate")
 
@@ -39,7 +39,6 @@ class RunConfig:
     latency: LatencyTable = field(default_factory=lambda: LatencyTable.from_config(None))
     processing_delay: ValidationDelays = field(
         default_factory=lambda: ValidationDelays.from_config(None))
-    record_sampling: int = 1
     authority_rule: dict = field(default_factory=lambda: {"kind": "column"})
 
     def __post_init__(self):
@@ -73,10 +72,11 @@ class RunConfig:
             raise ConfigError("tx_spread_ticks must be >= 1")
         if self.poet_rate <= 0:
             raise ConfigError("poet_rate must be > 0")
-        if self.record_sampling < 1:
-            raise ConfigError("record_sampling must be >= 1")
         if self.authority_rule.get("kind") not in ("column", "location_threshold"):
             raise ConfigError("authority_rule.kind must be 'column' or 'location_threshold'")
+        threshold = self.authority_rule.get("threshold", 0)
+        if not isinstance(threshold, int) or isinstance(threshold, bool):
+            raise ConfigError(f"authority_rule.threshold must be an integer, got {threshold!r}")
 
     @property
     def effective_tx_interval_ms(self) -> int:
@@ -111,7 +111,6 @@ class RunConfig:
             "poet_rate": self.poet_rate,
             "latency": self.latency.to_dict(),
             "processing_delay": self.processing_delay.to_dict(),
-            "record_sampling": self.record_sampling,
             "authority_rule": self.authority_rule,
         }
 
@@ -123,8 +122,7 @@ class RunConfig:
             "protocol", "seed", "block_interval_ms", "block_capacity",
             "empty_block_threshold", "day_length_ms", "tx_broadcast_interval_ms",
             "tx_spread_ticks", "pbft_timeout_ms", "drop_prob", "drop_prob_overrides",
-            "poet_rate", "latency", "processing_delay", "record_sampling",
-            "authority_rule",
+            "poet_rate", "latency", "processing_delay", "authority_rule",
         }
         unknown = set(data) - known
         if unknown:

@@ -185,9 +185,11 @@ class ValidationDelays:
     def from_config(cls, spec: dict | None) -> "ValidationDelays":
         if spec is None:
             return cls(per_kind={}, default=constant(1))
+        if not isinstance(spec, dict):
+            raise ConfigError(f"processing_delay must be an object, got {spec!r}")
         if "preset" in spec:
             name = spec["preset"]
-            if name not in DELAY_PRESETS:
+            if not isinstance(name, str) or name not in DELAY_PRESETS:
                 raise ConfigError(f"unknown processing-delay preset {name!r}")
             spec = DELAY_PRESETS[name]
         per_kind = {}

@@ -50,7 +50,10 @@ class LatencyTable:
         if "default" in spec:
             default = Distribution.from_dict(spec["default"])
         pairs: dict[tuple[str, str], Distribution] = {}
-        for entry in spec.get("pairs", []):
+        entries = spec.get("pairs", [])
+        if not isinstance(entries, list):
+            raise ConfigError(f"latency pairs must be a list, got {entries!r}")
+        for entry in entries:
             if not isinstance(entry, dict) or "src" not in entry or "dst" not in entry:
                 raise ConfigError(f"latency pair needs 'src' and 'dst' fields, got {entry!r}")
             dist = Distribution.from_dict({k: v for k, v in entry.items()

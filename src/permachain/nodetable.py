@@ -73,7 +73,7 @@ def _parse_row(i: int, raw: dict, authority_rule: dict) -> NodeSpec:
     try:
         byz_code = int(raw.get("byzantine") or 0)
         byz = ByzantineType(byz_code)
-    except ValueError:
+    except (TypeError, ValueError):
         raise NodeTableError(
             f"row {i}: invalid Byzantine code {raw.get('byzantine')!r} (must be 0, 1 or 2)")
     if authority_rule.get("kind") == "location_threshold":

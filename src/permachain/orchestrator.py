@@ -28,15 +28,19 @@ from .network import MessageEnvelope, Network
 from .nodetable import NodeTable
 from .pbft import PbftFollower, PbftReplica, quorum_params
 from .poa import PoaNode, poet_elect
-from .reporting import (DayResult, PropagationRecord, RunRecorder, build_report,
-                        node_chain_summary)
+from .reporting import (DayResult, RunRecorder, build_report, node_chain_summary,
+                        propagation_writer)
 from .workload import BroadcastPolicy, LoadSchedule
 
 
 class World:
-    """Everything one run owns: engine, network, nodes, and day state."""
+    """Everything one run owns: engine, network, nodes, and day state.
 
-    def __init__(self, config: RunConfig, table: NodeTable):
+    `records`, when given, is an open text file that receives one
+    propagation.csv row per transaction or block delivery, in dispatch order.
+    """
+
+    def __init__(self, config: RunConfig, table: NodeTable, records=None):
         self.config = config
         self.table = table
         self.engine = EventEngine()
@@ -49,8 +53,9 @@ class World:
         benign_authorities = [a for a in self.authorities if a in self.benign]
         self.reference = benign_authorities[0] if benign_authorities else self.authorities[0]
 
-        self.recorder = RunRecorder(reference_node=self.reference,
-                                    record_sampling=config.record_sampling)
+        self.recorder = RunRecorder(
+            reference_node=self.reference,
+            record_sink=None if records is None else propagation_writer(records))
         self.recorder.engine = self.engine
         self.recorder.append_listener = self._on_block_appended
 
@@ -98,8 +103,8 @@ class World:
             env: MessageEnvelope = payload
             kind = env.body.delay_kind
             if kind in (TRANSACTION, BLOCK):
-                self.recorder.record_delivery(PropagationRecord(
-                    kind, env.sender, env.recipient, env.sent_at, env.delivered_at))
+                self.recorder.record_delivery(kind, env.sender, env.recipient,
+                                              env.sent_at, env.delivered_at)
             node.receive(env)
         return handle
 
@@ -243,9 +248,10 @@ class SimulationResult:
                 f"final_heights={heights} view_changes={vcs}")
 
 
-def run_all(config: RunConfig, table: NodeTable, schedule: LoadSchedule) -> SimulationResult:
-    """Run every scheduled day and assemble the report."""
-    world = World(config, table)
+def run_all(config: RunConfig, table: NodeTable, schedule: LoadSchedule,
+            records=None) -> SimulationResult:
+    """Run every scheduled day and assemble the report (`records`: see World)."""
+    world = World(config, table, records)
     days: list[DayResult] = []
     for day in schedule.days:
         target = (day - 1) * config.day_length_ms

@@ -1,9 +1,11 @@
 """Run instrumentation and machine-readable outputs.
 
-The recorder collects propagation-delay records (optionally downsampled; the
-per-pair aggregates stay exact), message counters by kind, per-node commit and
-view-change timelines, and per-day tallies. At the end of a run it is frozen
-into a schema-versioned JSON report plus an optional plot-ready CSV of
+The recorder folds every transaction and block delivery into exact per-pair
+propagation-delay aggregates and, when given a sink, streams the delivery as
+one raw row of an opt-in propagation CSV as it happens; raw deliveries are
+never held in memory. It also keeps message counters by kind, per-node commit
+and view-change timelines, and per-day tallies. At the end of a run it is
+frozen into a schema-versioned JSON report plus an optional plot-ready CSV of
 (sim_time_ms, node_id, chain_height, current_view) rows.
 
 Outputs are byte-stable for a fixed (configuration, seed): keys are sorted,
@@ -21,22 +23,10 @@ from pathlib import Path
 from .errors import ConsistencyError
 from .ledger import digest_hex
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 TIMESERIES_COLUMNS = ("sim_time_ms", "node_id", "chain_height", "current_view")
-
-
-@dataclass
-class PropagationRecord:
-    kind: str
-    src: int
-    dst: int
-    sent_at: int
-    delivered_at: int
-
-    @property
-    def delay(self) -> int:
-        return self.delivered_at - self.sent_at
+PROPAGATION_COLUMNS = ("kind", "src", "dst", "sent_at", "delivered_at")
 
 
 @dataclass
@@ -68,11 +58,10 @@ class DayResult:
 @dataclass
 class RunRecorder:
     reference_node: int = 0
-    record_sampling: int = 1
+    record_sink: object = None  # csv writer taking one PROPAGATION_COLUMNS row per delivery
 
     message_counts: Counter = field(default_factory=Counter)
     drop_counts: Counter = field(default_factory=Counter)
-    records: list = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)  # (src, dst) -> [count, sum, max]
     timeline: list = field(default_factory=list)    # csv rows, dispatch order
     view_change_log: list = field(default_factory=list)  # (t, node, old, new)
@@ -82,8 +71,6 @@ class RunRecorder:
     append_listener: object = None
     engine: object = None
 
-    _delivery_counter: int = 0
-
     # -- network hooks -----------------------------------------------------
 
     def message_sent(self, kind: str, src: int, dst: int) -> None:
@@ -92,18 +79,19 @@ class RunRecorder:
     def message_dropped(self, kind: str, src: int) -> None:
         self.drop_counts[kind] += 1
 
-    def record_delivery(self, rec: PropagationRecord) -> None:
-        key = (rec.src, rec.dst)
+    def record_delivery(self, kind: str, src: int, dst: int, sent_at: int,
+                        delivered_at: int) -> None:
+        delay = delivered_at - sent_at
+        key = (src, dst)
         agg = self.aggregates.get(key)
         if agg is None:
-            self.aggregates[key] = [1, rec.delay, rec.delay]
+            self.aggregates[key] = [1, delay, delay]
         else:
             agg[0] += 1
-            agg[1] += rec.delay
-            agg[2] = max(agg[2], rec.delay)
-        self._delivery_counter += 1
-        if (self._delivery_counter - 1) % self.record_sampling == 0:
-            self.records.append(rec)
+            agg[1] += delay
+            agg[2] = max(agg[2], delay)
+        if self.record_sink is not None:
+            self.record_sink.writerow((kind, src, dst, sent_at, delivered_at))
 
     # -- node hooks ----------------------------------------------------------
 
@@ -176,15 +164,7 @@ def build_report(config_echo: dict, seed: int, days: list[DayResult],
         "nodes": summaries,
         "messages_by_kind": dict(sorted(recorder.message_counts.items())),
         "drops_by_kind": dict(sorted(recorder.drop_counts.items())),
-        "propagation": {
-            "aggregates": recorder.aggregate_table(),
-            "sampling": recorder.record_sampling,
-            "records": [
-                {"kind": r.kind, "src": r.src, "dst": r.dst,
-                 "sent_at": r.sent_at, "delivered_at": r.delivered_at}
-                for r in recorder.records
-            ],
-        },
+        "propagation": {"aggregates": recorder.aggregate_table()},
         "view_changes": [
             {"at": t, "node": n, "from": old, "to": new}
             for (t, n, old, new) in recorder.view_change_log
@@ -206,6 +186,17 @@ def emit_json(report: dict, path: str | Path, benign: set[int] | None = None) ->
         Path(path).write_text(text)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
+
+
+def propagation_writer(fh):
+    """A csv writer over the open text file `fh`, header already written.
+
+    `fh` must be opened with newline="" so rows end in CRLF on every platform,
+    as in timeseries.csv.
+    """
+    writer = csv.writer(fh)
+    writer.writerow(PROPAGATION_COLUMNS)
+    return writer
 
 
 def emit_timeseries_csv(recorder: RunRecorder, path: str | Path) -> None:

@@ -63,15 +63,23 @@ class BroadcastPolicy:
 def parse_schedule(data: dict, known_nodes: set[int] | None = None) -> LoadSchedule:
     if not isinstance(data, dict) or "days" not in data:
         raise ScheduleError("schedule must be an object with a 'days' list")
+    if not isinstance(data["days"], list):
+        raise ScheduleError(f"schedule 'days' must be a list, got {data['days']!r}")
     counts: dict[int, dict[int, int]] = {}
     for entry in data["days"]:
+        if not isinstance(entry, dict):
+            raise ScheduleError(f"schedule 'days' entries must be objects, got {entry!r}")
         day = entry.get("day")
         if not isinstance(day, int) or day < 1:
             raise ScheduleError(f"bad day index {day!r}", day=day)
         if day in counts:
             raise ScheduleError("duplicate day entry", day=day)
+        raw_loads = entry.get("loads", {})
+        if not isinstance(raw_loads, dict):
+            raise ScheduleError(f"'loads' must map node ids to counts, got {raw_loads!r}",
+                                day=day)
         loads: dict[int, int] = {}
-        for node_key, n in entry.get("loads", {}).items():
+        for node_key, n in raw_loads.items():
             try:
                 node = int(node_key)
             except (TypeError, ValueError):

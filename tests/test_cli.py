@@ -118,12 +118,82 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
                  id="bool_block_capacity"),
     pytest.param({"protocol": "pbft", "tx_spread_ticks": "3"}, "tx_spread_ticks",
                  id="tx_spread_ticks"),
+    pytest.param({"protocol": "pbft", "processing_delay": []}, "processing_delay",
+                 id="processing_delay_list"),
+    pytest.param({"protocol": "pbft", "processing_delay": {"preset": []}}, "preset",
+                 id="processing_delay_preset_list"),
+    pytest.param({"protocol": "pbft", "latency": {"pairs": 5}}, "pairs",
+                 id="latency_pairs_number"),
+    pytest.param({"protocol": "pbft", "authority_rule": {"kind": "location_threshold",
+                                                         "threshold": "x"}},
+                 "threshold", id="authority_threshold"),
 ])
 def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["--config", str(path)]) == EXIT_VALIDATION
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, data, field", [
+    pytest.param("transactions", {"days": 5}, "days", id="days_number"),
+    pytest.param("transactions", {"days": [5]}, "days", id="days_entry_number"),
+    pytest.param("transactions", {"days": [{"day": 1, "loads": [1]}]}, "loads",
+                 id="loads_list"),
+    pytest.param("nodes", [dict(NODE_ROWS[0], byzantine=[1])], "Byzantine",
+                 id="byzantine_list"),
+])
+def test_bad_schedule_or_node_table_is_validation_error(tmp_path, capsys, kind, data,
+                                                        field):
+    inputs = {"config": {"protocol": "poa"},
+              "nodes": [dict(r, byzantine=0) for r in NODE_ROWS],
+              "transactions": {"days": [{"day": 1, "loads": {"1": 1}}]},
+              kind: data}
+    args = ["--out", str(tmp_path / "out")]
+    for name, content in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        args += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert main(args) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+
+
+def test_emit_records_streams_every_delivery_to_propagation_csv(tmp_path, capsys):
+    for d in ("a", "b", "plain"):
+        flags = [] if d == "plain" else ["--emit-records"]
+        assert main(["--scenario", "poa-baseline", "--out", str(tmp_path / d)]
+                    + flags) == EXIT_OK
+    records = (tmp_path / "a/propagation.csv").read_bytes()
+    assert records == (tmp_path / "b/propagation.csv").read_bytes()
+    assert not (tmp_path / "plain/propagation.csv").exists()
+    assert (tmp_path / "a/report.json").read_bytes() == \
+        (tmp_path / "plain/report.json").read_bytes()
+
+    lines = records.decode().split("\r\n")
+    assert lines[0] == "kind,src,dst,sent_at,delivered_at" and lines[-1] == ""
+    delays = {}
+    for line in lines[1:-1]:
+        kind, src, dst, sent_at, delivered_at = line.split(",")
+        assert kind in ("transaction", "block")
+        delays.setdefault(f"{src}->{dst}", []).append(int(delivered_at) - int(sent_at))
+    report = json.loads((tmp_path / "a/report.json").read_text())
+    assert report["schema_version"] == 2
+    assert report["propagation"]["aggregates"] == {
+        pair: {"count": len(ds), "mean_ms": round(sum(ds) / len(ds), 3), "max_ms": max(ds)}
+        for pair, ds in delays.items()}
+
+    # the raw-record thinning knob is gone; a config that still sets it is refused
+    config = dict(load_scenario("poa-baseline")["config"], record_sampling=1)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["--config", str(tmp_path / "config.json")]) == EXIT_VALIDATION
+    assert "record_sampling" in capsys.readouterr().err
+
+
+def test_unwritable_propagation_csv_is_io_error(tmp_path, capsys):
+    (tmp_path / "propagation.csv").mkdir()
+    assert main(["--scenario", "poa-baseline", "--out", str(tmp_path),
+                 "--emit-records"]) == EXIT_IO
+    assert "propagation records" in capsys.readouterr().err
 
 
 def test_explicit_files_run_end_to_end(tmp_path, capsys):

@@ -1,20 +1,19 @@
 """Report assembly: aggregates, serialization determinism, consistency gate."""
 
+import io
 import json
 
 import pytest
 
 from conftest import quick_run
 from permachain.errors import ConsistencyError
-from permachain.reporting import (PropagationRecord, RunRecorder,
-                                  check_benign_consistency, emit_json,
-                                  emit_timeseries_csv)
+from permachain.reporting import (RunRecorder, check_benign_consistency, emit_json,
+                                  emit_timeseries_csv, propagation_writer)
 
 
 def feed(recorder, triples):
     for src, dst, delay in triples:
-        recorder.record_delivery(PropagationRecord("transaction", src, dst, 100,
-                                                   100 + delay))
+        recorder.record_delivery("transaction", src, dst, 100, 100 + delay)
 
 
 def test_aggregates_match_bruteforce_mean_and_max():
@@ -41,15 +40,20 @@ def test_constant_latency_gives_flat_aggregates():
         assert stats["mean_ms"] == 10.0 and stats["max_ms"] == 10
 
 
-def test_record_sampling_thins_raw_records_but_not_aggregates():
-    r_full = RunRecorder(record_sampling=1)
-    r_thin = RunRecorder(record_sampling=3)
-    raw = [(1, 2, d) for d in range(30)]
-    feed(r_full, raw)
-    feed(r_thin, raw)
-    assert len(r_full.records) == 30
-    assert len(r_thin.records) == 10
-    assert r_full.aggregate_table() == r_thin.aggregate_table()
+def test_record_sink_gets_every_delivery_and_leaves_aggregates_alone():
+    buf = io.StringIO(newline="")
+    r_sink = RunRecorder(record_sink=propagation_writer(buf))
+    r_bare = RunRecorder()
+    raw = [(1, 2, d) for d in range(30)] + [(2, 1, 7)]
+    feed(r_sink, raw)
+    feed(r_bare, raw)
+    lines = buf.getvalue().split("\r\n")
+    assert lines[0] == "kind,src,dst,sent_at,delivered_at"
+    assert lines[1:-1] == [f"transaction,{s},{t},100,{100 + d}" for s, t, d in raw]
+    assert lines[-1] == ""
+    assert r_sink.aggregate_table() == r_bare.aggregate_table()
+    report = quick_run({1: {1: 3}}, n_authorities=3, protocol="poa").report
+    assert report["propagation"].keys() == {"aggregates"}
 
 
 def test_emit_json_byte_identical_for_same_seed(tmp_path):
