@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .distributions import is_number, round_half_up_ms
+from .distributions import is_int, is_number, round_half_up_ms
 from .errors import ConfigError
 from .faults import FaultConfig
 from .ledger import ValidationDelays
@@ -48,7 +48,7 @@ class RunConfig:
             value = getattr(self, name)
             if value is None and name in OPTIONAL_INT_FIELDS:
                 continue
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in NUMBER_FIELDS:
             value = getattr(self, name)
@@ -75,7 +75,7 @@ class RunConfig:
         if self.authority_rule.get("kind") not in ("column", "location_threshold"):
             raise ConfigError("authority_rule.kind must be 'column' or 'location_threshold'")
         threshold = self.authority_rule.get("threshold", 0)
-        if not isinstance(threshold, int) or isinstance(threshold, bool):
+        if not is_int(threshold):
             raise ConfigError(f"authority_rule.threshold must be an integer, got {threshold!r}")
 
     @property

@@ -23,6 +23,11 @@ def is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def round_half_up_ms(x: float) -> int:
     return int(math.floor(x + 0.5))
 

@@ -20,10 +20,9 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 SimTime = int  # milliseconds of simulated time
-EventId = int
 
-# Reserved pseudo-node id for orchestrator-level control events
-# (proposal ticks, injections, elections). Real node ids are >= 1.
+# Reserved pseudo-node id for control work: proposal ticks, injections,
+# lottery rounds and pbft timers, each scheduled as a call. Real node ids are >= 1.
 COORDINATOR = 0
 
 
@@ -64,14 +63,13 @@ class EventEngine:
     def register(self, target: int, handler: Callable[[Any], None]) -> None:
         self._handlers[target] = handler
 
-    def schedule(self, delay: int, target: int, payload: Any) -> EventId:
+    def schedule(self, delay: int, target: int, payload: Any) -> None:
         """Enqueue `payload` for `target` at now() + delay. Rejects negative delay."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         seq = next(self._seq)
         heapq.heappush(self._heap, (self.now + int(delay), seq, target, payload))
         self.scheduled_count += 1
-        return seq
 
     def pending(self) -> int:
         return len(self._heap)

@@ -1,10 +1,7 @@
-"""Protocol message bodies and orchestrator control events.
+"""Protocol message bodies.
 
-Network messages travel inside a MessageEnvelope (see network.py); control
-events are scheduled directly on the engine without latency.
-
-Each network body class carries what the rest of the simulator needs to know
-about it:
+Network messages travel inside a MessageEnvelope (see network.py). Each body
+class carries what the rest of the simulator needs to know about it:
   * ``delay_kind``: which processing-delay distribution a receiver applies;
   * ``handler``: the node method that consumes it (see node.py);
   * ``corrupted()``: the copy an active tamperer sends, with its carried
@@ -127,34 +124,3 @@ class BlockAnnounce(_Body):
 def kind_of(body) -> str:
     """Message kind name used in counters and reports."""
     return type(body).__name__
-
-
-# --- control events (engine-scheduled, no network hop) ----------------------
-
-@dataclass(frozen=True)
-class ProposalTick:
-    day: int
-
-
-@dataclass(frozen=True)
-class InjectTxBatch:
-    origin: int
-    day: int
-    count: int
-
-
-@dataclass(frozen=True)
-class TimerFire:
-    node: int
-    token: int
-
-
-@dataclass(frozen=True)
-class ElectionStart:
-    day: int
-
-
-@dataclass(frozen=True)
-class ProposeNow:
-    node: int
-    day: int

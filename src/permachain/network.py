@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import messages as m
 from .distributions import Distribution
-from .engine import EventEngine, EventId, RngStreams
+from .engine import EventEngine, RngStreams
 from .errors import ConfigError, UnknownNodeError
 from .faults import ByzantineType, FaultConfig, should_drop
 from .ledger import ValidationDelays
@@ -33,12 +33,17 @@ class MessageEnvelope:
 
 
 class LatencyTable:
-    """Latency models per (src-location, dst-location) pair, plus a default."""
+    """Latency models per (src-location, dst-location) pair, plus a default.
+
+    `pairs` holds the explicit entries in input order. Each one also serves
+    the reverse direction, unless that direction has an explicit entry too.
+    """
 
     def __init__(self, default: Optional[Distribution] = None,
                  pairs: Optional[dict[tuple[str, str], Distribution]] = None):
         self.default = default
         self.pairs = pairs or {}
+        self._models = {**{(b, a): d for (a, b), d in self.pairs.items()}, **self.pairs}
 
     @classmethod
     def from_config(cls, spec: dict | None) -> "LatencyTable":
@@ -56,15 +61,12 @@ class LatencyTable:
         for entry in entries:
             if not isinstance(entry, dict) or "src" not in entry or "dst" not in entry:
                 raise ConfigError(f"latency pair needs 'src' and 'dst' fields, got {entry!r}")
-            dist = Distribution.from_dict({k: v for k, v in entry.items()
-                                           if k not in ("src", "dst")})
-            a, b = entry["src"], entry["dst"]
-            pairs[(a, b)] = dist
-            pairs.setdefault((b, a), dist)
+            pairs[(entry["src"], entry["dst"])] = Distribution.from_dict(
+                {k: v for k, v in entry.items() if k not in ("src", "dst")})
         return cls(default=default, pairs=pairs)
 
     def model_for(self, src_loc: str, dst_loc: str) -> Distribution:
-        model = self.pairs.get((src_loc, dst_loc), self.default)
+        model = self._models.get((src_loc, dst_loc), self.default)
         if model is None:
             raise ConfigError(
                 f"no latency model for location pair ({src_loc!r}, {dst_loc!r}) and no default"
@@ -76,14 +78,8 @@ class LatencyTable:
         if self.default is not None:
             out["default"] = self.default.to_dict()
         if self.pairs:
-            seen = set()
-            entries = []
-            for (a, b), dist in self.pairs.items():
-                if (b, a) in seen:
-                    continue
-                seen.add((a, b))
-                entries.append({"src": a, "dst": b, **dist.to_dict()})
-            out["pairs"] = entries
+            out["pairs"] = [{"src": a, "dst": b, **dist.to_dict()}
+                            for (a, b), dist in self.pairs.items()]
         return out
 
 
@@ -112,8 +108,8 @@ class Network:
         model = self.latency.model_for(self._locations[src], self._locations[dst])
         return model.sample_ms(self.streams.stream(src, "latency"))
 
-    def send(self, src: int, dst: int, body) -> Optional[EventId]:
-        """Schedule one delivery; returns None when the sender dropped it."""
+    def send(self, src: int, dst: int, body) -> bool:
+        """Schedule one delivery; returns False when the sender dropped it."""
         if src not in self._locations:
             raise UnknownNodeError(f"unknown sender {src}")
         if dst not in self._locations:
@@ -123,7 +119,7 @@ class Network:
         if should_drop(byz, src, self.fault_config, self.streams.stream(src, "drop")):
             if self.recorder is not None:
                 self.recorder.message_dropped(kind, src)
-            return None
+            return False
         if byz is ByzantineType.ACTIVE:
             body = body.corrupted()
         lat = self.sample_latency(src, dst)
@@ -135,7 +131,8 @@ class Network:
         )
         if self.recorder is not None:
             self.recorder.message_sent(kind, src, dst)
-        return self.engine.schedule(lat + proc, dst, env)
+        self.engine.schedule(lat + proc, dst, env)
+        return True
 
     def broadcast(self, src: int, body, recipients) -> int:
         """Independent send per recipient; returns how many were scheduled."""
@@ -143,6 +140,6 @@ class Network:
         for dst in recipients:
             if dst == src:
                 continue
-            if self.send(src, dst, body) is not None:
+            if self.send(src, dst, body):
                 scheduled += 1
         return scheduled

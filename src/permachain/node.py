@@ -48,13 +48,3 @@ class Node:
         self.committed_txids.update(ids)
         self.pool.discard(ids)
         self.world.recorder.on_append(self.id, block, self.view)
-
-    # orchestrator hooks; protocols that need them override
-    def start_day(self) -> None:
-        pass
-
-    def on_timer(self, fire) -> None:
-        pass
-
-    def maybe_propose(self) -> None:
-        pass

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .distributions import is_int
 from .errors import NodeTableError
 from .faults import ByzantineType
 
@@ -64,16 +65,32 @@ class NodeTable:
         return {r.id for r in self.rows if r.byzantine is ByzantineType.HONEST}
 
 
+def _int_cell(value, default: int | None = None) -> int:
+    """A JSON integer or a CSV digit string; an empty cell means `default`.
+
+    Raises ValueError for a missing required cell, a boolean or a fraction,
+    which int() would otherwise coerce.
+    """
+    if value is None or value == "":
+        if default is None:
+            raise ValueError("missing cell")
+        return default
+    if not (is_int(value) or isinstance(value, str)):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _parse_row(i: int, raw: dict, authority_rule: dict) -> NodeSpec:
+    if not isinstance(raw, dict):
+        raise NodeTableError(f"row {i}: must be an object, got {raw!r}")
     try:
-        node_id = int(raw["id"])
-    except (KeyError, TypeError, ValueError):
-        raise NodeTableError(f"row {i}: missing or non-integer node id")
+        node_id = _int_cell(raw.get("id"))
+    except ValueError:
+        raise NodeTableError(f"row {i}: missing or non-integer node id {raw.get('id')!r}")
     location = str(raw.get("location", ""))
     try:
-        byz_code = int(raw.get("byzantine") or 0)
-        byz = ByzantineType(byz_code)
-    except (TypeError, ValueError):
+        byz = ByzantineType(_int_cell(raw.get("byzantine"), 0))
+    except ValueError:
         raise NodeTableError(
             f"row {i}: invalid Byzantine code {raw.get('byzantine')!r} (must be 0, 1 or 2)")
     if authority_rule.get("kind") == "location_threshold":
@@ -86,9 +103,13 @@ def _parse_row(i: int, raw: dict, authority_rule: dict) -> NodeSpec:
                 f"cannot apply the location-threshold authority rule")
     else:
         try:
-            authority = bool(int(raw.get("authority") or 0))
-        except (TypeError, ValueError):
-            raise NodeTableError(f"row {i}: authority flag must be 0 or 1")
+            flag = _int_cell(raw.get("authority"), 0)
+        except ValueError:
+            flag = None
+        if flag not in (0, 1):
+            raise NodeTableError(
+                f"row {i}: authority flag must be 0 or 1, got {raw.get('authority')!r}")
+        authority = flag == 1
     return NodeSpec(id=node_id, authority=authority, location=location,
                     data=str(raw.get("data") or ""), byzantine=byz)
 

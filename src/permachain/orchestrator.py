@@ -17,6 +17,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import messages as m
 from .config import RunConfig
@@ -82,7 +83,7 @@ class World:
                 node = PoaNode(row.id, row.authority, self)
             self.nodes[row.id] = node
             self.engine.register(row.id, self._node_handler(node))
-        self.engine.register(COORDINATOR, self._on_control)
+        self.engine.register(COORDINATOR, lambda call: call())
 
         self.day_active = False
         self.current_day = 0
@@ -96,11 +97,7 @@ class World:
     # -- wiring ------------------------------------------------------------
 
     def _node_handler(self, node):
-        def handle(payload):
-            if isinstance(payload, m.TimerFire):
-                node.on_timer(payload)
-                return
-            env: MessageEnvelope = payload
+        def handle(env: MessageEnvelope):
             kind = env.body.delay_kind
             if kind in (TRANSACTION, BLOCK):
                 self.recorder.record_delivery(kind, env.sender, env.recipient,
@@ -108,39 +105,32 @@ class World:
             node.receive(env)
         return handle
 
-    # -- control events ------------------------------------------------------
+    # -- control work (calls scheduled on COORDINATOR) -------------------------
 
-    def _on_control(self, payload) -> None:
-        if isinstance(payload, m.ProposalTick):
-            if not self.day_active:
-                return
-            for a in self.authorities:
-                self.nodes[a].maybe_propose()
-            self.engine.schedule(self.config.block_interval_ms, COORDINATOR,
-                                 m.ProposalTick(payload.day))
-        elif isinstance(payload, m.InjectTxBatch):
-            self._inject(payload)
-        elif isinstance(payload, m.ElectionStart):
-            if not self.day_active:
-                return
-            leader, wait = poet_elect(self.authorities, self.config.poet_rate, self.streams)
-            self.engine.schedule(wait, COORDINATOR, m.ProposeNow(leader, payload.day))
-        elif isinstance(payload, m.ProposeNow):
-            if not self.day_active:
-                return
-            self.nodes[payload.node].propose_lottery()
-        else:
-            raise PermachainError(f"unknown control event {payload!r}")
+    def _tick(self) -> None:
+        """Block-interval tick: each authority may propose; repeats while the day runs."""
+        if not self.day_active:
+            return
+        for a in self.authorities:
+            self.nodes[a].maybe_propose()
+        self.engine.schedule(self.config.block_interval_ms, COORDINATOR, self._tick)
 
-    def _inject(self, cmd: m.InjectTxBatch) -> None:
-        origin = self.nodes[cmd.origin]
-        for _ in range(cmd.count):
+    def _open_lottery(self) -> None:
+        """One poet round: the winner proposes once its waiting time has passed."""
+        if not self.day_active:
+            return
+        leader, wait = poet_elect(self.authorities, self.config.poet_rate, self.streams)
+        self.engine.schedule(wait, COORDINATOR, self.nodes[leader].propose_lottery)
+
+    def _inject(self, origin_id: int, day: int, count: int) -> None:
+        origin = self.nodes[origin_id]
+        for _ in range(count):
             self._tx_counter += 1
-            tx = Transaction(self._tx_counter, cmd.origin, f"tx-{self._tx_counter}",
-                             self.engine.now, cmd.day)
+            tx = Transaction(self._tx_counter, origin_id, f"tx-{self._tx_counter}",
+                             self.engine.now, day)
             self.recorder.tx_created(tx)
             origin.pool.add(tx)
-            self.network.broadcast(cmd.origin, m.TxGossip(tx), self.authorities)
+            self.network.broadcast(origin_id, m.TxGossip(tx), self.authorities)
 
     # -- day termination ------------------------------------------------------
 
@@ -160,7 +150,7 @@ class World:
             # the next lottery round opens once every authority holds this block
             self._poet_appends[block.height] += 1
             if self._poet_appends[block.height] == len(self.authorities):
-                self.engine.schedule(0, COORDINATOR, m.ElectionStart(self.current_day))
+                self.engine.schedule(0, COORDINATOR, self._open_lottery)
 
     def stop_condition(self) -> bool:
         return self.empty_streak >= self.config.empty_block_threshold
@@ -181,7 +171,7 @@ def emit_day(world: World, day: int, loads: dict[int, int],
             raise PermachainError(f"schedule references unknown node {node_id}")
         for tick, batch in enumerate(policy.batches(loads[node_id])):
             world.engine.schedule(head + tick * policy.interval_ms, COORDINATOR,
-                                  m.InjectTxBatch(node_id, day, batch))
+                                  partial(world._inject, node_id, day, batch))
             total += batch
     return total
 
@@ -207,11 +197,9 @@ def run_day(world: World, day: int, loads: dict[int, int]) -> DayResult:
     if config.protocol == "pbft":
         for a in world.authorities:
             world.nodes[a].start_day()
-        engine.schedule(config.block_interval_ms, COORDINATOR, m.ProposalTick(day))
-    elif config.protocol == "poa":
-        engine.schedule(config.block_interval_ms, COORDINATOR, m.ProposalTick(day))
-    else:  # poet: the first lottery opens after the same injection headroom
-        engine.schedule(config.block_interval_ms, COORDINATOR, m.ElectionStart(day))
+    # poet: the first lottery opens after the same injection headroom
+    kickoff = world._open_lottery if config.protocol == "poet" else world._tick
+    engine.schedule(config.block_interval_ms, COORDINATOR, kickoff)
 
     end = engine.run_until_idle(deadline=day_start + config.day_length_ms)
     world.day_active = False

@@ -32,9 +32,11 @@ private chain while honest replicas reject every message they send.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from . import messages as m
+from .engine import COORDINATOR
 from .faults import ByzantineType
 from .ledger import Block, compute_digest, make_block
 from .network import MessageEnvelope
@@ -170,11 +172,11 @@ class PbftReplica(_AnnouncementReader):
         grace = self.world.config.effective_pbft_timeout_ms * (2 ** min(attempts, 20))
         self.timeout_log.append((self.next_height, grace))
         self.world.engine.schedule(
-            self.world.config.block_interval_ms + grace, self.id,
-            m.TimerFire(self.id, self._timer_token))
+            self.world.config.block_interval_ms + grace, COORDINATOR,
+            partial(self.on_timer, self._timer_token))
 
-    def on_timer(self, fire: m.TimerFire) -> None:
-        if fire.token != self._timer_token or not self.world.day_active:
+    def on_timer(self, token: int) -> None:
+        if token != self._timer_token or not self.world.day_active:
             return
         if self.chain.height >= self._timer_height:
             return

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .distributions import is_int
 from .errors import ScheduleError
 from .ledger import Transaction
 
@@ -70,7 +71,7 @@ def parse_schedule(data: dict, known_nodes: set[int] | None = None) -> LoadSched
         if not isinstance(entry, dict):
             raise ScheduleError(f"schedule 'days' entries must be objects, got {entry!r}")
         day = entry.get("day")
-        if not isinstance(day, int) or day < 1:
+        if not is_int(day) or day < 1:
             raise ScheduleError(f"bad day index {day!r}", day=day)
         if day in counts:
             raise ScheduleError("duplicate day entry", day=day)
@@ -86,7 +87,7 @@ def parse_schedule(data: dict, known_nodes: set[int] | None = None) -> LoadSched
                 raise ScheduleError("node key is not an integer", day=day, node=node_key)
             if known_nodes is not None and node not in known_nodes:
                 raise ScheduleError("unknown node in schedule", day=day, node=node)
-            if not isinstance(n, int) or n < 0:
+            if not is_int(n) or n < 0:
                 raise ScheduleError(f"count must be a non-negative integer, got {n!r}",
                                     day=day, node=node)
             loads[node] = n

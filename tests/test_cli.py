@@ -142,6 +142,21 @@ def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
                  id="loads_list"),
     pytest.param("nodes", [dict(NODE_ROWS[0], byzantine=[1])], "Byzantine",
                  id="byzantine_list"),
+    pytest.param("transactions", {"days": [{"day": True, "loads": {"1": 1}}]}, "day index",
+                 id="bool_day"),
+    pytest.param("transactions", {"days": [{"day": 1, "loads": {"1": True}}]}, "count",
+                 id="bool_count"),
+    pytest.param("nodes", [dict(NODE_ROWS[0], id=1.7)], "node id", id="fractional_id"),
+    pytest.param("nodes", [dict(NODE_ROWS[0], id=True)], "node id", id="bool_id"),
+    pytest.param("nodes", [dict(NODE_ROWS[0], authority=2)], "authority",
+                 id="authority_two"),
+    pytest.param("nodes", [dict(NODE_ROWS[0], authority=True)], "authority",
+                 id="bool_authority"),
+    pytest.param("nodes", [dict(NODE_ROWS[0], byzantine=1.9)], "Byzantine",
+                 id="fractional_byzantine"),
+    pytest.param("nodes", [dict(NODE_ROWS[0], byzantine=True)], "Byzantine",
+                 id="bool_byzantine"),
+    pytest.param("nodes", [5], "row 1", id="row_not_object"),
 ])
 def test_bad_schedule_or_node_table_is_validation_error(tmp_path, capsys, kind, data,
                                                         field):

@@ -65,6 +65,22 @@ def test_pair_specific_model_with_default_fallback():
     assert net.sample_latency(1, 3) == 10
 
 
+def test_latency_echo_round_trips_explicit_reverse_pairs():
+    spec = {"default": {"kind": "constant", "ms": 10},
+            "pairs": [{"src": "a", "dst": "b", "kind": "constant", "ms": 5},
+                      {"src": "c", "dst": "a", "kind": "uniform", "lo": 1, "hi": 3},
+                      {"src": "b", "dst": "a", "kind": "constant", "ms": 50}]}
+    table = LatencyTable.from_config(spec)
+    assert table.to_dict() == spec  # every explicit entry once, in input order
+    assert table.model_for("b", "a").params == {"ms": 50}
+    assert table.model_for("a", "c").kind == "uniform"
+    echoed = LatencyTable.from_config(table.to_dict())
+    locations = ("a", "b", "c", "d")
+    for src in locations:
+        for dst in locations:
+            assert echoed.model_for(src, dst).to_dict() == table.model_for(src, dst).to_dict()
+
+
 def test_no_model_no_default_errors():
     table = LatencyTable(default=None)
     _, net, _ = build_net(latency=table)
@@ -76,7 +92,7 @@ def test_send_schedules_delivery_after_latency_plus_processing():
     engine, net, _ = build_net()
     got = []
     engine.register(2, lambda env: got.append((engine.now, env)))
-    assert net.send(1, 2, gossip()) is not None
+    assert net.send(1, 2, gossip()) is True
     engine.run_until_idle()
     t, env = got[0]
     assert env.sent_at == 0
@@ -93,14 +109,14 @@ def test_unknown_recipient_raises():
 
 def test_full_dropper_always_drops():
     _, net, recorder = build_net(byz={1: 2}, drop_prob=1.0)
-    assert all(net.send(1, 2, gossip(i)) is None for i in range(20))
+    assert not any(net.send(1, 2, gossip(i)) for i in range(20))
     assert recorder.drop_counts["TxGossip"] == 20
 
 
 def test_passive_drop_fraction_concentrates():
     _, net, recorder = build_net(byz={1: 2}, drop_prob=0.4)
     n = 10_000
-    dropped = sum(net.send(1, 2, gossip(i)) is None for i in range(n))
+    dropped = sum(not net.send(1, 2, gossip(i)) for i in range(n))
     assert 0.38 <= dropped / n <= 0.42
     assert recorder.drop_counts["TxGossip"] == dropped
     assert recorder.message_counts["TxGossip"] == n - dropped

@@ -1,7 +1,13 @@
 """Day loop: empty-block termination, fast-forward, carryover, guard."""
 
+import pytest
+
 from conftest import make_world, quick_run
-from permachain.config import DAY_LENGTH_MS
+from permachain.cli import load_scenario
+from permachain.config import DAY_LENGTH_MS, RunConfig
+from permachain.nodetable import parse_node_rows
+from permachain.orchestrator import run_all
+from permachain.workload import parse_schedule
 
 
 def test_stop_condition_counter_semantics():
@@ -128,3 +134,20 @@ def test_multi_day_run_at_desk_scale_conserves_transactions():
     assert scheduled == expected
     assert committed == expected
     assert result.report["totals"]["txs_created"] == expected
+
+
+@pytest.mark.parametrize("name", ["pbft-viewchange", "poa-baseline", "poet-baseline",
+                                  "situation1-desk"])
+def test_whole_run_conserves_events_and_deliveries(name):
+    sc = load_scenario(name)
+    config = RunConfig.from_dict(sc["config"])
+    table = parse_node_rows(sc["nodes"], config.authority_rule)
+    result = run_all(config, table, parse_schedule(sc["transactions"], set(table.ids)))
+    engine = result.world.engine
+    assert engine.scheduled_count == engine.dispatched_count + engine.discarded_count
+
+    counts = result.world.recorder.message_counts
+    sent = counts["TxGossip"] + counts["BlockMsg"] + counts["BlockAnnounce"]
+    delivered = sum(a["count"] for a in result.report["propagation"]["aggregates"].values())
+    # a discarded delivery was sent but never recorded
+    assert delivered <= sent if engine.discarded_count else delivered == sent

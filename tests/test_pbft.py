@@ -210,8 +210,8 @@ def test_timeout_grace_doubles_per_failed_view():
     r = world.nodes[2]
     r.start_day()
     base = world.config.effective_pbft_timeout_ms
-    r.on_timer(m.TimerFire(2, r._timer_token))
-    r.on_timer(m.TimerFire(2, r._timer_token))
+    r.on_timer(r._timer_token)
+    r.on_timer(r._timer_token)
     assert [grace for _, grace in r.timeout_log] == [base, 2 * base, 4 * base]
     assert world.recorder.message_counts["ViewChange"] == 2 * 3
 
@@ -242,7 +242,7 @@ def test_stale_timer_tokens_ignored():
     r.start_day()
     old_token = r._timer_token
     r._arm_timer()
-    r.on_timer(m.TimerFire(2, old_token))
+    r.on_timer(old_token)
     assert world.recorder.message_counts.get("ViewChange", 0) == 0
 
 
