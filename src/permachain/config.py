@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 from .distributions import is_int, is_number, round_half_up_ms
 from .errors import ConfigError
@@ -118,13 +116,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "protocol", "seed", "block_interval_ms", "block_capacity",
-            "empty_block_threshold", "day_length_ms", "tx_broadcast_interval_ms",
-            "tx_spread_ticks", "pbft_timeout_ms", "drop_prob", "drop_prob_overrides",
-            "poet_rate", "latency", "processing_delay", "authority_rule",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "protocol" not in data:
@@ -140,12 +132,3 @@ class RunConfig:
                                   f"numbers, got {overrides!r}")
             kwargs["drop_prob_overrides"] = {int(k): float(v) for k, v in overrides.items()}
         return cls(**kwargs)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunConfig":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-        return cls.from_dict(data)

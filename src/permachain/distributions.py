@@ -18,14 +18,14 @@ NUMERIC_PARAMS = {"constant": ("ms",), "uniform": ("lo", "hi"), "normal": ("mean
                   "exponential": ("rate",)}
 
 
-def is_number(x) -> bool:
-    """An int or float; JSON true/false load as bools, which are not numbers here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def is_int(x) -> bool:
     """An int that is not a bool (JSON true/false load as bools)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_number(x) -> bool:
+    """An int or a finite float (JSON NaN and Infinity load as floats)."""
+    return is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
 def round_half_up_ms(x: float) -> int:

@@ -55,7 +55,6 @@ class EventEngine:
         self._heap: list[tuple[int, int, int, Any]] = []
         self._seq = count()
         self._handlers: dict[int, Callable[[Any], None]] = {}
-        self._stop_requested = False
         self.scheduled_count = 0
         self.dispatched_count = 0
         self.discarded_count = 0
@@ -74,27 +73,17 @@ class EventEngine:
     def pending(self) -> int:
         return len(self._heap)
 
-    def request_stop(self) -> None:
-        """Ask the run loop to exit after the current event; pending events are discarded."""
-        self._stop_requested = True
-
-    def run_until_idle(
-        self,
-        deadline: Optional[SimTime] = None,
-        stop_condition: Optional[Callable[[], bool]] = None,
-    ) -> SimTime:
+    def run_until_idle(self, deadline: Optional[SimTime] = None) -> SimTime:
         """Dispatch events in (fire_at, seq) order until the queue empties.
 
-        Exits early, discarding whatever remains queued, when `request_stop`
-        was called, when `stop_condition()` returns true after an event, or
-        when the next event would fire past `deadline`.
-        Returns the final clock value.
+        Exits early, discarding whatever remains queued, when the next event
+        would fire past `deadline`. Returns the final clock value.
         """
-        self._stop_requested = False
         while self._heap:
             fire_at = self._heap[0][0]
             if deadline is not None and fire_at > deadline:
-                self._discard_pending()
+                self.discarded_count += len(self._heap)
+                self._heap.clear()
                 break
             fire_at, _seq, target, payload = heapq.heappop(self._heap)
             assert fire_at >= self.now, "clock monotonicity violated"
@@ -104,9 +93,6 @@ class EventEngine:
             if handler is None:
                 raise KeyError(f"no handler registered for event target {target}")
             handler(payload)
-            if self._stop_requested or (stop_condition is not None and stop_condition()):
-                self._discard_pending()
-                break
         return self.now
 
     def advance_to(self, t: SimTime) -> SimTime:
@@ -119,7 +105,3 @@ class EventEngine:
             )
         self.now = t
         return self.now
-
-    def _discard_pending(self) -> None:
-        self.discarded_count += len(self._heap)
-        self._heap.clear()

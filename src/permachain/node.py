@@ -48,3 +48,4 @@ class Node:
         self.committed_txids.update(ids)
         self.pool.discard(ids)
         self.world.recorder.on_append(self.id, block, self.view)
+        self.world._on_block_appended(self.id, block)

@@ -15,7 +15,7 @@ A day ends one of two ways:
 from __future__ import annotations
 
 import warnings
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -29,8 +29,7 @@ from .network import MessageEnvelope, Network
 from .nodetable import NodeTable
 from .pbft import PbftFollower, PbftReplica, quorum_params
 from .poa import PoaNode, poet_elect
-from .reporting import (DayResult, RunRecorder, build_report, node_chain_summary,
-                        propagation_writer)
+from .reporting import DayResult, RunRecorder, build_report, propagation_writer
 from .workload import BroadcastPolicy, LoadSchedule
 
 
@@ -43,7 +42,6 @@ class World:
 
     def __init__(self, config: RunConfig, table: NodeTable, records=None):
         self.config = config
-        self.table = table
         self.engine = EventEngine()
         self.streams = RngStreams(config.seed)
         self.authorities = table.authorities
@@ -55,10 +53,7 @@ class World:
         self.reference = benign_authorities[0] if benign_authorities else self.authorities[0]
 
         self.recorder = RunRecorder(
-            reference_node=self.reference,
-            record_sink=None if records is None else propagation_writer(records))
-        self.recorder.engine = self.engine
-        self.recorder.append_listener = self._on_block_appended
+            self.engine, None if records is None else propagation_writer(records))
 
         self.network = Network(self.engine, self.streams, config.latency,
                                config.processing_delay, config.fault_config(),
@@ -86,11 +81,9 @@ class World:
         self.engine.register(COORDINATOR, lambda call: call())
 
         self.day_active = False
-        self.current_day = 0
         self.empty_streak = 0
         self.day_ended_by = "guard"
-        self.per_day_blocks: dict[int, Counter] = defaultdict(Counter)
-        self._tx_counter = 0
+        self.txs_created = 0
         self._authority_set = set(self.authorities)
         self._poet_appends: Counter = Counter()
 
@@ -125,17 +118,15 @@ class World:
     def _inject(self, origin_id: int, day: int, count: int) -> None:
         origin = self.nodes[origin_id]
         for _ in range(count):
-            self._tx_counter += 1
-            tx = Transaction(self._tx_counter, origin_id, f"tx-{self._tx_counter}",
+            self.txs_created += 1
+            tx = Transaction(self.txs_created, origin_id, f"tx-{self.txs_created}",
                              self.engine.now, day)
-            self.recorder.tx_created(tx)
             origin.pool.add(tx)
             self.network.broadcast(origin_id, m.TxGossip(tx), self.authorities)
 
     # -- day termination ------------------------------------------------------
 
     def _on_block_appended(self, node_id: int, block) -> None:
-        self.per_day_blocks[node_id][self.current_day] += 1
         if not self.day_active:
             return
         if node_id == self.reference:
@@ -180,13 +171,13 @@ def run_day(world: World, day: int, loads: dict[int, int]) -> DayResult:
     config = world.config
     engine = world.engine
     day_start = engine.now
-    world.current_day = day
     world.day_active = True
     world.empty_streak = 0
     world.day_ended_by = "guard"
 
-    committed_before = len(world.recorder.ref_committed_txids)
-    vc_before = len(world.recorder.view_changes_of(world.reference))
+    reference = world.nodes[world.reference]
+    committed_before = len(reference.committed_txids)
+    vc_before = len(world.recorder.view_change_log)
     messages_before = Counter(world.recorder.message_counts)
     heights_before = {n: world.nodes[n].chain.height for n in world.all_ids}
 
@@ -209,12 +200,13 @@ def run_day(world: World, day: int, loads: dict[int, int]) -> DayResult:
     return DayResult(
         day=day,
         txs_scheduled=scheduled,
-        txs_committed=len(world.recorder.ref_committed_txids) - committed_before,
+        txs_committed=len(reference.committed_txids) - committed_before,
         blocks_appended={n: world.nodes[n].chain.height - heights_before[n]
                          for n in world.all_ids},
         day_start_sim_time=day_start,
         day_end_sim_time=end,
-        view_changes=len(world.recorder.view_changes_of(world.reference)) - vc_before,
+        view_changes=sum(1 for row in world.recorder.view_change_log[vc_before:]
+                         if row[1] == world.reference),
         messages_by_kind={k: v for k, v in sorted(messages_delta.items()) if v},
         ended_by=world.day_ended_by,
     )
@@ -251,8 +243,5 @@ def run_all(config: RunConfig, table: NodeTable, schedule: LoadSchedule,
             days.append(run_day(world, day, schedule.loads_for(day)))
         except PermachainError as exc:
             raise PermachainError(f"day {day}: {exc}") from exc
-    summaries = [node_chain_summary(n, world.nodes[n].chain, dict(world.per_day_blocks[n]))
-                 for n in world.all_ids]
-    report = build_report(config.to_echo_dict(), config.seed, days, summaries,
-                          world.recorder, world.benign)
-    return SimulationResult(config=config, days=days, report=report, world=world)
+    return SimulationResult(config=config, days=days, report=build_report(world, days),
+                            world=world)

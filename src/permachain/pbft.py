@@ -82,25 +82,6 @@ class _Instance:
     commit_sent: bool = False
 
 
-class AnnouncementTally:
-    """Per-height tallies of matching block announcements."""
-
-    def __init__(self):
-        self._buckets: dict[int, dict[int, tuple[set, Block]]] = {}
-
-    def add(self, height: int, digest: int, block: Block, sender: int) -> None:
-        per_digest = self._buckets.setdefault(height, {})
-        if digest not in per_digest:
-            per_digest[digest] = (set(), block)
-        per_digest[digest][0].add(sender)
-
-    def ready(self, height: int, threshold: int) -> Optional[Block]:
-        for _digest, (senders, block) in self._buckets.get(height, {}).items():
-            if len(senders) >= threshold:
-                return block
-        return None
-
-
 class _AnnouncementReader(Node):
     """A pbft node that appends blocks announced by enough distinct authorities.
 
@@ -111,14 +92,16 @@ class _AnnouncementReader(Node):
     def __init__(self, node_id: int, world, threshold: int):
         super().__init__(node_id, world)
         self.announce_threshold = threshold
-        self.announce_tally = AnnouncementTally()
+        # height -> digest -> (distinct announcers, first block seen with that digest)
+        self.announcements: dict[int, dict[int, tuple[set, Block]]] = {}
         self.committed_pending: dict[int, Block] = {}  # committed beyond the tip
 
     def on_announce(self, env: MessageEnvelope, msg: m.BlockAnnounce) -> None:
         if msg.block.digest != msg.digest or compute_digest(msg.block) != msg.digest:
             self._count("announce_invalid_digest")
             return
-        self.announce_tally.add(msg.height, msg.digest, msg.block, env.sender)
+        per_digest = self.announcements.setdefault(msg.height, {})
+        per_digest.setdefault(msg.digest, (set(), msg.block))[0].add(env.sender)
         self._drain()
 
     def _drain(self) -> None:
@@ -126,7 +109,9 @@ class _AnnouncementReader(Node):
         while True:
             while self.next_height in self.committed_pending:
                 self._append(self.committed_pending.pop(self.next_height))
-            block = self.announce_tally.ready(self.next_height, self.announce_threshold)
+            announced = self.announcements.get(self.next_height, {}).values()
+            block = next((b for senders, b in announced
+                          if len(senders) >= self.announce_threshold), None)
             if block is None:
                 return
             self._append(block)
@@ -142,7 +127,6 @@ class PbftReplica(_AnnouncementReader):
         self.byz = byz
         self.instances: dict[tuple[int, int], _Instance] = {}
         self.locks: dict[int, _Lock] = {}
-        self.announced_heights: set[int] = set()
         self.in_flight: Optional[int] = None
         # view-change bookkeeping
         self.vc_votes: dict[int, dict[int, tuple[int, Optional[_Lock]]]] = {}
@@ -321,11 +305,8 @@ class PbftReplica(_AnnouncementReader):
         super()._append(block)
         self.vc_attempts.pop(block.height, None)
         self._arm_timer()
-        if block.height not in self.announced_heights:
-            self.announced_heights.add(block.height)
-            self.world.network.broadcast(
-                self.id, m.BlockAnnounce(block.height, block.digest, block),
-                self.world.all_ids)
+        self.world.network.broadcast(
+            self.id, m.BlockAnnounce(block.height, block.digest, block), self.world.all_ids)
 
     # -- view changes ------------------------------------------------------
 

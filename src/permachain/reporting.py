@@ -3,10 +3,11 @@
 The recorder folds every transaction and block delivery into exact per-pair
 propagation-delay aggregates and, when given a sink, streams the delivery as
 one raw row of an opt-in propagation CSV as it happens; raw deliveries are
-never held in memory. It also keeps message counters by kind, per-node commit
-and view-change timelines, and per-day tallies. At the end of a run it is
-frozen into a schema-versioned JSON report plus an optional plot-ready CSV of
-(sim_time_ms, node_id, chain_height, current_view) rows.
+never held in memory. It also keeps message counters by kind, the view-change
+log, and a timeline of (sim_time_ms, node_id, chain_height, current_view) rows.
+At the end of a run `build_report` assembles a schema-versioned JSON report
+from the recorder, the nodes' chains and the per-day results; the timeline is
+the optional plot-ready CSV.
 
 Outputs are byte-stable for a fixed (configuration, seed): keys are sorted,
 row order is dispatch order, and no wall-clock data is embedded.
@@ -57,7 +58,7 @@ class DayResult:
 
 @dataclass
 class RunRecorder:
-    reference_node: int = 0
+    engine: object = None  # read for the clock of node hooks
     record_sink: object = None  # csv writer taking one PROPAGATION_COLUMNS row per delivery
 
     message_counts: Counter = field(default_factory=Counter)
@@ -65,11 +66,6 @@ class RunRecorder:
     aggregates: dict = field(default_factory=dict)  # (src, dst) -> [count, sum, max]
     timeline: list = field(default_factory=list)    # csv rows, dispatch order
     view_change_log: list = field(default_factory=list)  # (t, node, old, new)
-    commit_log: list = field(default_factory=list)       # (t, node, height, view, n_txs)
-    txs_created: int = 0
-    ref_committed_txids: set = field(default_factory=set)
-    append_listener: object = None
-    engine: object = None
 
     # -- network hooks -----------------------------------------------------
 
@@ -95,20 +91,11 @@ class RunRecorder:
 
     # -- node hooks ----------------------------------------------------------
 
-    def tx_created(self, tx) -> None:
-        self.txs_created += 1
-
     def on_append(self, node: int, block, view: int) -> None:
-        t = self.engine.now if self.engine is not None else 0
-        self.commit_log.append((t, node, block.height, view, len(block.txs)))
-        self.timeline.append((t, node, block.height, view))
-        if node == self.reference_node:
-            self.ref_committed_txids.update(tx.tx_id for tx in block.txs)
-        if self.append_listener is not None:
-            self.append_listener(node, block)
+        self.timeline.append((self.engine.now, node, block.height, view))
 
     def on_view_adopted(self, node: int, old: int, new: int, height: int) -> None:
-        t = self.engine.now if self.engine is not None else 0
+        t = self.engine.now
         self.view_change_log.append((t, node, old, new))
         self.timeline.append((t, node, height, new))
 
@@ -124,19 +111,6 @@ class RunRecorder:
             }
         return out
 
-    def view_changes_of(self, node: int) -> list:
-        return [(t, old, new) for (t, n, old, new) in self.view_change_log if n == node]
-
-
-def node_chain_summary(node_id: int, chain, per_day_counts: dict[int, int]) -> dict:
-    digests = [digest_hex(d) for d in chain.digests_beyond_genesis()]
-    return {
-        "node": node_id,
-        "block_count": len(digests),
-        "block_digests": digests,
-        "per_day_blocks": {str(d): c for d, c in sorted(per_day_counts.items())},
-    }
-
 
 def check_benign_consistency(summaries: list[dict], benign: set[int]) -> None:
     """All benign digest lists must agree on every shared height."""
@@ -151,15 +125,25 @@ def check_benign_consistency(summaries: list[dict], benign: set[int]) -> None:
             )
 
 
-def build_report(config_echo: dict, seed: int, days: list[DayResult],
-                 summaries: list[dict], recorder: RunRecorder,
-                 benign: set[int]) -> dict:
+def build_report(world, days: list[DayResult]) -> dict:
+    """The report of a finished run of `world` (an orchestrator.World)."""
+    recorder = world.recorder
+    summaries = []
+    for n in world.all_ids:
+        digests = [digest_hex(d) for d in world.nodes[n].chain.digests_beyond_genesis()]
+        summaries.append({
+            "node": n,
+            "block_count": len(digests),
+            "block_digests": digests,
+            "per_day_blocks": {str(d.day): d.blocks_appended[n]
+                               for d in days if d.blocks_appended[n]},
+        })
     return {
         "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "config": config_echo,
-        "benign_nodes": sorted(benign),
-        "reference_node": recorder.reference_node,
+        "seed": world.config.seed,
+        "config": world.config.to_echo_dict(),
+        "benign_nodes": sorted(world.benign),
+        "reference_node": world.reference,
         "days": [d.to_dict() for d in days],
         "nodes": summaries,
         "messages_by_kind": dict(sorted(recorder.message_counts.items())),
@@ -170,8 +154,8 @@ def build_report(config_echo: dict, seed: int, days: list[DayResult],
             for (t, n, old, new) in recorder.view_change_log
         ],
         "totals": {
-            "txs_created": recorder.txs_created,
-            "txs_committed": len(recorder.ref_committed_txids),
+            "txs_created": world.txs_created,
+            "txs_committed": len(world.nodes[world.reference].committed_txids),
             "txs_scheduled": sum(d.txs_scheduled for d in days),
         },
     }

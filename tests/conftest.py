@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from permachain.config import RunConfig
 from permachain.nodetable import NodeTable, parse_node_rows
@@ -13,6 +14,9 @@ FAST_NET = {
     "latency": {"default": {"kind": "constant", "ms": 10}},
     "processing_delay": {"default": {"kind": "constant", "ms": 1}},
 }
+
+# The long fuzz tier: pytest --hypothesis-profile=long (not loaded by default).
+settings.register_profile("long", max_examples=500)
 
 
 def make_table(n_authorities: int, n_followers: int = 0,

@@ -123,9 +123,10 @@ def test_criterion_4_view_change_count():
     result = run_scenario("pbft-viewchange")
     world = result.world
     ref = world.reference
-    vcs = world.recorder.view_changes_of(ref)
-    first_commit = next(row for row in world.recorder.commit_log if row[1] == ref)
-    ok = len([t for (t, _o, _n) in vcs if t < first_commit[0]]) == 3
+    vcs = [t for (t, n, _old, _new) in world.recorder.view_change_log if n == ref]
+    first_commit = next(row for row in world.recorder.timeline
+                        if row[1] == ref and row[2] >= 1)
+    ok = len([t for t in vcs if t < first_commit[0]]) == 3
     ok = ok and result.days[0].view_changes == 3
     ok = ok and first_commit[3] == 3  # committed under view 3
     _verdict(4, ok, "exactly 3 view changes precede the first commit, made in view 3")

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, presets, overrides, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -127,6 +128,16 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     pytest.param({"protocol": "pbft", "authority_rule": {"kind": "location_threshold",
                                                          "threshold": "x"}},
                  "threshold", id="authority_threshold"),
+    pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "constant",
+                                                              "ms": math.nan}}},
+                 "ms", id="nan_ms"),
+    pytest.param({"protocol": "poet", "poet_rate": math.nan}, "poet_rate", id="nan_poet_rate"),
+    pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "uniform", "lo": 0,
+                                                              "hi": math.inf}}},
+                 "hi", id="infinite_uniform_hi"),
+    pytest.param({"protocol": "pbft", "processing_delay": {
+        "default": {"kind": "empirical", "values": [1, math.inf]}}},
+                 "values", id="infinite_empirical_value"),
 ])
 def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"

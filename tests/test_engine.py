@@ -1,4 +1,4 @@
-"""Event engine: ordering, fast-forward, stop conditions, determinism."""
+"""Event engine: ordering, fast-forward, deadlines, determinism."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,34 +43,6 @@ def test_empty_queue_returns_current_time():
     assert engine.run_until_idle() == 42
 
 
-def test_stop_condition_discards_pending_events():
-    engine = EventEngine()
-    seen = collector(engine)
-    for t in (1, 2, 3, 4):
-        engine.schedule(t, COORDINATOR, t)
-    end = engine.run_until_idle(stop_condition=lambda: len(seen) == 2)
-    assert end == 2
-    assert [p for _, p in seen] == [1, 2]
-    assert engine.pending() == 0
-    assert engine.discarded_count == 2
-
-
-def test_request_stop_inside_handler_discards_rest():
-    engine = EventEngine()
-    seen = []
-
-    def handler(payload):
-        seen.append(payload)
-        if payload == "stop":
-            engine.request_stop()
-
-    engine.register(COORDINATOR, handler)
-    engine.schedule(1, COORDINATOR, "stop")
-    engine.schedule(2, COORDINATOR, "never")
-    engine.run_until_idle()
-    assert seen == ["stop"]
-
-
 def test_deadline_discards_future_events():
     engine = EventEngine()
     seen = collector(engine)
@@ -79,6 +51,8 @@ def test_deadline_discards_future_events():
     end = engine.run_until_idle(deadline=50)
     assert end == 10
     assert [p for _, p in seen] == ["early"]
+    assert engine.pending() == 0
+    assert engine.discarded_count == 1
 
 
 def test_advance_to_requires_future_time_and_empty_horizon():

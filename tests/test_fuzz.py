@@ -1,0 +1,55 @@
+"""Seeded invariant fuzzer over random pbft runs.
+
+Each example is a whole run: 4-10 authorities and 0-2 followers, up to f
+mixed active/passive faults among the authorities, constant, uniform or
+exponential latency, and 1-2 days of load on honest nodes only. Every run
+must keep benign chains in prefix agreement, commit no transaction twice on
+any benign chain, and account for every scheduled event.
+
+The example count comes from the active Hypothesis profile. The default
+profile is the fast tier in the tier-1 suite; the `long` profile registered in
+conftest.py runs 500 examples:
+
+    PYTHONPATH=src python -m pytest -q tests/test_fuzz.py --hypothesis-profile=long
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import quick_run
+from permachain.reporting import check_benign_consistency
+
+LATENCIES = st.one_of(
+    st.builds(lambda ms: {"kind": "constant", "ms": ms}, st.integers(1, 50)),
+    st.builds(lambda lo, span: {"kind": "uniform", "lo": lo, "hi": lo + span},
+              st.integers(0, 30), st.integers(0, 40)),
+    st.builds(lambda mean: {"kind": "exponential", "rate": 1 / mean}, st.integers(2, 40)),
+)
+
+
+@st.composite
+def pbft_runs(draw):
+    n = draw(st.integers(4, 10))
+    followers = draw(st.integers(0, 2))
+    faulty = draw(st.lists(st.integers(1, n), max_size=(n - 1) // 3, unique=True))
+    byzantine = {a: draw(st.sampled_from([1, 2])) for a in faulty}  # active / passive
+    honest = [i for i in range(1, n + followers + 1) if i not in byzantine]
+    loads = {day: draw(st.dictionaries(st.sampled_from(honest), st.integers(1, 12),
+                                       max_size=3))
+             for day in range(1, draw(st.integers(1, 2)) + 1)}
+    return dict(loads_by_day=loads, n_authorities=n, n_followers=followers,
+                byzantine=byzantine, seed=draw(st.integers(0, 2**16)),
+                latency={"default": draw(LATENCIES)},
+                day_length_ms=draw(st.sampled_from([4_000, 120_000])))
+
+
+@settings(deadline=None, derandomize=True)
+@given(pbft_runs())
+def test_random_pbft_runs_keep_the_invariants(run):
+    result = quick_run(**run, empty_block_threshold=3)
+    world = result.world
+    check_benign_consistency(result.report["nodes"], world.benign)
+    for n in world.benign:
+        tx_ids = [tx.tx_id for block in world.nodes[n].chain.blocks for tx in block.txs]
+        assert len(tx_ids) == len(set(tx_ids)), f"node {n} committed a transaction twice"
+    engine = world.engine
+    assert engine.scheduled_count == engine.dispatched_count + engine.discarded_count

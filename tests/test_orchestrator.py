@@ -13,7 +13,6 @@ from permachain.workload import parse_schedule
 def test_stop_condition_counter_semantics():
     world = make_world(3, protocol="poa")  # threshold defaults to 10
     world.day_active = True
-    world.current_day = 1
 
     class FakeBlock:
         def __init__(self, empty, height):
@@ -67,7 +66,7 @@ def test_fast_forward_lands_exactly_on_day_boundaries():
 def test_chains_persist_and_grow_across_days():
     result = quick_run({1: {1: 4}, 2: {1: 4}}, n_authorities=3, protocol="poa",
                        empty_block_threshold=3)
-    per_day = result.world.per_day_blocks[1]
+    per_day = {d.day: d.blocks_appended[1] for d in result.days}
     assert per_day[1] == 4  # 1 non-empty + 3 empty
     assert per_day[2] >= 4  # rotation continues; day 2 may open with an empty
     assert result.days[0].txs_committed == result.days[1].txs_committed == 4

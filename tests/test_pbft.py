@@ -289,8 +289,8 @@ def test_three_faulty_leaders_give_three_view_changes_then_commit():
     assert day.view_changes == 3
     assert day.txs_committed == 10
     ref = result.world.reference
-    first_commit = next(row for row in result.world.recorder.commit_log
-                        if row[1] == ref)
+    first_commit = next(row for row in result.world.recorder.timeline
+                        if row[1] == ref and row[2] >= 1)
     assert first_commit[3] == 3  # committed under view 3, primary = 4th authority
     vc_times = [t for (t, n, _o, _nv) in result.world.recorder.view_change_log
                 if n == ref]
