@@ -1,5 +1,11 @@
 """Golden SHA-256 pins on every bundled scenario's report and time series.
 
+The bundled scenarios draw only constant delays, so a second set of pins
+covers the random draws: small committed inputs under `tests/fixtures/`
+with uniform, normal, exponential and empirical latency, the
+`hyperledger-fabric` processing delays, passive drops and the poet lottery.
+Their `propagation.csv` (from `--emit-records`) pins every latency draw.
+
 Every run is a pure function of (configuration, seed), and every preset sets
 its own seed, so these bytes may only change on purpose. A change that moves
 them updates the digests here, says why in CHANGES.md, and bumps the report's
@@ -10,12 +16,16 @@ side files (`--emit-records`), never in `report.json`.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
-from permachain.cli import EXIT_OK, list_scenarios, main
+from permachain.cli import EXIT_OK, list_scenarios, load_scenario, main
 
 MAX_REPORT_BYTES = 256 * 1024  # the largest bundled report is ~47 KB
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # scenario -> (report.json digest, timeseries.csv digest)
 GOLDEN = {
@@ -60,3 +70,62 @@ def test_scenario_outputs_match_golden_digests(name, tmp_path):
     assert (sha256(tmp_path / "report.json"), sha256(tmp_path / "timeseries.csv")) \
         == GOLDEN[name]
     assert (tmp_path / "report.json").stat().st_size < MAX_REPORT_BYTES
+
+
+# fixture -> (report.json, timeseries.csv, propagation.csv digests).
+#   pbft-quorum-small: perfbench/inputs.py render("pbft-quorum", 1, 0.1), uniform
+#     pair latency, hyperledger-fabric delays, active and passive faults;
+#   poet-days-small: render("poet-days", 1, 0.05), exponential default latency,
+#     uniform pairs, the poet lottery;
+#   empirical-pbft: empirical default latency, one normal pair, empirical and
+#     normal processing delays, one passive authority.
+FIXTURE_GOLDEN = {
+    "empirical-pbft": (
+        "2889c879da2efebb41148df0821d19ddac8dad2181a3dd7d9df1f2dac3904f0a",
+        "07b8e2954d88a74904acfe0d00b5e62506d8655ce416f5d6a27c32415faa03a7",
+        "379b0c63d297e04d7586aa9fda6a02a51261062ac28794fecd19221e54b677bf"),
+    "pbft-quorum-small": (
+        "d81fcbfe394d43eba0dd18e85206b5c878ba6f1c15094325af4362117e1d3589",
+        "90832af332c85d105eeb878b8ed078bb0fe9aff463e937e9b0dd8ad693330851",
+        "933cdcfcbabe2258fa41e446bdd65fbb8f48b0e07f6375ae231ff02bce86fd62"),
+    "poet-days-small": (
+        "fe09ccd82b3be91afa1eaf98bb26e592336d8d6ccb419e0fa1881a28057298ae",
+        "6c5b85a8cb729924894294451780048d7edabbdbc39455efe68c3c654d5993d6",
+        "1d5df7c640736c844cce4b0100f985a140a913342d3e8beeccb3d0d9a0c90717"),
+}
+
+
+def test_every_fixture_is_pinned():
+    assert sorted(p.name for p in FIXTURES.iterdir() if p.is_dir()) == sorted(FIXTURE_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_GOLDEN))
+def test_fixture_outputs_match_golden_digests(name, tmp_path):
+    inputs = FIXTURES / name
+    assert main(["--config", str(inputs / "config.json"), "--nodes", str(inputs / "nodes.csv"),
+                 "--transactions", str(inputs / "transactions.json"), "--out", str(tmp_path),
+                 "--emit-csv", "--emit-records"]) == EXIT_OK
+    outputs = ("report.json", "timeseries.csv", "propagation.csv")
+    assert tuple(sha256(tmp_path / f) for f in outputs) == FIXTURE_GOLDEN[name]
+
+
+# Constant delays only, no passive node, and a protocol other than poet: no
+# run consumes a random draw, so the seed may change nothing but itself.
+DRAW_FREE = ("pbft-viewchange", "poa-baseline", "situation1-desk", "situation4")
+
+
+@pytest.mark.parametrize("name", DRAW_FREE)
+def test_draw_free_scenario_report_does_not_depend_on_seed(name, tmp_path):
+    reports = []
+    for seed in (1, 7):
+        out = tmp_path / str(seed)
+        assert main(["--scenario", name, "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report.pop("seed") == report["config"].pop("seed") == seed
+        reports.append(report)
+    config = reports[0]["config"]
+    delays = [config["latency"]["default"], *config["processing_delay"].values()]
+    assert "pairs" not in config["latency"] and {d["kind"] for d in delays} == {"constant"}
+    assert config["protocol"] != "poet"
+    assert all(row["byzantine"] != 2 for row in load_scenario(name)["nodes"])
+    assert reports[0] == reports[1]
