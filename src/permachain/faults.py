@@ -3,16 +3,14 @@
 Active nodes send every message in its corrupted form (see the
 ``corrupted()`` method of each message class in messages.py), so every honest
 verifier rejects any digest it carries. Passive nodes drop each outbound message
-independently with a fixed probability and otherwise behave byte-identically
-to honest nodes. Honest nodes are untouched by this module.
+independently with a fixed probability (the network draws each decision) and
+otherwise behave byte-identically to honest nodes. Honest nodes are untouched by this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -43,12 +41,6 @@ class FaultConfig:
         return self.drop_prob
 
 
-def should_drop(byz: ByzantineType, node: int, config: FaultConfig,
-                rng: np.random.Generator) -> bool:
-    """Outbound drop decision; true only for passive nodes, per message."""
-    if byz is not ByzantineType.PASSIVE:
-        return False
-    p = config.drop_prob_for(node)
-    if p <= 0.0:
-        return False
-    return bool(rng.random() < p)
+def should_drop(byz: ByzantineType, node: int, config: FaultConfig) -> bool:
+    """Whether `node` drops outbound messages at all: passive, with p > 0."""
+    return byz is ByzantineType.PASSIVE and config.drop_prob_for(node) > 0.0

@@ -20,8 +20,6 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .distributions import Distribution, constant
 from .errors import ConfigError, DigestInvalid, HeightGap, ParentMismatch
 
@@ -204,11 +202,11 @@ class ValidationDelays:
                 raise ConfigError(f"unknown processing-delay kind {key!r}")
         return cls(per_kind=per_kind, default=default)
 
-    def validation_delay(self, kind: str, rng: np.random.Generator) -> int:
+    def model_for(self, kind: str) -> Distribution:
         dist = self.per_kind.get(kind, self.default)
         if dist is None:
             raise ConfigError(f"no processing-delay distribution for kind {kind!r} and no default")
-        return dist.sample_ms(rng)
+        return dist
 
     def to_dict(self) -> dict:
         out = {k: d.to_dict() for k, d in sorted(self.per_kind.items())}

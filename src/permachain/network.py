@@ -1,19 +1,26 @@
 """Point-to-point message latency and broadcast scheduling.
 
 Latency is configured per location pair with a global default fallback.
-Sending consults the sender's fault behavior first (passive nodes drop
-outbound messages before any latency is sampled; active nodes send each
-body's ``corrupted()`` form), then schedules one delivery event per recipient at
+`Network.broadcast` is the one delivery path. Once per broadcast it takes the
+body's kind, an active sender's ``corrupted()`` form and the processing-delay
+model; then it schedules one delivery per recipient other than the sender at
 
     now + latency(src, dst) + processing_delay(kind, receiver)
 
-The latency component alone defines the recorded propagation delay.
+unless a passive sender drops it. The latency alone is the recorded
+propagation delay. Per recipient, in recipient order, the draws are: one on
+the sender's ``drop`` stream (only a passive sender with a drop probability
+above 0 has one), then, if not dropped, one on the sender's ``latency`` stream
+and one on the recipient's ``processing-delay`` stream. A constant model
+consumes no draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import messages as m
 from .distributions import Distribution
@@ -61,6 +68,10 @@ class LatencyTable:
         for entry in entries:
             if not isinstance(entry, dict) or "src" not in entry or "dst" not in entry:
                 raise ConfigError(f"latency pair needs 'src' and 'dst' fields, got {entry!r}")
+            for end in ("src", "dst"):
+                if not isinstance(entry[end], str):
+                    raise ConfigError(f"latency pair {end!r} must be a location name, "
+                                      f"got {entry[end]!r}")
             pairs[(entry["src"], entry["dst"])] = Distribution.from_dict(
                 {k: v for k, v in entry.items() if k not in ("src", "dst")})
         return cls(default=default, pairs=pairs)
@@ -84,11 +95,12 @@ class LatencyTable:
 
 
 class Network:
-    """Schedules per-recipient deliveries through the event engine."""
+    """Schedules per-recipient deliveries through the event engine; takes each
+    node's streams at `register_node` and caches each (src, dst) latency model."""
 
     def __init__(self, engine: EventEngine, streams: RngStreams,
                  latency: LatencyTable, delays: ValidationDelays,
-                 fault_config: FaultConfig, recorder=None):
+                 fault_config: FaultConfig, recorder):
         self.engine = engine
         self.streams = streams
         self.latency = latency
@@ -96,50 +108,54 @@ class Network:
         self.fault_config = fault_config
         self.recorder = recorder
         self._locations: dict[int, str] = {}
-        self._byz: dict[int, ByzantineType] = {}
+        self._delay_rng: dict[int, np.random.Generator] = {}
+        # sender -> (byz, dst -> latency model, latency stream, (p, drop stream) or None)
+        self._outbound: dict[int, tuple] = {}
 
     def register_node(self, node_id: int, location: str, byz: ByzantineType) -> None:
         self._locations[node_id] = location
-        self._byz[node_id] = byz
-
-    def sample_latency(self, src: int, dst: int) -> int:
-        if src not in self._locations or dst not in self._locations:
-            raise UnknownNodeError(f"latency requested for unregistered pair ({src}, {dst})")
-        model = self.latency.model_for(self._locations[src], self._locations[dst])
-        return model.sample_ms(self.streams.stream(src, "latency"))
-
-    def send(self, src: int, dst: int, body) -> bool:
-        """Schedule one delivery; returns False when the sender dropped it."""
-        if src not in self._locations:
-            raise UnknownNodeError(f"unknown sender {src}")
-        if dst not in self._locations:
-            raise UnknownNodeError(f"unknown recipient {dst}")
-        kind = m.kind_of(body)
-        byz = self._byz[src]
-        if should_drop(byz, src, self.fault_config, self.streams.stream(src, "drop")):
-            if self.recorder is not None:
-                self.recorder.message_dropped(kind, src)
-            return False
-        if byz is ByzantineType.ACTIVE:
-            body = body.corrupted()
-        lat = self.sample_latency(src, dst)
-        proc = self.delays.validation_delay(
-            body.delay_kind, self.streams.stream(dst, "processing-delay"))
-        env = MessageEnvelope(
-            sender=src, recipient=dst,
-            sent_at=self.engine.now, delivered_at=self.engine.now + lat, body=body,
-        )
-        if self.recorder is not None:
-            self.recorder.message_sent(kind, src, dst)
-        self.engine.schedule(lat + proc, dst, env)
-        return True
+        self._delay_rng[node_id] = self.streams.stream(node_id, "processing-delay")
+        drop = ((self.fault_config.drop_prob_for(node_id), self.streams.stream(node_id, "drop"))
+                if should_drop(byz, node_id, self.fault_config) else None)
+        self._outbound[node_id] = (byz, {}, self.streams.stream(node_id, "latency"), drop)
 
     def broadcast(self, src: int, body, recipients) -> int:
-        """Independent send per recipient; returns how many were scheduled."""
-        scheduled = 0
+        """Deliver `body` from `src` to every recipient but `src` itself.
+
+        Returns how many deliveries were scheduled; the others were dropped.
+        """
+        if src not in self._outbound:
+            raise UnknownNodeError(f"unknown sender {src}")
+        kind = m.kind_of(body)
+        if self._outbound[src][0] is ByzantineType.ACTIVE:
+            body = body.corrupted()
+        delay = self.delays.model_for(body.delay_kind)
+        send = self.send
+        attempted = scheduled = 0
         for dst in recipients:
-            if dst == src:
-                continue
-            if self.send(src, dst, body):
-                scheduled += 1
+            if dst != src:
+                attempted += 1
+                scheduled += send(src, dst, body, delay)
+        if scheduled:
+            self.recorder.message_sent(kind, scheduled)
+        if attempted > scheduled:
+            self.recorder.message_dropped(kind, attempted - scheduled)
         return scheduled
+
+    def send(self, src: int, dst: int, body, delay: Distribution) -> bool:
+        """One recipient's delivery within `broadcast`, a method of its own so that
+        perfbench's span on it counts every attempt; False when it was dropped."""
+        _, models, latency_rng, drop = self._outbound[src]
+        if drop is not None and drop[1].random() < drop[0]:
+            return False
+        model = models.get(dst)
+        if model is None:
+            if dst not in self._locations:
+                raise UnknownNodeError(f"unknown recipient {dst}")
+            model = models[dst] = self.latency.model_for(self._locations[src],
+                                                         self._locations[dst])
+        lat = model.sample_ms(latency_rng)
+        now = self.engine.now
+        self.engine.schedule(lat + delay.sample_ms(self._delay_rng[dst]), dst,
+                             MessageEnvelope(src, dst, now, now + lat, body))
+        return True

@@ -69,11 +69,11 @@ class RunRecorder:
 
     # -- network hooks -----------------------------------------------------
 
-    def message_sent(self, kind: str, src: int, dst: int) -> None:
-        self.message_counts[kind] += 1
+    def message_sent(self, kind: str, n: int) -> None:
+        self.message_counts[kind] += n
 
-    def message_dropped(self, kind: str, src: int) -> None:
-        self.drop_counts[kind] += 1
+    def message_dropped(self, kind: str, n: int) -> None:
+        self.drop_counts[kind] += n
 
     def record_delivery(self, kind: str, src: int, dst: int, sent_at: int,
                         delivered_at: int) -> None:

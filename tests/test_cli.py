@@ -138,6 +138,15 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     pytest.param({"protocol": "pbft", "processing_delay": {
         "default": {"kind": "empirical", "values": [1, math.inf]}}},
                  "values", id="infinite_empirical_value"),
+    pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "uniform", "lo": 0,
+                                                              "hi": 1e308}}},
+                 "hi", id="huge_uniform_hi"),
+    pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "exponential",
+                                                              "rate": 5e-324}}},
+                 "rate", id="tiny_exponential_rate"),
+    pytest.param({"protocol": "pbft", "latency": {"pairs": [{"src": [], "dst": "a",
+                                                             "kind": "constant", "ms": 1}]}},
+                 "src", id="pair_src_list"),
 ])
 def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"

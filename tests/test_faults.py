@@ -1,12 +1,14 @@
 """Byzantine behaviors: digest corruption and probabilistic drops."""
 
-import numpy as np
 import pytest
 
 from permachain import messages as m
+from permachain.engine import EventEngine, RngStreams
 from permachain.errors import ConfigError
 from permachain.faults import ByzantineType, FaultConfig, should_drop
-from permachain.ledger import compute_digest, genesis_block, make_block
+from permachain.ledger import ValidationDelays, compute_digest, genesis_block, make_block
+from permachain.network import LatencyTable, Network
+from permachain.reporting import RunRecorder
 
 
 def sample_block():
@@ -49,19 +51,28 @@ def test_corrupt_leaves_tx_gossip_alone():
 
 
 def drop_fraction(byz, prob, n=10_000, seed=3):
-    rng = np.random.default_rng(seed)
-    cfg = FaultConfig(drop_prob=prob)
-    return sum(should_drop(byz, 1, cfg, rng) for _ in range(n)) / n
+    """Share of n single-recipient broadcasts from node 1 that its network drops."""
+    engine = EventEngine()
+    delays = ValidationDelays.from_config(None)
+    net = Network(engine, RngStreams(seed), LatencyTable.from_config(None), delays,
+                  FaultConfig(drop_prob=prob), RunRecorder(engine))
+    for node in (1, 2):
+        net.register_node(node, "here", byz)
+    return sum(1 - net.broadcast(1, m.TxGossip(tx=None), [2]) for _ in range(n)) / n
 
 
 def test_honest_and_active_never_drop():
     assert drop_fraction(ByzantineType.HONEST, 1.0) == 0.0
     assert drop_fraction(ByzantineType.ACTIVE, 1.0) == 0.0
+    for byz in (ByzantineType.HONEST, ByzantineType.ACTIVE):
+        assert not should_drop(byz, 1, FaultConfig(drop_prob=1.0))
 
 
 def test_passive_boundaries():
     assert drop_fraction(ByzantineType.PASSIVE, 0.0) == 0.0
     assert drop_fraction(ByzantineType.PASSIVE, 1.0) == 1.0
+    assert not should_drop(ByzantineType.PASSIVE, 1, FaultConfig(drop_prob=0.0))
+    assert should_drop(ByzantineType.PASSIVE, 1, FaultConfig(drop_prob=1e-9))
 
 
 def test_passive_drop_rate_concentrates():
@@ -71,10 +82,9 @@ def test_passive_drop_rate_concentrates():
 
 
 def test_per_node_override():
-    rng = np.random.default_rng(0)
     cfg = FaultConfig(drop_prob=1.0, drop_prob_overrides={7: 0.0})
-    assert not should_drop(ByzantineType.PASSIVE, 7, cfg, rng)
-    assert should_drop(ByzantineType.PASSIVE, 8, cfg, rng)
+    assert not should_drop(ByzantineType.PASSIVE, 7, cfg)
+    assert should_drop(ByzantineType.PASSIVE, 8, cfg)
 
 
 def test_invalid_probabilities_rejected():

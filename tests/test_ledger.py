@@ -124,21 +124,20 @@ def test_validation_delay_constant_and_fallback():
         "default": {"kind": "constant", "ms": 9},
     })
     g = np.random.default_rng(1)
-    assert vd.validation_delay("consensus-message", g) == 2
-    assert vd.validation_delay("block", g) == 9  # falls back to default
+    assert vd.model_for("consensus-message").sample_ms(g) == 2
+    assert vd.model_for("block").sample_ms(g) == 9  # falls back to default
 
 
 def test_validation_delay_no_default_errors():
     vd = ValidationDelays.from_config({"block": {"kind": "constant", "ms": 1}})
-    g = np.random.default_rng(1)
-    with pytest.raises(ConfigError):
-        vd.validation_delay("transaction", g)
+    with pytest.raises(ConfigError, match="no processing-delay distribution for kind"):
+        vd.model_for("transaction")
 
 
 def test_validation_delay_truncated_normal_nonnegative():
     vd = ValidationDelays.from_config({"default": {"kind": "normal", "mean": 5, "std": 1}})
     g = np.random.default_rng(1)
-    assert all(vd.validation_delay("block", g) >= 0 for _ in range(2000))
+    assert all(vd.model_for("block").sample_ms(g) >= 0 for _ in range(2000))
 
 
 def test_delay_preset_expands():
