@@ -4,7 +4,8 @@ Active nodes send every message in its corrupted form (see the
 ``corrupted()`` method of each message class in messages.py), so every honest
 verifier rejects any digest it carries. Passive nodes drop each outbound message
 independently with a fixed probability (the network draws each decision) and
-otherwise behave byte-identically to honest nodes. Honest nodes are untouched by this module.
+otherwise behave byte-identically to honest nodes. Honest nodes are untouched
+by this module.
 """
 
 from __future__ import annotations
