@@ -5,14 +5,20 @@ never negative. The normal distribution is truncated at zero by clipping.
 Every millisecond parameter is at most MAX_MS, and an exponential rate at
 least 1 / MAX_MS, so every draw is a finite number of milliseconds. A
 constant distribution holds its value as `fixed_ms` and consumes no draw.
+
+Every draw is a function of `rng.random()` alone, each u in [0, 1):
+
+    uniform      lo + (hi - lo) * u
+    normal       mean + std * sqrt(-2 log(1 - u1)) * cos(2 pi u2)   (Box-Muller)
+    exponential  -log(1 - u) / rate
+    empirical    values[int(u * len(values))]
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -34,6 +40,11 @@ def is_number(x) -> bool:
 
 def round_half_up_ms(x: float) -> int:
     return int(math.floor(x + 0.5))
+
+
+def exponential(u: float, rate: float) -> float:
+    """An exponential variate with the given rate from one uniform u in [0, 1)."""
+    return -math.log(1.0 - u) / rate
 
 
 @dataclass(frozen=True)
@@ -82,21 +93,21 @@ class Distribution:
             if any(v < 0 or v > MAX_MS for v in values):
                 raise ConfigError(f"empirical distribution values must be in [0, {MAX_MS}]")
 
-    def sample_ms(self, rng: np.random.Generator) -> int:
+    def sample_ms(self, rng: random.Random) -> int:
         """Draw one delay in integer ms (>= 0); a constant draws nothing."""
         if self.fixed_ms is not None:
             return self.fixed_ms
         p = self.params
         if self.kind == "uniform":
-            # the same double as rng.uniform(lo, hi), at a third of its cost
             x = p["lo"] + (p["hi"] - p["lo"]) * rng.random()
         elif self.kind == "normal":
-            x = max(0.0, rng.normal(p["mean"], p["std"]))
+            radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+            x = p["mean"] + p["std"] * radius * math.cos(math.tau * rng.random())
         elif self.kind == "exponential":
-            x = rng.exponential(1.0 / p["rate"])
+            x = exponential(rng.random(), p["rate"])
         else:  # empirical
             values = p["values"]
-            x = float(values[rng.integers(0, len(values))])
+            x = values[int(rng.random() * len(values))]
         return max(0, round_half_up_ms(x))
 
     def mean_ms(self) -> float:
@@ -110,7 +121,8 @@ class Distribution:
             return float(p["mean"])  # truncation bias ignored for sizing
         if self.kind == "exponential":
             return 1.0 / p["rate"]
-        return float(np.mean(p["values"]))
+        # statistics.fmean's own arithmetic, without its ~10 ms import
+        return math.fsum(p["values"]) / len(p["values"])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **self.params}

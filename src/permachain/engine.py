@@ -7,17 +7,19 @@ trace a deterministic function of (configuration, seed).
 
 Randomness is never drawn from a global generator: every (node, purpose) pair
 owns an independent named stream, so adding or removing one node cannot
-perturb the draws of any other node.
+perturb the draws of any other node. A stream is a stdlib `random.Random`, and
+callers take only `random()` from it: that is the one sequence the Python docs
+promise to reproduce for a given seed across versions.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import random
 import zlib
 from itertools import count
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 SimTime = int  # milliseconds of simulated time
 
@@ -33,18 +35,26 @@ class RngStreams:
         if seed < 0:
             raise ValueError("seed must be a non-negative integer")
         self.seed = seed
-        self._streams: dict[tuple[int, str], np.random.Generator] = {}
+        self._streams: dict[tuple[int, str], random.Random] = {}
 
-    def stream(self, node_id: int, purpose: str) -> np.random.Generator:
+    def stream(self, node_id: int, purpose: str) -> random.Random:
         key = (node_id, purpose)
         gen = self._streams.get(key)
         if gen is None:
-            # crc32 gives a platform-stable integer for the purpose tag
-            # (python's hash() is salted per process and would break replay).
-            tag = zlib.crc32(purpose.encode("utf-8"))
-            gen = np.random.default_rng(np.random.SeedSequence([self.seed, node_id, tag]))
-            self._streams[key] = gen
+            gen = self._streams[key] = random.Random(stream_seed(self.seed, node_id, purpose))
         return gen
+
+
+def stream_seed(seed: int, node_id: int, purpose: str) -> int:
+    """The integer seed of one stream, injective in (seed, node_id, crc32(purpose)).
+
+    crc32 gives a platform-stable integer for the purpose tag (python's hash()
+    is salted per process and would break replay). The triple's decimal text
+    leads the seed's bytes, so no two triples share a seed; its SHA-256 follows,
+    so even neighbouring triples seed the Mersenne Twister with 256 unrelated bits.
+    """
+    triple = f"{seed}/{node_id}/{zlib.crc32(purpose.encode('utf-8'))}".encode("ascii")
+    return int.from_bytes(triple + hashlib.sha256(triple).digest(), "big")
 
 
 class EventEngine:

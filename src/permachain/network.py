@@ -17,10 +17,9 @@ consumes no draw.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import messages as m
 from .distributions import Distribution
@@ -108,7 +107,7 @@ class Network:
         self.fault_config = fault_config
         self.recorder = recorder
         self._locations: dict[int, str] = {}
-        self._delay_rng: dict[int, np.random.Generator] = {}
+        self._delay_rng: dict[int, random.Random] = {}
         # sender -> (byz, dst -> latency model, latency stream, (p, drop stream) or None)
         self._outbound: dict[int, tuple] = {}
 

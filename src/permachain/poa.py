@@ -7,13 +7,14 @@ under these protocols (the model assumes no faulty nodes), which keeps every
 chain in the network digest-identical.
 
 The lottery variant differs only in leader selection: each round, every
-authority draws an exponential waiting time from its own stream and the
-lowest draw proposes the next block after that wait.
+authority draws an exponential waiting time from its own stream, as
+-log(1 - u) / rate from one `random()` u, and the lowest draw proposes the
+next block after that wait.
 """
 
 from __future__ import annotations
 
-from .distributions import round_half_up_ms
+from .distributions import exponential, round_half_up_ms
 from . import messages as m
 from .ledger import Block, compute_digest, make_block
 from .network import MessageEnvelope
@@ -41,8 +42,8 @@ def poet_elect(authorities: list[int], rate_per_ms: float, streams):
     best_node = None
     best_wait = None
     for node in authorities:
-        rng = streams.stream(node, "poet-draw")
-        wait = max(1, round_half_up_ms(rng.exponential(1.0 / rate_per_ms)))
+        u = streams.stream(node, "poet-draw").random()
+        wait = max(1, round_half_up_ms(exponential(u, rate_per_ms)))
         if best_wait is None or wait < best_wait or (wait == best_wait and node < best_node):
             best_node, best_wait = node, wait
     return best_node, best_wait

@@ -1,10 +1,13 @@
-"""Seeded invariant fuzzer over random pbft runs.
+"""Seeded invariant fuzzer over random pbft, poa and poet runs.
 
-Each example is a whole run: 4-10 authorities and 0-2 followers, up to f
-mixed active/passive faults among the authorities, constant, uniform or
-exponential latency, and 1-2 days of load on honest nodes only. Every run
-must keep benign chains in prefix agreement, commit no transaction twice on
-any benign chain, and account for every scheduled event.
+Each example is a whole run with constant, uniform or exponential latency.
+A pbft run has 4-10 authorities and 0-2 followers, up to f mixed
+active/passive faults among the authorities, and 1-2 days of load on honest
+nodes only. A poa or poet run is fault-free (those protocols assume no faulty
+nodes) with 1-7 authorities, 1-3 followers, 2-4 days of load on any node and,
+under poet, one of three lottery rates. Every run must keep benign chains in
+prefix agreement, commit no transaction twice on any benign chain, and
+account for every scheduled event.
 
 The example count comes from the active Hypothesis profile. The default
 profile is the fast tier in the tier-1 suite; the `long` profile registered in
@@ -42,10 +45,33 @@ def pbft_runs(draw):
                 day_length_ms=draw(st.sampled_from([4_000, 120_000])))
 
 
+@st.composite
+def poa_runs(draw):
+    n = draw(st.integers(1, 7))
+    followers = draw(st.integers(1, 3))
+    nodes = list(range(1, n + followers + 1))
+    loads = {day: draw(st.dictionaries(st.sampled_from(nodes), st.integers(1, 12), max_size=3))
+             for day in range(1, draw(st.integers(2, 4)) + 1)}
+    return dict(loads_by_day=loads, protocol=draw(st.sampled_from(["poa", "poet"])),
+                n_authorities=n, n_followers=followers, seed=draw(st.integers(0, 2**16)),
+                latency={"default": draw(LATENCIES)},
+                poet_rate=draw(st.sampled_from([0.0005, 0.002, 0.02])),
+                day_length_ms=draw(st.sampled_from([4_000, 120_000])))
+
+
 @settings(deadline=None, derandomize=True)
 @given(pbft_runs())
 def test_random_pbft_runs_keep_the_invariants(run):
-    result = quick_run(**run, empty_block_threshold=3)
+    check_invariants(quick_run(**run, empty_block_threshold=3))
+
+
+@settings(deadline=None, derandomize=True)
+@given(poa_runs())
+def test_random_poa_and_poet_runs_keep_the_invariants(run):
+    check_invariants(quick_run(**run, empty_block_threshold=3))
+
+
+def check_invariants(result):
     world = result.world
     check_benign_consistency(result.report["nodes"], world.benign)
     for n in world.benign:

@@ -17,10 +17,14 @@ side files (`--emit-records`), never in `report.json`.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import permachain
 from permachain.cli import EXIT_OK, list_scenarios, load_scenario, main
 
 MAX_REPORT_BYTES = 256 * 1024  # the largest bundled report is ~47 KB
@@ -36,8 +40,8 @@ GOLDEN = {
         "8fe6e2552259de980ccde6b0b49535fb0caae5fd1df5c2d4e26d5d4210d8b247",
         "25f02b6c96a4f1b7ed9163ea55f4c4af116cd4b06f4639208055c2772c00b574"),
     "poet-baseline": (
-        "bd0a43d104e148f3bac37ccfcfcae8f6277fbbbaa51cd49fb9b90f50ca27d339",
-        "42a00e88a3412e7bb4254145c710ca1e2e937cbacff378082e03fbdf06f6ce95"),
+        "fbbcb07166d327c924789d49c2a118165a57b6b7dd6541c6e2fab3500eea71a2",
+        "d01b696a0844ce37049091a3d80b549e24e5d7f1ef74e90eb89de555fadc01d6"),
     "situation1-desk": (
         "9be0c075608f90f5a5e4e3185aae69e322c6e908b066cf59b70c5656e9f264a9",
         "759ad2d1f348f3459d0da9d2b80d90337b1e72664be9b50b994824fb24a0efd0"),
@@ -45,11 +49,11 @@ GOLDEN = {
         "caf062d842e0d5e40e8203d73201dc4c16d05fc8b5322a35a8de4ddb6b9801c5",
         "a6a35b640d770c71f206fff27132dae048549303d01fb614a9378800ce360188"),
     "situation2": (
-        "d5b53deef251bd78078ab95455a384827d0a55f37f33802794bba7bb6f7a76c0",
-        "91f050f4c0546c74c69806899e6a1e1e284090572d3d7e3c82d69dd3f2965ae1"),
+        "c635012e2588468b80c832c3ddab95e876171cc755dc41279b45bcadd7c77bcd",
+        "59785cacdb4b1e6759280f04ace8b994a779083741044d3661bb70d9ccc9de0f"),
     "situation3": (
-        "b222b20328eef00d7f7bff5fa63f5cb06d30d6a262f02d76fa93dc2b91e3d20d",
-        "daa71305f0a14ffb90c265bfbad1babf59d477e82806fa86a32783362fe7b934"),
+        "905ed42f0e0e9c6726e08293a5408840e0a655a368d73054e36350db5a4aae3b",
+        "854d382ae9414dd55b4d57ee3d453276861934755664c71106148aeebc9bece8"),
     "situation4": (
         "ca64c774a3b72a6e598f16c0b8035d0bbe14663b59c671d4e04b2c00075fc349",
         "1684d2d22e93d8a67ce9f39debbe51a35bcb71e628760db45647f759eb19b4ae"),
@@ -81,17 +85,17 @@ def test_scenario_outputs_match_golden_digests(name, tmp_path):
 #     normal processing delays, one passive authority.
 FIXTURE_GOLDEN = {
     "empirical-pbft": (
-        "2889c879da2efebb41148df0821d19ddac8dad2181a3dd7d9df1f2dac3904f0a",
-        "07b8e2954d88a74904acfe0d00b5e62506d8655ce416f5d6a27c32415faa03a7",
-        "379b0c63d297e04d7586aa9fda6a02a51261062ac28794fecd19221e54b677bf"),
+        "1b41dad08a3fa6962e82b396dbfd9061189fe5420402008dc3cfdf856eb55e22",
+        "e4a4aa3c706155286be348cd3edcf0f89b74226cb19cb78a6bf0b193d2dd9c1b",
+        "e72dca829644b881aeea6fc391eb09bd7ad3ccd0c60b4c03f81600ade1d14a33"),
     "pbft-quorum-small": (
-        "d81fcbfe394d43eba0dd18e85206b5c878ba6f1c15094325af4362117e1d3589",
-        "90832af332c85d105eeb878b8ed078bb0fe9aff463e937e9b0dd8ad693330851",
-        "933cdcfcbabe2258fa41e446bdd65fbb8f48b0e07f6375ae231ff02bce86fd62"),
+        "92817f4c4273ff520321e8ff2ed98c75e87600ef4869667af5b6ccc610ac8fb0",
+        "e5595f3ae61b48c224feae6fb1ff4101613f9b87cf397669cb45fc090880192c",
+        "15633586382cbe176619d9430f0debff8ebf42b17ca3680fd12cb7f26b064e08"),
     "poet-days-small": (
-        "fe09ccd82b3be91afa1eaf98bb26e592336d8d6ccb419e0fa1881a28057298ae",
-        "6c5b85a8cb729924894294451780048d7edabbdbc39455efe68c3c654d5993d6",
-        "1d5df7c640736c844cce4b0100f985a140a913342d3e8beeccb3d0d9a0c90717"),
+        "518f06225de15dc0f662cc599faadc59b03633c79f7bd3faed80ab3b43e59637",
+        "b352bdea3fdf25a7613a0ce20e2db093bb9ca47c33f6c85efc02e617086a9217",
+        "64c02d0d7c78d99e657c76bcc774f7031e61128b0e142366fb33755b644369a2"),
 }
 
 
@@ -129,3 +133,27 @@ def test_draw_free_scenario_report_does_not_depend_on_seed(name, tmp_path):
     assert config["protocol"] != "poet"
     assert all(row["byzantine"] != 2 for row in load_scenario(name)["nodes"])
     assert reports[0] == reports[1]
+
+
+# Runs the CLI with numpy made unimportable: any `import numpy` raises ImportError.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from permachain.cli import main
+out = sys.argv[1]
+sys.exit(max(main(["--scenario", name, "--out", f"{out}/{name}", "--emit-csv"])
+             for name in sys.argv[2:]))
+"""
+
+
+def test_simulator_runs_without_numpy(tmp_path):
+    names = ("poet-baseline", "situation3")  # the lottery and passive drops both draw
+    src = str(Path(permachain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, str(tmp_path), *names],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    for name in names:
+        assert (sha256(tmp_path / name / "report.json"),
+                sha256(tmp_path / name / "timeseries.csv")) == GOLDEN[name]

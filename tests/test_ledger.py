@@ -2,9 +2,9 @@
 
 import dataclasses
 import hashlib
+import random
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,22 +49,22 @@ def test_canonical_serialization_layout():
 
 
 def test_single_field_perturbations_never_collide():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     base = make_block(3, 1, 4, 99, (tx(1), tx(2), tx(3)), 5000)
     seen = {base.digest}
     for _ in range(10_000):
-        which = rng.integers(0, 6)
+        which = rng.randrange(6)
         fields = {"height": 3, "view": 1, "proposer": 4,
                   "parent_digest": 99, "proposed_at": 5000}
         if which < 5:
             name = list(fields)[which]
-            fields[name] = int(rng.integers(0, 2**32)) + 6000
+            fields[name] = rng.randrange(2**32) + 6000
             blk = make_block(fields["height"], fields["view"], fields["proposer"],
                              fields["parent_digest"],
                              (tx(1), tx(2), tx(3)), fields["proposed_at"])
         else:
             blk = make_block(3, 1, 4, 99,
-                             (tx(int(rng.integers(10, 2**31))), tx(2), tx(3)), 5000)
+                             (tx(rng.randrange(10, 2**31)), tx(2), tx(3)), 5000)
         assert blk.digest not in seen or blk == base
         seen.add(blk.digest)
 
@@ -123,7 +123,7 @@ def test_validation_delay_constant_and_fallback():
         "consensus-message": {"kind": "constant", "ms": 2},
         "default": {"kind": "constant", "ms": 9},
     })
-    g = np.random.default_rng(1)
+    g = random.Random(1)
     assert vd.model_for("consensus-message").sample_ms(g) == 2
     assert vd.model_for("block").sample_ms(g) == 9  # falls back to default
 
@@ -136,7 +136,7 @@ def test_validation_delay_no_default_errors():
 
 def test_validation_delay_truncated_normal_nonnegative():
     vd = ValidationDelays.from_config({"default": {"kind": "normal", "mean": 5, "std": 1}})
-    g = np.random.default_rng(1)
+    g = random.Random(1)
     assert all(vd.model_for("block").sample_ms(g) >= 0 for _ in range(2000))
 
 

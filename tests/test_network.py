@@ -1,6 +1,11 @@
 """Latency sampling, sender-side drops, and broadcast scheduling."""
 
-import numpy as np
+import hashlib
+import math
+import random
+import statistics
+import zlib
+
 import pytest
 
 from permachain import messages as m
@@ -89,7 +94,7 @@ def test_empirical_latency_reproducible_and_concentrated():
     seq1 = latencies(net1, 1, 2, 10_000)
     seq2 = latencies(net2, 1, 2, 10_000)
     assert seq1 == seq2
-    assert abs(np.mean(seq1) - 5.0) <= 0.25
+    assert abs(statistics.fmean(seq1) - 5.0) <= 0.25
 
 
 def test_pair_specific_model_with_default_fallback():
@@ -216,25 +221,70 @@ def test_passive_sender_byte_identical_when_not_dropping():
     assert seen_h == seen_p
 
 
-@pytest.mark.parametrize("lo, hi", [(0, 1), (5, 30), (10, 10), (0.5, 17.25), (3, 9.75),
-                                    (1e-3, 2.5e-3), (7, 10**9)])
-def test_uniform_draw_matches_numpy_uniform(lo, hi):
-    # sample_ms draws lo + (hi - lo) * random(), the double numpy's uniform returns
-    dist = Distribution("uniform", {"lo": lo, "hi": hi})
-    ours, numpys = np.random.default_rng(42), np.random.default_rng(42)
-    assert [dist.sample_ms(ours) for _ in range(10_000)] == \
-        [round_half_up_ms(numpys.uniform(lo, hi)) for _ in range(10_000)]
+def reference_stream(seed, node_id, purpose):
+    """A `random.Random` seeded the way RngStreams.stream seeds one, rebuilt by hand."""
+    triple = f"{seed}/{node_id}/{zlib.crc32(purpose.encode())}".encode()
+    return random.Random(int.from_bytes(triple + hashlib.sha256(triple).digest(), "big"))
+
+
+def reference_draw(kind, p, rng):
+    """Each kind's documented formula, on nothing but rng.random()."""
+    if kind == "uniform":
+        x = p["lo"] + (p["hi"] - p["lo"]) * rng.random()
+    elif kind == "normal":
+        radius = math.sqrt(-2 * math.log(1 - rng.random()))
+        x = p["mean"] + p["std"] * radius * math.cos(2 * math.pi * rng.random())
+    elif kind == "exponential":
+        x = -math.log(1 - rng.random()) / p["rate"]
+    else:
+        x = p["values"][int(rng.random() * len(p["values"]))]
+    return max(0, round_half_up_ms(x))
+
+
+FORMULA_CASES = [
+    {"kind": "uniform", "lo": lo, "hi": hi}
+    for lo, hi in [(0, 1), (5, 30), (10, 10), (0.5, 17.25), (3, 9.75), (1e-3, 2.5e-3),
+                   (7, 10**9)]
+] + [
+    {"kind": "normal", "mean": 20, "std": 6}, {"kind": "normal", "mean": 1, "std": 5},
+    {"kind": "normal", "mean": 3.5, "std": 0},
+    {"kind": "exponential", "rate": 0.05}, {"kind": "exponential", "rate": 1e-9},
+    {"kind": "empirical", "values": [1, 4, 4, 9.5, 30]}, {"kind": "empirical", "values": [7]},
+]
+
+
+def case_id(spec):
+    return "-".join("_".join(map(str, v)) if isinstance(v, list) else str(v)
+                    for v in spec.values())
+
+
+@pytest.mark.parametrize("spec", FORMULA_CASES, ids=case_id)
+def test_each_kind_draws_its_formula_from_random_alone(spec):
+    dist = Distribution.from_dict(spec)
+    ours, reference = RngStreams(42).stream(3, "latency"), reference_stream(42, 3, "latency")
+    assert [dist.sample_ms(ours) for _ in range(5_000)] == \
+        [reference_draw(dist.kind, dist.params, reference) for _ in range(5_000)]
+    assert ours.random() == reference.random()  # and not one draw more
 
 
 def test_passive_sender_draws_drop_stream_once_per_recipient():
+    # per recipient, in order: drop iff the drop stream reads below p, else one latency draw
     table = LatencyTable(default=Distribution("uniform", {"lo": 1, "hi": 30}))
     _, net, _ = build_net(byz={1: 2}, drop_prob=0.4, latency=table, seed=3)
-    drop, latency = RngStreams(3).stream(1, "drop"), RngStreams(3).stream(1, "latency")
-    recipients = list(range(1, 14))  # the sender itself is skipped
-    scheduled = sum(net.broadcast(1, gossip(i), recipients) for i in range(10))
-    assert 0 < scheduled < 120
-    drop.random(120)          # one drop draw per non-self recipient
-    latency.random(scheduled)  # one latency draw per delivery
+    drop, latency = reference_stream(3, 1, "drop"), reference_stream(3, 1, "latency")
+    expected = []
+    for i in range(10):
+        for dst in range(2, 14):
+            if not drop.random() < 0.4:
+                expected.append((i, dst, reference_draw("uniform", table.default.params,
+                                                        latency)))
+    envelopes = []
+    net.engine.schedule = lambda delay, target, env: envelopes.append(env)
+    for i in range(10):
+        net.broadcast(1, gossip(i), range(1, 14))  # the sender itself is skipped
+    assert [(env.body.tx.tx_id, env.recipient, env.delivered_at - env.sent_at)
+            for env in envelopes] == expected
+    assert 0 < len(expected) < 120
     assert net.streams.stream(1, "drop").random() == drop.random()
     assert net.streams.stream(1, "latency").random() == latency.random()
 

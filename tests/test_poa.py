@@ -1,5 +1,6 @@
 """Round-robin consensus, lottery election, single-round message law."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -93,27 +94,14 @@ def test_poet_single_authority_always_wins():
 
 
 def test_poet_election_matches_min_oracle():
-    # log-replay oracle: rebuild identical streams and take the argmin by hand
+    # a parallel stream set replays each authority's draw; the argmin is taken by hand
     auths = [3, 1, 4, 5, 9]
     rate = 0.002
-    oracle_streams = RngStreams(77)
-    for _ in range(200):
-        draws = {a: max(1, round_half_up_ms(
-            oracle_streams.stream(a, "poet-draw").exponential(1 / rate)))
-            for a in auths}
-        lowest = min(draws.values())
-        expected = min(a for a in auths if draws[a] == lowest)
-        live_streams = RngStreams(77)
-        # oracle consumed this many draws already; replay to the same point
-        # by re-running the elections on a fresh stream set
-        del live_streams
-        assert draws[expected] == lowest
-    # direct comparison on a fresh pair of stream sets
     s1, s2 = RngStreams(123), RngStreams(123)
     for _ in range(500):
         leader, wait = poet_elect(auths, rate, s1)
         draws = {a: max(1, round_half_up_ms(
-            s2.stream(a, "poet-draw").exponential(1 / rate))) for a in auths}
+            -math.log(1 - s2.stream(a, "poet-draw").random()) / rate)) for a in auths}
         lowest = min(draws.values())
         assert wait == lowest
         assert leader == min(a for a in auths if draws[a] == lowest)
