@@ -18,8 +18,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .config import RunConfig
-from .errors import PermachainError
+from .config import PROTOCOLS, RunConfig
+from .errors import ConfigError, PermachainError
 from .nodetable import NodeTable, parse_node_rows, parse_node_table
 from .orchestrator import run_all
 from .reporting import emit_json, emit_timeseries_csv
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--transactions", help="transaction-load schedule JSON")
     parser.add_argument("--out", default=".", help="output directory (default: .)")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--protocol", choices=("pbft", "poa", "poet"),
+    parser.add_argument("--protocol", choices=PROTOCOLS,
                         help="protocol override")
     parser.add_argument("--scenario", help="run a bundled scenario preset")
     parser.add_argument("--emit-csv", action="store_true",
@@ -122,6 +122,9 @@ def _load_inputs(args) -> tuple[RunConfig, NodeTable, LoadSchedule]:
         raise PermachainError("--nodes is required unless --scenario is given")
 
     known = set(table.ids)
+    stray = sorted(set(config.drop_prob_overrides) - known)
+    if stray:
+        raise ConfigError(f"drop_prob_overrides names nodes not in the node table: {stray}")
     if args.transactions:
         schedule = load_schedule(args.transactions, known)
     elif scenario is not None:

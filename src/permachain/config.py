@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from math import inf
 
-from .distributions import is_int, is_number, round_half_up_ms
+from .distributions import MAX_MS, is_int, is_number, round_half_up_ms
 from .errors import ConfigError
-from .faults import FaultConfig
 from .ledger import ValidationDelays
 from .network import LatencyTable
 
@@ -14,10 +14,14 @@ PROTOCOLS = ("pbft", "poa", "poet")
 
 DAY_LENGTH_MS = 86_400_000
 
-INT_FIELDS = ("seed", "block_interval_ms", "block_capacity", "empty_block_threshold",
-              "day_length_ms", "tx_spread_ticks")
-OPTIONAL_INT_FIELDS = ("tx_broadcast_interval_ms", "pbft_timeout_ms")
-NUMBER_FIELDS = ("drop_prob", "poet_rate")
+OPTIONAL_FIELDS = ("tx_broadcast_interval_ms", "pbft_timeout_ms")  # None: derived
+NUMBER_FIELDS = ("drop_prob", "poet_rate")  # the other numeric fields are integers
+# Closed range of each numeric field. A day longer than MAX_MS could run without
+# end, and a lower lottery rate could draw an infinite wait.
+BOUNDS = {"seed": (0, inf), "block_interval_ms": (1, inf), "block_capacity": (1, inf),
+          "empty_block_threshold": (1, inf), "day_length_ms": (1, MAX_MS),
+          "tx_broadcast_interval_ms": (1, inf), "tx_spread_ticks": (1, inf),
+          "pbft_timeout_ms": (0, inf), "drop_prob": (0, 1), "poet_rate": (1 / MAX_MS, inf)}
 
 
 @dataclass
@@ -42,34 +46,21 @@ class RunConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        for name in INT_FIELDS + OPTIONAL_INT_FIELDS:
+        for name, (lo, hi) in BOUNDS.items():
             value = getattr(self, name)
-            if value is None and name in OPTIONAL_INT_FIELDS:
+            if value is None and name in OPTIONAL_FIELDS:
                 continue
-            if not is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in NUMBER_FIELDS:
-            value = getattr(self, name)
-            if not is_number(value):
+            if name in NUMBER_FIELDS and not is_number(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            if name not in NUMBER_FIELDS and not is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if not lo <= value <= hi:
+                raise ConfigError(f"{name} must be in [{lo}, {hi}], got {value!r}")
         if not isinstance(self.authority_rule, dict):
             raise ConfigError(f"authority_rule must be an object, got {self.authority_rule!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.block_interval_ms <= 0:
-            raise ConfigError("block_interval_ms must be > 0")
-        if self.block_capacity < 1:
-            raise ConfigError("block_capacity must be >= 1")
-        if self.empty_block_threshold < 1:
-            raise ConfigError("empty_block_threshold must be >= 1")
-        if self.day_length_ms <= 0:
-            raise ConfigError("day_length_ms must be > 0")
-        if self.tx_broadcast_interval_ms is not None and self.tx_broadcast_interval_ms <= 0:
-            raise ConfigError("tx_broadcast_interval_ms must be > 0")
-        if self.tx_spread_ticks < 1:
-            raise ConfigError("tx_spread_ticks must be >= 1")
-        if self.poet_rate <= 0:
-            raise ConfigError("poet_rate must be > 0")
+        for node, p in self.drop_prob_overrides.items():
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"drop_prob_overrides for node {node} must be in [0, 1]")
         if self.authority_rule.get("kind") not in ("column", "location_threshold"):
             raise ConfigError("authority_rule.kind must be 'column' or 'location_threshold'")
         threshold = self.authority_rule.get("threshold", 0)
@@ -88,9 +79,8 @@ class RunConfig:
             return max(1, round_half_up_ms(10 * self.latency.default.mean_ms()))
         return 100
 
-    def fault_config(self) -> FaultConfig:
-        return FaultConfig(drop_prob=self.drop_prob,
-                           drop_prob_overrides=dict(self.drop_prob_overrides) or None)
+    def drop_prob_for(self, node: int) -> float:
+        return self.drop_prob_overrides.get(node, self.drop_prob)
 
     def to_echo_dict(self) -> dict:
         """Effective configuration as echoed into reports (defaults resolved)."""

@@ -12,7 +12,8 @@ propagation delay. Per recipient, in recipient order, the draws are: one on
 the sender's ``drop`` stream (only a passive sender with a drop probability
 above 0 has one), then, if not dropped, one on the sender's ``latency`` stream
 and one on the recipient's ``processing-delay`` stream. A constant model
-consumes no draw.
+consumes no draw. Each node's Byzantine type and drop probability are fixed
+when it registers; the receiving node records the delivery (see node.py).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import messages as m
 from .distributions import Distribution
 from .engine import EventEngine, RngStreams
 from .errors import ConfigError, UnknownNodeError
-from .faults import ByzantineType, FaultConfig, should_drop
+from .faults import ByzantineType, should_drop
 from .ledger import ValidationDelays
 
 
@@ -98,24 +99,23 @@ class Network:
     node's streams at `register_node` and caches each (src, dst) latency model."""
 
     def __init__(self, engine: EventEngine, streams: RngStreams,
-                 latency: LatencyTable, delays: ValidationDelays,
-                 fault_config: FaultConfig, recorder):
+                 latency: LatencyTable, delays: ValidationDelays, recorder):
         self.engine = engine
         self.streams = streams
         self.latency = latency
         self.delays = delays
-        self.fault_config = fault_config
         self.recorder = recorder
         self._locations: dict[int, str] = {}
         self._delay_rng: dict[int, random.Random] = {}
         # sender -> (byz, dst -> latency model, latency stream, (p, drop stream) or None)
         self._outbound: dict[int, tuple] = {}
 
-    def register_node(self, node_id: int, location: str, byz: ByzantineType) -> None:
+    def register_node(self, node_id: int, location: str, byz: ByzantineType,
+                      drop_prob: float) -> None:
         self._locations[node_id] = location
         self._delay_rng[node_id] = self.streams.stream(node_id, "processing-delay")
-        drop = ((self.fault_config.drop_prob_for(node_id), self.streams.stream(node_id, "drop"))
-                if should_drop(byz, node_id, self.fault_config) else None)
+        drop = ((drop_prob, self.streams.stream(node_id, "drop"))
+                if should_drop(byz, drop_prob) else None)
         self._outbound[node_id] = (byz, {}, self.streams.stream(node_id, "latency"), drop)
 
     def broadcast(self, src: int, body, recipients) -> int:

@@ -2,21 +2,24 @@
 
 Each network message class names the handler method that consumes it (see
 messages.py); a node class that lacks that method counts the body under
-``unhandled_<Kind>`` in its stats and otherwise ignores it.
+``unhandled_<Kind>`` in its stats and otherwise ignores it. `receive` also
+records transaction and block deliveries. Every class takes (node_id, byz, world).
 """
 
 from __future__ import annotations
 
 from . import messages as m
-from .ledger import Block, Chain
+from .faults import ByzantineType
+from .ledger import BLOCK, TRANSACTION, Block, Chain
 from .workload import TransactionPool
 
 
 class Node:
     view = 0  # only pbft replicas change views
 
-    def __init__(self, node_id: int, world):
+    def __init__(self, node_id: int, byz: ByzantineType, world):
         self.id = node_id
+        self.byz = byz
         self.world = world
         self.chain = Chain(node_id)
         self.pool = TransactionPool()
@@ -30,8 +33,15 @@ class Node:
     def _count(self, key: str) -> None:
         self.stats[key] = self.stats.get(key, 0) + 1
 
+    def start_day(self) -> None:
+        """Called on every authority as a day begins, before block production."""
+
     def receive(self, env) -> None:
         body = env.body
+        kind = body.delay_kind
+        if kind in (TRANSACTION, BLOCK):
+            self.world.recorder.record_delivery(kind, env.sender, env.recipient,
+                                                env.sent_at, env.delivered_at)
         handler = getattr(self, body.handler, None)
         if handler is None:
             self._count("unhandled_" + m.kind_of(body))

@@ -3,7 +3,9 @@
 Builds the world (engine, network, nodes), runs each scheduled day, detects
 day completion via consecutive empty blocks observed on the reference benign
 authority, snapshots per-node chains, fast-forwards the clock to the next
-day boundary, and assembles the final report.
+day boundary, and assembles the final report. It names no protocol:
+`PROTOCOLS` gives each one's node classes and day kickoff, and the rest of a
+protocol lives in its own module.
 
 A day ends one of two ways:
   * the empty-block rule fires: block production and injection stop and the
@@ -18,17 +20,17 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 
 from . import messages as m
 from .config import RunConfig
 from .engine import COORDINATOR, EventEngine, RngStreams
 from .errors import PermachainError
-from .faults import ByzantineType
-from .ledger import BLOCK, TRANSACTION, Transaction
-from .network import MessageEnvelope, Network
+from .ledger import Transaction
+from .network import Network
 from .nodetable import NodeTable
-from .pbft import PbftFollower, PbftReplica, quorum_params
-from .poa import PoaNode, poet_elect
+from .pbft import PbftFollower, PbftReplica
+from .poa import Lottery, PoaNode, PoetAuthority
 from .reporting import DayResult, RunRecorder, build_report, propagation_writer
 from .workload import BroadcastPolicy, LoadSchedule
 
@@ -45,9 +47,7 @@ class World:
         self.engine = EventEngine()
         self.streams = RngStreams(config.seed)
         self.authorities = table.authorities
-        self.followers = table.followers
         self.all_ids = table.ids
-        self.quorum_rule = quorum_params(len(self.authorities))
         self.benign = table.benign()
         benign_authorities = [a for a in self.authorities if a in self.benign]
         self.reference = benign_authorities[0] if benign_authorities else self.authorities[0]
@@ -56,47 +56,27 @@ class World:
             self.engine, None if records is None else propagation_writer(records))
 
         self.network = Network(self.engine, self.streams, config.latency,
-                               config.processing_delay, config.fault_config(),
-                               recorder=self.recorder)
-        if config.protocol in ("poa", "poet"):
-            flagged = [r.id for r in table.rows if r.byzantine is not ByzantineType.HONEST]
-            if flagged:
-                warnings.warn(
-                    f"protocol {config.protocol!r} assumes no faulty nodes; "
-                    f"Byzantine types on nodes {flagged} are ignored")
+                               config.processing_delay, recorder=self.recorder)
 
+        authority, follower, kickoff = PROTOCOLS[config.protocol]
         self.nodes: dict[int, object] = {}
         for row in table.rows:
-            byz = row.byzantine if config.protocol == "pbft" else ByzantineType.HONEST
-            self.network.register_node(row.id, row.location, byz)
-            if config.protocol == "pbft":
-                if row.authority:
-                    node = PbftReplica(row.id, byz, self)
-                else:
-                    node = PbftFollower(row.id, self)
-            else:
-                node = PoaNode(row.id, row.authority, self)
-            self.nodes[row.id] = node
-            self.engine.register(row.id, self._node_handler(node))
+            node_class = authority if row.authority else follower
+            node = self.nodes[row.id] = node_class(row.id, row.byzantine, self)
+            self.network.register_node(row.id, row.location, node.byz,
+                                       config.drop_prob_for(row.id))
+            self.engine.register(row.id, node.receive)
         self.engine.register(COORDINATOR, lambda call: call())
+        self.kickoff = kickoff(self)
+        ignored = [r.id for r in table.rows if self.nodes[r.id].byz is not r.byzantine]
+        if ignored:
+            warnings.warn("the configured protocol assumes no faulty nodes; "
+                          f"Byzantine types on nodes {ignored} are ignored")
 
         self.day_active = False
         self.empty_streak = 0
         self.day_ended_by = "guard"
         self.txs_created = 0
-        self._authority_set = set(self.authorities)
-        self._poet_appends: Counter = Counter()
-
-    # -- wiring ------------------------------------------------------------
-
-    def _node_handler(self, node):
-        def handle(env: MessageEnvelope):
-            kind = env.body.delay_kind
-            if kind in (TRANSACTION, BLOCK):
-                self.recorder.record_delivery(kind, env.sender, env.recipient,
-                                              env.sent_at, env.delivered_at)
-            node.receive(env)
-        return handle
 
     # -- control work (calls scheduled on COORDINATOR) -------------------------
 
@@ -107,13 +87,6 @@ class World:
         for a in self.authorities:
             self.nodes[a].maybe_propose()
         self.engine.schedule(self.config.block_interval_ms, COORDINATOR, self._tick)
-
-    def _open_lottery(self) -> None:
-        """One poet round: the winner proposes once its waiting time has passed."""
-        if not self.day_active:
-            return
-        leader, wait = poet_elect(self.authorities, self.config.poet_rate, self.streams)
-        self.engine.schedule(wait, COORDINATOR, self.nodes[leader].propose_lottery)
 
     def _inject(self, origin_id: int, day: int, count: int) -> None:
         origin = self.nodes[origin_id]
@@ -127,24 +100,27 @@ class World:
     # -- day termination ------------------------------------------------------
 
     def _on_block_appended(self, node_id: int, block) -> None:
-        if not self.day_active:
+        if not self.day_active or node_id != self.reference:
             return
-        if node_id == self.reference:
-            if block.is_empty:
-                self.empty_streak += 1
-            else:
-                self.empty_streak = 0
-            if self.stop_condition():
-                self.day_active = False
-                self.day_ended_by = "empty-blocks"
-        if self.config.protocol == "poet" and self.day_active and node_id in self._authority_set:
-            # the next lottery round opens once every authority holds this block
-            self._poet_appends[block.height] += 1
-            if self._poet_appends[block.height] == len(self.authorities):
-                self.engine.schedule(0, COORDINATOR, self._open_lottery)
+        if block.is_empty:
+            self.empty_streak += 1
+        else:
+            self.empty_streak = 0
+        if self.stop_condition():
+            self.day_active = False
+            self.day_ended_by = "empty-blocks"
 
     def stop_condition(self) -> bool:
         return self.empty_streak >= self.config.empty_block_threshold
+
+
+# protocol -> (authority class, follower class, world -> the call that starts
+# block production one block interval into each day)
+PROTOCOLS = {
+    "pbft": (PbftReplica, PbftFollower, attrgetter("_tick")),
+    "poa": (PoaNode, PoaNode, attrgetter("_tick")),
+    "poet": (PoetAuthority, PoaNode, Lottery),
+}
 
 
 def emit_day(world: World, day: int, loads: dict[int, int],
@@ -184,13 +160,9 @@ def run_day(world: World, day: int, loads: dict[int, int]) -> DayResult:
     policy = BroadcastPolicy(interval_ms=config.effective_tx_interval_ms,
                              spread_ticks=config.tx_spread_ticks)
     scheduled = emit_day(world, day, loads, policy)
-
-    if config.protocol == "pbft":
-        for a in world.authorities:
-            world.nodes[a].start_day()
-    # poet: the first lottery opens after the same injection headroom
-    kickoff = world._open_lottery if config.protocol == "poet" else world._tick
-    engine.schedule(config.block_interval_ms, COORDINATOR, kickoff)
+    for a in world.authorities:
+        world.nodes[a].start_day()
+    engine.schedule(config.block_interval_ms, COORDINATOR, world.kickoff)
 
     end = engine.run_until_idle(deadline=day_start + config.day_length_ms)
     world.day_active = False

@@ -85,13 +85,14 @@ class _Instance:
 class _AnnouncementReader(Node):
     """A pbft node that appends blocks announced by enough distinct authorities.
 
-    Blocks are appended strictly in height order, each once `threshold`
-    authorities have announced the same valid digest for it.
+    Blocks are appended strictly in height order, each once
+    `announce_threshold` authorities have announced the same valid digest for it.
     """
 
-    def __init__(self, node_id: int, world, threshold: int):
-        super().__init__(node_id, world)
-        self.announce_threshold = threshold
+    def __init__(self, node_id: int, byz: ByzantineType, world):
+        super().__init__(node_id, byz, world)
+        self.rule = quorum_params(len(world.authorities))
+        self.announce_threshold = self.rule.quorum  # a replica lowers it to f+1
         # height -> digest -> (distinct announcers, first block seen with that digest)
         self.announcements: dict[int, dict[int, tuple[set, Block]]] = {}
         self.committed_pending: dict[int, Block] = {}  # committed beyond the tip
@@ -121,10 +122,10 @@ class PbftReplica(_AnnouncementReader):
     """One authority's consensus state machine."""
 
     def __init__(self, node_id: int, byz: ByzantineType, world):
+        super().__init__(node_id, byz, world)
         # f+1 matching valid announcements guarantee at least one announcer
         # that truly committed the block, so this is a safe state transfer.
-        super().__init__(node_id, world, world.quorum_rule.f + 1)
-        self.byz = byz
+        self.announce_threshold = self.rule.f + 1
         self.instances: dict[tuple[int, int], _Instance] = {}
         self.locks: dict[int, _Lock] = {}
         self.in_flight: Optional[int] = None
@@ -135,7 +136,6 @@ class PbftReplica(_AnnouncementReader):
         # timers
         self._timer_token = 0
         self._timer_height = 0
-        self.timeout_log: list[tuple[int, int]] = []  # (height, grace_ms) per arming
 
     # -- derived ---------------------------------------------------------
 
@@ -154,7 +154,6 @@ class PbftReplica(_AnnouncementReader):
         self._timer_height = self.next_height
         attempts = self.vc_attempts.get(self.next_height, 0)
         grace = self.world.config.effective_pbft_timeout_ms * (2 ** min(attempts, 20))
-        self.timeout_log.append((self.next_height, grace))
         self.world.engine.schedule(
             self.world.config.block_interval_ms + grace, COORDINATOR,
             partial(self.on_timer, self._timer_token))
@@ -262,7 +261,7 @@ class PbftReplica(_AnnouncementReader):
         digest = inst.pp_digest
         if digest is None or inst.commit_sent or view != self.view:
             return
-        if len(inst.prepare_senders.get(digest, ())) < self.world.quorum_rule.quorum:
+        if len(inst.prepare_senders.get(digest, ())) < self.rule.quorum:
             return
         inst.commit_sent = True
         inst.commit_senders.setdefault(digest, set()).add(self.id)
@@ -284,7 +283,7 @@ class PbftReplica(_AnnouncementReader):
         digest = inst.pp_digest
         if digest is None or inst.pp_block is None:
             return
-        if len(inst.commit_senders.get(digest, ())) < self.world.quorum_rule.quorum:
+        if len(inst.commit_senders.get(digest, ())) < self.rule.quorum:
             return
         if height <= self.chain.height:
             return  # late quorum for an already-committed height
@@ -339,7 +338,7 @@ class PbftReplica(_AnnouncementReader):
             distinct = set()
             for v in higher:
                 distinct.update(self.vc_votes[v])
-            if len(distinct) >= self.world.quorum_rule.f + 1:
+            if len(distinct) >= self.rule.f + 1:
                 self.vc_attempts[self.next_height] = self.vc_attempts.get(self.next_height, 0) + 1
                 self._send_viewchange(higher[0])
         self._check_viewchange(msg.proposed_view)
@@ -348,7 +347,7 @@ class PbftReplica(_AnnouncementReader):
         if proposed <= self.view:
             return
         votes = self.vc_votes.get(proposed, {})
-        if len(votes) < self.world.quorum_rule.quorum:
+        if len(votes) < self.rule.quorum:
             return
         self._adopt_view(proposed, votes)
 
@@ -384,6 +383,3 @@ class PbftReplica(_AnnouncementReader):
 
 class PbftFollower(_AnnouncementReader):
     """Non-authority node: appends from 2f+1 matching announcements, in order."""
-
-    def __init__(self, node_id: int, world):
-        super().__init__(node_id, world, world.quorum_rule.quorum)

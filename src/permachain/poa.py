@@ -3,8 +3,8 @@
 Authorities take turns broadcasting new blocks; every other node accepts a
 valid, in-order block without any further communication, so consensus costs
 exactly one message per recipient per block. Fault behaviors are ignored
-under these protocols (the model assumes no faulty nodes), which keeps every
-chain in the network digest-identical.
+under these protocols (the model assumes no faulty nodes: every `PoaNode` is
+honest), which keeps every chain in the network digest-identical.
 
 The lottery variant differs only in leader selection: each round, every
 authority draws an exponential waiting time from its own stream, as
@@ -14,8 +14,12 @@ next block after that wait.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .distributions import exponential, round_half_up_ms
 from . import messages as m
+from .engine import COORDINATOR
+from .faults import ByzantineType
 from .ledger import Block, compute_digest, make_block
 from .network import MessageEnvelope
 from .node import Node
@@ -49,17 +53,38 @@ def poet_elect(authorities: list[int], rate_per_ms: float, streams):
     return best_node, best_wait
 
 
+class Lottery:
+    """A world's poet rounds, each run by a call: the first as each day's kickoff,
+    the next once every authority has appended this round's block that day."""
+
+    def __init__(self, world):
+        self.world = world
+        self._holders: Counter = Counter()  # height -> authorities that appended it
+
+    def __call__(self) -> None:  # the winner proposes once its waiting time has passed
+        world = self.world
+        if not world.day_active:
+            return
+        leader, wait = poet_elect(world.authorities, world.config.poet_rate, world.streams)
+        world.engine.schedule(wait, COORDINATOR, world.nodes[leader].propose_lottery)
+
+    def appended(self, block: Block) -> None:
+        if self.world.day_active:
+            self._holders[block.height] += 1
+            if self._holders[block.height] == len(self.world.authorities):
+                self.world.engine.schedule(0, COORDINATOR, self)
+
+
 class PoaNode(Node):
     """A node under round-robin or lottery consensus (any authority flag)."""
 
-    def __init__(self, node_id: int, is_authority: bool, world):
-        super().__init__(node_id, world)
-        self.is_authority = is_authority
+    def __init__(self, node_id: int, byz: ByzantineType, world):
+        super().__init__(node_id, ByzantineType.HONEST, world)
         self._buffer: dict[int, Block] = {}
 
     def maybe_propose(self) -> None:
-        """Block-interval tick: propose iff the rotation points at me."""
-        if not self.world.day_active or not self.is_authority:
+        """Block-interval tick (authorities only): propose iff the rotation points at me."""
+        if not self.world.day_active:
             return
         height = self.next_height
         if leader_for_height(height, self.world.authorities) != self.id:
@@ -90,3 +115,11 @@ class PoaNode(Node):
         self._buffer[block.height] = block
         while self.next_height in self._buffer:
             self._append(self._buffer.pop(self.next_height))
+
+
+class PoetAuthority(PoaNode):
+    """A lottery authority: tells the world's lottery (its kickoff) of each append."""
+
+    def _append(self, block: Block) -> None:
+        super()._append(block)
+        self.world.kickoff.appended(block)

@@ -4,7 +4,8 @@ Schedule file schema (JSON):
 
     {"days": [{"day": 1, "loads": {"1": 5, "2": 14}}, ...]}
 
-Day indices start at 1 and every node key must exist in the node table.
+Day indices start at 1, every node key must exist in the node table, and a
+node's count for one day is at most MAX_DAILY_LOAD.
 A day's count for a node is divided evenly across the policy's injection
 ticks, remainder front-loaded; the first tick fires one broadcast interval
 after the day starts, so no transaction is broadcast before block production
@@ -20,6 +21,9 @@ from pathlib import Path
 from .distributions import is_int
 from .errors import ScheduleError
 from .ledger import Transaction
+
+# Per node and day, so the injection loop is bounded; the largest bundled load is 887.
+MAX_DAILY_LOAD = 10**6
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,9 @@ def parse_schedule(data: dict, known_nodes: set[int] | None = None) -> LoadSched
                 raise ScheduleError("node key is not an integer", day=day, node=node_key)
             if known_nodes is not None and node not in known_nodes:
                 raise ScheduleError("unknown node in schedule", day=day, node=node)
-            if not is_int(n) or n < 0:
-                raise ScheduleError(f"count must be a non-negative integer, got {n!r}",
-                                    day=day, node=node)
+            if not is_int(n) or not 0 <= n <= MAX_DAILY_LOAD:
+                raise ScheduleError(f"count must be an integer in [0, {MAX_DAILY_LOAD}], "
+                                    f"got {n!r}", day=day, node=node)
             loads[node] = n
         counts[day] = loads
     return LoadSchedule(counts)

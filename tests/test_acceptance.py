@@ -10,7 +10,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import quick_run
+from conftest import make_table, quick_run
 from permachain.cli import load_scenario, main
 from permachain.config import RunConfig
 from permachain.engine import RngStreams
@@ -84,6 +84,7 @@ def _dropper_run(n_passive: int, seed: int, drop_prob: float = 0.4):
 
 def test_criterion_3_passive_droppers_liveness_and_prefix():
     seeds = list(range(1, 11))
+    followers = make_table(13, n_followers=2).followers  # _dropper_run's node table
     complete_seeds = 0
     prefix_ok = True
     for seed in seeds:
@@ -96,7 +97,7 @@ def test_criterion_3_passive_droppers_liveness_and_prefix():
                and world.nodes[n].chain.height == len(ref_digests)
                for n in benign_auth) and result.days[0].txs_committed == 150:
             complete_seeds += 1
-        for f in world.followers:
+        for f in followers:
             fd = world.nodes[f].chain.digests_beyond_genesis()
             if fd != ref_digests[:len(fd)]:
                 prefix_ok = False

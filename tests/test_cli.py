@@ -147,6 +147,14 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     pytest.param({"protocol": "pbft", "latency": {"pairs": [{"src": [], "dst": "a",
                                                              "kind": "constant", "ms": 1}]}},
                  "src", id="pair_src_list"),
+    pytest.param({"protocol": "pbft", "day_length_ms": 10**9 + 1}, "day_length_ms",
+                 id="huge_day_length"),
+    pytest.param({"protocol": "pbft", "drop_prob": 5}, "drop_prob", id="drop_prob_above_one"),
+    pytest.param({"protocol": "pbft", "drop_prob_overrides": {"1": -0.5}},
+                 "drop_prob_overrides", id="negative_override"),
+    pytest.param({"protocol": "poet", "poet_rate": 5e-324}, "poet_rate", id="tiny_poet_rate"),
+    pytest.param({"protocol": "pbft", "pbft_timeout_ms": -5000}, "pbft_timeout_ms",
+                 id="negative_pbft_timeout"),
 ])
 def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"
@@ -177,6 +185,10 @@ def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     pytest.param("nodes", [dict(NODE_ROWS[0], byzantine=True)], "Byzantine",
                  id="bool_byzantine"),
     pytest.param("nodes", [5], "row 1", id="row_not_object"),
+    pytest.param("transactions", {"days": [{"day": 1, "loads": {"1": 10**6 + 1}}]}, "count",
+                 id="huge_count"),
+    pytest.param("config", {"protocol": "poa", "drop_prob_overrides": {"9": 0.1}},
+                 "drop_prob_overrides", id="override_names_no_node"),
 ])
 def test_bad_schedule_or_node_table_is_validation_error(tmp_path, capsys, kind, data,
                                                         field):
@@ -190,6 +202,16 @@ def test_bad_schedule_or_node_table_is_validation_error(tmp_path, capsys, kind, 
         args += [f"--{name}", str(tmp_path / f"{name}.json")]
     assert main(args) == EXIT_VALIDATION
     assert field in capsys.readouterr().err
+
+
+def test_bad_config_fails_before_any_output_file_is_opened(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"protocol": "pbft", "drop_prob": 5}))
+    out = tmp_path / "out"
+    assert main(["--scenario", "situation3", "--config", str(config), "--out", str(out),
+                 "--emit-records"]) == EXIT_VALIDATION
+    assert "drop_prob" in capsys.readouterr().err
+    assert not (out / "propagation.csv").exists()
 
 
 def test_emit_records_streams_every_delivery_to_propagation_csv(tmp_path, capsys):

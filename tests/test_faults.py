@@ -4,8 +4,9 @@ import pytest
 
 from permachain import messages as m
 from permachain.engine import EventEngine, RngStreams
+from permachain.config import RunConfig
 from permachain.errors import ConfigError
-from permachain.faults import ByzantineType, FaultConfig, should_drop
+from permachain.faults import ByzantineType, should_drop
 from permachain.ledger import ValidationDelays, compute_digest, genesis_block, make_block
 from permachain.network import LatencyTable, Network
 from permachain.reporting import RunRecorder
@@ -55,9 +56,9 @@ def drop_fraction(byz, prob, n=10_000, seed=3):
     engine = EventEngine()
     delays = ValidationDelays.from_config(None)
     net = Network(engine, RngStreams(seed), LatencyTable.from_config(None), delays,
-                  FaultConfig(drop_prob=prob), RunRecorder(engine))
+                  RunRecorder(engine))
     for node in (1, 2):
-        net.register_node(node, "here", byz)
+        net.register_node(node, "here", byz, prob)
     return sum(1 - net.broadcast(1, m.TxGossip(tx=None), [2]) for _ in range(n)) / n
 
 
@@ -65,14 +66,14 @@ def test_honest_and_active_never_drop():
     assert drop_fraction(ByzantineType.HONEST, 1.0) == 0.0
     assert drop_fraction(ByzantineType.ACTIVE, 1.0) == 0.0
     for byz in (ByzantineType.HONEST, ByzantineType.ACTIVE):
-        assert not should_drop(byz, 1, FaultConfig(drop_prob=1.0))
+        assert not should_drop(byz, 1.0)
 
 
 def test_passive_boundaries():
     assert drop_fraction(ByzantineType.PASSIVE, 0.0) == 0.0
     assert drop_fraction(ByzantineType.PASSIVE, 1.0) == 1.0
-    assert not should_drop(ByzantineType.PASSIVE, 1, FaultConfig(drop_prob=0.0))
-    assert should_drop(ByzantineType.PASSIVE, 1, FaultConfig(drop_prob=1e-9))
+    assert not should_drop(ByzantineType.PASSIVE, 0.0)
+    assert should_drop(ByzantineType.PASSIVE, 1e-9)
 
 
 def test_passive_drop_rate_concentrates():
@@ -82,13 +83,14 @@ def test_passive_drop_rate_concentrates():
 
 
 def test_per_node_override():
-    cfg = FaultConfig(drop_prob=1.0, drop_prob_overrides={7: 0.0})
-    assert not should_drop(ByzantineType.PASSIVE, 7, cfg)
-    assert should_drop(ByzantineType.PASSIVE, 8, cfg)
+    cfg = RunConfig("pbft", drop_prob=1.0, drop_prob_overrides={7: 0.0})
+    assert (cfg.drop_prob_for(7), cfg.drop_prob_for(8)) == (0.0, 1.0)
+    assert not should_drop(ByzantineType.PASSIVE, cfg.drop_prob_for(7))
+    assert should_drop(ByzantineType.PASSIVE, cfg.drop_prob_for(8))
 
 
 def test_invalid_probabilities_rejected():
-    with pytest.raises(ConfigError):
-        FaultConfig(drop_prob=1.5)
-    with pytest.raises(ConfigError):
-        FaultConfig(drop_prob=0.4, drop_prob_overrides={1: -0.1})
+    with pytest.raises(ConfigError, match="drop_prob"):
+        RunConfig("pbft", drop_prob=1.5)
+    with pytest.raises(ConfigError, match="drop_prob_overrides"):
+        RunConfig("pbft", drop_prob=0.4, drop_prob_overrides={1: -0.1})

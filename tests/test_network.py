@@ -12,7 +12,8 @@ from permachain import messages as m
 from permachain.distributions import Distribution, round_half_up_ms
 from permachain.engine import EventEngine, RngStreams
 from permachain.errors import ConfigError, UnknownNodeError
-from permachain.faults import ByzantineType, FaultConfig
+from permachain.config import RunConfig
+from permachain.faults import ByzantineType
 from permachain.ledger import Transaction, ValidationDelays
 from permachain.network import LatencyTable, Network
 from permachain.reporting import RunRecorder
@@ -54,11 +55,10 @@ def build_net(n_nodes=13, byz=None, drop_prob=0.4, latency=None, seed=1, overrid
     delays = ValidationDelays.from_config({"default": {"kind": "constant", "ms": 1}})
     recorder = LoggedRecorder()
     recorder.engine = engine
-    net = Network(engine, streams, table, delays,
-                  FaultConfig(drop_prob=drop_prob, drop_prob_overrides=overrides),
-                  recorder=recorder)
+    faults = RunConfig("pbft", drop_prob=drop_prob, drop_prob_overrides=overrides or {})
+    net = Network(engine, streams, table, delays, recorder=recorder)
     for i in range(1, n_nodes + 1):
-        net.register_node(i, f"loc-{i}", ByzantineType(byz.get(i, 0)))
+        net.register_node(i, f"loc-{i}", ByzantineType(byz.get(i, 0)), faults.drop_prob_for(i))
         engine.register(i, lambda env: None)
     return engine, net, recorder
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from conftest import make_world, quick_run
 from permachain import messages as m
+from permachain.engine import COORDINATOR
 from permachain.ledger import genesis_block, make_block, Transaction
 from permachain.network import MessageEnvelope
 from permachain.pbft import primary_of, quorum_params
@@ -207,12 +208,16 @@ def test_authority_catches_up_from_announcements():
 def test_timeout_grace_doubles_per_failed_view():
     world = make_world(4)
     world.day_active = True
+    scheduled = []
+    world.engine.schedule = lambda delay, target, payload: scheduled.append((delay, target))
     r = world.nodes[2]
     r.start_day()
+    r.on_timer(r._timer_token)
+    r.on_timer(r._timer_token)
     base = world.config.effective_pbft_timeout_ms
-    r.on_timer(r._timer_token)
-    r.on_timer(r._timer_token)
-    assert [grace for _, grace in r.timeout_log] == [base, 2 * base, 4 * base]
+    timers = [delay - world.config.block_interval_ms
+              for delay, target in scheduled if target == COORDINATOR]
+    assert timers == [base, 2 * base, 4 * base]
     assert world.recorder.message_counts["ViewChange"] == 2 * 3
 
 
