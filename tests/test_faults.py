@@ -3,8 +3,8 @@
 import pytest
 
 from permachain import messages as m
-from permachain.engine import EventEngine, RngStreams
 from permachain.config import RunConfig
+from permachain.engine import EventEngine, RngStreams
 from permachain.errors import ConfigError
 from permachain.faults import ByzantineType, should_drop
 from permachain.ledger import ValidationDelays, compute_digest, genesis_block, make_block
