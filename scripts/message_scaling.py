@@ -4,8 +4,9 @@
 For each committed block the protocol costs (n-1) pre-prepares, (n-1)^2
 prepares, and n(n-1) commits, i.e. 2n(n-1) consensus messages: quadratic in
 the authority count. This script runs one fault-free block per group size
-and compares measured counts against the closed form, plus wall-clock time
-as a rough proportionality check.
+and compares measured counts against the closed form. It also prints the
+wall-clock time of each run and that time per consensus message, so host cost
+can be read against group size.
 
 Usage: python scripts/message_scaling.py [--sizes 4,7,13,22]
 """
@@ -47,8 +48,8 @@ def main():
     sizes = [int(s) for s in args.sizes.split(",")]
 
     print(f"{'n':>4} {'pre-prepare':>12} {'prepare':>10} {'commit':>10} "
-          f"{'total':>10} {'2n(n-1)':>10} {'wall_s':>8}")
-    baseline = None
+          f"{'total':>10} {'2n(n-1)':>10} {'wall_s':>8} {'us/msg':>8}")
+    totals = []
     for n in sizes:
         counts, elapsed = one_block_run(n)
         total = sum(counts.values())
@@ -57,14 +58,11 @@ def main():
         assert counts["Prepare"] == (n - 1) ** 2
         assert counts["Commit"] == n * (n - 1)
         print(f"{n:>4} {counts['PrePrepare']:>12} {counts['Prepare']:>10} "
-              f"{counts['Commit']:>10} {total:>10} {closed:>10} {elapsed:>8.3f}")
-        if baseline is None:
-            baseline = (n, total)
-    n0, t0 = baseline
-    n1 = sizes[-1]
-    counts, _ = one_block_run(n1)
-    ratio = sum(counts.values()) / t0
-    print(f"\nmessage ratio n={n1} vs n={n0}: {ratio:.3f} "
+              f"{counts['Commit']:>10} {total:>10} {closed:>10} {elapsed:>8.3f} "
+              f"{elapsed / total * 1e6:>8.1f}")
+        totals.append(total)
+    n0, n1 = sizes[0], sizes[-1]
+    print(f"\nmessage ratio n={n1} vs n={n0}: {totals[-1] / totals[0]:.3f} "
           f"(closed form {2 * n1 * (n1 - 1) / (2 * n0 * (n0 - 1)):.3f})")
 
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import ConfigError
 
-KINDS = ("constant", "uniform", "normal", "exponential", "empirical")
 NUMERIC_PARAMS = {"constant": ("ms",), "uniform": ("lo", "hi"), "normal": ("mean", "std"),
                   "exponential": ("rate",)}
+PARAMS = {**NUMERIC_PARAMS, "empirical": ("values",)}  # every parameter each kind takes
 MAX_MS = 10**9  # about 11.6 days
 
 
@@ -59,32 +60,56 @@ class Distribution:
     kind: str
     params: dict = field(default_factory=dict)
     fixed_ms: int | None = field(default=None, init=False, repr=False, compare=False)
+    # every other kind: rng -> one draw in integer ms, bound once by __post_init__
+    _draw: Callable[[random.Random], int] | None = field(default=None, init=False,
+                                                          repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown distribution kind {self.kind!r}")
-        p = self.params
-        for name in NUMERIC_PARAMS.get(self.kind, ()):
+        kind, p = self.kind, self.params
+        if not isinstance(kind, str) or kind not in PARAMS:
+            raise ConfigError(f"unknown distribution kind {kind!r}")
+        for name in p:
+            if name not in PARAMS[kind]:
+                raise ConfigError(f"{kind} distribution takes no parameter {name!r}")
+        for name in NUMERIC_PARAMS.get(kind, ()):
             if not is_number(p.get(name)):
-                raise ConfigError(f"{self.kind} distribution needs a numeric {name!r}, "
+                raise ConfigError(f"{kind} distribution needs a numeric {name!r}, "
                                   f"got {p.get(name)!r}")
             if name != "rate" and p[name] > MAX_MS:
-                raise ConfigError(f"{self.kind} distribution needs {name!r} <= {MAX_MS} ms, "
+                raise ConfigError(f"{kind} distribution needs {name!r} <= {MAX_MS} ms, "
                                   f"got {p[name]!r}")
-        if self.kind == "constant":
-            if p.get("ms", -1) < 0:
+        if kind == "constant":
+            if p["ms"] < 0:
                 raise ConfigError("constant distribution needs ms >= 0")
             object.__setattr__(self, "fixed_ms", round_half_up_ms(p["ms"]))
-        elif self.kind == "uniform":
-            if not (0 <= p.get("lo", -1) <= p.get("hi", -1)):
+            return
+        # Each draw below is the module docstring's formula, rounded half-up as
+        # int(x + 0.5): equal to floor(x + 0.5) whenever x + 0.5 >= 0. Only a
+        # normal draw can be negative, so only it clips at 0.
+        if kind == "uniform":
+            lo, hi = p["lo"], p["hi"]
+            if not 0 <= lo <= hi:
                 raise ConfigError("uniform distribution needs 0 <= lo <= hi")
-        elif self.kind == "normal":
-            if p.get("std", -1) < 0:
+            span = hi - lo
+
+            def draw(rng):
+                return int(lo + span * rng.random() + 0.5)
+        elif kind == "normal":
+            mean, std = p["mean"], p["std"]
+            if std < 0:
                 raise ConfigError("normal distribution needs std >= 0")
-        elif self.kind == "exponential":
-            if p.get("rate", 0) < 1 / MAX_MS:
+
+            def draw(rng, sqrt=math.sqrt, log=math.log, cos=math.cos, tau=math.tau):
+                x = mean + std * sqrt(-2.0 * log(1.0 - rng.random())) * cos(tau * rng.random())
+                return int(x + 0.5) if x > -0.5 else 0
+        elif kind == "exponential":
+            rate = p["rate"]
+            if rate < 1 / MAX_MS:
                 raise ConfigError(f"exponential distribution needs rate >= 1 / {MAX_MS}")
-        elif self.kind == "empirical":
+
+            def draw(rng):
+                return int(exponential(rng.random(), rate) + 0.5)
+        else:  # empirical
             values = p.get("values")
             if not values:
                 raise ConfigError("empirical distribution needs a non-empty value list")
@@ -92,23 +117,17 @@ class Distribution:
                 raise ConfigError(f"empirical distribution values must be numbers, got {values!r}")
             if any(v < 0 or v > MAX_MS for v in values):
                 raise ConfigError(f"empirical distribution values must be in [0, {MAX_MS}]")
+            rounded, n = tuple(int(v + 0.5) for v in values), len(values)
+
+            def draw(rng):
+                return rounded[int(rng.random() * n)]
+        object.__setattr__(self, "_draw", draw)
 
     def sample_ms(self, rng: random.Random) -> int:
         """Draw one delay in integer ms (>= 0); a constant draws nothing."""
         if self.fixed_ms is not None:
             return self.fixed_ms
-        p = self.params
-        if self.kind == "uniform":
-            x = p["lo"] + (p["hi"] - p["lo"]) * rng.random()
-        elif self.kind == "normal":
-            radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-            x = p["mean"] + p["std"] * radius * math.cos(math.tau * rng.random())
-        elif self.kind == "exponential":
-            x = exponential(rng.random(), p["rate"])
-        else:  # empirical
-            values = p["values"]
-            x = values[int(rng.random() * len(values))]
-        return max(0, round_half_up_ms(x))
+        return self._draw(rng)
 
     def mean_ms(self) -> float:
         """Analytic mean of the underlying distribution (pre-rounding)."""

@@ -89,17 +89,18 @@ class EventEngine:
         Exits early, discarding whatever remains queued, when the next event
         would fire past `deadline`. Returns the final clock value.
         """
-        while self._heap:
-            fire_at = self._heap[0][0]
-            if deadline is not None and fire_at > deadline:
-                self.discarded_count += len(self._heap)
-                self._heap.clear()
+        heap, handlers, pop = self._heap, self._handlers, heapq.heappop
+        limit = float("inf") if deadline is None else deadline
+        while heap:
+            if heap[0][0] > limit:
+                self.discarded_count += len(heap)
+                heap.clear()
                 break
-            fire_at, _seq, target, payload = heapq.heappop(self._heap)
+            fire_at, _seq, target, payload = pop(heap)
             assert fire_at >= self.now, "clock monotonicity violated"
             self.now = fire_at
             self.dispatched_count += 1
-            handler = self._handlers.get(target)
+            handler = handlers.get(target)
             if handler is None:
                 raise KeyError(f"no handler registered for event target {target}")
             handler(payload)

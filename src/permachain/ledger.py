@@ -95,8 +95,16 @@ class Block:
 
 
 def compute_digest(block: Block) -> int:
-    """Deterministic digest over every block field except the digest itself."""
-    return hash64(block.serialize_for_digest())
+    """Deterministic digest over every block field except the digest itself.
+
+    Memoized on the block object, like its serialization: a block is frozen,
+    and a copy made with `dataclasses.replace` starts without either cache.
+    """
+    cached = getattr(block, "_computed_digest", None)
+    if cached is None:
+        cached = hash64(block.serialize_for_digest())
+        object.__setattr__(block, "_computed_digest", cached)
+    return cached
 
 
 def make_block(height: int, view: int, proposer: int, parent_digest: int,
@@ -120,14 +128,11 @@ class Chain:
     def __init__(self, owner: int):
         self.owner = owner
         self.blocks: list[Block] = [genesis_block()]
+        self.height = 0  # the tip's height, kept by `append`
 
     @property
     def tip(self) -> Block:
         return self.blocks[-1]
-
-    @property
-    def height(self) -> int:
-        return self.tip.height
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -149,6 +154,7 @@ class Chain:
                 f"node {self.owner}: block at height {block.height} carries a tampered digest"
             )
         self.blocks.append(block)
+        self.height = block.height
 
     def digests_beyond_genesis(self) -> list[int]:
         return [b.digest for b in self.blocks[1:]]

@@ -58,6 +58,9 @@ class LatencyTable:
             return cls(default=Distribution("constant", {"ms": 10}))
         if not isinstance(spec, dict):
             raise ConfigError(f"latency must be an object, got {spec!r}")
+        for key in spec:
+            if key not in ("default", "pairs"):
+                raise ConfigError(f"unknown latency key {key!r} (expected 'default' or 'pairs')")
         default = None
         if "default" in spec:
             default = Distribution.from_dict(spec["default"])
@@ -123,10 +126,11 @@ class Network:
 
         Returns how many deliveries were scheduled; the others were dropped.
         """
-        if src not in self._outbound:
+        out = self._outbound.get(src)
+        if out is None:
             raise UnknownNodeError(f"unknown sender {src}")
         kind = m.kind_of(body)
-        if self._outbound[src][0] is ByzantineType.ACTIVE:
+        if out[0] is ByzantineType.ACTIVE:
             body = body.corrupted()
         delay = self.delays.model_for(body.delay_kind)
         send = self.send
@@ -134,17 +138,19 @@ class Network:
         for dst in recipients:
             if dst != src:
                 attempted += 1
-                scheduled += send(src, dst, body, delay)
+                scheduled += send(src, dst, body, delay, out)
         if scheduled:
             self.recorder.message_sent(kind, scheduled)
         if attempted > scheduled:
             self.recorder.message_dropped(kind, attempted - scheduled)
         return scheduled
 
-    def send(self, src: int, dst: int, body, delay: Distribution) -> bool:
+    def send(self, src: int, dst: int, body, delay: Distribution, out: tuple) -> bool:
         """One recipient's delivery within `broadcast`, a method of its own so that
-        perfbench's span on it counts every attempt; False when it was dropped."""
-        _, models, latency_rng, drop = self._outbound[src]
+        perfbench's span on it counts every attempt; False when it was dropped.
+
+        `out` is the sender's `_outbound` entry, which `broadcast` looked up once."""
+        _, models, latency_rng, drop = out
         if drop is not None and drop[1].random() < drop[0]:
             return False
         model = models.get(dst)

@@ -25,6 +25,7 @@ class Node:
         self.pool = TransactionPool()
         self.committed_txids: set[int] = set()
         self.stats: dict[str, int] = {}
+        self._record_delivery = world.recorder.record_delivery
 
     @property
     def next_height(self) -> int:
@@ -40,8 +41,7 @@ class Node:
         body = env.body
         kind = body.delay_kind
         if kind in (TRANSACTION, BLOCK):
-            self.world.recorder.record_delivery(kind, env.sender, env.recipient,
-                                                env.sent_at, env.delivered_at)
+            self._record_delivery(kind, env.sender, env.recipient, env.sent_at, env.delivered_at)
         handler = getattr(self, body.handler, None)
         if handler is None:
             self._count("unhandled_" + m.kind_of(body))

@@ -71,7 +71,7 @@ class _Lock:
     block: Block
 
 
-@dataclass
+@dataclass(slots=True)
 class _Instance:
     """Per-(view, height) message log."""
     pp_digest: Optional[int] = None
@@ -140,7 +140,10 @@ class PbftReplica(_AnnouncementReader):
     # -- derived ---------------------------------------------------------
 
     def _instance(self, view: int, height: int) -> _Instance:
-        return self.instances.setdefault((view, height), _Instance())
+        inst = self.instances.get((view, height))
+        if inst is None:
+            inst = self.instances[(view, height)] = _Instance()
+        return inst
 
     # -- timers ----------------------------------------------------------
 
@@ -202,7 +205,7 @@ class PbftReplica(_AnnouncementReader):
         self.world.network.broadcast(
             self.id, m.PrePrepare(self.view, height, block),
             self.world.authorities)
-        self._check_prepared(self.view, height)
+        self._check_prepared(self.view, height, inst)
 
     # -- three phases ----------------------------------------------------
 
@@ -226,12 +229,11 @@ class PbftReplica(_AnnouncementReader):
         inst.pp_digest = msg.block.digest
         inst.pp_block = msg.block
         inst.prepare_senders.setdefault(msg.block.digest, set()).add(env.sender)
-        self._maybe_send_prepare(msg.view, msg.height)
-        self._check_prepared(msg.view, msg.height)
-        self._check_committed(msg.view, msg.height)
+        self._maybe_send_prepare(msg.view, msg.height, inst)
+        self._check_prepared(msg.view, msg.height, inst)
+        self._check_committed(msg.view, msg.height, inst)
 
-    def _maybe_send_prepare(self, view: int, height: int) -> None:
-        inst = self._instance(view, height)
+    def _maybe_send_prepare(self, view: int, height: int, inst: _Instance) -> None:
         if inst.pp_digest is None or inst.prepare_sent:
             return
         digest = inst.pp_digest
@@ -254,10 +256,9 @@ class PbftReplica(_AnnouncementReader):
     def on_prepare(self, env: MessageEnvelope, msg: m.Prepare) -> None:
         inst = self._instance(msg.view, msg.height)
         inst.prepare_senders.setdefault(msg.digest, set()).add(env.sender)
-        self._check_prepared(msg.view, msg.height)
+        self._check_prepared(msg.view, msg.height, inst)
 
-    def _check_prepared(self, view: int, height: int) -> None:
-        inst = self._instance(view, height)
+    def _check_prepared(self, view: int, height: int, inst: _Instance) -> None:
         digest = inst.pp_digest
         if digest is None or inst.commit_sent or view != self.view:
             return
@@ -271,15 +272,14 @@ class PbftReplica(_AnnouncementReader):
             # Self-deluded finalization: an active node believes its own
             # tampered votes, so its quorum is met one round early.
             self._try_append(inst.pp_block)
-        self._check_committed(view, height)
+        self._check_committed(view, height, inst)
 
     def on_commit(self, env: MessageEnvelope, msg: m.Commit) -> None:
         inst = self._instance(msg.view, msg.height)
         inst.commit_senders.setdefault(msg.digest, set()).add(env.sender)
-        self._check_committed(msg.view, msg.height)
+        self._check_committed(msg.view, msg.height, inst)
 
-    def _check_committed(self, view: int, height: int) -> None:
-        inst = self._instance(view, height)
+    def _check_committed(self, view: int, height: int, inst: _Instance) -> None:
         digest = inst.pp_digest
         if digest is None or inst.pp_block is None:
             return

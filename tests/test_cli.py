@@ -155,6 +155,20 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     pytest.param({"protocol": "poet", "poet_rate": 5e-324}, "poet_rate", id="tiny_poet_rate"),
     pytest.param({"protocol": "pbft", "pbft_timeout_ms": -5000}, "pbft_timeout_ms",
                  id="negative_pbft_timeout"),
+    pytest.param({"protocol": "pbft", "latency": {
+        "default": {"kind": "constant", "ms": 10},
+        "pair": [{"src": "a", "dst": "b", "kind": "constant", "ms": 50}]}},
+                 "'pair'", id="latency_unknown_key"),
+    pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "constant", "ms": 10,
+                                                              "sd": 4}}},
+                 "'sd'", id="constant_extra_param"),
+    pytest.param({"protocol": "pbft", "latency": {"pairs": [{"src": "a", "dst": "b",
+                                                             "kind": "uniform", "lo": 1,
+                                                             "hi": 5, "mean": 3}]}},
+                 "'mean'", id="pair_extra_param"),
+    pytest.param({"protocol": "pbft", "processing_delay": {
+        "block": {"kind": "empirical", "values": [1, 2], "std": 1}}},
+                 "'std'", id="processing_delay_extra_param"),
 ])
 def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"

@@ -20,6 +20,18 @@ def test_round_half_up():
     assert round_half_up_ms(0.0) == 0
 
 
+@pytest.mark.parametrize("x, expected", [(-1.5, 0), (-0.5, 0), (-0.49999, 0), (0, 0),
+                                         (0.5, 1), (2.5, 3), (1e9, 10**9)])
+def test_draws_round_half_up_and_clip_at_zero(x, expected):
+    assert max(0, round_half_up_ms(x)) == expected
+    dists = [Distribution("normal", {"mean": x, "std": 0})]  # draws exactly x
+    if x >= 0:
+        dists += [Distribution("uniform", {"lo": x, "hi": x}),
+                  Distribution("empirical", {"values": [x]})]
+    for dist in dists:
+        assert dist.sample_ms(rng()) == expected, dist
+
+
 def test_constant_always_same():
     dist = constant(10)
     g = rng()

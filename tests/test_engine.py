@@ -55,6 +55,16 @@ def test_deadline_discards_future_events():
     assert engine.discarded_count == 1
 
 
+def test_deadline_is_inclusive():
+    engine = EventEngine()
+    seen = collector(engine)
+    engine.schedule(50, COORDINATOR, "at deadline")
+    engine.schedule(51, COORDINATOR, "one past")
+    assert engine.run_until_idle(deadline=50) == 50
+    assert [p for _, p in seen] == ["at deadline"]
+    assert (engine.dispatched_count, engine.discarded_count) == (1, 1)
+
+
 def test_advance_to_requires_future_time_and_empty_horizon():
     engine = EventEngine()
     engine.advance_to(3_600_000)

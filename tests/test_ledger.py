@@ -12,6 +12,7 @@ from permachain.errors import ConfigError, DigestInvalid, HeightGap, ParentMisma
 from permachain.ledger import (Chain, Transaction, ValidationDelays,
                                compute_digest, digest_hex, genesis_block,
                                hash64, make_block)
+from permachain.messages import BlockMsg
 
 # computed once from the documented reference serialization
 GENESIS_DIGEST_HEX = "6f332dc2b239809f"
@@ -83,6 +84,20 @@ def test_append_rejects_tampered_digest():
     bad = dataclasses.replace(good, digest=~good.digest & (2**64 - 1))
     with pytest.raises(DigestInvalid):
         chain.append(bad)
+
+
+def test_digest_memo_stays_with_its_block():
+    chain = Chain(owner=1)
+    good = make_block(1, 0, 2, chain.tip.digest, (tx(1),), 1000)
+    assert compute_digest(good) == good.digest  # memoized on `good` from here on
+    with pytest.raises(DigestInvalid):
+        chain.append(BlockMsg(good).corrupted().block)
+    moved = dataclasses.replace(good, proposed_at=1001)
+    assert compute_digest(moved) != good.digest
+    assert compute_digest(moved) == hash64(struct.pack("<QQQQQI", 1, 0, 2, chain.tip.digest,
+                                                       1001, 1) + tx(1).serialize())
+    chain.append(good)
+    assert chain.height == 1
 
 
 def test_append_rejects_height_gap():
