@@ -14,7 +14,7 @@ PROTOCOLS = ("pbft", "poa", "poet")
 
 DAY_LENGTH_MS = 86_400_000
 
-OPTIONAL_FIELDS = ("tx_broadcast_interval_ms", "pbft_timeout_ms")  # None: derived
+OPTIONAL_FIELDS = ("tx_broadcast_interval_ms", "pbft_timeout_ms")  # None: derived at load
 NUMBER_FIELDS = ("drop_prob", "poet_rate")  # the other numeric fields are integers
 # Closed range of each numeric field. A day longer than MAX_MS could run without
 # end, and a lower lottery rate could draw an infinite wait.
@@ -32,9 +32,9 @@ class RunConfig:
     block_capacity: int = 10
     empty_block_threshold: int = 10
     day_length_ms: int = DAY_LENGTH_MS
-    tx_broadcast_interval_ms: int | None = None  # defaults to one block interval
+    tx_broadcast_interval_ms: int | None = None  # None: one block interval
     tx_spread_ticks: int = 10
-    pbft_timeout_ms: int | None = None  # defaults to 10x mean network latency
+    pbft_timeout_ms: int | None = None  # None: 10x the default latency's mean, else 100
     drop_prob: float = 0.4
     drop_prob_overrides: dict = field(default_factory=dict)
     poet_rate: float = 0.001  # per-ms; mean lottery wait = 1000 ms
@@ -66,41 +66,24 @@ class RunConfig:
         threshold = self.authority_rule.get("threshold", 0)
         if not is_int(threshold):
             raise ConfigError(f"authority_rule.threshold must be an integer, got {threshold!r}")
-
-    @property
-    def effective_tx_interval_ms(self) -> int:
-        return self.tx_broadcast_interval_ms or self.block_interval_ms
-
-    @property
-    def effective_pbft_timeout_ms(self) -> int:
-        if self.pbft_timeout_ms is not None:
-            return self.pbft_timeout_ms
-        if self.latency.default is not None:
-            return max(1, round_half_up_ms(10 * self.latency.default.mean_ms()))
-        return 100
+        if self.tx_broadcast_interval_ms is None:
+            self.tx_broadcast_interval_ms = self.block_interval_ms
+        if self.pbft_timeout_ms is None:
+            default = self.latency.default
+            self.pbft_timeout_ms = (100 if default is None
+                                    else max(1, round_half_up_ms(10 * default.mean_ms)))
 
     def drop_prob_for(self, node: int) -> float:
         return self.drop_prob_overrides.get(node, self.drop_prob)
 
     def to_echo_dict(self) -> dict:
         """Effective configuration as echoed into reports (defaults resolved)."""
-        return {
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "block_interval_ms": self.block_interval_ms,
-            "block_capacity": self.block_capacity,
-            "empty_block_threshold": self.empty_block_threshold,
-            "day_length_ms": self.day_length_ms,
-            "tx_broadcast_interval_ms": self.effective_tx_interval_ms,
-            "tx_spread_ticks": self.tx_spread_ticks,
-            "pbft_timeout_ms": self.effective_pbft_timeout_ms,
-            "drop_prob": self.drop_prob,
-            "drop_prob_overrides": {str(k): v for k, v in sorted(self.drop_prob_overrides.items())},
-            "poet_rate": self.poet_rate,
-            "latency": self.latency.to_dict(),
-            "processing_delay": self.processing_delay.to_dict(),
-            "authority_rule": self.authority_rule,
-        }
+        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        echo["drop_prob_overrides"] = {str(k): v
+                                       for k, v in sorted(self.drop_prob_overrides.items())}
+        echo["latency"] = self.latency.to_dict()
+        echo["processing_delay"] = self.processing_delay.to_dict()
+        return echo
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

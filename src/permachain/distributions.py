@@ -2,9 +2,10 @@
 
 All samples are returned in integer milliseconds, rounded half-up, and are
 never negative. The normal distribution is truncated at zero by clipping.
-Every millisecond parameter is at most MAX_MS, and an exponential rate at
-least 1 / MAX_MS, so every draw is a finite number of milliseconds. A
-constant distribution holds its value as `fixed_ms` and consumes no draw.
+Every millisecond parameter is at most MAX_MS, a normal mean at least
+-MAX_MS, and an exponential rate at least 1 / MAX_MS, so every draw and every
+mean is a finite number of milliseconds. A constant distribution holds its
+value as `fixed_ms` and consumes no draw.
 
 Every draw is a function of `rng.random()` alone, each u in [0, 1):
 
@@ -63,6 +64,8 @@ class Distribution:
     # every other kind: rng -> one draw in integer ms, bound once by __post_init__
     _draw: Callable[[random.Random], int] | None = field(default=None, init=False,
                                                           repr=False, compare=False)
+    # analytic mean before rounding (a normal's truncation bias is ignored)
+    mean_ms: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind, p = self.kind, self.params
@@ -78,19 +81,19 @@ class Distribution:
             if name != "rate" and p[name] > MAX_MS:
                 raise ConfigError(f"{kind} distribution needs {name!r} <= {MAX_MS} ms, "
                                   f"got {p[name]!r}")
+        # Each kind binds its mean and its draw: the module docstring's formula,
+        # rounded half-up as int(x + 0.5), equal to floor(x + 0.5) whenever
+        # x + 0.5 >= 0. Only a normal draw can be negative, so only it clips at 0.
         if kind == "constant":
             if p["ms"] < 0:
                 raise ConfigError("constant distribution needs ms >= 0")
             object.__setattr__(self, "fixed_ms", round_half_up_ms(p["ms"]))
-            return
-        # Each draw below is the module docstring's formula, rounded half-up as
-        # int(x + 0.5): equal to floor(x + 0.5) whenever x + 0.5 >= 0. Only a
-        # normal draw can be negative, so only it clips at 0.
-        if kind == "uniform":
+            mean, draw = p["ms"], None
+        elif kind == "uniform":
             lo, hi = p["lo"], p["hi"]
             if not 0 <= lo <= hi:
                 raise ConfigError("uniform distribution needs 0 <= lo <= hi")
-            span = hi - lo
+            span, mean = hi - lo, (lo + hi) / 2.0
 
             def draw(rng):
                 return int(lo + span * rng.random() + 0.5)
@@ -98,6 +101,9 @@ class Distribution:
             mean, std = p["mean"], p["std"]
             if std < 0:
                 raise ConfigError("normal distribution needs std >= 0")
+            if mean < -MAX_MS:
+                raise ConfigError(f"normal distribution needs 'mean' >= -{MAX_MS} ms, "
+                                  f"got {mean!r}")
 
             def draw(rng, sqrt=math.sqrt, log=math.log, cos=math.cos, tau=math.tau):
                 x = mean + std * sqrt(-2.0 * log(1.0 - rng.random())) * cos(tau * rng.random())
@@ -106,6 +112,7 @@ class Distribution:
             rate = p["rate"]
             if rate < 1 / MAX_MS:
                 raise ConfigError(f"exponential distribution needs rate >= 1 / {MAX_MS}")
+            mean = 1.0 / rate
 
             def draw(rng):
                 return int(exponential(rng.random(), rate) + 0.5)
@@ -118,30 +125,18 @@ class Distribution:
             if any(v < 0 or v > MAX_MS for v in values):
                 raise ConfigError(f"empirical distribution values must be in [0, {MAX_MS}]")
             rounded, n = tuple(int(v + 0.5) for v in values), len(values)
+            mean = math.fsum(values) / n  # statistics.fmean's arithmetic, without its import
 
             def draw(rng):
                 return rounded[int(rng.random() * n)]
         object.__setattr__(self, "_draw", draw)
+        object.__setattr__(self, "mean_ms", float(mean))
 
     def sample_ms(self, rng: random.Random) -> int:
         """Draw one delay in integer ms (>= 0); a constant draws nothing."""
         if self.fixed_ms is not None:
             return self.fixed_ms
         return self._draw(rng)
-
-    def mean_ms(self) -> float:
-        """Analytic mean of the underlying distribution (pre-rounding)."""
-        p = self.params
-        if self.kind == "constant":
-            return float(p["ms"])
-        if self.kind == "uniform":
-            return (p["lo"] + p["hi"]) / 2.0
-        if self.kind == "normal":
-            return float(p["mean"])  # truncation bias ignored for sizing
-        if self.kind == "exponential":
-            return 1.0 / p["rate"]
-        # statistics.fmean's own arithmetic, without its ~10 ms import
-        return math.fsum(p["values"]) / len(p["values"])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **self.params}

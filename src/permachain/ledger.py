@@ -74,20 +74,16 @@ class Block:
     digest: int = 0
 
     def serialize_for_digest(self) -> bytes:
-        cached = getattr(self, "_ser", None)
-        if cached is None:
-            parts = [
-                _u64(self.height),
-                _u64(self.view),
-                _u64(self.proposer),
-                _u64(self.parent_digest),
-                _u64(self.proposed_at),
-                struct.pack("<I", len(self.txs)),
-            ]
-            parts.extend(tx.serialize() for tx in self.txs)
-            cached = b"".join(parts)
-            object.__setattr__(self, "_ser", cached)
-        return cached
+        parts = [
+            _u64(self.height),
+            _u64(self.view),
+            _u64(self.proposer),
+            _u64(self.parent_digest),
+            _u64(self.proposed_at),
+            struct.pack("<I", len(self.txs)),
+        ]
+        parts.extend(tx.serialize() for tx in self.txs)
+        return b"".join(parts)
 
     @property
     def is_empty(self) -> bool:
@@ -97,8 +93,8 @@ class Block:
 def compute_digest(block: Block) -> int:
     """Deterministic digest over every block field except the digest itself.
 
-    Memoized on the block object, like its serialization: a block is frozen,
-    and a copy made with `dataclasses.replace` starts without either cache.
+    Memoized on the block object: a block is frozen, and a copy made with
+    `dataclasses.replace` starts without the memo.
     """
     cached = getattr(block, "_computed_digest", None)
     if cached is None:

@@ -8,8 +8,10 @@ day boundary, and assembles the final report. It names no protocol:
 protocol lives in its own module.
 
 A day ends one of two ways:
-  * the empty-block rule fires: block production and injection stop and the
-    event queue is allowed to drain so in-flight deliveries settle;
+  * the empty-block rule fires: block production stops and the event queue
+    is allowed to drain, so in-flight deliveries settle and the injection
+    batches already scheduled for the day still fire; their transactions are
+    gossiped but stay uncommitted until a later day;
   * the simulated-time guard (one day length) is hit: whatever is still
     queued is discarded and the day is reported as stalled, not failed.
 """
@@ -85,7 +87,8 @@ class World:
         if not self.day_active:
             return
         for a in self.authorities:
-            self.nodes[a].maybe_propose()
+            if self.day_active:  # a proposal can end the day part-way through a tick
+                self.nodes[a].maybe_propose()
         self.engine.schedule(self.config.block_interval_ms, COORDINATOR, self._tick)
 
     def _inject(self, origin_id: int, day: int, count: int) -> None:
@@ -157,7 +160,7 @@ def run_day(world: World, day: int, loads: dict[int, int]) -> DayResult:
     messages_before = Counter(world.recorder.message_counts)
     heights_before = {n: world.nodes[n].chain.height for n in world.all_ids}
 
-    policy = BroadcastPolicy(interval_ms=config.effective_tx_interval_ms,
+    policy = BroadcastPolicy(interval_ms=config.tx_broadcast_interval_ms,
                              spread_ticks=config.tx_spread_ticks)
     scheduled = emit_day(world, day, loads, policy)
     for a in world.authorities:
@@ -206,11 +209,8 @@ def run_all(config: RunConfig, table: NodeTable, schedule: LoadSchedule,
     world = World(config, table, records)
     days: list[DayResult] = []
     for day in schedule.days:
-        target = (day - 1) * config.day_length_ms
-        if world.engine.now > target:
-            # a prior day overran its boundary; land on the next multiple
-            target = -(-world.engine.now // config.day_length_ms) * config.day_length_ms
-        world.engine.advance_to(target)
+        # a day's deadline is the next day's start, so the clock is never past it
+        world.engine.advance_to((day - 1) * config.day_length_ms)
         try:
             days.append(run_day(world, day, schedule.loads_for(day)))
         except PermachainError as exc:

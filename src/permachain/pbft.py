@@ -8,7 +8,7 @@ height and the primary keeps a single fresh instance in flight at a time.
 Safety across views comes from prepare locks: a replica prepares at most one
 digest per height per view, and abandons a lock only for a proposal in a
 strictly higher view. View-change votes carry the sender's next height and
-its current prepared lock (digest, view, block) so the new primary re-proposes
+its current prepared lock (a view and a block) so the new primary re-proposes
 any block that may have committed instead of inventing a conflicting one.
 
 Liveness glue for message-dropping faults:
@@ -66,7 +66,6 @@ def primary_of(view: int, authorities: list[int]) -> int:
 
 @dataclass
 class _Lock:
-    digest: int
     view: int
     block: Block
 
@@ -74,19 +73,18 @@ class _Lock:
 @dataclass(slots=True)
 class _Instance:
     """Per-(view, height) message log."""
-    pp_digest: Optional[int] = None
     pp_block: Optional[Block] = None
     prepare_senders: dict = field(default_factory=dict)   # digest -> set of node ids
     commit_senders: dict = field(default_factory=dict)    # digest -> set of node ids
-    prepare_sent: bool = False
     commit_sent: bool = False
 
 
-class _AnnouncementReader(Node):
+class PbftFollower(Node):
     """A pbft node that appends blocks announced by enough distinct authorities.
 
     Blocks are appended strictly in height order, each once
-    `announce_threshold` authorities have announced the same valid digest for it.
+    `announce_threshold` authorities have announced the same valid digest for
+    it: 2f+1 for a non-authority, which takes no part in the three phases.
     """
 
     def __init__(self, node_id: int, byz: ByzantineType, world):
@@ -118,7 +116,7 @@ class _AnnouncementReader(Node):
             self._append(block)
 
 
-class PbftReplica(_AnnouncementReader):
+class PbftReplica(PbftFollower):
     """One authority's consensus state machine."""
 
     def __init__(self, node_id: int, byz: ByzantineType, world):
@@ -133,9 +131,7 @@ class PbftReplica(_AnnouncementReader):
         self.vc_votes: dict[int, dict[int, tuple[int, Optional[_Lock]]]] = {}
         self.vc_attempts: dict[int, int] = {}
         self.my_top_vote = 0
-        # timers
-        self._timer_token = 0
-        self._timer_height = 0
+        self._timer_token = 0  # only the latest armed timer may fire
 
     # -- derived ---------------------------------------------------------
 
@@ -154,19 +150,17 @@ class PbftReplica(_AnnouncementReader):
         if not self.world.day_active:
             return
         self._timer_token += 1
-        self._timer_height = self.next_height
         attempts = self.vc_attempts.get(self.next_height, 0)
-        grace = self.world.config.effective_pbft_timeout_ms * (2 ** min(attempts, 20))
+        grace = self.world.config.pbft_timeout_ms * (2 ** min(attempts, 20))
         self.world.engine.schedule(
             self.world.config.block_interval_ms + grace, COORDINATOR,
             partial(self.on_timer, self._timer_token))
 
     def on_timer(self, token: int) -> None:
+        # every append re-arms the timer, so a live token means no block yet
         if token != self._timer_token or not self.world.day_active:
             return
-        if self.chain.height >= self._timer_height:
-            return
-        height = self._timer_height
+        height = self.next_height
         self.vc_attempts[height] = self.vc_attempts.get(height, 0) + 1
         self._send_viewchange(self.view + 1)
         self._arm_timer()
@@ -175,8 +169,6 @@ class PbftReplica(_AnnouncementReader):
 
     def maybe_propose(self) -> None:
         """Block-interval tick: the primary proposes its next height."""
-        if not self.world.day_active:
-            return
         if primary_of(self.view, self.world.authorities) != self.id:
             return
         if self.in_flight is not None and self.chain.height < self.in_flight:
@@ -197,10 +189,9 @@ class PbftReplica(_AnnouncementReader):
                                        self.chain.tip.digest, txs,
                                        self.world.engine.now)
         inst = self._instance(self.view, height)
-        inst.pp_digest = block.digest
         inst.pp_block = block
+        # the pre-prepare is the primary's prepare
         inst.prepare_senders.setdefault(block.digest, set()).add(self.id)
-        inst.prepare_sent = True  # the pre-prepare is the primary's prepare
         self.in_flight = height
         self.world.network.broadcast(
             self.id, m.PrePrepare(self.view, height, block),
@@ -219,14 +210,13 @@ class PbftReplica(_AnnouncementReader):
             self._count("preprepare_not_primary")
             return
         inst = self._instance(msg.view, msg.height)
-        if inst.pp_digest is not None:
-            if inst.pp_digest != msg.block.digest:
+        if inst.pp_block is not None:
+            if inst.pp_block.digest != msg.block.digest:
                 self._count("preprepare_conflicting")
             return
         if compute_digest(msg.block) != msg.block.digest:
             self._count("preprepare_invalid_digest")
             return  # timer keeps running; tampering suspected
-        inst.pp_digest = msg.block.digest
         inst.pp_block = msg.block
         inst.prepare_senders.setdefault(msg.block.digest, set()).add(env.sender)
         self._maybe_send_prepare(msg.view, msg.height, inst)
@@ -234,9 +224,7 @@ class PbftReplica(_AnnouncementReader):
         self._check_committed(msg.view, msg.height, inst)
 
     def _maybe_send_prepare(self, view: int, height: int, inst: _Instance) -> None:
-        if inst.pp_digest is None or inst.prepare_sent:
-            return
-        digest = inst.pp_digest
+        digest = inst.pp_block.digest
         if height <= self.chain.height:
             # already committed here: re-affirm only the block we hold
             if self.chain.blocks[height].digest != digest:
@@ -244,11 +232,10 @@ class PbftReplica(_AnnouncementReader):
                 return
         else:
             lock = self.locks.get(height)
-            if lock is not None and lock.digest != digest and view <= lock.view:
+            if lock is not None and lock.block.digest != digest and view <= lock.view:
                 self._count("prepare_refused_locked")
                 return
-            self.locks[height] = _Lock(digest, view, inst.pp_block)
-        inst.prepare_sent = True
+            self.locks[height] = _Lock(view, inst.pp_block)
         inst.prepare_senders.setdefault(digest, set()).add(self.id)
         self.world.network.broadcast(self.id, m.Prepare(view, height, digest),
                                      self.world.authorities)
@@ -259,9 +246,9 @@ class PbftReplica(_AnnouncementReader):
         self._check_prepared(msg.view, msg.height, inst)
 
     def _check_prepared(self, view: int, height: int, inst: _Instance) -> None:
-        digest = inst.pp_digest
-        if digest is None or inst.commit_sent or view != self.view:
+        if inst.pp_block is None or inst.commit_sent or view != self.view:
             return
+        digest = inst.pp_block.digest
         if len(inst.prepare_senders.get(digest, ())) < self.rule.quorum:
             return
         inst.commit_sent = True
@@ -280,22 +267,22 @@ class PbftReplica(_AnnouncementReader):
         self._check_committed(msg.view, msg.height, inst)
 
     def _check_committed(self, view: int, height: int, inst: _Instance) -> None:
-        digest = inst.pp_digest
-        if digest is None or inst.pp_block is None:
+        block = inst.pp_block
+        if block is None:
             return
-        if len(inst.commit_senders.get(digest, ())) < self.rule.quorum:
+        if len(inst.commit_senders.get(block.digest, ())) < self.rule.quorum:
             return
         if height <= self.chain.height:
             return  # late quorum for an already-committed height
         if height > self.next_height:
-            self.committed_pending[height] = inst.pp_block
+            self.committed_pending[height] = block
             return
-        self._try_append(inst.pp_block)
+        self._try_append(block)
 
     # -- appending and catch-up -------------------------------------------
 
-    def _try_append(self, block: Optional[Block]) -> None:
-        if block is None or block.height != self.next_height:
+    def _try_append(self, block: Block) -> None:
+        if block.height != self.next_height:
             return
         self._append(block)
         self._drain()
@@ -311,7 +298,7 @@ class PbftReplica(_AnnouncementReader):
 
     def _send_viewchange(self, proposed: int) -> None:
         lock = self.locks.get(self.next_height)
-        cert = (lock.digest, lock.view, lock.block) if lock is not None else (None, None, None)
+        cert = () if lock is None else (lock.block.digest, lock.view, lock.block)
         self.my_top_vote = max(self.my_top_vote, proposed)
         vote = m.ViewChange(proposed, self.next_height, *cert)
         self.vc_votes.setdefault(proposed, {})[self.id] = (self.next_height, lock)
@@ -327,14 +314,13 @@ class PbftReplica(_AnnouncementReader):
             valid = (msg.cert_block.digest == msg.cert_digest
                      and compute_digest(msg.cert_block) == msg.cert_digest)
             if valid:
-                lock = _Lock(msg.cert_digest, msg.cert_view, msg.cert_block)
+                lock = _Lock(msg.cert_view, msg.cert_block)
             else:
                 self._count("viewchange_invalid_cert")
         self.vc_votes.setdefault(msg.proposed_view, {})[env.sender] = (msg.next_height, lock)
         # join a view change once f+1 peers demand one, even without a timeout
         if self.my_top_vote <= self.view:
-            higher = sorted(v for v in self.vc_votes
-                            if v > self.view and self.vc_votes[v])
+            higher = sorted(v for v in self.vc_votes if v > self.view)
             distinct = set()
             for v in higher:
                 distinct.update(self.vc_votes[v])
@@ -379,7 +365,3 @@ class PbftReplica(_AnnouncementReader):
     def on_newview(self, env: MessageEnvelope, msg: m.NewView) -> None:
         if msg.view > self.view and env.sender == primary_of(msg.view, self.world.authorities):
             self._adopt_view(msg.view)
-
-
-class PbftFollower(_AnnouncementReader):
-    """Non-authority node: appends from 2f+1 matching announcements, in order."""

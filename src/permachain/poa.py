@@ -63,8 +63,6 @@ class Lottery:
 
     def __call__(self) -> None:  # the winner proposes once its waiting time has passed
         world = self.world
-        if not world.day_active:
-            return
         leader, wait = poet_elect(world.authorities, world.config.poet_rate, world.streams)
         world.engine.schedule(wait, COORDINATOR, world.nodes[leader].propose_lottery)
 
@@ -84,8 +82,6 @@ class PoaNode(Node):
 
     def maybe_propose(self) -> None:
         """Block-interval tick (authorities only): propose iff the rotation points at me."""
-        if not self.world.day_active:
-            return
         height = self.next_height
         if leader_for_height(height, self.world.authorities) != self.id:
             return
@@ -93,8 +89,6 @@ class PoaNode(Node):
 
     def propose_lottery(self) -> None:
         """Lottery winner's proposal; rotation order does not apply."""
-        if not self.world.day_active:
-            return
         self._propose(self.next_height)
 
     def _propose(self, height: int) -> None:

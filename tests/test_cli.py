@@ -169,6 +169,9 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     pytest.param({"protocol": "pbft", "processing_delay": {
         "block": {"kind": "empirical", "values": [1, 2], "std": 1}}},
                  "'std'", id="processing_delay_extra_param"),
+    pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "normal", "mean": -1e308,
+                                                              "std": 0}}},
+                 "'mean'", id="normal_mean_far_below_zero"),
 ])
 def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"

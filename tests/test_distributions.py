@@ -92,9 +92,9 @@ def test_invalid_specs_rejected():
 
 
 def test_mean_ms_analytic():
-    assert constant(7).mean_ms() == 7
-    assert Distribution("uniform", {"lo": 2, "hi": 8}).mean_ms() == 5
-    assert Distribution("exponential", {"rate": 0.001}).mean_ms() == 1000
+    assert constant(7).mean_ms == 7
+    assert Distribution("uniform", {"lo": 2, "hi": 8}).mean_ms == 5
+    assert Distribution("exponential", {"rate": 0.001}).mean_ms == 1000
 
 
 def test_roundtrip_dict():

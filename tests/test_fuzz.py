@@ -6,8 +6,9 @@ active/passive faults among the authorities, and 1-2 days of load on honest
 nodes only. A poa or poet run is fault-free (those protocols assume no faulty
 nodes) with 1-7 authorities, 1-3 followers, 2-4 days of load on any node and,
 under poet, one of three lottery rates. Every run must keep benign chains in
-prefix agreement, commit no transaction twice on any benign chain, and
-account for every scheduled event.
+prefix agreement, commit no transaction twice on any benign chain, account
+for every scheduled event, and start day d at (d - 1) * day_length_ms and end
+it no later than one day length after that.
 
 The example count comes from the active Hypothesis profile. The default
 profile is the fast tier in the tier-1 suite; the `long` profile registered in
@@ -79,3 +80,7 @@ def check_invariants(result):
         assert len(tx_ids) == len(set(tx_ids)), f"node {n} committed a transaction twice"
     engine = world.engine
     assert engine.scheduled_count == engine.dispatched_count + engine.discarded_count
+    length = world.config.day_length_ms
+    for day in result.days:  # no day overruns into the next one's start
+        assert day.day_start_sim_time == (day.day - 1) * length
+        assert day.day_end_sim_time <= day.day_start_sim_time + length

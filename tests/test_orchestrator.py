@@ -104,6 +104,19 @@ def test_late_transactions_carry_over_to_the_next_day():
     assert d2.ended_by == "empty-blocks"
 
 
+def test_scheduled_batches_fire_while_the_day_drains():
+    # the README's example: production stops at 4,000 ms, but the 9 batches
+    # still due (6,000 ms to 46,000 ms) are created and gossiped before the day ends
+    result = quick_run({1: {1: 20}}, n_authorities=3, protocol="poa",
+                       tx_broadcast_interval_ms=5000, tx_spread_ticks=10,
+                       empty_block_threshold=3)
+    day = result.days[0]
+    assert day.ended_by == "empty-blocks"
+    assert result.world.nodes[1].chain.height == 4
+    assert (day.txs_committed, result.world.txs_created) == (2, 20)
+    assert day.day_end_sim_time == 46_011
+
+
 def test_day_cost_independent_of_idle_hours():
     # identical load, very different day lengths: same busy time simulated
     short = quick_run({1: {1: 6}}, n_authorities=3, protocol="poa",

@@ -214,7 +214,7 @@ def test_timeout_grace_doubles_per_failed_view():
     r.start_day()
     r.on_timer(r._timer_token)
     r.on_timer(r._timer_token)
-    base = world.config.effective_pbft_timeout_ms
+    base = world.config.pbft_timeout_ms
     timers = [delay - world.config.block_interval_ms
               for delay, target in scheduled if target == COORDINATOR]
     assert timers == [base, 2 * base, 4 * base]
@@ -275,6 +275,27 @@ def test_new_primary_reproposes_on_adoption():
         r.receive(env(sender, m.ViewChange(1, 1)))
     assert r.view == 1
     assert world.recorder.message_counts["NewView"] == 3
+    assert world.recorder.message_counts["PrePrepare"] == 3
+
+
+@pytest.mark.parametrize("tampered, invalid_certs, reproposed", [
+    pytest.param(False, 0, True, id="valid_cert"),
+    pytest.param(True, 2, False, id="tampered_cert"),
+])
+def test_new_primary_reproposes_only_a_valid_certificate(tampered, invalid_certs, reproposed):
+    # in a 4-authority group, node 2 is the primary of view 1
+    world = make_world(4)
+    r = world.nodes[2]
+    prepared = block_at(1, genesis_block().digest, txs=(tx(9),))
+    vote = m.ViewChange(1, 1, cert_digest=prepared.digest, cert_view=0, cert_block=prepared)
+    for sender in (3, 4):  # a tamperer's vote carries a certificate digest its block lacks
+        r.receive(env(sender, vote.corrupted() if tampered else vote))
+    assert r.view == 1
+    assert r.stats.get("viewchange_invalid_cert", 0) == invalid_certs
+    assert (r.vc_votes[1][3][1] is None) == tampered  # an invalid certificate is no lock
+    proposal = r.instances[(1, 1)].pp_block
+    assert (proposal.digest == prepared.digest) == reproposed
+    assert proposal.proposer == (1 if reproposed else 2)  # else a fresh block of its own
     assert world.recorder.message_counts["PrePrepare"] == 3
 
 
