@@ -30,6 +30,19 @@ def test_stop_condition_counter_semantics():
     assert world.day_ended_by == "empty-blocks"
 
 
+def test_a_proposal_that_ends_the_day_ends_the_tick():
+    # with 3 authorities a pbft quorum is 1, so the reference's own proposal
+    # commits at once; node 2, primary of a later view, must not propose after it
+    world = make_world(3, empty_block_threshold=1)
+    world.nodes[2].view = 1
+    world.day_active = True
+    world._tick()
+    assert not world.day_active and world.day_ended_by == "empty-blocks"
+    assert world.nodes[1].chain.height == 1
+    assert world.nodes[2].chain.height == 0
+    assert world.recorder.message_counts["PrePrepare"] == 2  # node 1's, to nodes 2 and 3
+
+
 def test_zero_tx_day_ends_after_exactly_k_empty_blocks():
     result = quick_run({1: {}}, n_authorities=3, protocol="poa",
                        empty_block_threshold=10)
