@@ -6,7 +6,11 @@ class carries what the rest of the simulator needs to know about it:
   * ``handler``: the node method that consumes it (see node.py);
   * ``corrupted()``: the copy an active tamperer sends, with its carried
     digest flipped by bitwise NOT (an involution), so every honest verifier
-    rejects it; a body without a digest returns itself.
+    rejects it. A body that carries a block flips that block's digest, and a
+    body without a digest returns itself.
+
+A body that carries a block does not copy the block's height or digest: a
+receiver reads them from the block.
 """
 
 from __future__ import annotations
@@ -35,6 +39,13 @@ class _Body:
         return self
 
 
+class _BlockBody(_Body):
+    """A body whose `block` field carries the digest to corrupt."""
+
+    def corrupted(self):
+        return replace(self, block=_flip_block(self.block))
+
+
 @dataclass(frozen=True)
 class TxGossip(_Body):
     tx: Transaction
@@ -43,25 +54,18 @@ class TxGossip(_Body):
 
 
 @dataclass(frozen=True)
-class BlockMsg(_Body):
+class BlockMsg(_BlockBody):
     """Single-round block broadcast (round-robin / lottery protocols)."""
     block: Block
     delay_kind = BLOCK
     handler = "on_block"
 
-    def corrupted(self):
-        return replace(self, block=_flip_block(self.block))
-
 
 @dataclass(frozen=True)
-class PrePrepare(_Body):
+class PrePrepare(_BlockBody):
     view: int
-    height: int
-    block: Block
+    block: Block  # its height is the sequence number this pre-prepare orders
     handler = "on_preprepare"
-
-    def corrupted(self):
-        return replace(self, block=_flip_block(self.block))
 
 
 @dataclass(frozen=True)
@@ -91,16 +95,15 @@ class ViewChange(_Body):
     proposed_view: int
     next_height: int  # sender's chain tip + 1, used by the new primary
     # prepared certificate for next_height, if the sender holds one
-    cert_digest: int | None = None
     cert_view: int | None = None
     cert_block: Block | None = None
     handler = "on_viewchange"
 
     def corrupted(self):
-        if self.cert_digest is None:
+        if self.cert_block is None:
             return self
         # the vote itself stays legible; only the carried certificate is junked
-        return replace(self, cert_digest=_flip(self.cert_digest))
+        return replace(self, cert_block=_flip_block(self.cert_block))
 
 
 @dataclass(frozen=True)
@@ -110,15 +113,10 @@ class NewView(_Body):
 
 
 @dataclass(frozen=True)
-class BlockAnnounce(_Body):
-    height: int
-    digest: int
+class BlockAnnounce(_BlockBody):
     block: Block
     delay_kind = BLOCK
     handler = "on_announce"
-
-    def corrupted(self):
-        return replace(self, digest=_flip(self.digest))
 
 
 def kind_of(body) -> str:

@@ -4,6 +4,9 @@ Each network message class names the handler method that consumes it (see
 messages.py); a node class that lacks that method counts the body under
 ``unhandled_<Kind>`` in its stats and otherwise ignores it. `receive` also
 records transaction and block deliveries. Every class takes (node_id, byz, world).
+
+`_accept` is the one in-order block path: a valid block above the next height
+is held in `_ahead` until the blocks below it have been appended.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ class Node:
         self.pool = TransactionPool()
         self.committed_txids: set[int] = set()
         self.stats: dict[str, int] = {}
+        self._ahead: dict[int, Block] = {}  # accepted blocks above the next height
         self._record_delivery = world.recorder.record_delivery
 
     @property
@@ -51,6 +55,14 @@ class Node:
     def on_gossip(self, env, msg) -> None:
         if msg.tx.tx_id not in self.committed_txids:
             self.pool.add(msg.tx)
+
+    def _accept(self, block: Block) -> None:
+        """Append `block` once it follows the tip, then every held block that follows it."""
+        if block.height <= self.chain.height:
+            return
+        self._ahead[block.height] = block
+        while self.next_height in self._ahead:
+            self._append(self._ahead.pop(self.next_height))
 
     def _append(self, block: Block) -> None:
         self.chain.append(block)

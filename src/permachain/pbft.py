@@ -21,12 +21,14 @@ Liveness glue for message-dropping faults:
     guaranteed to come from a node that really committed the block).
 
 Followers take no part in the three phases: they append a block once 2f+1
-distinct authorities have announced matching digests, strictly in height
-order, and otherwise fall behind.
+distinct authorities have announced matching digests, and otherwise fall
+behind. A committed or announced block above the next height waits in
+`Node._accept`'s buffer, so every node appends strictly in height order.
 
 Active tamperers self-count their own corrupted votes and append a block as
-soon as their (self-deluded) prepare quorum is met, so they can build a short
-private chain while honest replicas reject every message they send.
+soon as their (self-deluded) prepare quorum is met, if it is the next height,
+so they can build a short private chain while honest replicas reject every
+message they send.
 """
 
 from __future__ import annotations
@@ -80,40 +82,28 @@ class _Instance:
 
 
 class PbftFollower(Node):
-    """A pbft node that appends blocks announced by enough distinct authorities.
+    """A pbft node that accepts blocks announced by enough distinct authorities.
 
-    Blocks are appended strictly in height order, each once
-    `announce_threshold` authorities have announced the same valid digest for
-    it: 2f+1 for a non-authority, which takes no part in the three phases.
+    A block is accepted once `announce_threshold` authorities have announced
+    it with a valid digest: 2f+1 for a non-authority, which takes no part in
+    the three phases.
     """
 
     def __init__(self, node_id: int, byz: ByzantineType, world):
         super().__init__(node_id, byz, world)
         self.rule = quorum_params(len(world.authorities))
         self.announce_threshold = self.rule.quorum  # a replica lowers it to f+1
-        # height -> digest -> (distinct announcers, first block seen with that digest)
-        self.announcements: dict[int, dict[int, tuple[set, Block]]] = {}
-        self.committed_pending: dict[int, Block] = {}  # committed beyond the tip
+        self.announcements: dict[tuple[int, int], set] = {}  # (height, digest) -> announcers
 
     def on_announce(self, env: MessageEnvelope, msg: m.BlockAnnounce) -> None:
-        if msg.block.digest != msg.digest or compute_digest(msg.block) != msg.digest:
+        block = msg.block
+        if compute_digest(block) != block.digest:
             self._count("announce_invalid_digest")
             return
-        per_digest = self.announcements.setdefault(msg.height, {})
-        per_digest.setdefault(msg.digest, (set(), msg.block))[0].add(env.sender)
-        self._drain()
-
-    def _drain(self) -> None:
-        """Append every block that can now follow the tip, pending or announced."""
-        while True:
-            while self.next_height in self.committed_pending:
-                self._append(self.committed_pending.pop(self.next_height))
-            announced = self.announcements.get(self.next_height, {}).values()
-            block = next((b for senders, b in announced
-                          if len(senders) >= self.announce_threshold), None)
-            if block is None:
-                return
-            self._append(block)
+        senders = self.announcements.setdefault((block.height, block.digest), set())
+        senders.add(env.sender)
+        if len(senders) == self.announce_threshold:
+            self._accept(block)
 
 
 class PbftReplica(PbftFollower):
@@ -193,10 +183,9 @@ class PbftReplica(PbftFollower):
         # the pre-prepare is the primary's prepare
         inst.prepare_senders.setdefault(block.digest, set()).add(self.id)
         self.in_flight = height
-        self.world.network.broadcast(
-            self.id, m.PrePrepare(self.view, height, block),
-            self.world.authorities)
-        self._check_prepared(self.view, height, inst)
+        self.world.network.broadcast(self.id, m.PrePrepare(self.view, block),
+                                     self.world.authorities)
+        self._check_prepared(self.view, inst)
 
     # -- three phases ----------------------------------------------------
 
@@ -209,7 +198,7 @@ class PbftReplica(PbftFollower):
         if env.sender != primary_of(msg.view, self.world.authorities):
             self._count("preprepare_not_primary")
             return
-        inst = self._instance(msg.view, msg.height)
+        inst = self._instance(msg.view, msg.block.height)
         if inst.pp_block is not None:
             if inst.pp_block.digest != msg.block.digest:
                 self._count("preprepare_conflicting")
@@ -219,12 +208,12 @@ class PbftReplica(PbftFollower):
             return  # timer keeps running; tampering suspected
         inst.pp_block = msg.block
         inst.prepare_senders.setdefault(msg.block.digest, set()).add(env.sender)
-        self._maybe_send_prepare(msg.view, msg.height, inst)
-        self._check_prepared(msg.view, msg.height, inst)
-        self._check_committed(msg.view, msg.height, inst)
+        self._maybe_send_prepare(msg.view, inst)
+        self._check_prepared(msg.view, inst)
+        self._check_committed(inst)
 
-    def _maybe_send_prepare(self, view: int, height: int, inst: _Instance) -> None:
-        digest = inst.pp_block.digest
+    def _maybe_send_prepare(self, view: int, inst: _Instance) -> None:
+        height, digest = inst.pp_block.height, inst.pp_block.digest
         if height <= self.chain.height:
             # already committed here: re-affirm only the block we hold
             if self.chain.blocks[height].digest != digest:
@@ -243,62 +232,48 @@ class PbftReplica(PbftFollower):
     def on_prepare(self, env: MessageEnvelope, msg: m.Prepare) -> None:
         inst = self._instance(msg.view, msg.height)
         inst.prepare_senders.setdefault(msg.digest, set()).add(env.sender)
-        self._check_prepared(msg.view, msg.height, inst)
+        self._check_prepared(msg.view, inst)
 
-    def _check_prepared(self, view: int, height: int, inst: _Instance) -> None:
-        if inst.pp_block is None or inst.commit_sent or view != self.view:
+    def _check_prepared(self, view: int, inst: _Instance) -> None:
+        block = inst.pp_block
+        if block is None or inst.commit_sent or view != self.view:
             return
-        digest = inst.pp_block.digest
-        if len(inst.prepare_senders.get(digest, ())) < self.rule.quorum:
+        if len(inst.prepare_senders.get(block.digest, ())) < self.rule.quorum:
             return
         inst.commit_sent = True
-        inst.commit_senders.setdefault(digest, set()).add(self.id)
-        self.world.network.broadcast(self.id, m.Commit(view, height, digest),
+        inst.commit_senders.setdefault(block.digest, set()).add(self.id)
+        self.world.network.broadcast(self.id, m.Commit(view, block.height, block.digest),
                                      self.world.authorities)
-        if self.byz is ByzantineType.ACTIVE:
+        if self.byz is ByzantineType.ACTIVE and block.height == self.next_height:
             # Self-deluded finalization: an active node believes its own
             # tampered votes, so its quorum is met one round early.
-            self._try_append(inst.pp_block)
-        self._check_committed(view, height, inst)
+            self._accept(block)
+        self._check_committed(inst)
 
     def on_commit(self, env: MessageEnvelope, msg: m.Commit) -> None:
         inst = self._instance(msg.view, msg.height)
         inst.commit_senders.setdefault(msg.digest, set()).add(env.sender)
-        self._check_committed(msg.view, msg.height, inst)
+        self._check_committed(inst)
 
-    def _check_committed(self, view: int, height: int, inst: _Instance) -> None:
+    def _check_committed(self, inst: _Instance) -> None:
         block = inst.pp_block
-        if block is None:
+        if block is None or len(inst.commit_senders.get(block.digest, ())) < self.rule.quorum:
             return
-        if len(inst.commit_senders.get(block.digest, ())) < self.rule.quorum:
-            return
-        if height <= self.chain.height:
-            return  # late quorum for an already-committed height
-        if height > self.next_height:
-            self.committed_pending[height] = block
-            return
-        self._try_append(block)
+        self._accept(block)
 
     # -- appending and catch-up -------------------------------------------
-
-    def _try_append(self, block: Block) -> None:
-        if block.height != self.next_height:
-            return
-        self._append(block)
-        self._drain()
 
     def _append(self, block: Block) -> None:
         super()._append(block)
         self.vc_attempts.pop(block.height, None)
         self._arm_timer()
-        self.world.network.broadcast(
-            self.id, m.BlockAnnounce(block.height, block.digest, block), self.world.all_ids)
+        self.world.network.broadcast(self.id, m.BlockAnnounce(block), self.world.all_ids)
 
     # -- view changes ------------------------------------------------------
 
     def _send_viewchange(self, proposed: int) -> None:
         lock = self.locks.get(self.next_height)
-        cert = () if lock is None else (lock.block.digest, lock.view, lock.block)
+        cert = () if lock is None else (lock.view, lock.block)
         self.my_top_vote = max(self.my_top_vote, proposed)
         vote = m.ViewChange(proposed, self.next_height, *cert)
         self.vc_votes.setdefault(proposed, {})[self.id] = (self.next_height, lock)
@@ -310,10 +285,8 @@ class PbftReplica(PbftFollower):
             self._count("viewchange_stale")
             return
         lock = None
-        if msg.cert_digest is not None and msg.cert_block is not None:
-            valid = (msg.cert_block.digest == msg.cert_digest
-                     and compute_digest(msg.cert_block) == msg.cert_digest)
-            if valid:
+        if msg.cert_block is not None:
+            if compute_digest(msg.cert_block) == msg.cert_block.digest:
                 lock = _Lock(msg.cert_view, msg.cert_block)
             else:
                 self._count("viewchange_invalid_cert")

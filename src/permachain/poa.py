@@ -78,7 +78,6 @@ class PoaNode(Node):
 
     def __init__(self, node_id: int, byz: ByzantineType, world):
         super().__init__(node_id, ByzantineType.HONEST, world)
-        self._buffer: dict[int, Block] = {}
 
     def maybe_propose(self) -> None:
         """Block-interval tick (authorities only): propose iff the rotation points at me."""
@@ -103,12 +102,7 @@ class PoaNode(Node):
         if compute_digest(block) != block.digest:
             self._count("block_invalid_digest")
             return
-        if block.height <= self.chain.height:
-            return
-        # latency can reorder broadcasts; buffer until the parent arrives
-        self._buffer[block.height] = block
-        while self.next_height in self._buffer:
-            self._append(self._buffer.pop(self.next_height))
+        self._accept(block)  # latency can reorder broadcasts
 
 
 class PoetAuthority(PoaNode):

@@ -18,7 +18,7 @@ def sample_block():
 
 def test_corrupt_preprepare_fails_verification():
     block = sample_block()
-    msg = m.PrePrepare(0, 1, block)
+    msg = m.PrePrepare(0, block)
     bad = msg.corrupted()
     assert bad.block.digest != block.digest
     assert compute_digest(bad.block) != bad.block.digest  # every verifier rejects
@@ -26,20 +26,21 @@ def test_corrupt_preprepare_fails_verification():
 
 def test_corrupt_is_involution():
     block = sample_block()
-    for msg in (m.PrePrepare(0, 1, block),
+    for msg in (m.PrePrepare(0, block),
                 m.Prepare(0, 1, block.digest),
                 m.Commit(0, 1, block.digest),
-                m.BlockAnnounce(1, block.digest, block),
+                m.BlockAnnounce(block),
                 m.BlockMsg(block)):
         assert msg.corrupted().corrupted() == msg
 
 
 def test_corrupt_viewchange_junks_only_the_certificate():
     block = sample_block()
-    vote = m.ViewChange(3, 2, cert_digest=block.digest, cert_view=1, cert_block=block)
+    vote = m.ViewChange(3, 2, cert_view=1, cert_block=block)
     bad = vote.corrupted()
-    assert bad.proposed_view == 3 and bad.next_height == 2
-    assert bad.cert_digest != block.digest
+    assert bad.proposed_view == 3 and bad.next_height == 2 and bad.cert_view == 1
+    assert bad.cert_block.digest != block.digest
+    assert compute_digest(bad.cert_block) != bad.cert_block.digest  # every verifier rejects
     bare = m.ViewChange(3, 2)
     assert bare.corrupted() == bare
 

@@ -200,7 +200,7 @@ def test_active_sender_corrupts_digest_bearing_only():
     engine.register(2, lambda env: got.append(env))
     from permachain.ledger import genesis_block, make_block
     block = make_block(1, 0, 1, genesis_block().digest, (), 0)
-    net.broadcast(1, m.PrePrepare(0, 1, block), [2])
+    net.broadcast(1, m.PrePrepare(0, block), [2])
     net.broadcast(1, gossip(), [2])
     engine.run_until_idle()
     assert got[0].body.block.digest != block.digest  # tampered in transit

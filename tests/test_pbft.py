@@ -54,7 +54,7 @@ def test_prepare_quorum_triggers_single_commit_broadcast():
     world = make_world(13)
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
-    r.receive(env(1, m.PrePrepare(0, 1, blk)))
+    r.receive(env(1, m.PrePrepare(0, blk)))
     assert world.recorder.message_counts["Prepare"] == 12  # to the other authorities
     for sender in range(3, 9):  # votes now: primary + self + six others = 8
         r.receive(env(sender, m.Prepare(0, 1, blk.digest)))
@@ -70,7 +70,7 @@ def test_commit_quorum_appends_and_announces():
     world = make_world(13, n_followers=2)
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest, txs=(tx(1),))
-    r.receive(env(1, m.PrePrepare(0, 1, blk)))
+    r.receive(env(1, m.PrePrepare(0, blk)))
     for sender in range(3, 10):
         r.receive(env(sender, m.Prepare(0, 1, blk.digest)))
     assert r.chain.height == 0
@@ -89,7 +89,7 @@ def test_corrupted_preprepare_never_prepared():
     world = make_world(13)
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
-    r.receive(env(1, m.PrePrepare(0, 1, blk).corrupted()))
+    r.receive(env(1, m.PrePrepare(0, blk).corrupted()))
     assert world.recorder.message_counts.get("Prepare", 0) == 0
     assert r.stats["preprepare_invalid_digest"] == 1
 
@@ -99,8 +99,8 @@ def test_conflicting_preprepare_ignored():
     r = world.nodes[2]
     blk_a = block_at(1, genesis_block().digest)
     blk_b = block_at(1, genesis_block().digest, txs=(tx(9),))
-    r.receive(env(1, m.PrePrepare(0, 1, blk_a)))
-    r.receive(env(1, m.PrePrepare(0, 1, blk_b)))
+    r.receive(env(1, m.PrePrepare(0, blk_a)))
+    r.receive(env(1, m.PrePrepare(0, blk_b)))
     assert r.stats["preprepare_conflicting"] == 1
     assert world.recorder.message_counts["Prepare"] == 12  # only the first
 
@@ -109,9 +109,9 @@ def test_wrong_view_and_non_primary_preprepares_ignored():
     world = make_world(13)
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
-    r.receive(env(3, m.PrePrepare(0, 1, blk)))  # node 3 is not primary of view 0
+    r.receive(env(3, m.PrePrepare(0, blk)))  # node 3 is not primary of view 0
     assert r.stats["preprepare_not_primary"] == 1
-    r.receive(env(1, m.PrePrepare(5, 1, blk)))  # view 5 pre-prepare from node 1
+    r.receive(env(1, m.PrePrepare(5, blk)))  # view 5 pre-prepare from node 1
     assert r.stats["preprepare_wrong_view"] == 1
     assert world.recorder.message_counts.get("Prepare", 0) == 0
 
@@ -123,14 +123,14 @@ def test_votes_for_unseen_heights_buffer_until_preprepare():
     blk1 = block_at(1, g)
     blk2 = block_at(2, blk1.digest)
     # full quorum for height 2 arrives before anything about height 1
-    r.receive(env(1, m.PrePrepare(0, 2, blk2)))
+    r.receive(env(1, m.PrePrepare(0, blk2)))
     for sender in range(3, 10):
         r.receive(env(sender, m.Prepare(0, 2, blk2.digest)))
     for sender in (1, 3, 4, 5, 6, 7, 8, 9):
         r.receive(env(sender, m.Commit(0, 2, blk2.digest)))
     assert r.chain.height == 0  # appends stay in height order
-    assert 2 in r.committed_pending
-    r.receive(env(1, m.PrePrepare(0, 1, blk1)))
+    assert r._ahead[2] == blk2  # held until height 1 is appended
+    r.receive(env(1, m.PrePrepare(0, blk1)))
     for sender in range(3, 10):
         r.receive(env(sender, m.Prepare(0, 1, blk1.digest)))
     for sender in (1, 3, 4, 5, 6, 7, 8, 9):
@@ -142,7 +142,7 @@ def test_mismatched_digest_votes_never_merge():
     world = make_world(13)
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
-    r.receive(env(1, m.PrePrepare(0, 1, blk)))
+    r.receive(env(1, m.PrePrepare(0, blk)))
     wrong = ~blk.digest & (2**64 - 1)
     for sender in range(3, 10):
         r.receive(env(sender, m.Prepare(0, 1, wrong)))
@@ -153,7 +153,7 @@ def test_active_replica_self_counts_and_appends_early():
     world = make_world(13, byzantine={2: 1})
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
-    r.receive(env(1, m.PrePrepare(0, 1, blk)))
+    r.receive(env(1, m.PrePrepare(0, blk)))
     for sender in range(3, 9):
         r.receive(env(sender, m.Prepare(0, 1, blk.digest)))
     assert r.chain.height == 0
@@ -170,16 +170,16 @@ def test_follower_appends_at_announce_quorum_in_order():
     blk2 = block_at(2, blk1.digest)
     blk3 = block_at(3, blk2.digest)
     for sender in range(1, 9):  # 8 matching announces: below 2f+1
-        follower.receive(env(sender, m.BlockAnnounce(1, blk1.digest, blk1), recipient=14))
+        follower.receive(env(sender, m.BlockAnnounce(blk1), recipient=14))
     assert follower.chain.height == 0
-    follower.receive(env(9, m.BlockAnnounce(1, blk1.digest, blk1), recipient=14))
+    follower.receive(env(9, m.BlockAnnounce(blk1), recipient=14))
     assert follower.chain.height == 1
     # a height past tip+1 is held until the gap resolves
     for sender in range(1, 10):
-        follower.receive(env(sender, m.BlockAnnounce(3, blk3.digest, blk3), recipient=14))
+        follower.receive(env(sender, m.BlockAnnounce(blk3), recipient=14))
     assert follower.chain.height == 1
     for sender in range(1, 10):
-        follower.receive(env(sender, m.BlockAnnounce(2, blk2.digest, blk2), recipient=14))
+        follower.receive(env(sender, m.BlockAnnounce(blk2), recipient=14))
     assert follower.chain.height == 3
 
 
@@ -188,8 +188,7 @@ def test_follower_rejects_corrupted_announces():
     follower = world.nodes[14]
     blk = block_at(1, genesis_block().digest)
     for sender in range(1, 14):
-        follower.receive(env(sender, m.BlockAnnounce(1, blk.digest, blk).corrupted(),
-                             recipient=14))
+        follower.receive(env(sender, m.BlockAnnounce(blk).corrupted(), recipient=14))
     assert follower.chain.height == 0
     assert follower.stats["announce_invalid_digest"] == 13
 
@@ -199,9 +198,9 @@ def test_authority_catches_up_from_announcements():
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
     for sender in (3, 4, 5, 6):   # f+1 = 5 matching valid announces needed
-        r.receive(env(sender, m.BlockAnnounce(1, blk.digest, blk)))
+        r.receive(env(sender, m.BlockAnnounce(blk)))
     assert r.chain.height == 0
-    r.receive(env(7, m.BlockAnnounce(1, blk.digest, blk)))
+    r.receive(env(7, m.BlockAnnounce(blk)))
     assert r.chain.height == 1
 
 
@@ -225,7 +224,7 @@ GENESIS_CHILD = block_at(1, genesis_block().digest)
 
 
 @pytest.mark.parametrize("protocol, node_id, body", [
-    pytest.param("poa", 2, m.PrePrepare(0, 1, GENESIS_CHILD), id="poa_node"),
+    pytest.param("poa", 2, m.PrePrepare(0, GENESIS_CHILD), id="poa_node"),
     pytest.param("pbft", 5, m.Prepare(0, 1, GENESIS_CHILD.digest), id="pbft_follower"),
     pytest.param("pbft", 2, m.BlockMsg(GENESIS_CHILD), id="pbft_replica"),
 ])
@@ -287,8 +286,8 @@ def test_new_primary_reproposes_only_a_valid_certificate(tampered, invalid_certs
     world = make_world(4)
     r = world.nodes[2]
     prepared = block_at(1, genesis_block().digest, txs=(tx(9),))
-    vote = m.ViewChange(1, 1, cert_digest=prepared.digest, cert_view=0, cert_block=prepared)
-    for sender in (3, 4):  # a tamperer's vote carries a certificate digest its block lacks
+    vote = m.ViewChange(1, 1, cert_view=0, cert_block=prepared)
+    for sender in (3, 4):  # a tamperer's vote carries its certificate with a flipped digest
         r.receive(env(sender, vote.corrupted() if tampered else vote))
     assert r.view == 1
     assert r.stats.get("viewchange_invalid_cert", 0) == invalid_certs
