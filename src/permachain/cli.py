@@ -19,9 +19,9 @@ from importlib import resources
 from pathlib import Path
 
 from .config import PROTOCOLS, RunConfig
-from .errors import ConfigError, PermachainError
+from .errors import PermachainError
 from .nodetable import NodeTable, parse_node_rows, parse_node_table
-from .orchestrator import run_all
+from .orchestrator import check_inputs, run_all
 from .reporting import emit_json, emit_timeseries_csv
 from .workload import LoadSchedule, load_schedule, parse_schedule
 
@@ -121,10 +121,8 @@ def _load_inputs(args) -> tuple[RunConfig, NodeTable, LoadSchedule]:
     else:
         raise PermachainError("--nodes is required unless --scenario is given")
 
+    check_inputs(config, table)  # before any output file opens
     known = set(table.ids)
-    stray = sorted(set(config.drop_prob_overrides) - known)
-    if stray:
-        raise ConfigError(f"drop_prob_overrides names nodes not in the node table: {stray}")
     if args.transactions:
         schedule = load_schedule(args.transactions, known)
     elif scenario is not None:

@@ -28,7 +28,7 @@ class Node:
         self.pool = TransactionPool()
         self.committed_txids: set[int] = set()
         self.stats: dict[str, int] = {}
-        self._ahead: dict[int, Block] = {}  # accepted blocks above the next height
+        self._ahead: dict[int, Block] = {}  # height -> accepted block waiting for its parent
         self._record_delivery = world.recorder.record_delivery
 
     @property

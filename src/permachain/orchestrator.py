@@ -27,11 +27,11 @@ from operator import attrgetter
 from . import messages as m
 from .config import RunConfig
 from .engine import COORDINATOR, EventEngine, RngStreams
-from .errors import PermachainError
+from .errors import ConfigError, PermachainError
 from .ledger import Transaction
 from .network import Network
 from .nodetable import NodeTable
-from .pbft import PbftFollower, PbftReplica
+from .pbft import PbftFollower, PbftReplica, quorum_params
 from .poa import Lottery, PoaNode, PoetAuthority
 from .reporting import DayResult, RunRecorder, build_report, propagation_writer
 from .workload import BroadcastPolicy, LoadSchedule
@@ -126,6 +126,22 @@ PROTOCOLS = {
 }
 
 
+def check_inputs(config: RunConfig, table: NodeTable) -> None:
+    """Refuse a config and node table that parse but cannot run together.
+
+    Two pbft quorums must share a node, 2(2f+1) > n, or two replicas can commit
+    different blocks at one height. That fails at n = 2, 3 and 6 authorities
+    (Malkhi & Reiter, "Byzantine Quorum Systems", 1998).
+    """
+    stray = sorted(set(config.drop_prob_overrides) - set(table.ids))
+    if stray:
+        raise ConfigError(f"drop_prob_overrides names nodes not in the node table: {stray}")
+    n = len(table.authorities)
+    if config.protocol == "pbft" and 2 * quorum_params(n).quorum <= n:
+        raise ConfigError(f"pbft cannot run with {n} authorities: two quorums of 2f+1 "
+                          f"need not intersect when 2(2f+1) <= n")
+
+
 def emit_day(world: World, day: int, loads: dict[int, int],
              policy: BroadcastPolicy) -> int:
     """Schedule a day's transaction-creation events; returns the total count.
@@ -206,6 +222,7 @@ class SimulationResult:
 def run_all(config: RunConfig, table: NodeTable, schedule: LoadSchedule,
             records=None) -> SimulationResult:
     """Run every scheduled day and assemble the report (`records`: see World)."""
+    check_inputs(config, table)
     world = World(config, table, records)
     days: list[DayResult] = []
     for day in schedule.days:

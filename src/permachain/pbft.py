@@ -33,6 +33,7 @@ message they send.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -114,7 +115,7 @@ class PbftReplica(PbftFollower):
         # f+1 matching valid announcements guarantee at least one announcer
         # that truly committed the block, so this is a safe state transfer.
         self.announce_threshold = self.rule.f + 1
-        self.instances: dict[tuple[int, int], _Instance] = {}
+        self.instances: defaultdict[tuple[int, int], _Instance] = defaultdict(_Instance)
         self.locks: dict[int, _Lock] = {}
         self.in_flight: Optional[int] = None
         # view-change bookkeeping
@@ -122,14 +123,6 @@ class PbftReplica(PbftFollower):
         self.vc_attempts: dict[int, int] = {}
         self.my_top_vote = 0
         self._timer_token = 0  # only the latest armed timer may fire
-
-    # -- derived ---------------------------------------------------------
-
-    def _instance(self, view: int, height: int) -> _Instance:
-        inst = self.instances.get((view, height))
-        if inst is None:
-            inst = self.instances[(view, height)] = _Instance()
-        return inst
 
     # -- timers ----------------------------------------------------------
 
@@ -178,7 +171,7 @@ class PbftReplica(PbftFollower):
                     block = make_block(height, self.view, self.id,
                                        self.chain.tip.digest, txs,
                                        self.world.engine.now)
-        inst = self._instance(self.view, height)
+        inst = self.instances[self.view, height]
         inst.pp_block = block
         # the pre-prepare is the primary's prepare
         inst.prepare_senders.setdefault(block.digest, set()).add(self.id)
@@ -198,7 +191,7 @@ class PbftReplica(PbftFollower):
         if env.sender != primary_of(msg.view, self.world.authorities):
             self._count("preprepare_not_primary")
             return
-        inst = self._instance(msg.view, msg.block.height)
+        inst = self.instances[msg.view, msg.block.height]
         if inst.pp_block is not None:
             if inst.pp_block.digest != msg.block.digest:
                 self._count("preprepare_conflicting")
@@ -230,7 +223,7 @@ class PbftReplica(PbftFollower):
                                      self.world.authorities)
 
     def on_prepare(self, env: MessageEnvelope, msg: m.Prepare) -> None:
-        inst = self._instance(msg.view, msg.height)
+        inst = self.instances[msg.view, msg.height]
         inst.prepare_senders.setdefault(msg.digest, set()).add(env.sender)
         self._check_prepared(msg.view, inst)
 
@@ -251,7 +244,7 @@ class PbftReplica(PbftFollower):
         self._check_committed(inst)
 
     def on_commit(self, env: MessageEnvelope, msg: m.Commit) -> None:
-        inst = self._instance(msg.view, msg.height)
+        inst = self.instances[msg.view, msg.height]
         inst.commit_senders.setdefault(msg.digest, set()).add(env.sender)
         self._check_committed(inst)
 

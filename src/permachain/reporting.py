@@ -161,10 +161,9 @@ def build_report(world, days: list[DayResult]) -> dict:
     }
 
 
-def emit_json(report: dict, path: str | Path, benign: set[int] | None = None) -> None:
+def emit_json(report: dict, path: str | Path) -> None:
     """Serialize the report; refuses to write if benign chains disagree."""
-    benign = set(report["benign_nodes"]) if benign is None else benign
-    check_benign_consistency(report["nodes"], benign)
+    check_benign_consistency(report["nodes"], set(report["benign_nodes"]))
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     try:
         Path(path).write_text(text)

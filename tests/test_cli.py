@@ -231,6 +231,24 @@ def test_bad_config_fails_before_any_output_file_is_opened(tmp_path, capsys):
     assert not (out / "propagation.csv").exists()
 
 
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_pbft_group_whose_quorums_need_not_intersect_fails_before_any_output(
+        tmp_path, capsys, n):
+    nodes = [{"id": i, "authority": 1, "location": f"loc-{i}", "byzantine": 0}
+             for i in range(1, n + 1)]
+    inputs = {"config": {"protocol": "pbft"}, "nodes": nodes,
+              "transactions": {"days": [{"day": 1, "loads": {"1": 1}}]}}
+    out = tmp_path / "out"
+    args = ["--out", str(out), "--emit-records", "--emit-csv"]
+    for name, content in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        args += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert main(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"pbft cannot run with {n} authorities" in err and "2(2f+1) <= n" in err
+    assert not out.exists()
+
+
 def test_emit_records_streams_every_delivery_to_propagation_csv(tmp_path, capsys):
     for d in ("a", "b", "plain"):
         flags = [] if d == "plain" else ["--emit-records"]

@@ -5,6 +5,7 @@ import pytest
 from conftest import make_world, quick_run
 from permachain.cli import load_scenario
 from permachain.config import DAY_LENGTH_MS, RunConfig
+from permachain.ledger import genesis_block, make_block
 from permachain.nodetable import parse_node_rows
 from permachain.orchestrator import run_all
 from permachain.workload import parse_schedule
@@ -31,16 +32,17 @@ def test_stop_condition_counter_semantics():
 
 
 def test_a_proposal_that_ends_the_day_ends_the_tick():
-    # with 3 authorities a pbft quorum is 1, so the reference's own proposal
-    # commits at once; node 2, primary of a later view, must not propose after it
-    world = make_world(3, empty_block_threshold=1)
-    world.nodes[2].view = 1
+    # the reference (node 1) appends its own empty block at once and ends the
+    # day; node 2, given a height-1 block by hand so that it leads height 2,
+    # must not propose after it
+    world = make_world(3, protocol="poa", empty_block_threshold=1)
+    world.nodes[2]._append(make_block(1, 0, 1, genesis_block().digest, (), 0))
     world.day_active = True
     world._tick()
     assert not world.day_active and world.day_ended_by == "empty-blocks"
     assert world.nodes[1].chain.height == 1
-    assert world.nodes[2].chain.height == 0
-    assert world.recorder.message_counts["PrePrepare"] == 2  # node 1's, to nodes 2 and 3
+    assert world.nodes[2].chain.height == 1
+    assert world.recorder.message_counts["BlockMsg"] == 2  # node 1's, to nodes 2 and 3
 
 
 def test_zero_tx_day_ends_after_exactly_k_empty_blocks():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import make_world, quick_run
 from permachain import messages as m
 from permachain.engine import COORDINATOR
+from permachain.errors import ConfigError
 from permachain.ledger import genesis_block, make_block, Transaction
 from permachain.network import MessageEnvelope
 from permachain.pbft import primary_of, quorum_params
@@ -26,6 +27,19 @@ def test_quorum_params_formula(n):
     assert rule.f == (n - 1) // 3
     assert rule.quorum == 2 * rule.f + 1
     assert rule.n >= 3 * rule.f + 1
+
+
+def test_pbft_refuses_the_group_sizes_whose_quorums_need_not_intersect():
+    # two quorums of 2f+1 share a node only when 2(2f+1) > n
+    refused = []
+    for n in range(1, 11):
+        try:
+            quick_run({1: {}}, n_authorities=n, empty_block_threshold=1)
+        except ConfigError as exc:
+            assert f"{n} authorities" in str(exc) and "2(2f+1) <= n" in str(exc)
+            refused.append(n)
+    assert refused == [2, 3, 6]
+    quick_run({1: {}}, n_authorities=3, protocol="poa", empty_block_threshold=1)
 
 
 def test_primary_rotates_and_wraps():
