@@ -4,12 +4,12 @@ Each example is a whole run with constant, uniform or exponential latency.
 A pbft run has 4-10 authorities and 0-2 followers, up to f mixed
 active/passive faults among the authorities, and 1-2 days of load on honest
 nodes only; with 6 authorities two quorums need not intersect, so that run
-must be refused with a ConfigError. A poa or poet run is fault-free (those protocols assume no faulty
-nodes) with 1-7 authorities, 1-3 followers, 2-4 days of load on any node and,
-under poet, one of three lottery rates. Every run must keep benign chains in
-prefix agreement, commit no transaction twice on any benign chain, account
-for every scheduled event, and start day d at (d - 1) * day_length_ms and end
-it no later than one day length after that.
+must be refused with a ConfigError. A poa or poet run is fault-free (those
+protocols assume no faulty nodes) with 1-7 authorities, 1-3 followers, 2-4
+days of load on any node and, under poet, one of three lottery rates. Every
+run must keep benign chains in prefix agreement, commit no transaction twice
+on any benign chain, account for every scheduled event, and start day d at
+(d - 1) * day_length_ms and end it no later than one day length after that.
 
 The example count comes from the active Hypothesis profile. The default
 profile is the fast tier in the tier-1 suite; the `long` profile registered in
