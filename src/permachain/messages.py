@@ -69,25 +69,22 @@ class PrePrepare(_BlockBody):
 
 
 @dataclass(frozen=True)
-class Prepare(_Body):
+class _Vote(_Body):
+    """One replica's vote for `digest` at (view, height); a subclass adds its handler."""
     view: int
     height: int
     digest: int
+
+    def corrupted(self):
+        return replace(self, digest=_flip(self.digest))
+
+
+class Prepare(_Vote):
     handler = "on_prepare"
 
-    def corrupted(self):
-        return replace(self, digest=_flip(self.digest))
 
-
-@dataclass(frozen=True)
-class Commit(_Body):
-    view: int
-    height: int
-    digest: int
+class Commit(_Vote):
     handler = "on_commit"
-
-    def corrupted(self):
-        return replace(self, digest=_flip(self.digest))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ Replicas run pre-prepare / prepare / commit with quorum 2f+1 where
 f = floor((n-1)/3). The pre-prepare counts as the primary's prepare vote and
 a replica's own votes count toward its quorums. Sequence number equals block
 height and the primary keeps a single fresh instance in flight at a time.
+Each vote is held once: `prepares` and `commits` map (view, height, digest)
+to its senders, and `preprepared` maps (view, height) to the proposed block.
 
 Safety across views comes from prepare locks: a replica prepares at most one
 digest per height per view, and abandons a lock only for a proposal in a
@@ -33,9 +35,9 @@ message they send.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Optional
 
 from . import messages as m
@@ -73,15 +75,6 @@ class _Lock:
     block: Block
 
 
-@dataclass(slots=True)
-class _Instance:
-    """Per-(view, height) message log."""
-    pp_block: Optional[Block] = None
-    prepare_senders: dict = field(default_factory=dict)   # digest -> set of node ids
-    commit_senders: dict = field(default_factory=dict)    # digest -> set of node ids
-    commit_sent: bool = False
-
-
 class PbftFollower(Node):
     """A pbft node that accepts blocks announced by enough distinct authorities.
 
@@ -115,12 +108,15 @@ class PbftReplica(PbftFollower):
         # f+1 matching valid announcements guarantee at least one announcer
         # that truly committed the block, so this is a safe state transfer.
         self.announce_threshold = self.rule.f + 1
-        self.instances: defaultdict[tuple[int, int], _Instance] = defaultdict(_Instance)
+        self.preprepared: dict[tuple[int, int], Block] = {}  # (view, height) -> block
+        # (view, height, digest) -> senders; my id is in a commit tally once I sent it
+        self.prepares: dict[tuple[int, int, int], set] = {}
+        self.commits: dict[tuple[int, int, int], set] = {}
         self.locks: dict[int, _Lock] = {}
-        self.in_flight: Optional[int] = None
+        self.in_flight = 0  # height of my latest proposal
         # view-change bookkeeping
         self.vc_votes: dict[int, dict[int, tuple[int, Optional[_Lock]]]] = {}
-        self.vc_attempts: dict[int, int] = {}
+        self.vc_attempts = 0  # views that failed at the next height
         self.my_top_vote = 0
         self._timer_token = 0  # only the latest armed timer may fire
 
@@ -133,8 +129,7 @@ class PbftReplica(PbftFollower):
         if not self.world.day_active:
             return
         self._timer_token += 1
-        attempts = self.vc_attempts.get(self.next_height, 0)
-        grace = self.world.config.pbft_timeout_ms * (2 ** min(attempts, 20))
+        grace = self.world.config.pbft_timeout_ms * (2 ** min(self.vc_attempts, 20))
         self.world.engine.schedule(
             self.world.config.block_interval_ms + grace, COORDINATOR,
             partial(self.on_timer, self._timer_token))
@@ -143,8 +138,7 @@ class PbftReplica(PbftFollower):
         # every append re-arms the timer, so a live token means no block yet
         if token != self._timer_token or not self.world.day_active:
             return
-        height = self.next_height
-        self.vc_attempts[height] = self.vc_attempts.get(height, 0) + 1
+        self.vc_attempts += 1
         self._send_viewchange(self.view + 1)
         self._arm_timer()
 
@@ -154,7 +148,7 @@ class PbftReplica(PbftFollower):
         """Block-interval tick: the primary proposes its next height."""
         if primary_of(self.view, self.world.authorities) != self.id:
             return
-        if self.in_flight is not None and self.chain.height < self.in_flight:
+        if self.chain.height < self.in_flight:
             return  # previous instance still unresolved
         self._propose(self.next_height)
 
@@ -171,14 +165,13 @@ class PbftReplica(PbftFollower):
                     block = make_block(height, self.view, self.id,
                                        self.chain.tip.digest, txs,
                                        self.world.engine.now)
-        inst = self.instances[self.view, height]
-        inst.pp_block = block
+        self.preprepared[self.view, height] = block
         # the pre-prepare is the primary's prepare
-        inst.prepare_senders.setdefault(block.digest, set()).add(self.id)
+        self.prepares.setdefault((self.view, height, block.digest), set()).add(self.id)
         self.in_flight = height
         self.world.network.broadcast(self.id, m.PrePrepare(self.view, block),
                                      self.world.authorities)
-        self._check_prepared(self.view, inst)
+        self._check_prepared(self.view, height)
 
     # -- three phases ----------------------------------------------------
 
@@ -191,22 +184,23 @@ class PbftReplica(PbftFollower):
         if env.sender != primary_of(msg.view, self.world.authorities):
             self._count("preprepare_not_primary")
             return
-        inst = self.instances[msg.view, msg.block.height]
-        if inst.pp_block is not None:
-            if inst.pp_block.digest != msg.block.digest:
+        block, view = msg.block, msg.view
+        held = self.preprepared.get((view, block.height))
+        if held is not None:
+            if held.digest != block.digest:
                 self._count("preprepare_conflicting")
             return
-        if compute_digest(msg.block) != msg.block.digest:
+        if compute_digest(block) != block.digest:
             self._count("preprepare_invalid_digest")
             return  # timer keeps running; tampering suspected
-        inst.pp_block = msg.block
-        inst.prepare_senders.setdefault(msg.block.digest, set()).add(env.sender)
-        self._maybe_send_prepare(msg.view, inst)
-        self._check_prepared(msg.view, inst)
-        self._check_committed(inst)
+        self.preprepared[view, block.height] = block
+        self.prepares.setdefault((view, block.height, block.digest), set()).add(env.sender)
+        self._maybe_send_prepare(view, block)
+        self._check_prepared(view, block.height)
+        self._check_committed(view, block.height)
 
-    def _maybe_send_prepare(self, view: int, inst: _Instance) -> None:
-        height, digest = inst.pp_block.height, inst.pp_block.digest
+    def _maybe_send_prepare(self, view: int, block: Block) -> None:
+        height, digest = block.height, block.digest
         if height <= self.chain.height:
             # already committed here: re-affirm only the block we hold
             if self.chain.blocks[height].digest != digest:
@@ -217,48 +211,48 @@ class PbftReplica(PbftFollower):
             if lock is not None and lock.block.digest != digest and view <= lock.view:
                 self._count("prepare_refused_locked")
                 return
-            self.locks[height] = _Lock(view, inst.pp_block)
-        inst.prepare_senders.setdefault(digest, set()).add(self.id)
+            self.locks[height] = _Lock(view, block)
+        self.prepares.setdefault((view, height, digest), set()).add(self.id)
         self.world.network.broadcast(self.id, m.Prepare(view, height, digest),
                                      self.world.authorities)
 
     def on_prepare(self, env: MessageEnvelope, msg: m.Prepare) -> None:
-        inst = self.instances[msg.view, msg.height]
-        inst.prepare_senders.setdefault(msg.digest, set()).add(env.sender)
-        self._check_prepared(msg.view, inst)
+        self.prepares.setdefault((msg.view, msg.height, msg.digest), set()).add(env.sender)
+        self._check_prepared(msg.view, msg.height)
 
-    def _check_prepared(self, view: int, inst: _Instance) -> None:
-        block = inst.pp_block
-        if block is None or inst.commit_sent or view != self.view:
+    def _check_prepared(self, view: int, height: int) -> None:
+        block = self.preprepared.get((view, height))
+        if block is None or view != self.view:
             return
-        if len(inst.prepare_senders.get(block.digest, ())) < self.rule.quorum:
+        key = (view, height, block.digest)
+        if self.id in self.commits.get(key, ()):
+            return  # my commit is already out
+        if len(self.prepares.get(key, ())) < self.rule.quorum:
             return
-        inst.commit_sent = True
-        inst.commit_senders.setdefault(block.digest, set()).add(self.id)
-        self.world.network.broadcast(self.id, m.Commit(view, block.height, block.digest),
-                                     self.world.authorities)
-        if self.byz is ByzantineType.ACTIVE and block.height == self.next_height:
+        self.commits.setdefault(key, set()).add(self.id)
+        self.world.network.broadcast(self.id, m.Commit(*key), self.world.authorities)
+        if self.byz is ByzantineType.ACTIVE and height == self.next_height:
             # Self-deluded finalization: an active node believes its own
             # tampered votes, so its quorum is met one round early.
             self._accept(block)
-        self._check_committed(inst)
+        self._check_committed(view, height)
 
     def on_commit(self, env: MessageEnvelope, msg: m.Commit) -> None:
-        inst = self.instances[msg.view, msg.height]
-        inst.commit_senders.setdefault(msg.digest, set()).add(env.sender)
-        self._check_committed(inst)
+        self.commits.setdefault((msg.view, msg.height, msg.digest), set()).add(env.sender)
+        self._check_committed(msg.view, msg.height)
 
-    def _check_committed(self, inst: _Instance) -> None:
-        block = inst.pp_block
-        if block is None or len(inst.commit_senders.get(block.digest, ())) < self.rule.quorum:
+    def _check_committed(self, view: int, height: int) -> None:
+        block = self.preprepared.get((view, height))
+        if block is None:
             return
-        self._accept(block)
+        if len(self.commits.get((view, height, block.digest), ())) >= self.rule.quorum:
+            self._accept(block)
 
     # -- appending and catch-up -------------------------------------------
 
     def _append(self, block: Block) -> None:
         super()._append(block)
-        self.vc_attempts.pop(block.height, None)
+        self.vc_attempts = 0
         self._arm_timer()
         self.world.network.broadcast(self.id, m.BlockAnnounce(block), self.world.all_ids)
 
@@ -287,11 +281,9 @@ class PbftReplica(PbftFollower):
         # join a view change once f+1 peers demand one, even without a timeout
         if self.my_top_vote <= self.view:
             higher = sorted(v for v in self.vc_votes if v > self.view)
-            distinct = set()
-            for v in higher:
-                distinct.update(self.vc_votes[v])
+            distinct = set().union(*(self.vc_votes[v] for v in higher))
             if len(distinct) >= self.rule.f + 1:
-                self.vc_attempts[self.next_height] = self.vc_attempts.get(self.next_height, 0) + 1
+                self.vc_attempts += 1
                 self._send_viewchange(higher[0])
         self._check_viewchange(msg.proposed_view)
 
@@ -306,27 +298,21 @@ class PbftReplica(PbftFollower):
     def _adopt_view(self, new_view: int, votes: Optional[dict] = None) -> None:
         old = self.view
         self.view = new_view
-        self.in_flight = None
         self.world.recorder.on_view_adopted(self.id, old, new_view, self.chain.height)
         self._arm_timer()
         if primary_of(new_view, self.world.authorities) != self.id:
             return
         self.world.network.broadcast(self.id, m.NewView(new_view),
                                      self.world.authorities)
-        votes = votes or {}
-        next_heights = [nh for nh, _lock in votes.values()] + [self.next_height]
-        h_start = min(next_heights)
-        # replay committed blocks the slowest voter is missing
-        for h in range(h_start, self.next_height):
-            self._propose(h)
-        # re-propose the pending height from the strongest certificate, if any
+        votes = (votes or {}).values()
         pending = self.next_height
-        best: Optional[_Lock] = self.locks.get(pending)
-        for nh, lock in votes.values():
-            if nh == pending and lock is not None:
-                if best is None or lock.view > best.view:
-                    best = lock
-        self._propose(pending, best.block if best is not None else None)
+        # replay committed blocks the slowest voter is missing
+        for h in range(min([nh for nh, _lock in votes] + [pending]), pending):
+            self._propose(h)
+        # re-propose the pending height from the strongest certificate (mine first), if any
+        certs = [self.locks.get(pending)] + [lock for nh, lock in votes if nh == pending]
+        best = max(filter(None, certs), key=attrgetter("view"), default=None)
+        self._propose(pending, None if best is None else best.block)
 
     def on_newview(self, env: MessageEnvelope, msg: m.NewView) -> None:
         if msg.view > self.view and env.sender == primary_of(msg.view, self.world.authorities):

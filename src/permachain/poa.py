@@ -43,14 +43,13 @@ def poet_elect(authorities: list[int], rate_per_ms: float, streams):
         raise ValueError("empty authority list")
     if rate_per_ms <= 0:
         raise ValueError("lottery rate must be positive")
-    best_node = None
-    best_wait = None
-    for node in authorities:
+
+    def draw(node: int) -> int:
         u = streams.stream(node, "poet-draw").random()
-        wait = max(1, round_half_up_ms(exponential(u, rate_per_ms)))
-        if best_wait is None or wait < best_wait or (wait == best_wait and node < best_node):
-            best_node, best_wait = node, wait
-    return best_node, best_wait
+        return max(1, round_half_up_ms(exponential(u, rate_per_ms)))
+
+    wait, leader = min((draw(node), node) for node in authorities)
+    return leader, wait
 
 
 class Lottery:

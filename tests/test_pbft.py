@@ -306,7 +306,7 @@ def test_new_primary_reproposes_only_a_valid_certificate(tampered, invalid_certs
     assert r.view == 1
     assert r.stats.get("viewchange_invalid_cert", 0) == invalid_certs
     assert (r.vc_votes[1][3][1] is None) == tampered  # an invalid certificate is no lock
-    proposal = r.instances[(1, 1)].pp_block
+    proposal = r.preprepared[1, 1]
     assert (proposal.digest == prepared.digest) == reproposed
     assert proposal.proposer == (1 if reproposed else 2)  # else a fresh block of its own
     assert world.recorder.message_counts["PrePrepare"] == 3
