@@ -29,8 +29,9 @@ behind. A committed or announced block above the next height waits in
 
 Active tamperers self-count their own corrupted votes and append a block as
 soon as their (self-deluded) prepare quorum is met, if it is the next height,
-so they can build a short private chain while honest replicas reject every
-message they send.
+so they build a short private chain that honest replicas never accept. They
+drop each later block whose parent is not their tip (`fork_ignored`); at an
+honest node such a block raises `ParentMismatch`, the sign of a benign fork.
 """
 
 from __future__ import annotations
@@ -153,18 +154,14 @@ class PbftReplica(PbftFollower):
         self._propose(self.next_height)
 
     def _propose(self, height: int, block: Optional[Block] = None) -> None:
+        if block is None and height <= self.chain.height:
+            block = self.chain.blocks[height]  # replay a committed block
+        if block is None and height in self.locks:
+            block = self.locks[height].block  # retry my earlier attempt, same digest
         if block is None:
-            if height <= self.chain.height:
-                block = self.chain.blocks[height]  # replay a committed block
-            else:
-                lock = self.locks.get(height)
-                if lock is not None:
-                    block = lock.block  # retry my earlier attempt, same digest
-                else:
-                    txs = self.pool.take_batch(self.world.config.block_capacity)
-                    block = make_block(height, self.view, self.id,
-                                       self.chain.tip.digest, txs,
-                                       self.world.engine.now)
+            txs = self.pool.take_batch(self.world.config.block_capacity)
+            block = make_block(height, self.view, self.id, self.chain.tip.digest, txs,
+                               self.world.engine.now)
         self.preprepared[self.view, height] = block
         # the pre-prepare is the primary's prepare
         self.prepares.setdefault((self.view, height, block.digest), set()).add(self.id)
@@ -251,6 +248,9 @@ class PbftReplica(PbftFollower):
     # -- appending and catch-up -------------------------------------------
 
     def _append(self, block: Block) -> None:
+        if self.byz is ByzantineType.ACTIVE and block.parent_digest != self.chain.tip.digest:
+            self._count("fork_ignored")  # honest blocks do not extend my private fork
+            return
         super()._append(block)
         self.vc_attempts = 0
         self._arm_timer()
@@ -296,9 +296,8 @@ class PbftReplica(PbftFollower):
         self._adopt_view(proposed, votes)
 
     def _adopt_view(self, new_view: int, votes: Optional[dict] = None) -> None:
-        old = self.view
+        self.world.recorder.on_view_adopted(self.id, self.view, new_view, self.chain.height)
         self.view = new_view
-        self.world.recorder.on_view_adopted(self.id, old, new_view, self.chain.height)
         self._arm_timer()
         if primary_of(new_view, self.world.authorities) != self.id:
             return

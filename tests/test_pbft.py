@@ -10,6 +10,7 @@ from permachain.errors import ConfigError
 from permachain.ledger import genesis_block, make_block, Transaction
 from permachain.network import MessageEnvelope
 from permachain.pbft import primary_of, quorum_params
+from permachain.reporting import check_benign_consistency
 
 
 def test_quorum_params_values():
@@ -207,6 +208,28 @@ def test_follower_rejects_corrupted_announces():
     assert follower.stats["announce_invalid_digest"] == 13
 
 
+@pytest.mark.parametrize("tamperer, loads, settings", [
+    pytest.param(3, {1: {6: 6}, 2: {6: 7, 1: 9, 7: 7}, 3: {1: 6, 7: 1, 4: 10}},
+                 dict(n_authorities=4, seed=8883, block_interval_ms=50,
+                      empty_block_threshold=3, block_capacity=1, pbft_timeout_ms=10,
+                      latency={"default": {"kind": "uniform", "lo": 0, "hi": 20}}),
+                 id="4_authorities"),
+    pytest.param(7, {1: {9: 1}, 2: {9: 9, 1: 4, 2: 1}, 3: {2: 5, 6: 4, 8: 1}},
+                 dict(n_authorities=7, seed=9718, block_interval_ms=200,
+                      empty_block_threshold=2, block_capacity=2, pbft_timeout_ms=1,
+                      latency={"default": {"kind": "exponential", "rate": 0.2}}),
+                 id="7_authorities"),
+])
+def test_active_tamperer_ignores_blocks_off_its_private_fork(tamperer, loads, settings):
+    # the tamperer self-appends its own block at a height where the honest
+    # replicas commit another, then receives honest blocks built on theirs
+    result = quick_run(loads, n_followers=3, byzantine={tamperer: 1}, day_length_ms=1500,
+                       **settings)
+    assert len(result.days) == 3
+    check_benign_consistency(result.report["nodes"], result.world.benign)
+    assert result.world.nodes[tamperer].stats["fork_ignored"] > 0
+
+
 def test_authority_catches_up_from_announcements():
     world = make_world(13)
     r = world.nodes[2]
@@ -232,6 +255,11 @@ def test_timeout_grace_doubles_per_failed_view():
               for delay, target in scheduled if target == COORDINATOR]
     assert timers == [base, 2 * base, 4 * base]
     assert world.recorder.message_counts["ViewChange"] == 2 * 3
+    r._accept(block_at(1, genesis_block().digest))  # an append resets the grace
+    r.on_timer(r._timer_token)
+    timers = [delay - world.config.block_interval_ms
+              for delay, target in scheduled if target == COORDINATOR]
+    assert timers == [base, 2 * base, 4 * base, base, 2 * base]
 
 
 GENESIS_CHILD = block_at(1, genesis_block().digest)
