@@ -56,16 +56,23 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if not lo <= value <= hi:
                 raise ConfigError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-        if not isinstance(self.authority_rule, dict):
-            raise ConfigError(f"authority_rule must be an object, got {self.authority_rule!r}")
         for node, p in self.drop_prob_overrides.items():
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"drop_prob_overrides for node {node} must be in [0, 1]")
-        if self.authority_rule.get("kind") not in ("column", "location_threshold"):
+        rule = self.authority_rule
+        if not isinstance(rule, dict):
+            raise ConfigError(f"authority_rule must be an object, got {rule!r}")
+        kind = rule.get("kind")
+        if kind not in ("column", "location_threshold"):
             raise ConfigError("authority_rule.kind must be 'column' or 'location_threshold'")
-        threshold = self.authority_rule.get("threshold", 0)
-        if not is_int(threshold):
-            raise ConfigError(f"authority_rule.threshold must be an integer, got {threshold!r}")
+        unknown = set(rule) - {"kind", "threshold" if kind == "location_threshold" else "kind"}
+        if unknown:
+            raise ConfigError(f"authority_rule of kind {kind!r} takes no keys {sorted(unknown)}")
+        if kind == "location_threshold":  # resolve the default here, so the echo shows it
+            self.authority_rule = rule = {**rule, "threshold": rule.get("threshold", 4)}
+            threshold = rule["threshold"]
+            if not is_int(threshold):
+                raise ConfigError(f"authority_rule.threshold must be an integer, got {threshold!r}")
         if self.tx_broadcast_interval_ms is None:
             self.tx_broadcast_interval_ms = self.block_interval_ms
         if self.pbft_timeout_ms is None:

@@ -4,7 +4,7 @@ Accepted on disk as JSON (a list of row objects) or CSV with the header
 ``NodeID,Authority,Location,Data,Byzantine``; the format is auto-detected
 from the file extension. The authority set comes from the binary column by
 default, or from an optional location-id rule (every node whose location
-parses as an integer below a threshold is an authority).
+parses as an integer below the threshold `RunConfig` resolved is an authority).
 """
 
 from __future__ import annotations
@@ -94,9 +94,8 @@ def _parse_row(i: int, raw: dict, authority_rule: dict) -> NodeSpec:
         raise NodeTableError(
             f"row {i}: invalid Byzantine code {raw.get('byzantine')!r} (must be 0, 1 or 2)")
     if authority_rule.get("kind") == "location_threshold":
-        threshold = authority_rule.get("threshold", 4)
         try:
-            authority = int(location) < threshold
+            authority = int(location) < authority_rule["threshold"]
         except ValueError:
             raise NodeTableError(
                 f"row {i}: location {location!r} is not an integer id, "

@@ -7,6 +7,7 @@ import pytest
 
 from permachain.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, list_scenarios,
                             load_scenario, main)
+from permachain.config import RunConfig
 from permachain.errors import NodeTableError
 from permachain.faults import ByzantineType
 from permachain.nodetable import parse_node_rows, parse_node_table
@@ -65,6 +66,21 @@ def test_location_threshold_authority_rule():
     assert table.authorities == [1, 2, 3]
     with pytest.raises(NodeTableError, match="location-threshold"):
         parse_node_rows(NODE_ROWS, {"kind": "location_threshold", "threshold": 4})
+
+
+@pytest.mark.parametrize("rule, echoed, authorities", [
+    pytest.param({"kind": "column"}, {"kind": "column"}, [1], id="column"),
+    pytest.param({"kind": "location_threshold"}, {"kind": "location_threshold", "threshold": 4},
+                 [1, 2, 3], id="threshold_default"),
+    pytest.param({"kind": "location_threshold", "threshold": 2},
+                 {"kind": "location_threshold", "threshold": 2}, [1], id="threshold_given"),
+])
+def test_authority_rule_is_echoed_as_applied(rule, echoed, authorities):
+    config = RunConfig.from_dict({"protocol": "pbft", "authority_rule": rule})
+    assert config.to_echo_dict()["authority_rule"] == echoed
+    rows = [{"id": i, "authority": int(i == 1), "location": str(i), "byzantine": 0}
+            for i in range(1, 7)]
+    assert parse_node_rows(rows, config.authority_rule).authorities == authorities
 
 
 def test_list_scenarios_contains_bundled_presets():
@@ -128,6 +144,13 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     pytest.param({"protocol": "pbft", "authority_rule": {"kind": "location_threshold",
                                                          "threshold": "x"}},
                  "threshold", id="authority_threshold"),
+    pytest.param({"protocol": "pbft", "authority_rule": {"kind": "location_threshold",
+                                                         "treshold": 2}},
+                 "'treshold'", id="authority_rule_misspelt_threshold"),
+    pytest.param({"protocol": "pbft", "authority_rule": {"kind": "column", "threshold": 2}},
+                 "'threshold'", id="authority_rule_column_threshold"),
+    pytest.param({"protocol": "pbft", "authority_rule": {"kind": "column", "rule": "x"}},
+                 "'rule'", id="authority_rule_unknown_key"),
     pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "constant",
                                                               "ms": math.nan}}},
                  "ms", id="nan_ms"),
