@@ -68,11 +68,11 @@ class RunConfig:
         unknown = set(rule) - {"kind", "threshold" if kind == "location_threshold" else "kind"}
         if unknown:
             raise ConfigError(f"authority_rule of kind {kind!r} takes no keys {sorted(unknown)}")
-        if kind == "location_threshold":  # resolve the default here, so the echo shows it
-            self.authority_rule = rule = {**rule, "threshold": rule.get("threshold", 4)}
-            threshold = rule["threshold"]
+        if kind == "location_threshold":
+            threshold = rule.get("threshold", 4)
             if not is_int(threshold):
                 raise ConfigError(f"authority_rule.threshold must be an integer, got {threshold!r}")
+            self.authority_rule = {**rule, "threshold": threshold}  # the echo shows the default
         if self.tx_broadcast_interval_ms is None:
             self.tx_broadcast_interval_ms = self.block_interval_ms
         if self.pbft_timeout_ms is None:

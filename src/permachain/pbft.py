@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import Optional
+from typing import Collection, Optional
 
 from . import messages as m
 from .engine import COORDINATOR
@@ -293,9 +293,10 @@ class PbftReplica(PbftFollower):
         votes = self.vc_votes.get(proposed, {})
         if len(votes) < self.rule.quorum:
             return
-        self._adopt_view(proposed, votes)
+        self._adopt_view(proposed, votes.values())
 
-    def _adopt_view(self, new_view: int, votes: Optional[dict] = None) -> None:
+    def _adopt_view(self, new_view: int,
+                    votes: Collection[tuple[int, Optional[_Lock]]] = ()) -> None:
         self.world.recorder.on_view_adopted(self.id, self.view, new_view, self.chain.height)
         self.view = new_view
         self._arm_timer()
@@ -303,7 +304,6 @@ class PbftReplica(PbftFollower):
             return
         self.world.network.broadcast(self.id, m.NewView(new_view),
                                      self.world.authorities)
-        votes = (votes or {}).values()
         pending = self.next_height
         # replay committed blocks the slowest voter is missing
         for h in range(min([nh for nh, _lock in votes] + [pending]), pending):
