@@ -10,7 +10,8 @@ class carries what the rest of the simulator needs to know about it:
     body without a digest returns itself.
 
 A body that carries a block does not copy the block's height or digest: a
-receiver reads them from the block.
+receiver reads them from the block. `Prepare` and `Commit` are each a `_Vote`
+(view, height, digest) that adds only its handler.
 """
 
 from __future__ import annotations

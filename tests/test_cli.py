@@ -69,7 +69,6 @@ def test_location_threshold_authority_rule():
 
 
 @pytest.mark.parametrize("rule, echoed, authorities", [
-    pytest.param({"kind": "column"}, {"kind": "column"}, [1], id="column"),
     pytest.param({"kind": "location_threshold"}, {"kind": "location_threshold", "threshold": 4},
                  [1, 2, 3], id="threshold_default"),
     pytest.param({"kind": "location_threshold", "threshold": 2},
