@@ -6,10 +6,12 @@ or fault-free poa or poet, under constant, uniform or exponential latency,
 with short days, short block intervals and (for pbft) short view-change
 timeouts. Inputs run in-process, one at a time, through the same loaders as
 the CLI. For each input the script prints the index, the protocol, the
-authority count and either the SHA-256 of the run's outputs (report JSON,
-timeline, every node's stats, engine counts) or ``ERR <message>`` when the run
-stops on a simulator error. The inputs depend only on --seed and --count, so
-two checkouts print the same lines exactly when they behave the same.
+authority count and either the SHA-256 of the model's outputs (report JSON,
+timeline, every node's stats) followed by the engine's scheduled, dispatched
+and discarded event counts, or ``ERR <message>`` when the run stops on a
+simulator error. The inputs depend only on --seed and --count, so two
+checkouts print the same hashes exactly when the model behaves the same; the
+trailing counts differ alone when only the event bookkeeping changed.
 
 Usage: python scripts/diff_probe.py [--count 100] [--seed 0]
 """
@@ -76,10 +78,10 @@ def fingerprint(config: dict, rows: list, transactions: dict) -> str:
         "report": result.report,
         "timeline": world.recorder.timeline,
         "stats": {str(n): world.nodes[n].stats for n in world.all_ids},
-        "engine": [engine.scheduled_count, engine.dispatched_count, engine.discarded_count],
     }
-    text = json.dumps(outputs, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    return (f"{digest} {engine.scheduled_count}/{engine.dispatched_count}"
+            f"/{engine.discarded_count}")
 
 
 def main():

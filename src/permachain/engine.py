@@ -3,7 +3,9 @@
 A simulated millisecond clock, a (fire_at, seq)-ordered event queue, and a run
 loop that dispatches events to registered handlers. Ties at the same
 fire_at are broken by insertion sequence number, which makes the full event
-trace a deterministic function of (configuration, seed).
+trace a deterministic function of (configuration, seed). The network schedules
+one event per delivery instant of a broadcast, so `dispatched_count` counts
+delivery instants, not deliveries (see network.py).
 
 Randomness is never drawn from a global generator: every (node, purpose) pair
 owns an independent named stream, so adding or removing one node cannot
@@ -64,13 +66,13 @@ class EventEngine:
         self.now: SimTime = 0
         self._heap: list[tuple[int, int, int, Any]] = []
         self._seq = count()
-        self._handlers: dict[int, Callable[[Any], None]] = {}
+        self.handlers: dict[int, Callable[[Any], None]] = {}  # target -> handler
         self.scheduled_count = 0
         self.dispatched_count = 0
         self.discarded_count = 0
 
     def register(self, target: int, handler: Callable[[Any], None]) -> None:
-        self._handlers[target] = handler
+        self.handlers[target] = handler
 
     def schedule(self, delay: int, target: int, payload: Any) -> None:
         """Enqueue `payload` for `target` at now() + delay. Rejects negative delay."""
@@ -89,7 +91,7 @@ class EventEngine:
         Exits early, discarding whatever remains queued, when the next event
         would fire past `deadline`. Returns the final clock value.
         """
-        heap, handlers, pop = self._heap, self._handlers, heapq.heappop
+        heap, handlers, pop = self._heap, self.handlers, heapq.heappop
         limit = float("inf") if deadline is None else deadline
         while heap:
             if heap[0][0] > limit:

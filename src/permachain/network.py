@@ -3,7 +3,7 @@
 Latency is configured per location pair with a global default fallback.
 `Network.broadcast` is the one delivery path. Once per broadcast it takes the
 body's kind, an active sender's ``corrupted()`` form and the processing-delay
-model; then it schedules one delivery per recipient other than the sender at
+model; then it delivers to each recipient other than the sender at
 
     now + latency(src, dst) + processing_delay(kind, receiver)
 
@@ -14,6 +14,13 @@ above 0 has one), then, if not dropped, one on the sender's ``latency`` stream
 and one on the recipient's ``processing-delay`` stream. A constant model
 consumes no draw. Each node's Byzantine type and drop probability are fixed
 when it registers; the receiving node records the delivery (see node.py).
+
+A broadcast schedules one engine event per delivery instant, not per
+recipient: the recipients that share a total delay form a group, whose event
+delivers to them in recipient order (a group of one is scheduled straight to
+its recipient). That is the order one event per recipient would give, because
+a broadcast's events take consecutive sequence numbers, so no other event can
+fall between two deliveries of one instant.
 """
 
 from __future__ import annotations
@@ -97,9 +104,14 @@ class LatencyTable:
         return out
 
 
+# Engine target of a group of deliveries; node ids are >= 1 and the coordinator is 0.
+GROUP = -1
+
+
 class Network:
-    """Schedules per-recipient deliveries through the event engine; takes each
-    node's streams at `register_node` and caches each (src, dst) latency model."""
+    """Schedules deliveries through the event engine, one event per delivery
+    instant; takes each node's streams at `register_node` and caches each
+    (src, dst) latency model."""
 
     def __init__(self, engine: EventEngine, streams: RngStreams,
                  latency: LatencyTable, delays: ValidationDelays, recorder):
@@ -112,6 +124,7 @@ class Network:
         self._delay_rng: dict[int, random.Random] = {}
         # sender -> (byz, dst -> latency model, latency stream, (p, drop stream) or None)
         self._outbound: dict[int, tuple] = {}
+        engine.register(GROUP, self._deliver_group)
 
     def register_node(self, node_id: int, location: str, byz: ByzantineType,
                       drop_prob: float) -> None:
@@ -134,22 +147,31 @@ class Network:
             body = body.corrupted()
         delay = self.delays.model_for(body.delay_kind)
         send = self.send
+        groups: dict[int, list[MessageEnvelope]] = {}  # total delay -> envelopes
         attempted = scheduled = 0
         for dst in recipients:
             if dst != src:
                 attempted += 1
-                scheduled += send(src, dst, body, delay, out)
+                scheduled += send(src, dst, body, delay, out, groups)
+        schedule = self.engine.schedule
+        for total, group in groups.items():
+            if len(group) == 1:
+                schedule(total, group[0].recipient, group[0])
+            else:
+                schedule(total, GROUP, group)
         if scheduled:
             self.recorder.message_sent(kind, scheduled)
         if attempted > scheduled:
             self.recorder.message_dropped(kind, attempted - scheduled)
         return scheduled
 
-    def send(self, src: int, dst: int, body, delay: Distribution, out: tuple) -> bool:
+    def send(self, src: int, dst: int, body, delay: Distribution, out: tuple,
+             groups: dict[int, list[MessageEnvelope]]) -> bool:
         """One recipient's delivery within `broadcast`, a method of its own so that
         perfbench's span on it counts every attempt; False when it was dropped.
 
-        `out` is the sender's `_outbound` entry, which `broadcast` looked up once."""
+        `out` is the sender's `_outbound` entry, which `broadcast` looked up once.
+        The envelope joins the group in `groups` for its total delay."""
         _, models, latency_rng, drop = out
         if drop is not None and drop[1].random() < drop[0]:
             return False
@@ -161,6 +183,13 @@ class Network:
                                                          self._locations[dst])
         lat = model.sample_ms(latency_rng)
         now = self.engine.now
-        self.engine.schedule(lat + delay.sample_ms(self._delay_rng[dst]), dst,
-                             MessageEnvelope(src, dst, now, now + lat, body))
+        groups.setdefault(lat + delay.sample_ms(self._delay_rng[dst]), []).append(
+            MessageEnvelope(src, dst, now, now + lat, body))
         return True
+
+    def _deliver_group(self, envelopes: list[MessageEnvelope]) -> None:
+        """Hand each envelope of one group, in order, to its recipient's handler
+        in the engine's registry, looked up at delivery as for any other event."""
+        handlers = self.engine.handlers
+        for env in envelopes:
+            handlers[env.recipient](env)

@@ -67,6 +67,14 @@ def gossip(i=1):
     return m.TxGossip(Transaction(i, 1, "x", 0, 1))
 
 
+def delivered(engine, n_nodes=13):
+    """Log every delivery to nodes 1..n_nodes as (time, node, envelope), in dispatch order."""
+    log = []
+    for i in range(1, n_nodes + 1):
+        engine.register(i, lambda env, i=i: log.append((engine.now, i, env)))
+    return log
+
+
 def latencies(net, src, dst, n):
     """Latencies of n single-recipient broadcasts, in send order."""
     envelopes = []
@@ -278,12 +286,12 @@ def test_passive_sender_draws_drop_stream_once_per_recipient():
             if not drop.random() < 0.4:
                 expected.append((i, dst, reference_draw("uniform", table.default.params,
                                                         latency)))
-    envelopes = []
-    net.engine.schedule = lambda delay, target, env: envelopes.append(env)
+    log = delivered(net.engine)
     for i in range(10):
         net.broadcast(1, gossip(i), range(1, 14))  # the sender itself is skipped
-    assert [(env.body.tx.tx_id, env.recipient, env.delivered_at - env.sent_at)
-            for env in envelopes] == expected
+    net.engine.run_until_idle()
+    assert sorted((env.body.tx.tx_id, node, env.delivered_at - env.sent_at)
+                  for _, node, env in log) == expected
     assert 0 < len(expected) < 120
     assert net.streams.stream(1, "drop").random() == drop.random()
     assert net.streams.stream(1, "latency").random() == latency.random()
@@ -310,3 +318,65 @@ def test_broadcast_counts_its_sends_and_drops_once():
     assert net.broadcast(2, m.Prepare(0, 1, 5), [2]) == 0  # only itself: nothing to count
     assert recorder.hook_calls == [("sent", "Prepare", 2)]
     assert "Prepare" not in recorder.drop_counts
+
+
+def test_one_event_per_delivery_instant():
+    engine, net, _ = build_net()  # constant 10 ms latency, constant 1 ms processing
+    log = delivered(engine)
+    for i in range(10):
+        assert net.broadcast(1, gossip(i), range(1, 14)) == 12
+    assert engine.scheduled_count == 10
+    engine.run_until_idle()
+    assert engine.dispatched_count == 10
+    assert [(t, node, env.body.tx.tx_id) for t, node, env in log] == \
+        [(11, node, i) for i in range(10) for node in range(2, 14)]
+
+
+def mixed_delay_net():
+    """Nodes 1-9; from node 1, nodes 3 and 5 are 5 ms away, node 7 is 20 ms, the rest 10 ms.
+
+    With 1 ms processing, a broadcast from node 1 to nodes 2-7 arrives at 2, 4
+    and 6 after 11 ms, at 3 and 5 after 6 ms and at 7 after 21 ms.
+    """
+    table = LatencyTable.from_config({
+        "default": {"kind": "constant", "ms": 10},
+        "pairs": [{"src": "loc-1", "dst": f"loc-{dst}", "kind": "constant", "ms": ms}
+                  for dst, ms in ((3, 5), (5, 5), (7, 20))],
+    })
+    return build_net(n_nodes=9, latency=table)
+
+
+def test_grouped_deliveries_keep_the_order_of_one_event_per_recipient():
+    engine, net, _ = mixed_delay_net()
+    log = delivered(engine, n_nodes=9)
+    relay = engine.handlers[2]
+
+    def relay_now(env):  # node 2 schedules an event at its own delivery instant
+        relay(env)
+        engine.schedule(0, 9, "scheduled during the group")
+
+    engine.register(2, relay_now)
+    for t in (6, 11):
+        engine.schedule(t, 8, "scheduled before the broadcast")
+    assert net.broadcast(1, gossip(), range(2, 8)) == 6
+    for t in (6, 11):
+        engine.schedule(t, 9, "scheduled after the broadcast")
+    assert engine.scheduled_count == 4 + 3
+    engine.run_until_idle()
+    assert [(t, node) for t, node, _ in log] == [
+        (6, 8), (6, 3), (6, 5), (6, 9),
+        (11, 8), (11, 2), (11, 4), (11, 6), (11, 9), (11, 9),
+        (21, 7),
+    ]
+    assert engine.dispatched_count == 4 + 3 + 1
+
+
+def test_a_group_past_the_deadline_is_discarded_whole():
+    engine, net, _ = mixed_delay_net()
+    log = delivered(engine, n_nodes=9)
+    net.broadcast(1, gossip(), range(2, 8))
+    engine.run_until_idle(deadline=10)
+    assert [(t, node) for t, node, _ in log] == [(6, 3), (6, 5)]
+    assert (engine.scheduled_count, engine.dispatched_count, engine.discarded_count) == (3, 1, 2)
+    assert engine.scheduled_count == engine.dispatched_count + engine.discarded_count
+    assert engine.pending() == 0
