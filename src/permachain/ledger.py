@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .distributions import Distribution, constant
 from .errors import ConfigError, DigestInvalid, HeightGap, ParentMismatch
@@ -106,8 +106,7 @@ def compute_digest(block: Block) -> int:
 def make_block(height: int, view: int, proposer: int, parent_digest: int,
                txs: tuple[Transaction, ...], proposed_at: int) -> Block:
     blk = Block(height, view, proposer, parent_digest, txs, proposed_at)
-    return Block(height, view, proposer, parent_digest, txs, proposed_at,
-                 digest=compute_digest(blk))
+    return replace(blk, digest=compute_digest(blk))
 
 
 def genesis_block() -> Block:

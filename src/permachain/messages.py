@@ -11,7 +11,9 @@ class carries what the rest of the simulator needs to know about it:
 
 A body that carries a block does not copy the block's height or digest: a
 receiver reads them from the block. `Prepare` and `Commit` are each a `_Vote`
-(view, height, digest) that adds only its handler.
+(view, height, digest) that adds only its handler. A `Lock` (view, block) is
+a prepared certificate: a replica holds one per height, and its `ViewChange`
+carries that same object to the new primary.
 """
 
 from __future__ import annotations
@@ -89,19 +91,23 @@ class Commit(_Vote):
 
 
 @dataclass(frozen=True)
+class Lock:
+    view: int
+    block: Block
+
+
+@dataclass(frozen=True)
 class ViewChange(_Body):
     proposed_view: int
     next_height: int  # sender's chain tip + 1, used by the new primary
-    # prepared certificate for next_height, if the sender holds one
-    cert_view: int | None = None
-    cert_block: Block | None = None
+    lock: Lock | None = None  # the sender's lock for next_height, if it holds one
     handler = "on_viewchange"
 
     def corrupted(self):
-        if self.cert_block is None:
+        if self.lock is None:
             return self
         # the vote itself stays legible; only the carried certificate is junked
-        return replace(self, cert_block=_flip_block(self.cert_block))
+        return replace(self, lock=replace(self.lock, block=_flip_block(self.lock.block)))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .nodetable import NodeTable
 from .pbft import PbftFollower, PbftReplica, quorum_params
 from .poa import Lottery, PoaNode, PoetAuthority
 from .reporting import DayResult, RunRecorder, build_report, propagation_writer
-from .workload import BroadcastPolicy, LoadSchedule
+from .workload import LoadSchedule, batches
 
 
 class World:
@@ -109,12 +109,9 @@ class World:
             self.empty_streak += 1
         else:
             self.empty_streak = 0
-        if self.stop_condition():
+        if self.empty_streak >= self.config.empty_block_threshold:
             self.day_active = False
             self.day_ended_by = "empty-blocks"
-
-    def stop_condition(self) -> bool:
-        return self.empty_streak >= self.config.empty_block_threshold
 
 
 # protocol -> (authority class, follower class, world -> the call that starts
@@ -142,22 +139,21 @@ def check_inputs(config: RunConfig, table: NodeTable) -> None:
                           f"need not intersect when 2(2f+1) <= n")
 
 
-def emit_day(world: World, day: int, loads: dict[int, int],
-             policy: BroadcastPolicy) -> int:
+def emit_day(world: World, day: int, loads: dict[int, int]) -> int:
     """Schedule a day's transaction-creation events; returns the total count.
 
     The first injection happens one block interval after the day starts
     (never before block production begins); later batches follow at the
     broadcast interval.
     """
+    config = world.config
     total = 0
-    head = world.config.block_interval_ms
     for node_id in sorted(loads):
         if node_id not in world.nodes:
             raise PermachainError(f"schedule references unknown node {node_id}")
-        for tick, batch in enumerate(policy.batches(loads[node_id])):
-            world.engine.schedule(head + tick * policy.interval_ms, COORDINATOR,
-                                  partial(world._inject, node_id, day, batch))
+        for tick, batch in enumerate(batches(loads[node_id], config.tx_spread_ticks)):
+            at = config.block_interval_ms + tick * config.tx_broadcast_interval_ms
+            world.engine.schedule(at, COORDINATOR, partial(world._inject, node_id, day, batch))
             total += batch
     return total
 
@@ -176,9 +172,7 @@ def run_day(world: World, day: int, loads: dict[int, int]) -> DayResult:
     messages_before = Counter(world.recorder.message_counts)
     heights_before = {n: world.nodes[n].chain.height for n in world.all_ids}
 
-    policy = BroadcastPolicy(interval_ms=config.tx_broadcast_interval_ms,
-                             spread_ticks=config.tx_spread_ticks)
-    scheduled = emit_day(world, day, loads, policy)
+    scheduled = emit_day(world, day, loads)
     for a in world.authorities:
         world.nodes[a].start_day()
     engine.schedule(config.block_interval_ms, COORDINATOR, world.kickoff)

@@ -10,7 +10,7 @@ to its senders, and `preprepared` maps (view, height) to the proposed block.
 Safety across views comes from prepare locks: a replica prepares at most one
 digest per height per view, and abandons a lock only for a proposal in a
 strictly higher view. View-change votes carry the sender's next height and
-its current prepared lock (a view and a block) so the new primary re-proposes
+its current prepared lock (a `messages.Lock`) so the new primary re-proposes
 any block that may have committed instead of inventing a conflicting one.
 
 Liveness glue for message-dropping faults:
@@ -70,12 +70,6 @@ def primary_of(view: int, authorities: list[int]) -> int:
     return authorities[view % len(authorities)]
 
 
-@dataclass
-class _Lock:
-    view: int
-    block: Block
-
-
 class PbftFollower(Node):
     """A pbft node that accepts blocks announced by enough distinct authorities.
 
@@ -113,10 +107,10 @@ class PbftReplica(PbftFollower):
         # (view, height, digest) -> senders; my id is in a commit tally once I sent it
         self.prepares: dict[tuple[int, int, int], set] = {}
         self.commits: dict[tuple[int, int, int], set] = {}
-        self.locks: dict[int, _Lock] = {}
+        self.locks: dict[int, m.Lock] = {}
         self.in_flight = 0  # height of my latest proposal
         # view-change bookkeeping
-        self.vc_votes: dict[int, dict[int, tuple[int, Optional[_Lock]]]] = {}
+        self.vc_votes: dict[int, dict[int, tuple[int, Optional[m.Lock]]]] = {}
         self.vc_attempts = 0  # views that failed at the next height
         self.my_top_vote = 0
         self._timer_token = 0  # only the latest armed timer may fire
@@ -208,7 +202,7 @@ class PbftReplica(PbftFollower):
             if lock is not None and lock.block.digest != digest and view <= lock.view:
                 self._count("prepare_refused_locked")
                 return
-            self.locks[height] = _Lock(view, block)
+            self.locks[height] = m.Lock(view, block)
         self.prepares.setdefault((view, height, digest), set()).add(self.id)
         self.world.network.broadcast(self.id, m.Prepare(view, height, digest),
                                      self.world.authorities)
@@ -260,9 +254,8 @@ class PbftReplica(PbftFollower):
 
     def _send_viewchange(self, proposed: int) -> None:
         lock = self.locks.get(self.next_height)
-        cert = () if lock is None else (lock.view, lock.block)
         self.my_top_vote = max(self.my_top_vote, proposed)
-        vote = m.ViewChange(proposed, self.next_height, *cert)
+        vote = m.ViewChange(proposed, self.next_height, lock)
         self.vc_votes.setdefault(proposed, {})[self.id] = (self.next_height, lock)
         self.world.network.broadcast(self.id, vote, self.world.authorities)
         self._check_viewchange(proposed)
@@ -271,12 +264,10 @@ class PbftReplica(PbftFollower):
         if msg.proposed_view <= self.view:
             self._count("viewchange_stale")
             return
-        lock = None
-        if msg.cert_block is not None:
-            if compute_digest(msg.cert_block) == msg.cert_block.digest:
-                lock = _Lock(msg.cert_view, msg.cert_block)
-            else:
-                self._count("viewchange_invalid_cert")
+        lock = msg.lock
+        if lock is not None and compute_digest(lock.block) != lock.block.digest:
+            self._count("viewchange_invalid_cert")
+            lock = None
         self.vc_votes.setdefault(msg.proposed_view, {})[env.sender] = (msg.next_height, lock)
         # join a view change once f+1 peers demand one, even without a timeout
         if self.my_top_vote <= self.view:
@@ -296,7 +287,7 @@ class PbftReplica(PbftFollower):
         self._adopt_view(proposed, votes.values())
 
     def _adopt_view(self, new_view: int,
-                    votes: Collection[tuple[int, Optional[_Lock]]] = ()) -> None:
+                    votes: Collection[tuple[int, Optional[m.Lock]]] = ()) -> None:
         self.world.recorder.on_view_adopted(self.id, self.view, new_view, self.chain.height)
         self.view = new_view
         self._arm_timer()

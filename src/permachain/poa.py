@@ -80,18 +80,16 @@ class PoaNode(Node):
 
     def maybe_propose(self) -> None:
         """Block-interval tick (authorities only): propose iff the rotation points at me."""
-        height = self.next_height
-        if leader_for_height(height, self.world.authorities) != self.id:
-            return
-        self._propose(height)
+        if leader_for_height(self.next_height, self.world.authorities) == self.id:
+            self._propose()
 
     def propose_lottery(self) -> None:
         """Lottery winner's proposal; rotation order does not apply."""
-        self._propose(self.next_height)
+        self._propose()
 
-    def _propose(self, height: int) -> None:
+    def _propose(self) -> None:
         txs = self.pool.take_batch(self.world.config.block_capacity)
-        block = make_block(height, 0, self.id, self.chain.tip.digest, txs,
+        block = make_block(self.next_height, 0, self.id, self.chain.tip.digest, txs,
                            self.world.engine.now)
         self._append(block)
         self.world.network.broadcast(self.id, m.BlockMsg(block), self.world.all_ids)

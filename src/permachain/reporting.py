@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConsistencyError
@@ -43,17 +43,9 @@ class DayResult:
     ended_by: str  # "empty-blocks" or "guard"
 
     def to_dict(self) -> dict:
-        return {
-            "day": self.day,
-            "txs_scheduled": self.txs_scheduled,
-            "txs_committed": self.txs_committed,
-            "blocks_appended": {str(k): v for k, v in sorted(self.blocks_appended.items())},
-            "day_start_sim_time": self.day_start_sim_time,
-            "day_end_sim_time": self.day_end_sim_time,
-            "view_changes": self.view_changes,
-            "messages_by_kind": dict(sorted(self.messages_by_kind.items())),
-            "ended_by": self.ended_by,
-        }
+        """The report's day entry; `emit_json` sorts its keys."""
+        return {**asdict(self),
+                "blocks_appended": {str(k): v for k, v in self.blocks_appended.items()}}
 
 
 @dataclass

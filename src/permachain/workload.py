@@ -6,10 +6,10 @@ Schedule file schema (JSON):
 
 Day indices start at 1, every node key must exist in the node table, and a
 node's count for one day is at most MAX_DAILY_LOAD.
-A day's count for a node is divided evenly across the policy's injection
-ticks, remainder front-loaded; the first tick fires one broadcast interval
-after the day starts, so no transaction is broadcast before block production
-begins.
+`batches` divides a day's count for a node evenly across `tx_spread_ticks`
+injection ticks, remainder front-loaded. The orchestrator fires the first tick
+one block interval into the day, so no transaction is broadcast before block
+production begins, and the rest `tx_broadcast_interval_ms` apart.
 """
 
 from __future__ import annotations
@@ -45,24 +45,13 @@ class LoadSchedule:
         return sum(sum(v.values()) for v in self.counts.values())
 
 
-@dataclass(frozen=True)
-class BroadcastPolicy:
-    interval_ms: int
-    spread_ticks: int = 10
-
-    def __post_init__(self):
-        if self.interval_ms <= 0:
-            raise ScheduleError(f"broadcast interval must be > 0, got {self.interval_ms}")
-        if self.spread_ticks < 1:
-            raise ScheduleError(f"spread_ticks must be >= 1, got {self.spread_ticks}")
-
-    def batches(self, count: int) -> list[int]:
-        """Split a day's count across ticks, remainder front-loaded."""
-        if count <= 0:
-            return []
-        ticks = min(self.spread_ticks, count)
-        base, extra = divmod(count, ticks)
-        return [base + (1 if i < extra else 0) for i in range(ticks)]
+def batches(count: int, spread_ticks: int) -> list[int]:
+    """Split a day's count across at most `spread_ticks` ticks, remainder front-loaded."""
+    if count <= 0:
+        return []
+    ticks = min(spread_ticks, count)
+    base, extra = divmod(count, ticks)
+    return [base + (1 if i < extra else 0) for i in range(ticks)]
 
 
 def parse_schedule(data: dict, known_nodes: set[int] | None = None) -> LoadSchedule:
@@ -129,8 +118,6 @@ class TransactionPool:
 
     def take_batch(self, capacity: int) -> tuple[Transaction, ...]:
         """Remove and return up to `capacity` transactions in creation order."""
-        if capacity <= 0:
-            raise ValueError("block capacity must be positive")
         batch = sorted(self._txs.values(), key=lambda t: (t.created_at, t.tx_id))[:capacity]
         for tx in batch:
             del self._txs[tx.tx_id]

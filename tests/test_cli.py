@@ -194,6 +194,12 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "normal", "mean": -1e308,
                                                               "std": 0}}},
                  "'mean'", id="normal_mean_far_below_zero"),
+    pytest.param({"protocol": "pbft", "tx_broadcast_interval_ms": 0},
+                 "tx_broadcast_interval_ms", id="zero_tx_broadcast_interval"),
+    pytest.param({"protocol": "pbft", "tx_spread_ticks": 0}, "tx_spread_ticks",
+                 id="zero_tx_spread_ticks"),
+    pytest.param({"protocol": "pbft", "block_capacity": 0}, "block_capacity",
+                 id="zero_block_capacity"),
 ])
 def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"

@@ -36,11 +36,11 @@ def test_corrupt_is_involution():
 
 def test_corrupt_viewchange_junks_only_the_certificate():
     block = sample_block()
-    vote = m.ViewChange(3, 2, cert_view=1, cert_block=block)
+    vote = m.ViewChange(3, 2, m.Lock(1, block))
     bad = vote.corrupted()
-    assert bad.proposed_view == 3 and bad.next_height == 2 and bad.cert_view == 1
-    assert bad.cert_block.digest != block.digest
-    assert compute_digest(bad.cert_block) != bad.cert_block.digest  # every verifier rejects
+    assert bad.proposed_view == 3 and bad.next_height == 2 and bad.lock.view == 1
+    assert bad.lock.block.digest != block.digest
+    assert compute_digest(bad.lock.block) != bad.lock.block.digest  # every verifier rejects
     bare = m.ViewChange(3, 2)
     assert bare.corrupted() == bare
 

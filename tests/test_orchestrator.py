@@ -22,12 +22,12 @@ def test_stop_condition_counter_semantics():
 
     for h in range(1, 10):
         world._on_block_appended(world.reference, FakeBlock(True, h))
-    assert world.empty_streak == 9 and not world.stop_condition()
+    assert world.empty_streak == 9 and world.day_active
     world._on_block_appended(world.reference, FakeBlock(False, 10))
     assert world.empty_streak == 0  # non-empty resets the counter
     for h in range(11, 21):
         world._on_block_appended(world.reference, FakeBlock(True, h))
-    assert world.stop_condition()
+    assert not world.day_active
     assert world.day_ended_by == "empty-blocks"
 
 

@@ -328,7 +328,7 @@ def test_new_primary_reproposes_only_a_valid_certificate(tampered, invalid_certs
     world = make_world(4)
     r = world.nodes[2]
     prepared = block_at(1, genesis_block().digest, txs=(tx(9),))
-    vote = m.ViewChange(1, 1, cert_view=0, cert_block=prepared)
+    vote = m.ViewChange(1, 1, m.Lock(0, prepared))
     for sender in (3, 4):  # a tamperer's vote carries its certificate with a flipped digest
         r.receive(env(sender, vote.corrupted() if tampered else vote))
     assert r.view == 1

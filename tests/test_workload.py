@@ -1,4 +1,4 @@
-"""Load schedules, injection policies, and the pending pool."""
+"""Load schedules, injection batches, and the pending pool."""
 
 import json
 
@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from permachain.errors import ScheduleError
 from permachain.ledger import Transaction
-from permachain.workload import (BroadcastPolicy, TransactionPool, load_schedule,
-                                 parse_schedule)
+from permachain.workload import TransactionPool, batches, load_schedule, parse_schedule
 
 # shaped like the documented input: rows of per-node counts per day
 SAMPLE = {
@@ -62,12 +61,10 @@ def test_day_out_of_range():
 
 
 def test_policy_batches_even_split_remainder_first():
-    policy = BroadcastPolicy(interval_ms=1000, spread_ticks=4)
-    assert policy.batches(10) == [3, 3, 2, 2]
-    assert policy.batches(2) == [1, 1]  # fewer txs than ticks
-    assert policy.batches(0) == []
-    with pytest.raises(ScheduleError):
-        BroadcastPolicy(interval_ms=0)
+    # a zero interval or spread is refused by RunConfig (see test_cli's bad-config table)
+    assert batches(10, 4) == [3, 3, 2, 2]
+    assert batches(2, 4) == [1, 1]  # fewer txs than ticks
+    assert batches(0, 4) == []
 
 
 def tx(i, created):
