@@ -190,6 +190,9 @@ class ValidationDelays:
             name = spec["preset"]
             if not isinstance(name, str) or name not in DELAY_PRESETS:
                 raise ConfigError(f"unknown processing-delay preset {name!r}")
+            extra = sorted(set(spec) - {"preset"})
+            if extra:  # a preset is used whole; its placeholders cannot be patched
+                raise ConfigError(f"processing_delay takes no keys beside 'preset', got {extra}")
             spec = DELAY_PRESETS[name]
         per_kind = {}
         default = None

@@ -28,7 +28,7 @@ from . import messages as m
 from .config import RunConfig
 from .engine import COORDINATOR, EventEngine, RngStreams
 from .errors import ConfigError, PermachainError
-from .ledger import Transaction
+from .ledger import BLOCK, CONSENSUS_MESSAGE, TRANSACTION, Transaction
 from .network import Network
 from .nodetable import NodeTable
 from .pbft import PbftFollower, PbftReplica, quorum_params
@@ -129,6 +129,10 @@ def check_inputs(config: RunConfig, table: NodeTable) -> None:
     Two pbft quorums must share a node, 2(2f+1) > n, or two replicas can commit
     different blocks at one height. That fails at n = 2, 3 and 6 authorities
     (Malkhi & Reiter, "Byzantine Quorum Systems", 1998).
+
+    Every delay model a run can draw from must resolve: the processing delay of
+    each kind the protocol sends, and the latency of each pair of distinct nodes
+    with an authority at one end (every message is sent by an authority or to one).
     """
     stray = sorted(set(config.drop_prob_overrides) - set(table.ids))
     if stray:
@@ -137,6 +141,14 @@ def check_inputs(config: RunConfig, table: NodeTable) -> None:
     if config.protocol == "pbft" and 2 * quorum_params(n).quorum <= n:
         raise ConfigError(f"pbft cannot run with {n} authorities: two quorums of 2f+1 "
                           f"need not intersect when 2(2f+1) <= n")
+    kinds = [TRANSACTION, BLOCK] + ([CONSENSUS_MESSAGE] if config.protocol == "pbft" else [])
+    for kind in kinds:
+        config.processing_delay.model_for(kind)
+    if config.latency.default is None:
+        for src in table.rows:
+            for dst in table.rows:
+                if src.id != dst.id and (src.authority or dst.authority):
+                    config.latency.model_for(src.location, dst.location)
 
 
 def emit_day(world: World, day: int, loads: dict[int, int]) -> int:

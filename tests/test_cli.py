@@ -194,6 +194,9 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "normal", "mean": -1e308,
                                                               "std": 0}}},
                  "'mean'", id="normal_mean_far_below_zero"),
+    pytest.param({"protocol": "pbft", "processing_delay": {
+        "preset": "hyperledger-fabric", "block": {"kind": "constant", "ms": 99}}},
+                 "'block'", id="processing_delay_preset_with_other_key"),
     pytest.param({"protocol": "pbft", "tx_broadcast_interval_ms": 0},
                  "tx_broadcast_interval_ms", id="zero_tx_broadcast_interval"),
     pytest.param({"protocol": "pbft", "tx_spread_ticks": 0}, "tx_spread_ticks",
@@ -274,6 +277,39 @@ def test_pbft_group_whose_quorums_need_not_intersect_fails_before_any_output(
     assert main(args) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"pbft cannot run with {n} authorities" in err and "2(2f+1) <= n" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("protocol, authorities, latency, processing_delay, named", [
+    # the day ends at node 1's first block, so node 2 never sends to the idle
+    # follower 4 and no message crosses (Minneapolis, Chicago)
+    pytest.param("poa", {1, 2, 3}, {"pairs": [
+        {"src": a, "dst": b, "kind": "constant", "ms": 5}
+        for a, b in (("Portland", "Minneapolis"), ("Portland", "Honolulu"),
+                     ("Portland", "Chicago"), ("Minneapolis", "Honolulu"),
+                     ("Honolulu", "Chicago"))]},
+                 {"default": {"kind": "constant", "ms": 1}},
+                 "('Minneapolis', 'Chicago')", id="latency_pair"),
+    pytest.param("pbft", {1, 2, 3, 4}, {"default": {"kind": "constant", "ms": 5}},
+                 {"transaction": {"kind": "constant", "ms": 1},
+                  "block": {"kind": "constant", "ms": 1}},
+                 "'consensus-message'", id="processing_delay_kind"),
+])
+def test_incomplete_delay_table_fails_before_any_output(tmp_path, capsys, protocol,
+                                                        authorities, latency,
+                                                        processing_delay, named):
+    inputs = {"config": {"protocol": protocol, "empty_block_threshold": 1,
+                         "latency": latency, "processing_delay": processing_delay},
+              "nodes": [dict(r, byzantine=0, authority=int(r["id"] in authorities))
+                        for r in NODE_ROWS],
+              "transactions": {"days": [{"day": 1, "loads": {}}]}}
+    out = tmp_path / "out"
+    args = ["--out", str(out), "--emit-records"]
+    for name, content in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        args += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert main(args) == EXIT_VALIDATION
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 
