@@ -1,10 +1,10 @@
 """Deterministic seeded discrete-event core.
 
-A simulated millisecond clock, a (fire_at, seq)-ordered event queue, and a run
-loop that dispatches events to registered handlers. Ties at the same
-fire_at are broken by insertion sequence number, which makes the full event
-trace a deterministic function of (configuration, seed). The network schedules
-one event per delivery instant of a broadcast, so `dispatched_count` counts
+A simulated millisecond clock, an event queue, and a run loop that dispatches
+events to registered handlers in (fire_at, seq) order: ties at the same
+fire_at go in schedule order, which makes the full event trace a
+deterministic function of (configuration, seed). The network schedules one
+event per delivery instant of a broadcast, so `dispatched_count` counts
 delivery instants, not deliveries (see network.py).
 
 Randomness is never drawn from a global generator: every (node, purpose) pair
@@ -20,7 +20,6 @@ import hashlib
 import heapq
 import random
 import zlib
-from itertools import count
 from typing import Any, Callable, Optional
 
 SimTime = int  # milliseconds of simulated time
@@ -60,30 +59,43 @@ def stream_seed(seed: int, node_id: int, purpose: str) -> int:
 
 
 class EventEngine:
-    """Single-threaded event loop with integer-millisecond time."""
+    """Single-threaded event loop with integer-millisecond time.
+
+    The queue is a heap of distinct fire times plus, per fire time, a list of
+    (target, payload) events in schedule order, after the calendar queues of
+    Brown (CACM 1988) for integer event times. An instant's list is drained by
+    index, so an event scheduled at delay 0 from inside that instant runs after
+    every event already in it: exactly the (fire_at, seq) order of one heap
+    entry per event.
+    """
 
     def __init__(self):
         self.now: SimTime = 0
-        self._heap: list[tuple[int, int, int, Any]] = []
-        self._seq = count()
-        self.handlers: dict[int, Callable[[Any], None]] = {}  # target -> handler
+        self._instants: list[int] = []  # heap of the fire times in _buckets
+        self._buckets: dict[int, list[tuple[int, Any]]] = {}  # fire time -> events
+        self._handlers: dict[int, Callable[[Any], None]] = {}  # target -> handler
         self.scheduled_count = 0
         self.dispatched_count = 0
         self.discarded_count = 0
 
     def register(self, target: int, handler: Callable[[Any], None]) -> None:
-        self.handlers[target] = handler
+        self._handlers[target] = handler
 
     def schedule(self, delay: int, target: int, payload: Any) -> None:
         """Enqueue `payload` for `target` at now() + delay. Rejects negative delay."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        seq = next(self._seq)
-        heapq.heappush(self._heap, (self.now + int(delay), seq, target, payload))
+        at = self.now + int(delay)
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            self._buckets[at] = [(target, payload)]
+            heapq.heappush(self._instants, at)
+        else:
+            bucket.append((target, payload))
         self.scheduled_count += 1
 
     def pending(self) -> int:
-        return len(self._heap)
+        return self.scheduled_count - self.dispatched_count - self.discarded_count
 
     def run_until_idle(self, deadline: Optional[SimTime] = None) -> SimTime:
         """Dispatch events in (fire_at, seq) order until the queue empties.
@@ -91,30 +103,42 @@ class EventEngine:
         Exits early, discarding whatever remains queued, when the next event
         would fire past `deadline`. Returns the final clock value.
         """
-        heap, handlers, pop = self._heap, self.handlers, heapq.heappop
+        instants, buckets, handlers = self._instants, self._buckets, self._handlers
         limit = float("inf") if deadline is None else deadline
-        while heap:
-            if heap[0][0] > limit:
-                self.discarded_count += len(heap)
-                heap.clear()
+        while instants:
+            at = instants[0]
+            if at > limit:
+                self.discarded_count += self.pending()
+                instants.clear()
+                buckets.clear()
                 break
-            fire_at, _seq, target, payload = pop(heap)
-            assert fire_at >= self.now, "clock monotonicity violated"
-            self.now = fire_at
-            self.dispatched_count += 1
-            handler = handlers.get(target)
-            if handler is None:
-                raise KeyError(f"no handler registered for event target {target}")
-            handler(payload)
+            assert at >= self.now, "clock monotonicity violated"
+            self.now = at
+            bucket = buckets[at]
+            i = 0
+            try:
+                while i < len(bucket):  # handlers may append to this instant
+                    target, payload = bucket[i]
+                    i += 1
+                    self.dispatched_count += 1
+                    handler = handlers.get(target)
+                    if handler is None:
+                        raise KeyError(f"no handler registered for event target {target}")
+                    handler(payload)
+            except BaseException:
+                del bucket[:i]  # a raising handler leaves the rest of its instant queued
+                raise
+            heapq.heappop(instants)
+            del buckets[at]
         return self.now
 
     def advance_to(self, t: SimTime) -> SimTime:
         """Fast-forward the clock to t without dispatching anything."""
         if t < self.now:
             raise ValueError(f"cannot advance to t={t} before now={self.now}")
-        if self._heap and self._heap[0][0] < t:
+        if self._instants and self._instants[0] < t:
             raise ValueError(
-                f"cannot skip over pending event at t={self._heap[0][0]} when advancing to {t}"
+                f"cannot skip over pending event at t={self._instants[0]} when advancing to {t}"
             )
         self.now = t
         return self.now

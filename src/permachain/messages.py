@@ -1,7 +1,8 @@
 """Protocol message bodies.
 
-Network messages travel inside a MessageEnvelope (see network.py). Each body
-class carries what the rest of the simulator needs to know about it:
+The network hands a body to each recipient's ``receive(sender, body)`` as it
+is (see network.py). Each body class carries what the rest of the simulator
+needs to know about it:
   * ``delay_kind``: which processing-delay distribution a receiver applies;
   * ``handler``: the node method that consumes it (see node.py);
   * ``corrupted()``: the copy an active tamperer sends, with its carried

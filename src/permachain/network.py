@@ -12,38 +12,30 @@ propagation delay. Per recipient, in recipient order, the draws are: one on
 the sender's ``drop`` stream (only a passive sender with a drop probability
 above 0 has one), then, if not dropped, one on the sender's ``latency`` stream
 and one on the recipient's ``processing-delay`` stream. A constant model
-consumes no draw. Each node's Byzantine type and drop probability are fixed
-when it registers; the receiving node records the delivery (see node.py).
+consumes no draw. Each node's Byzantine type, drop probability and
+``receive(sender, body)`` are fixed when it registers.
 
 A broadcast schedules one engine event per delivery instant, not per
-recipient: the recipients that share a total delay form a group, whose event
-delivers to them in recipient order (a group of one is scheduled straight to
-its recipient). That is the order one event per recipient would give, because
-a broadcast's events take consecutive sequence numbers, so no other event can
-fall between two deliveries of one instant.
+recipient: the recipients that share a total delay form a group (a group of
+one included), whose event on the network's own target carries
+``(src, sent_at, body, [(dst, latency), ...])``. Delivering it calls each
+member's ``receive`` in recipient order, each transaction or block delivery
+recorded just before. That is the order one event per recipient would give,
+because a broadcast's events are scheduled back to back, so no other event
+can fall between two deliveries of one instant.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import messages as m
 from .distributions import Distribution
 from .engine import EventEngine, RngStreams
 from .errors import ConfigError, UnknownNodeError
 from .faults import ByzantineType, should_drop
-from .ledger import ValidationDelays
-
-
-@dataclass(slots=True)
-class MessageEnvelope:
-    sender: int
-    recipient: int
-    sent_at: int
-    delivered_at: int  # arrival time, before the receiver's processing delay
-    body: object
+from .ledger import BLOCK, TRANSACTION, ValidationDelays
 
 
 class LatencyTable:
@@ -104,14 +96,14 @@ class LatencyTable:
         return out
 
 
-# Engine target of a group of deliveries; node ids are >= 1 and the coordinator is 0.
-GROUP = -1
+# Engine target of every delivery group; node ids are >= 1 and the coordinator is 0.
+DELIVERY = -1
 
 
 class Network:
     """Schedules deliveries through the event engine, one event per delivery
-    instant; takes each node's streams at `register_node` and caches each
-    (src, dst) latency model."""
+    instant; takes each node's streams and receiver at `register_node` and
+    caches each (src, dst) latency model."""
 
     def __init__(self, engine: EventEngine, streams: RngStreams,
                  latency: LatencyTable, delays: ValidationDelays, recorder):
@@ -122,14 +114,16 @@ class Network:
         self.recorder = recorder
         self._locations: dict[int, str] = {}
         self._delay_rng: dict[int, random.Random] = {}
+        self._receivers: dict[int, Callable[[int, object], None]] = {}
         # sender -> (byz, dst -> latency model, latency stream, (p, drop stream) or None)
         self._outbound: dict[int, tuple] = {}
-        engine.register(GROUP, self._deliver_group)
+        engine.register(DELIVERY, self._deliver)
 
     def register_node(self, node_id: int, location: str, byz: ByzantineType,
-                      drop_prob: float) -> None:
+                      drop_prob: float, receive: Callable[[int, object], None]) -> None:
         self._locations[node_id] = location
         self._delay_rng[node_id] = self.streams.stream(node_id, "processing-delay")
+        self._receivers[node_id] = receive
         drop = ((drop_prob, self.streams.stream(node_id, "drop"))
                 if should_drop(byz, drop_prob) else None)
         self._outbound[node_id] = (byz, {}, self.streams.stream(node_id, "latency"), drop)
@@ -147,31 +141,29 @@ class Network:
             body = body.corrupted()
         delay = self.delays.model_for(body.delay_kind)
         send = self.send
-        groups: dict[int, list[MessageEnvelope]] = {}  # total delay -> envelopes
+        groups: dict[int, list[tuple[int, int]]] = {}  # total delay -> [(dst, latency)]
         attempted = scheduled = 0
         for dst in recipients:
             if dst != src:
                 attempted += 1
-                scheduled += send(src, dst, body, delay, out, groups)
-        schedule = self.engine.schedule
-        for total, group in groups.items():
-            if len(group) == 1:
-                schedule(total, group[0].recipient, group[0])
-            else:
-                schedule(total, GROUP, group)
+                scheduled += send(src, dst, delay, out, groups)
+        engine = self.engine
+        now = engine.now
+        for total, members in groups.items():
+            engine.schedule(total, DELIVERY, (src, now, body, members))
         if scheduled:
             self.recorder.message_sent(kind, scheduled)
         if attempted > scheduled:
             self.recorder.message_dropped(kind, attempted - scheduled)
         return scheduled
 
-    def send(self, src: int, dst: int, body, delay: Distribution, out: tuple,
-             groups: dict[int, list[MessageEnvelope]]) -> bool:
+    def send(self, src: int, dst: int, delay: Distribution, out: tuple,
+             groups: dict[int, list[tuple[int, int]]]) -> bool:
         """One recipient's delivery within `broadcast`, a method of its own so that
         perfbench's span on it counts every attempt; False when it was dropped.
 
         `out` is the sender's `_outbound` entry, which `broadcast` looked up once.
-        The envelope joins the group in `groups` for its total delay."""
+        (dst, latency) joins the group in `groups` for its total delay."""
         _, models, latency_rng, drop = out
         if drop is not None and drop[1].random() < drop[0]:
             return False
@@ -182,14 +174,17 @@ class Network:
             model = models[dst] = self.latency.model_for(self._locations[src],
                                                          self._locations[dst])
         lat = model.sample_ms(latency_rng)
-        now = self.engine.now
-        groups.setdefault(lat + delay.sample_ms(self._delay_rng[dst]), []).append(
-            MessageEnvelope(src, dst, now, now + lat, body))
+        groups.setdefault(lat + delay.sample_ms(self._delay_rng[dst]), []).append((dst, lat))
         return True
 
-    def _deliver_group(self, envelopes: list[MessageEnvelope]) -> None:
-        """Hand each envelope of one group, in order, to its recipient's handler
-        in the engine's registry, looked up at delivery as for any other event."""
-        handlers = self.engine.handlers
-        for env in envelopes:
-            handlers[env.recipient](env)
+    def _deliver(self, group: tuple) -> None:
+        """Hand one group's body to each member in order, first recording each
+        transaction or block delivery (its latency is the propagation delay)."""
+        src, sent_at, body, members = group
+        receivers, record = self._receivers, self.recorder.record_delivery
+        kind = body.delay_kind
+        recorded = kind in (TRANSACTION, BLOCK)
+        for dst, lat in members:
+            if recorded:
+                record(kind, src, dst, sent_at, sent_at + lat)
+            receivers[dst](src, body)

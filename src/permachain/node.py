@@ -2,8 +2,9 @@
 
 Each network message class names the handler method that consumes it (see
 messages.py); a node class that lacks that method counts the body under
-``unhandled_<Kind>`` in its stats and otherwise ignores it. `receive` also
-records transaction and block deliveries. Every class takes (node_id, byz, world).
+``unhandled_<Kind>`` in its stats and otherwise ignores it. The network calls
+`receive(sender, body)` once per delivery, after it has recorded a transaction
+or block delivery. Every class takes (node_id, byz, world).
 
 `_accept` is the one in-order block path: a valid block above the next height
 is held in `_ahead` until the blocks below it have been appended.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from . import messages as m
 from .faults import ByzantineType
-from .ledger import BLOCK, TRANSACTION, Block, Chain
+from .ledger import Block, Chain
 from .workload import TransactionPool
 
 
@@ -29,7 +30,6 @@ class Node:
         self.committed_txids: set[int] = set()
         self.stats: dict[str, int] = {}
         self._ahead: dict[int, Block] = {}  # height -> accepted block waiting for its parent
-        self._record_delivery = world.recorder.record_delivery
 
     @property
     def next_height(self) -> int:
@@ -41,18 +41,14 @@ class Node:
     def start_day(self) -> None:
         """Called on every authority as a day begins, before block production."""
 
-    def receive(self, env) -> None:
-        body = env.body
-        kind = body.delay_kind
-        if kind in (TRANSACTION, BLOCK):
-            self._record_delivery(kind, env.sender, env.recipient, env.sent_at, env.delivered_at)
+    def receive(self, sender: int, body) -> None:
         handler = getattr(self, body.handler, None)
         if handler is None:
             self._count("unhandled_" + m.kind_of(body))
         else:
-            handler(env, body)
+            handler(sender, body)
 
-    def on_gossip(self, env, msg) -> None:
+    def on_gossip(self, sender: int, msg: m.TxGossip) -> None:
         if msg.tx.tx_id not in self.committed_txids:
             self.pool.add(msg.tx)
 

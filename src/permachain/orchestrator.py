@@ -66,8 +66,7 @@ class World:
             node_class = authority if row.authority else follower
             node = self.nodes[row.id] = node_class(row.id, row.byzantine, self)
             self.network.register_node(row.id, row.location, node.byz,
-                                       config.drop_prob_for(row.id))
-            self.engine.register(row.id, node.receive)
+                                       config.drop_prob_for(row.id), node.receive)
         self.engine.register(COORDINATOR, lambda call: call())
         self.kickoff = kickoff(self)
         ignored = [r.id for r in table.rows if self.nodes[r.id].byz is not r.byzantine]

@@ -45,7 +45,6 @@ from . import messages as m
 from .engine import COORDINATOR
 from .faults import ByzantineType
 from .ledger import Block, compute_digest, make_block
-from .network import MessageEnvelope
 from .node import Node
 
 
@@ -84,13 +83,13 @@ class PbftFollower(Node):
         self.announce_threshold = self.rule.quorum  # a replica lowers it to f+1
         self.announcements: dict[tuple[int, int], set] = {}  # (height, digest) -> announcers
 
-    def on_announce(self, env: MessageEnvelope, msg: m.BlockAnnounce) -> None:
+    def on_announce(self, sender: int, msg: m.BlockAnnounce) -> None:
         block = msg.block
         if compute_digest(block) != block.digest:
             self._count("announce_invalid_digest")
             return
         senders = self.announcements.setdefault((block.height, block.digest), set())
-        senders.add(env.sender)
+        senders.add(sender)
         if len(senders) == self.announce_threshold:
             self._accept(block)
 
@@ -166,13 +165,13 @@ class PbftReplica(PbftFollower):
 
     # -- three phases ----------------------------------------------------
 
-    def on_preprepare(self, env: MessageEnvelope, msg: m.PrePrepare) -> None:
-        if msg.view > self.view and env.sender == primary_of(msg.view, self.world.authorities):
+    def on_preprepare(self, sender: int, msg: m.PrePrepare) -> None:
+        if msg.view > self.view and sender == primary_of(msg.view, self.world.authorities):
             self._adopt_view(msg.view)  # proof the network moved on without us
         if msg.view != self.view:
             self._count("preprepare_wrong_view")
             return
-        if env.sender != primary_of(msg.view, self.world.authorities):
+        if sender != primary_of(msg.view, self.world.authorities):
             self._count("preprepare_not_primary")
             return
         block, view = msg.block, msg.view
@@ -185,7 +184,7 @@ class PbftReplica(PbftFollower):
             self._count("preprepare_invalid_digest")
             return  # timer keeps running; tampering suspected
         self.preprepared[view, block.height] = block
-        self.prepares.setdefault((view, block.height, block.digest), set()).add(env.sender)
+        self.prepares.setdefault((view, block.height, block.digest), set()).add(sender)
         self._maybe_send_prepare(view, block)
         self._check_prepared(view, block.height)
         self._check_committed(view, block.height)
@@ -207,8 +206,8 @@ class PbftReplica(PbftFollower):
         self.world.network.broadcast(self.id, m.Prepare(view, height, digest),
                                      self.world.authorities)
 
-    def on_prepare(self, env: MessageEnvelope, msg: m.Prepare) -> None:
-        self.prepares.setdefault((msg.view, msg.height, msg.digest), set()).add(env.sender)
+    def on_prepare(self, sender: int, msg: m.Prepare) -> None:
+        self.prepares.setdefault((msg.view, msg.height, msg.digest), set()).add(sender)
         self._check_prepared(msg.view, msg.height)
 
     def _check_prepared(self, view: int, height: int) -> None:
@@ -228,8 +227,8 @@ class PbftReplica(PbftFollower):
             self._accept(block)
         self._check_committed(view, height)
 
-    def on_commit(self, env: MessageEnvelope, msg: m.Commit) -> None:
-        self.commits.setdefault((msg.view, msg.height, msg.digest), set()).add(env.sender)
+    def on_commit(self, sender: int, msg: m.Commit) -> None:
+        self.commits.setdefault((msg.view, msg.height, msg.digest), set()).add(sender)
         self._check_committed(msg.view, msg.height)
 
     def _check_committed(self, view: int, height: int) -> None:
@@ -260,7 +259,7 @@ class PbftReplica(PbftFollower):
         self.world.network.broadcast(self.id, vote, self.world.authorities)
         self._check_viewchange(proposed)
 
-    def on_viewchange(self, env: MessageEnvelope, msg: m.ViewChange) -> None:
+    def on_viewchange(self, sender: int, msg: m.ViewChange) -> None:
         if msg.proposed_view <= self.view:
             self._count("viewchange_stale")
             return
@@ -268,7 +267,7 @@ class PbftReplica(PbftFollower):
         if lock is not None and compute_digest(lock.block) != lock.block.digest:
             self._count("viewchange_invalid_cert")
             lock = None
-        self.vc_votes.setdefault(msg.proposed_view, {})[env.sender] = (msg.next_height, lock)
+        self.vc_votes.setdefault(msg.proposed_view, {})[sender] = (msg.next_height, lock)
         # join a view change once f+1 peers demand one, even without a timeout
         if self.my_top_vote <= self.view:
             higher = sorted(v for v in self.vc_votes if v > self.view)
@@ -304,6 +303,6 @@ class PbftReplica(PbftFollower):
         best = max(filter(None, certs), key=attrgetter("view"), default=None)
         self._propose(pending, None if best is None else best.block)
 
-    def on_newview(self, env: MessageEnvelope, msg: m.NewView) -> None:
-        if msg.view > self.view and env.sender == primary_of(msg.view, self.world.authorities):
+    def on_newview(self, sender: int, msg: m.NewView) -> None:
+        if msg.view > self.view and sender == primary_of(msg.view, self.world.authorities):
             self._adopt_view(msg.view)

@@ -21,7 +21,6 @@ from . import messages as m
 from .engine import COORDINATOR
 from .faults import ByzantineType
 from .ledger import Block, compute_digest, make_block
-from .network import MessageEnvelope
 from .node import Node
 
 
@@ -94,7 +93,7 @@ class PoaNode(Node):
         self._append(block)
         self.world.network.broadcast(self.id, m.BlockMsg(block), self.world.all_ids)
 
-    def on_block(self, env: MessageEnvelope, msg: m.BlockMsg) -> None:
+    def on_block(self, sender: int, msg: m.BlockMsg) -> None:
         block = msg.block
         if compute_digest(block) != block.digest:
             self._count("block_invalid_digest")

@@ -77,7 +77,8 @@ class RunRecorder:
         else:
             agg[0] += 1
             agg[1] += delay
-            agg[2] = max(agg[2], delay)
+            if delay > agg[2]:
+                agg[2] = delay
         if self.record_sink is not None:
             self.record_sink.writerow((kind, src, dst, sent_at, delivered_at))
 

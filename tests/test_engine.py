@@ -1,5 +1,8 @@
 """Event engine: ordering, fast-forward, deadlines, determinism."""
 
+import heapq
+from itertools import count
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,6 +105,98 @@ def test_dispatch_order_is_deterministic_and_monotone(items):
     assert traces[0] == traces[1]
     times = [t for t, _ in traces[0]]
     assert times == sorted(times)
+
+
+TARGETS = (COORDINATOR, 1, 2)
+
+# An event: (delay, target, children), each child scheduled by the event's own
+# handler, in order, relative to the instant the handler runs.
+event_trees = st.recursive(
+    st.tuples(st.integers(0, 6), st.sampled_from(TARGETS), st.just(())),
+    lambda children: st.tuples(st.integers(0, 6), st.sampled_from(TARGETS),
+                               st.lists(children, max_size=3).map(tuple)),
+    max_leaves=25)
+
+
+def run_engine(roots, deadline):
+    """Run `roots` through an EventEngine; returns (engine, [(time, target, name)])."""
+    engine = EventEngine()
+    trace = []
+
+    def handler(target):
+        def handle(payload):
+            name, children = payload
+            trace.append((engine.now, target, name))
+            for i, (delay, child_target, grandchildren) in enumerate(children):
+                engine.schedule(delay, child_target, (f"{name}.{i}", grandchildren))
+        return handle
+
+    for target in TARGETS:
+        engine.register(target, handler(target))
+    for i, (delay, target, children) in enumerate(roots):
+        engine.schedule(delay, target, (str(i), children))
+    assert engine.run_until_idle(deadline) == (trace[-1][0] if trace else 0)
+    return engine, trace
+
+
+def reference_order(roots, deadline):
+    """The same run on one heap entry per event, popped in (fire_at, seq) order;
+    returns (trace, how many events were left past the deadline)."""
+    heap, seq, trace = [], count(), []
+    for i, (delay, target, children) in enumerate(roots):
+        heapq.heappush(heap, (delay, next(seq), target, str(i), children))
+    while heap and (deadline is None or heap[0][0] <= deadline):
+        now, _, target, name, children = heapq.heappop(heap)
+        trace.append((now, target, name))
+        for i, (delay, child_target, grandchildren) in enumerate(children):
+            heapq.heappush(heap, (now + delay, next(seq), child_target, f"{name}.{i}",
+                                  grandchildren))
+    return trace, len(heap)
+
+
+@given(st.lists(event_trees, max_size=12), st.none() | st.integers(0, 20))
+def test_dispatch_order_matches_a_heap_of_fire_at_and_seq(roots, deadline):
+    engine, trace = run_engine(roots, deadline)
+    expected, left = reference_order(roots, deadline)
+    assert trace == expected
+    assert (engine.dispatched_count, engine.discarded_count) == (len(expected), left)
+    assert engine.scheduled_count == engine.dispatched_count + engine.discarded_count
+    assert engine.pending() == 0
+
+
+def test_advance_to_refuses_to_skip_a_pending_instant():
+    engine = EventEngine()
+    seen = collector(engine)
+    engine.schedule(5, COORDINATOR, "a")
+    engine.schedule(5, COORDINATOR, "b")
+    engine.schedule(9, COORDINATOR, "c")
+    assert engine.advance_to(5) == 5  # lands on the instant, skips nothing
+    with pytest.raises(ValueError):
+        engine.advance_to(6)
+    assert (engine.now, engine.pending(), seen) == (5, 3, [])
+    assert engine.run_until_idle() == 9
+    assert seen == [(5, "a"), (5, "b"), (9, "c")]
+    assert engine.advance_to(10) == 10  # a drained instant holds nothing back
+
+
+def test_a_raising_handler_leaves_the_rest_of_its_instant_queued():
+    engine = EventEngine()
+    seen = []
+
+    def handle(payload):
+        if payload == "boom":
+            raise RuntimeError(payload)
+        seen.append(payload)
+
+    engine.register(COORDINATOR, handle)
+    for payload in ("a", "boom", "b"):
+        engine.schedule(3, COORDINATOR, payload)
+    with pytest.raises(RuntimeError):
+        engine.run_until_idle()
+    assert (seen, engine.pending()) == (["a"], 1)
+    assert engine.run_until_idle() == 3
+    assert seen == ["a", "b"]
+    assert engine.scheduled_count == engine.dispatched_count == 3
 
 
 def test_rng_streams_reproducible_and_independent():

@@ -59,7 +59,7 @@ def drop_fraction(byz, prob, n=10_000, seed=3):
     net = Network(engine, RngStreams(seed), LatencyTable.from_config(None), delays,
                   RunRecorder(engine))
     for node in (1, 2):
-        net.register_node(node, "here", byz, prob)
+        net.register_node(node, "here", byz, prob, lambda sender, body: None)
     return sum(1 - net.broadcast(1, m.TxGossip(tx=None), [2]) for _ in range(n)) / n
 
 

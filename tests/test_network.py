@@ -5,6 +5,7 @@ import math
 import random
 import statistics
 import zlib
+from functools import partial
 
 import pytest
 
@@ -32,11 +33,12 @@ class LoggedStreams(RngStreams):
 
 
 class LoggedRecorder(RunRecorder):
-    """RunRecorder that logs its network hook calls."""
+    """RunRecorder that logs its network hook calls, deliveries apart."""
 
     def __init__(self):
         super().__init__()
         self.hook_calls = []
+        self.deliveries = []  # (kind, src, dst, sent_at, delivered_at), dispatch order
 
     def message_sent(self, kind, n):
         self.hook_calls.append(("sent", kind, n))
@@ -46,8 +48,15 @@ class LoggedRecorder(RunRecorder):
         self.hook_calls.append(("dropped", kind, n))
         super().message_dropped(kind, n)
 
+    def record_delivery(self, kind, src, dst, sent_at, delivered_at):
+        self.deliveries.append((kind, src, dst, sent_at, delivered_at))
+        super().record_delivery(kind, src, dst, sent_at, delivered_at)
 
-def build_net(n_nodes=13, byz=None, drop_prob=0.4, latency=None, seed=1, overrides=None):
+
+def build_net(n_nodes=13, byz=None, drop_prob=0.4, latency=None, seed=1, overrides=None,
+              receive=lambda node, sender, body: None):
+    """A bare Network over nodes 1..n_nodes; node i hands each delivery to
+    receive(i, sender, body)."""
     byz = byz or {}
     engine = EventEngine()
     streams = LoggedStreams(seed)
@@ -58,8 +67,8 @@ def build_net(n_nodes=13, byz=None, drop_prob=0.4, latency=None, seed=1, overrid
     faults = RunConfig("pbft", drop_prob=drop_prob, drop_prob_overrides=overrides or {})
     net = Network(engine, streams, table, delays, recorder=recorder)
     for i in range(1, n_nodes + 1):
-        net.register_node(i, f"loc-{i}", ByzantineType(byz.get(i, 0)), faults.drop_prob_for(i))
-        engine.register(i, lambda env: None)
+        net.register_node(i, f"loc-{i}", ByzantineType(byz.get(i, 0)), faults.drop_prob_for(i),
+                          partial(receive, i))
     return engine, net, recorder
 
 
@@ -67,21 +76,23 @@ def gossip(i=1):
     return m.TxGossip(Transaction(i, 1, "x", 0, 1))
 
 
-def delivered(engine, n_nodes=13):
-    """Log every delivery to nodes 1..n_nodes as (time, node, envelope), in dispatch order."""
+def logged_net(**kwargs):
+    """build_net, plus a log of every delivery as (time, node, sender, body), in
+    dispatch order."""
     log = []
-    for i in range(1, n_nodes + 1):
-        engine.register(i, lambda env, i=i: log.append((engine.now, i, env)))
-    return log
+    engine, net, recorder = build_net(
+        receive=lambda node, sender, body: log.append((engine.now, node, sender, body)),
+        **kwargs)
+    return engine, net, recorder, log
 
 
 def latencies(net, src, dst, n):
     """Latencies of n single-recipient broadcasts, in send order."""
-    envelopes = []
-    net.engine.schedule = lambda delay, target, env: envelopes.append(env)
+    groups = []
+    net.engine.schedule = lambda delay, target, group: groups.append(group)
     for i in range(n):
         net.broadcast(src, gossip(i), [dst])
-    return [env.delivered_at - env.sent_at for env in envelopes]
+    return [lat for _src, _sent_at, _body, members in groups for _dst, lat in members]
 
 
 def test_constant_latency_always_ten():
@@ -140,16 +151,15 @@ def test_no_model_no_default_errors():
 
 
 def test_send_schedules_delivery_after_latency_plus_processing():
-    engine, net, _ = build_net()
-    got = []
-    engine.register(2, lambda env: got.append((engine.now, env)))
+    engine, net, recorder, log = logged_net()
     assert net.broadcast(1, gossip(), [2]) == 1
     engine.run_until_idle()
-    t, env = got[0]
-    assert env.sent_at == 0
-    assert env.delivered_at == 10       # latency only
-    assert t == 11                      # plus the receiver's processing delay
-    assert env.delivered_at >= env.sent_at
+    (kind, src, dst, sent_at, delivered_at), = recorder.deliveries
+    assert (kind, src, dst) == ("transaction", 1, 2)
+    assert sent_at == 0
+    assert delivered_at == 10           # latency only
+    assert log == [(11, 2, 1, gossip())]  # plus the receiver's processing delay
+    assert delivered_at >= sent_at
 
 
 def test_unknown_recipient_raises():
@@ -203,30 +213,27 @@ def test_latency_draws_unaffected_by_other_nodes():
 
 
 def test_active_sender_corrupts_digest_bearing_only():
-    engine, net, _ = build_net(byz={1: 1})
-    got = []
-    engine.register(2, lambda env: got.append(env))
+    engine, net, _, log = logged_net(byz={1: 1})
     from permachain.ledger import genesis_block, make_block
     block = make_block(1, 0, 1, genesis_block().digest, (), 0)
     net.broadcast(1, m.PrePrepare(0, block), [2])
     net.broadcast(1, gossip(), [2])
     engine.run_until_idle()
-    assert got[0].body.block.digest != block.digest  # tampered in transit
-    assert got[1].body == gossip()                   # payload traffic untouched
+    got = [body for _t, _node, _sender, body in log]
+    assert got[0].block.digest != block.digest  # tampered in transit
+    assert got[1] == gossip()                   # payload traffic untouched
 
 
 def test_passive_sender_byte_identical_when_not_dropping():
-    engine_h, net_h, _ = build_net(byz={}, seed=11)
-    engine_p, net_p, _ = build_net(byz={1: 2}, drop_prob=0.0, seed=11)
-    seen_h, seen_p = [], []
-    engine_h.register(2, lambda env: seen_h.append(env))
-    engine_p.register(2, lambda env: seen_p.append(env))
+    engine_h, net_h, recorder_h, seen_h = logged_net(byz={}, seed=11)
+    engine_p, net_p, recorder_p, seen_p = logged_net(byz={1: 2}, drop_prob=0.0, seed=11)
     body = gossip()
     net_h.broadcast(1, body, [2])
     net_p.broadcast(1, body, [2])
     engine_h.run_until_idle()
     engine_p.run_until_idle()
     assert seen_h == seen_p
+    assert recorder_h.deliveries == recorder_p.deliveries
 
 
 def reference_stream(seed, node_id, purpose):
@@ -278,7 +285,7 @@ def test_each_kind_draws_its_formula_from_random_alone(spec):
 def test_passive_sender_draws_drop_stream_once_per_recipient():
     # per recipient, in order: drop iff the drop stream reads below p, else one latency draw
     table = LatencyTable(default=Distribution("uniform", {"lo": 1, "hi": 30}))
-    _, net, _ = build_net(byz={1: 2}, drop_prob=0.4, latency=table, seed=3)
+    _, net, recorder, log = logged_net(byz={1: 2}, drop_prob=0.4, latency=table, seed=3)
     drop, latency = reference_stream(3, 1, "drop"), reference_stream(3, 1, "latency")
     expected = []
     for i in range(10):
@@ -286,12 +293,14 @@ def test_passive_sender_draws_drop_stream_once_per_recipient():
             if not drop.random() < 0.4:
                 expected.append((i, dst, reference_draw("uniform", table.default.params,
                                                         latency)))
-    log = delivered(net.engine)
     for i in range(10):
         net.broadcast(1, gossip(i), range(1, 14))  # the sender itself is skipped
     net.engine.run_until_idle()
-    assert sorted((env.body.tx.tx_id, node, env.delivered_at - env.sent_at)
-                  for _, node, env in log) == expected
+    # each delivery is recorded just before its recipient receives it
+    assert [dst for _, _, dst, _, _ in recorder.deliveries] == [node for _, node, _, _ in log]
+    assert sorted((body.tx.tx_id, node, delivered_at - sent_at)
+                  for (_, node, _, body), (_, _, _, sent_at, delivered_at)
+                  in zip(log, recorder.deliveries)) == expected
     assert 0 < len(expected) < 120
     assert net.streams.stream(1, "drop").random() == drop.random()
     assert net.streams.stream(1, "latency").random() == latency.random()
@@ -321,18 +330,17 @@ def test_broadcast_counts_its_sends_and_drops_once():
 
 
 def test_one_event_per_delivery_instant():
-    engine, net, _ = build_net()  # constant 10 ms latency, constant 1 ms processing
-    log = delivered(engine)
+    engine, net, _, log = logged_net()  # constant 10 ms latency, constant 1 ms processing
     for i in range(10):
         assert net.broadcast(1, gossip(i), range(1, 14)) == 12
     assert engine.scheduled_count == 10
     engine.run_until_idle()
     assert engine.dispatched_count == 10
-    assert [(t, node, env.body.tx.tx_id) for t, node, env in log] == \
-        [(11, node, i) for i in range(10) for node in range(2, 14)]
+    assert [(t, node, sender, body.tx.tx_id) for t, node, sender, body in log] == \
+        [(11, node, 1, i) for i in range(10) for node in range(2, 14)]
 
 
-def mixed_delay_net():
+def mixed_delay_net(receive):
     """Nodes 1-9; from node 1, nodes 3 and 5 are 5 ms away, node 7 is 20 ms, the rest 10 ms.
 
     With 1 ms processing, a broadcast from node 1 to nodes 2-7 arrives at 2, 4
@@ -343,19 +351,20 @@ def mixed_delay_net():
         "pairs": [{"src": "loc-1", "dst": f"loc-{dst}", "kind": "constant", "ms": ms}
                   for dst, ms in ((3, 5), (5, 5), (7, 20))],
     })
-    return build_net(n_nodes=9, latency=table)
+    return build_net(n_nodes=9, latency=table, receive=receive)
 
 
 def test_grouped_deliveries_keep_the_order_of_one_event_per_recipient():
-    engine, net, _ = mixed_delay_net()
-    log = delivered(engine, n_nodes=9)
-    relay = engine.handlers[2]
+    log = []
 
-    def relay_now(env):  # node 2 schedules an event at its own delivery instant
-        relay(env)
-        engine.schedule(0, 9, "scheduled during the group")
+    def receive(node, sender, body):
+        log.append((engine.now, node))
+        if node == 2:  # node 2 schedules an event at its own delivery instant
+            engine.schedule(0, 9, "scheduled during the group")
 
-    engine.register(2, relay_now)
+    engine, net, _ = mixed_delay_net(receive)
+    for target in (8, 9):  # engine events of their own, not deliveries
+        engine.register(target, lambda payload, target=target: log.append((engine.now, target)))
     for t in (6, 11):
         engine.schedule(t, 8, "scheduled before the broadcast")
     assert net.broadcast(1, gossip(), range(2, 8)) == 6
@@ -363,7 +372,7 @@ def test_grouped_deliveries_keep_the_order_of_one_event_per_recipient():
         engine.schedule(t, 9, "scheduled after the broadcast")
     assert engine.scheduled_count == 4 + 3
     engine.run_until_idle()
-    assert [(t, node) for t, node, _ in log] == [
+    assert log == [
         (6, 8), (6, 3), (6, 5), (6, 9),
         (11, 8), (11, 2), (11, 4), (11, 6), (11, 9), (11, 9),
         (21, 7),
@@ -372,11 +381,11 @@ def test_grouped_deliveries_keep_the_order_of_one_event_per_recipient():
 
 
 def test_a_group_past_the_deadline_is_discarded_whole():
-    engine, net, _ = mixed_delay_net()
-    log = delivered(engine, n_nodes=9)
+    log = []
+    engine, net, _ = mixed_delay_net(lambda node, sender, body: log.append((engine.now, node)))
     net.broadcast(1, gossip(), range(2, 8))
     engine.run_until_idle(deadline=10)
-    assert [(t, node) for t, node, _ in log] == [(6, 3), (6, 5)]
+    assert log == [(6, 3), (6, 5)]
     assert (engine.scheduled_count, engine.dispatched_count, engine.discarded_count) == (3, 1, 2)
     assert engine.scheduled_count == engine.dispatched_count + engine.discarded_count
     assert engine.pending() == 0

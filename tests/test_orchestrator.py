@@ -1,14 +1,20 @@
 """Day loop: empty-block termination, fast-forward, carryover, guard."""
 
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from conftest import make_world, quick_run
+from permachain import messages as m
 from permachain.cli import load_scenario
 from permachain.config import DAY_LENGTH_MS, RunConfig
 from permachain.ledger import genesis_block, make_block
-from permachain.nodetable import parse_node_rows
+from permachain.node import Node
+from permachain.nodetable import parse_node_rows, parse_node_table
 from permachain.orchestrator import run_all
-from permachain.workload import parse_schedule
+from permachain.workload import load_schedule, parse_schedule
 
 
 def test_stop_condition_counter_semantics():
@@ -163,18 +169,42 @@ def test_multi_day_run_at_desk_scale_conserves_transactions():
     assert result.report["totals"]["txs_created"] == expected
 
 
-@pytest.mark.parametrize("name", ["pbft-viewchange", "poa-baseline", "poet-baseline",
-                                  "situation1-desk"])
-def test_whole_run_conserves_events_and_deliveries(name):
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def load_inputs(name):
+    """(config, node table, schedule) of a bundled scenario or of a fixture directory."""
+    fixture = FIXTURES / name
+    if fixture.is_dir():
+        config = RunConfig.from_dict(json.loads((fixture / "config.json").read_text()))
+        table = parse_node_table(fixture / "nodes.csv", config.authority_rule)
+        return config, table, load_schedule(fixture / "transactions.json", set(table.ids))
     sc = load_scenario(name)
     config = RunConfig.from_dict(sc["config"])
     table = parse_node_rows(sc["nodes"], config.authority_rule)
-    result = run_all(config, table, parse_schedule(sc["transactions"], set(table.ids)))
+    return config, table, parse_schedule(sc["transactions"], set(table.ids))
+
+
+@pytest.mark.parametrize("name", ["pbft-viewchange", "poa-baseline", "poet-baseline",
+                                  "situation1-desk", "pbft-quorum-small"])
+def test_whole_run_conserves_events_and_deliveries(name, monkeypatch):
+    received = Counter()  # body kind -> deliveries handed to a node
+    receive = Node.receive
+
+    def counting_receive(node, sender, body):
+        received[m.kind_of(body)] += 1
+        receive(node, sender, body)
+
+    monkeypatch.setattr(Node, "receive", counting_receive)
+    result = run_all(*load_inputs(name))
     engine = result.world.engine
     assert engine.scheduled_count == engine.dispatched_count + engine.discarded_count
 
     counts = result.world.recorder.message_counts
-    sent = counts["TxGossip"] + counts["BlockMsg"] + counts["BlockAnnounce"]
-    delivered = sum(a["count"] for a in result.report["propagation"]["aggregates"].values())
-    # a discarded delivery was sent but never recorded
-    assert delivered <= sent if engine.discarded_count else delivered == sent
+    # a discarded delivery was sent but never received
+    if engine.discarded_count:
+        assert all(received[kind] <= counts[kind] for kind in received | counts)
+    else:
+        assert received == counts
+    recorded = sum(a["count"] for a in result.report["propagation"]["aggregates"].values())
+    assert recorded == received["TxGossip"] + received["BlockMsg"] + received["BlockAnnounce"]

@@ -8,7 +8,6 @@ from permachain import messages as m
 from permachain.engine import COORDINATOR
 from permachain.errors import ConfigError
 from permachain.ledger import genesis_block, make_block, Transaction
-from permachain.network import MessageEnvelope
 from permachain.pbft import primary_of, quorum_params
 from permachain.reporting import check_benign_consistency
 
@@ -52,10 +51,6 @@ def test_primary_rotates_and_wraps():
         primary_of(0, [])
 
 
-def env(sender, body, recipient=2, t=0):
-    return MessageEnvelope(sender, recipient, t, t, body)
-
-
 def block_at(height, parent, txs=(), view=0, proposer=1):
     return make_block(height, view, proposer, parent, txs, 1000 * height)
 
@@ -69,15 +64,15 @@ def test_prepare_quorum_triggers_single_commit_broadcast():
     world = make_world(13)
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
-    r.receive(env(1, m.PrePrepare(0, blk)))
+    r.receive(1, m.PrePrepare(0, blk))
     assert world.recorder.message_counts["Prepare"] == 12  # to the other authorities
     for sender in range(3, 9):  # votes now: primary + self + six others = 8
-        r.receive(env(sender, m.Prepare(0, 1, blk.digest)))
+        r.receive(sender, m.Prepare(0, 1, blk.digest))
     assert world.recorder.message_counts.get("Commit", 0) == 0  # below quorum
-    r.receive(env(9, m.Prepare(0, 1, blk.digest)))  # 9th distinct vote
+    r.receive(9, m.Prepare(0, 1, blk.digest))  # 9th distinct vote
     assert world.recorder.message_counts["Commit"] == 12
     for sender in (10, 11):  # extra votes never re-broadcast the commit
-        r.receive(env(sender, m.Prepare(0, 1, blk.digest)))
+        r.receive(sender, m.Prepare(0, 1, blk.digest))
     assert world.recorder.message_counts["Commit"] == 12
 
 
@@ -85,18 +80,18 @@ def test_commit_quorum_appends_and_announces():
     world = make_world(13, n_followers=2)
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest, txs=(tx(1),))
-    r.receive(env(1, m.PrePrepare(0, blk)))
+    r.receive(1, m.PrePrepare(0, blk))
     for sender in range(3, 10):
-        r.receive(env(sender, m.Prepare(0, 1, blk.digest)))
+        r.receive(sender, m.Prepare(0, 1, blk.digest))
     assert r.chain.height == 0
     for sender in (1, 3, 4, 5, 6, 7, 8, 9):  # + own commit = 9 distinct
-        r.receive(env(sender, m.Commit(0, 1, blk.digest)))
+        r.receive(sender, m.Commit(0, 1, blk.digest))
     assert r.chain.height == 1
     assert r.chain.tip.digest == blk.digest
     # the new block is announced to all 14 other nodes, followers included
     assert world.recorder.message_counts["BlockAnnounce"] == 14
     # late commits for an already-committed height are ignored
-    r.receive(env(10, m.Commit(0, 1, blk.digest)))
+    r.receive(10, m.Commit(0, 1, blk.digest))
     assert r.chain.height == 1
 
 
@@ -104,7 +99,7 @@ def test_corrupted_preprepare_never_prepared():
     world = make_world(13)
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
-    r.receive(env(1, m.PrePrepare(0, blk).corrupted()))
+    r.receive(1, m.PrePrepare(0, blk).corrupted())
     assert world.recorder.message_counts.get("Prepare", 0) == 0
     assert r.stats["preprepare_invalid_digest"] == 1
 
@@ -114,8 +109,8 @@ def test_conflicting_preprepare_ignored():
     r = world.nodes[2]
     blk_a = block_at(1, genesis_block().digest)
     blk_b = block_at(1, genesis_block().digest, txs=(tx(9),))
-    r.receive(env(1, m.PrePrepare(0, blk_a)))
-    r.receive(env(1, m.PrePrepare(0, blk_b)))
+    r.receive(1, m.PrePrepare(0, blk_a))
+    r.receive(1, m.PrePrepare(0, blk_b))
     assert r.stats["preprepare_conflicting"] == 1
     assert world.recorder.message_counts["Prepare"] == 12  # only the first
 
@@ -124,9 +119,9 @@ def test_wrong_view_and_non_primary_preprepares_ignored():
     world = make_world(13)
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
-    r.receive(env(3, m.PrePrepare(0, blk)))  # node 3 is not primary of view 0
+    r.receive(3, m.PrePrepare(0, blk))  # node 3 is not primary of view 0
     assert r.stats["preprepare_not_primary"] == 1
-    r.receive(env(1, m.PrePrepare(5, blk)))  # view 5 pre-prepare from node 1
+    r.receive(1, m.PrePrepare(5, blk))  # view 5 pre-prepare from node 1
     assert r.stats["preprepare_wrong_view"] == 1
     assert world.recorder.message_counts.get("Prepare", 0) == 0
 
@@ -138,18 +133,18 @@ def test_votes_for_unseen_heights_buffer_until_preprepare():
     blk1 = block_at(1, g)
     blk2 = block_at(2, blk1.digest)
     # full quorum for height 2 arrives before anything about height 1
-    r.receive(env(1, m.PrePrepare(0, blk2)))
+    r.receive(1, m.PrePrepare(0, blk2))
     for sender in range(3, 10):
-        r.receive(env(sender, m.Prepare(0, 2, blk2.digest)))
+        r.receive(sender, m.Prepare(0, 2, blk2.digest))
     for sender in (1, 3, 4, 5, 6, 7, 8, 9):
-        r.receive(env(sender, m.Commit(0, 2, blk2.digest)))
+        r.receive(sender, m.Commit(0, 2, blk2.digest))
     assert r.chain.height == 0  # appends stay in height order
     assert r._ahead[2] == blk2  # held until height 1 is appended
-    r.receive(env(1, m.PrePrepare(0, blk1)))
+    r.receive(1, m.PrePrepare(0, blk1))
     for sender in range(3, 10):
-        r.receive(env(sender, m.Prepare(0, 1, blk1.digest)))
+        r.receive(sender, m.Prepare(0, 1, blk1.digest))
     for sender in (1, 3, 4, 5, 6, 7, 8, 9):
-        r.receive(env(sender, m.Commit(0, 1, blk1.digest)))
+        r.receive(sender, m.Commit(0, 1, blk1.digest))
     assert r.chain.height == 2  # the buffered block drains right after
 
 
@@ -157,10 +152,10 @@ def test_mismatched_digest_votes_never_merge():
     world = make_world(13)
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
-    r.receive(env(1, m.PrePrepare(0, blk)))
+    r.receive(1, m.PrePrepare(0, blk))
     wrong = ~blk.digest & (2**64 - 1)
     for sender in range(3, 10):
-        r.receive(env(sender, m.Prepare(0, 1, wrong)))
+        r.receive(sender, m.Prepare(0, 1, wrong))
     assert world.recorder.message_counts.get("Commit", 0) == 0
 
 
@@ -168,11 +163,11 @@ def test_active_replica_self_counts_and_appends_early():
     world = make_world(13, byzantine={2: 1})
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
-    r.receive(env(1, m.PrePrepare(0, blk)))
+    r.receive(1, m.PrePrepare(0, blk))
     for sender in range(3, 9):
-        r.receive(env(sender, m.Prepare(0, 1, blk.digest)))
+        r.receive(sender, m.Prepare(0, 1, blk.digest))
     assert r.chain.height == 0
-    r.receive(env(9, m.Prepare(0, 1, blk.digest)))
+    r.receive(9, m.Prepare(0, 1, blk.digest))
     # prepare quorum met, zero commits received: the tamperer appends anyway
     assert r.chain.height == 1
 
@@ -185,16 +180,16 @@ def test_follower_appends_at_announce_quorum_in_order():
     blk2 = block_at(2, blk1.digest)
     blk3 = block_at(3, blk2.digest)
     for sender in range(1, 9):  # 8 matching announces: below 2f+1
-        follower.receive(env(sender, m.BlockAnnounce(blk1), recipient=14))
+        follower.receive(sender, m.BlockAnnounce(blk1))
     assert follower.chain.height == 0
-    follower.receive(env(9, m.BlockAnnounce(blk1), recipient=14))
+    follower.receive(9, m.BlockAnnounce(blk1))
     assert follower.chain.height == 1
     # a height past tip+1 is held until the gap resolves
     for sender in range(1, 10):
-        follower.receive(env(sender, m.BlockAnnounce(blk3), recipient=14))
+        follower.receive(sender, m.BlockAnnounce(blk3))
     assert follower.chain.height == 1
     for sender in range(1, 10):
-        follower.receive(env(sender, m.BlockAnnounce(blk2), recipient=14))
+        follower.receive(sender, m.BlockAnnounce(blk2))
     assert follower.chain.height == 3
 
 
@@ -203,7 +198,7 @@ def test_follower_rejects_corrupted_announces():
     follower = world.nodes[14]
     blk = block_at(1, genesis_block().digest)
     for sender in range(1, 14):
-        follower.receive(env(sender, m.BlockAnnounce(blk).corrupted(), recipient=14))
+        follower.receive(sender, m.BlockAnnounce(blk).corrupted())
     assert follower.chain.height == 0
     assert follower.stats["announce_invalid_digest"] == 13
 
@@ -235,9 +230,9 @@ def test_authority_catches_up_from_announcements():
     r = world.nodes[2]
     blk = block_at(1, genesis_block().digest)
     for sender in (3, 4, 5, 6):   # f+1 = 5 matching valid announces needed
-        r.receive(env(sender, m.BlockAnnounce(blk)))
+        r.receive(sender, m.BlockAnnounce(blk))
     assert r.chain.height == 0
-    r.receive(env(7, m.BlockAnnounce(blk)))
+    r.receive(7, m.BlockAnnounce(blk))
     assert r.chain.height == 1
 
 
@@ -274,7 +269,7 @@ def test_body_without_handler_is_counted_and_ignored(protocol, node_id, body):
     world = make_world(4, n_followers=1, protocol=protocol)
     node = world.nodes[node_id]
     node.pool.add(tx(1))
-    node.receive(env(1, body, recipient=node_id))
+    node.receive(1, body)
     assert node.stats == {f"unhandled_{type(body).__name__}": 1}
     assert node.chain.height == 0
     assert len(node.pool) == 1
@@ -296,14 +291,14 @@ def test_viewchange_quorum_adopts_next_view():
     world = make_world(13)
     r = world.nodes[2]
     for sender in (3, 4, 5, 6):
-        r.receive(env(sender, m.ViewChange(1, 1)))
+        r.receive(sender, m.ViewChange(1, 1))
     assert r.view == 0  # below both echo and quorum thresholds
-    r.receive(env(7, m.ViewChange(1, 1)))   # f+1 seen: r echoes its own vote
+    r.receive(7, m.ViewChange(1, 1))   # f+1 seen: r echoes its own vote
     assert r.view == 0
     for sender in (8, 9, 10):
-        r.receive(env(sender, m.ViewChange(1, 1)))
+        r.receive(sender, m.ViewChange(1, 1))
     assert r.view == 1  # 8 peers + own echo = 9 votes
-    r.receive(env(11, m.ViewChange(1, 1)))
+    r.receive(11, m.ViewChange(1, 1))
     assert r.stats["viewchange_stale"] == 1
     assert r.view == 1
 
@@ -313,7 +308,7 @@ def test_new_primary_reproposes_on_adoption():
     world = make_world(4)
     r = world.nodes[2]
     for sender in (3, 4):  # f+1 = 2 triggers the echo, own vote completes quorum
-        r.receive(env(sender, m.ViewChange(1, 1)))
+        r.receive(sender, m.ViewChange(1, 1))
     assert r.view == 1
     assert world.recorder.message_counts["NewView"] == 3
     assert world.recorder.message_counts["PrePrepare"] == 3
@@ -330,7 +325,7 @@ def test_new_primary_reproposes_only_a_valid_certificate(tampered, invalid_certs
     prepared = block_at(1, genesis_block().digest, txs=(tx(9),))
     vote = m.ViewChange(1, 1, m.Lock(0, prepared))
     for sender in (3, 4):  # a tamperer's vote carries its certificate with a flipped digest
-        r.receive(env(sender, vote.corrupted() if tampered else vote))
+        r.receive(sender, vote.corrupted() if tampered else vote)
     assert r.view == 1
     assert r.stats.get("viewchange_invalid_cert", 0) == invalid_certs
     assert (r.vc_votes[1][3][1] is None) == tampered  # an invalid certificate is no lock
@@ -343,9 +338,9 @@ def test_new_primary_reproposes_only_a_valid_certificate(tampered, invalid_certs
 def test_newview_heals_lagging_view():
     world = make_world(13)
     r = world.nodes[2]
-    r.receive(env(4, m.NewView(3)))  # node 4 is the legitimate primary of view 3
+    r.receive(4, m.NewView(3))  # node 4 is the legitimate primary of view 3
     assert r.view == 3
-    r.receive(env(9, m.NewView(4)))  # node 9 is not the primary of view 4
+    r.receive(9, m.NewView(4))  # node 9 is not the primary of view 4
     assert r.view == 3
 
 
