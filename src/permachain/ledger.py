@@ -94,7 +94,8 @@ def compute_digest(block: Block) -> int:
     """Deterministic digest over every block field except the digest itself.
 
     Memoized on the block object: a block is frozen, and a copy made with
-    `dataclasses.replace` starts without the memo.
+    `dataclasses.replace` starts without the memo (so a tampered copy is
+    hashed afresh). Only `make_block` carries the memo over to its copy.
     """
     cached = getattr(block, "_computed_digest", None)
     if cached is None:
@@ -105,8 +106,12 @@ def compute_digest(block: Block) -> int:
 
 def make_block(height: int, view: int, proposer: int, parent_digest: int,
                txs: tuple[Transaction, ...], proposed_at: int) -> Block:
-    blk = Block(height, view, proposer, parent_digest, txs, proposed_at)
-    return replace(blk, digest=compute_digest(blk))
+    block = Block(height, view, proposer, parent_digest, txs, proposed_at)
+    digest = compute_digest(block)
+    block = replace(block, digest=digest)
+    # the digest field is not serialized, so the memo holds for the copy too
+    object.__setattr__(block, "_computed_digest", digest)
+    return block
 
 
 def genesis_block() -> Block:

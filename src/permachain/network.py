@@ -18,16 +18,18 @@ consumes no draw. Each node's Byzantine type, drop probability and
 A broadcast schedules one engine event per delivery instant, not per
 recipient: the recipients that share a total delay form a group (a group of
 one included), whose event on the network's own target carries
-``(src, sent_at, body, [(dst, latency), ...])``. Delivering it calls each
-member's ``receive`` in recipient order, each transaction or block delivery
-recorded just before. That is the order one event per recipient would give,
-because a broadcast's events are scheduled back to back, so no other event
-can fall between two deliveries of one instant.
+``(src, sent_at, body, [(dst, latency), ...])``. Delivering it records a
+transaction or block group with one recorder call, then calls each member's
+``receive`` in recipient order. That is the order one event per recipient
+would give, because a broadcast's events are scheduled back to back, so no
+other event can fall between two deliveries of one instant; and the recorded
+rows keep that order, because no ``receive`` delivers a group itself.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from typing import Callable, Optional
 
 from . import messages as m
@@ -141,7 +143,8 @@ class Network:
             body = body.corrupted()
         delay = self.delays.model_for(body.delay_kind)
         send = self.send
-        groups: dict[int, list[tuple[int, int]]] = {}  # total delay -> [(dst, latency)]
+        # total delay -> [(dst, latency)]
+        groups: dict[int, list[tuple[int, int]]] = defaultdict(list)
         attempted = scheduled = 0
         for dst in recipients:
             if dst != src:
@@ -174,17 +177,16 @@ class Network:
             model = models[dst] = self.latency.model_for(self._locations[src],
                                                          self._locations[dst])
         lat = model.sample_ms(latency_rng)
-        groups.setdefault(lat + delay.sample_ms(self._delay_rng[dst]), []).append((dst, lat))
+        groups[lat + delay.sample_ms(self._delay_rng[dst])].append((dst, lat))
         return True
 
     def _deliver(self, group: tuple) -> None:
-        """Hand one group's body to each member in order, first recording each
-        transaction or block delivery (its latency is the propagation delay)."""
+        """Hand one group's body to each member in order, first recording a
+        transaction or block group (each latency is a propagation delay)."""
         src, sent_at, body, members = group
-        receivers, record = self._receivers, self.recorder.record_delivery
         kind = body.delay_kind
-        recorded = kind in (TRANSACTION, BLOCK)
-        for dst, lat in members:
-            if recorded:
-                record(kind, src, dst, sent_at, sent_at + lat)
+        if kind in (TRANSACTION, BLOCK):
+            self.recorder.record_delivery(kind, src, sent_at, members)
+        receivers = self._receivers
+        for dst, _lat in members:
             receivers[dst](src, body)

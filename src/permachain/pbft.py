@@ -6,6 +6,8 @@ a replica's own votes count toward its quorums. Sequence number equals block
 height and the primary keeps a single fresh instance in flight at a time.
 Each vote is held once: `prepares` and `commits` map (view, height, digest)
 to its senders, and `preprepared` maps (view, height) to the proposed block.
+The tallies are defaultdicts written only by votes; every read uses `.get`,
+so a lookup never creates an entry.
 
 Safety across views comes from prepare locks: a replica prepares at most one
 digest per height per view, and abandons a lock only for a proposal in a
@@ -36,6 +38,7 @@ honest node such a block raises `ParentMismatch`, the sign of a benign fork.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
@@ -81,14 +84,15 @@ class PbftFollower(Node):
         super().__init__(node_id, byz, world)
         self.rule = quorum_params(len(world.authorities))
         self.announce_threshold = self.rule.quorum  # a replica lowers it to f+1
-        self.announcements: dict[tuple[int, int], set] = {}  # (height, digest) -> announcers
+        # (height, digest) -> announcers
+        self.announcements: dict[tuple[int, int], set] = defaultdict(set)
 
     def on_announce(self, sender: int, msg: m.BlockAnnounce) -> None:
         block = msg.block
         if compute_digest(block) != block.digest:
             self._count("announce_invalid_digest")
             return
-        senders = self.announcements.setdefault((block.height, block.digest), set())
+        senders = self.announcements[block.height, block.digest]
         senders.add(sender)
         if len(senders) == self.announce_threshold:
             self._accept(block)
@@ -104,12 +108,12 @@ class PbftReplica(PbftFollower):
         self.announce_threshold = self.rule.f + 1
         self.preprepared: dict[tuple[int, int], Block] = {}  # (view, height) -> block
         # (view, height, digest) -> senders; my id is in a commit tally once I sent it
-        self.prepares: dict[tuple[int, int, int], set] = {}
-        self.commits: dict[tuple[int, int, int], set] = {}
+        self.prepares: dict[tuple[int, int, int], set] = defaultdict(set)
+        self.commits: dict[tuple[int, int, int], set] = defaultdict(set)
         self.locks: dict[int, m.Lock] = {}
         self.in_flight = 0  # height of my latest proposal
         # view-change bookkeeping
-        self.vc_votes: dict[int, dict[int, tuple[int, Optional[m.Lock]]]] = {}
+        self.vc_votes: dict[int, dict[int, tuple[int, Optional[m.Lock]]]] = defaultdict(dict)
         self.vc_attempts = 0  # views that failed at the next height
         self.my_top_vote = 0
         self._timer_token = 0  # only the latest armed timer may fire
@@ -157,7 +161,7 @@ class PbftReplica(PbftFollower):
                                self.world.engine.now)
         self.preprepared[self.view, height] = block
         # the pre-prepare is the primary's prepare
-        self.prepares.setdefault((self.view, height, block.digest), set()).add(self.id)
+        self.prepares[self.view, height, block.digest].add(self.id)
         self.in_flight = height
         self.world.network.broadcast(self.id, m.PrePrepare(self.view, block),
                                      self.world.authorities)
@@ -184,7 +188,7 @@ class PbftReplica(PbftFollower):
             self._count("preprepare_invalid_digest")
             return  # timer keeps running; tampering suspected
         self.preprepared[view, block.height] = block
-        self.prepares.setdefault((view, block.height, block.digest), set()).add(sender)
+        self.prepares[view, block.height, block.digest].add(sender)
         self._maybe_send_prepare(view, block)
         self._check_prepared(view, block.height)
         self._check_committed(view, block.height)
@@ -202,12 +206,12 @@ class PbftReplica(PbftFollower):
                 self._count("prepare_refused_locked")
                 return
             self.locks[height] = m.Lock(view, block)
-        self.prepares.setdefault((view, height, digest), set()).add(self.id)
+        self.prepares[view, height, digest].add(self.id)
         self.world.network.broadcast(self.id, m.Prepare(view, height, digest),
                                      self.world.authorities)
 
     def on_prepare(self, sender: int, msg: m.Prepare) -> None:
-        self.prepares.setdefault((msg.view, msg.height, msg.digest), set()).add(sender)
+        self.prepares[msg.view, msg.height, msg.digest].add(sender)
         self._check_prepared(msg.view, msg.height)
 
     def _check_prepared(self, view: int, height: int) -> None:
@@ -219,7 +223,7 @@ class PbftReplica(PbftFollower):
             return  # my commit is already out
         if len(self.prepares.get(key, ())) < self.rule.quorum:
             return
-        self.commits.setdefault(key, set()).add(self.id)
+        self.commits[key].add(self.id)
         self.world.network.broadcast(self.id, m.Commit(*key), self.world.authorities)
         if self.byz is ByzantineType.ACTIVE and height == self.next_height:
             # Self-deluded finalization: an active node believes its own
@@ -228,7 +232,7 @@ class PbftReplica(PbftFollower):
         self._check_committed(view, height)
 
     def on_commit(self, sender: int, msg: m.Commit) -> None:
-        self.commits.setdefault((msg.view, msg.height, msg.digest), set()).add(sender)
+        self.commits[msg.view, msg.height, msg.digest].add(sender)
         self._check_committed(msg.view, msg.height)
 
     def _check_committed(self, view: int, height: int) -> None:
@@ -255,7 +259,7 @@ class PbftReplica(PbftFollower):
         lock = self.locks.get(self.next_height)
         self.my_top_vote = max(self.my_top_vote, proposed)
         vote = m.ViewChange(proposed, self.next_height, lock)
-        self.vc_votes.setdefault(proposed, {})[self.id] = (self.next_height, lock)
+        self.vc_votes[proposed][self.id] = (self.next_height, lock)
         self.world.network.broadcast(self.id, vote, self.world.authorities)
         self._check_viewchange(proposed)
 
@@ -267,7 +271,7 @@ class PbftReplica(PbftFollower):
         if lock is not None and compute_digest(lock.block) != lock.block.digest:
             self._count("viewchange_invalid_cert")
             lock = None
-        self.vc_votes.setdefault(msg.proposed_view, {})[sender] = (msg.next_height, lock)
+        self.vc_votes[msg.proposed_view][sender] = (msg.next_height, lock)
         # join a view change once f+1 peers demand one, even without a timeout
         if self.my_top_vote <= self.view:
             higher = sorted(v for v in self.vc_votes if v > self.view)

@@ -67,20 +67,22 @@ class RunRecorder:
     def message_dropped(self, kind: str, n: int) -> None:
         self.drop_counts[kind] += n
 
-    def record_delivery(self, kind: str, src: int, dst: int, sent_at: int,
-                        delivered_at: int) -> None:
-        delay = delivered_at - sent_at
-        key = (src, dst)
-        agg = self.aggregates.get(key)
-        if agg is None:
-            self.aggregates[key] = [1, delay, delay]
-        else:
-            agg[0] += 1
-            agg[1] += delay
-            if delay > agg[2]:
-                agg[2] = delay
+    def record_delivery(self, kind: str, src: int, sent_at: int,
+                        members: list[tuple[int, int]]) -> None:
+        """Record one delivery group: `members` lists (dst, delay) in delivery order."""
+        aggregates = self.aggregates
+        for dst, delay in members:
+            agg = aggregates.get((src, dst))
+            if agg is None:
+                aggregates[src, dst] = [1, delay, delay]
+            else:
+                agg[0] += 1
+                agg[1] += delay
+                if delay > agg[2]:
+                    agg[2] = delay
         if self.record_sink is not None:
-            self.record_sink.writerow((kind, src, dst, sent_at, delivered_at))
+            self.record_sink.writerows([(kind, src, dst, sent_at, sent_at + delay)
+                                        for dst, delay in members])
 
     # -- node hooks ----------------------------------------------------------
 

@@ -8,8 +8,9 @@ must be refused with a ConfigError. A poa or poet run is fault-free (those
 protocols assume no faulty nodes) with 1-7 authorities, 1-3 followers, 2-4
 days of load on any node and, under poet, one of three lottery rates. Every
 run must keep benign chains in prefix agreement, commit no transaction twice
-on any benign chain, account for every scheduled event, and start day d at
-(d - 1) * day_length_ms and end it no later than one day length after that.
+on any benign chain, account for every scheduled event, start day d at
+(d - 1) * day_length_ms and end it no later than one day length after that,
+and leave no unreachable reference cycle (see `collector_off_run`).
 
 The example count comes from the active Hypothesis profile. The default
 profile is the fast tier in the tier-1 suite; the `long` profile registered in
@@ -17,6 +18,8 @@ conftest.py runs 500 examples:
 
     PYTHONPATH=src python -m pytest -q tests/test_fuzz.py --hypothesis-profile=long
 """
+
+import gc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,16 +73,34 @@ def test_random_pbft_runs_keep_the_invariants(run):
         with pytest.raises(ConfigError, match="6 authorities"):
             quick_run(**run, empty_block_threshold=3)
         return
-    check_invariants(quick_run(**run, empty_block_threshold=3))
+    check_invariants(*collector_off_run(run))
 
 
 @settings(deadline=None, derandomize=True)
 @given(poa_runs())
 def test_random_poa_and_poet_runs_keep_the_invariants(run):
-    check_invariants(quick_run(**run, empty_block_threshold=3))
+    check_invariants(*collector_off_run(run))
 
 
-def check_invariants(result):
+def collector_off_run(run):
+    """The result of `run`, and how many unreachable objects it left.
+
+    The collector is off from before the run to the count. So the youngest
+    generation holds exactly the objects the run made, and collecting only
+    it counts their cycles without a full pass over the test process's heap
+    for each example.
+    """
+    gc.collect(0)
+    gc.disable()
+    try:
+        result = quick_run(**run, empty_block_threshold=3)
+        return result, gc.collect(0)
+    finally:
+        gc.enable()
+
+
+def check_invariants(result, unreachable):
+    assert unreachable == 0, f"the run left {unreachable} objects in unreachable cycles"
     world = result.world
     check_benign_consistency(result.report["nodes"], world.benign)
     for n in world.benign:

@@ -8,6 +8,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permachain import ledger
 from permachain.errors import ConfigError, DigestInvalid, HeightGap, ParentMismatch
 from permachain.ledger import (Chain, Transaction, ValidationDelays,
                                compute_digest, digest_hex, genesis_block,
@@ -98,6 +99,24 @@ def test_digest_memo_stays_with_its_block():
                                                        1001, 1) + tx(1).serialize())
     chain.append(good)
     assert chain.height == 1
+
+
+def test_a_new_block_is_hashed_once_and_a_flipped_copy_afresh(monkeypatch):
+    hashed = []
+
+    def counting_hash64(data):
+        hashed.append(data)
+        return hash64(data)
+
+    monkeypatch.setattr(ledger, "hash64", counting_hash64)
+    chain = Chain(owner=1)
+    hashed.clear()  # genesis
+    block = make_block(1, 0, 2, chain.tip.digest, (tx(1),), 1000)
+    chain.append(block)  # verification reads the memo
+    assert len(hashed) == 1
+    flipped = BlockMsg(block).corrupted().block
+    assert compute_digest(flipped) == block.digest != flipped.digest
+    assert len(hashed) == 2
 
 
 def test_append_rejects_height_gap():

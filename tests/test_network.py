@@ -48,9 +48,10 @@ class LoggedRecorder(RunRecorder):
         self.hook_calls.append(("dropped", kind, n))
         super().message_dropped(kind, n)
 
-    def record_delivery(self, kind, src, dst, sent_at, delivered_at):
-        self.deliveries.append((kind, src, dst, sent_at, delivered_at))
-        super().record_delivery(kind, src, dst, sent_at, delivered_at)
+    def record_delivery(self, kind, src, sent_at, members):
+        self.deliveries.extend((kind, src, dst, sent_at, sent_at + latency)
+                               for dst, latency in members)
+        super().record_delivery(kind, src, sent_at, members)
 
 
 def build_net(n_nodes=13, byz=None, drop_prob=0.4, latency=None, seed=1, overrides=None,

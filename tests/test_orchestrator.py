@@ -1,5 +1,6 @@
 """Day loop: empty-block termination, fast-forward, carryover, guard."""
 
+import gc
 import json
 from collections import Counter
 from pathlib import Path
@@ -8,12 +9,14 @@ import pytest
 
 from conftest import make_world, quick_run
 from permachain import messages as m
-from permachain.cli import load_scenario
+from permachain.cli import list_scenarios, load_scenario
 from permachain.config import DAY_LENGTH_MS, RunConfig
 from permachain.ledger import genesis_block, make_block
 from permachain.node import Node
 from permachain.nodetable import parse_node_rows, parse_node_table
 from permachain.orchestrator import run_all
+from permachain.pbft import PbftFollower, PbftReplica
+from permachain.reporting import RunRecorder
 from permachain.workload import load_schedule, parse_schedule
 
 
@@ -208,3 +211,60 @@ def test_whole_run_conserves_events_and_deliveries(name, monkeypatch):
         assert received == counts
     recorded = sum(a["count"] for a in result.report["propagation"]["aggregates"].values())
     assert recorded == received["TxGossip"] + received["BlockMsg"] + received["BlockAnnounce"]
+
+
+BUNDLED_INPUTS = ([name for name, _ in list_scenarios()]
+                  + sorted(p.name for p in FIXTURES.iterdir() if p.is_dir()))
+
+
+@pytest.mark.parametrize("name", BUNDLED_INPUTS)
+def test_a_finished_run_leaves_no_unreachable_cycle(name):
+    # run_all switches the cyclic collector off, which is only safe while
+    # reference counting alone frees whatever a run drops
+    inputs = load_inputs(name)
+    gc.collect()  # the garbage of earlier tests
+    gc.disable()  # here, so that run_all's restore cannot collect first
+    try:
+        result = run_all(*inputs)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0, f"{name} left {unreachable} objects in unreachable cycles"
+    assert result.days  # the run was alive through the count
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["completes", "raises"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_run_all_leaves_the_collector_as_it_found_it(collecting, raises, monkeypatch):
+    if raises:
+        def failing_hook(*args):
+            raise RuntimeError("recorder hook failed")
+
+        monkeypatch.setattr(RunRecorder, "on_append", failing_hook)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="recorder hook failed"):
+                quick_run({1: {1: 3}}, n_authorities=4)
+        else:
+            quick_run({1: {1: 3}}, n_authorities=4)
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+
+
+def test_vote_tallies_hold_no_empty_entries():
+    # the tallies are defaultdicts, so a lookup with [] instead of .get would
+    # leave an empty entry for every vote read but never cast
+    result = run_all(*load_inputs("pbft-quorum-small"))
+    assert result.report["view_changes"]  # the run has view changes, tamperers, droppers
+    nodes = result.world.nodes.values()
+    followers = [n for n in nodes if type(n) is PbftFollower]
+    replicas = [n for n in nodes if isinstance(n, PbftReplica)]
+    assert followers and replicas
+    for node in followers + replicas:
+        tallies = [node.announcements]
+        if node in replicas:
+            tallies += [node.prepares, node.commits, node.vc_votes]
+        for tally in tallies:
+            assert tally and all(tally.values()), f"node {node.id}"

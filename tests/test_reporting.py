@@ -13,7 +13,7 @@ from permachain.reporting import (RunRecorder, check_benign_consistency, emit_js
 
 def feed(recorder, triples):
     for src, dst, delay in triples:
-        recorder.record_delivery("transaction", src, dst, 100, 100 + delay)
+        recorder.record_delivery("transaction", src, 100, [(dst, delay)])
 
 
 def test_aggregates_match_bruteforce_mean_and_max():
@@ -54,6 +54,18 @@ def test_record_sink_gets_every_delivery_and_leaves_aggregates_alone():
     assert r_sink.aggregate_table() == r_bare.aggregate_table()
     report = quick_run({1: {1: 3}}, n_authorities=3, protocol="poa").report
     assert report["propagation"].keys() == {"aggregates"}
+
+
+def test_a_delivery_group_is_recorded_member_by_member():
+    buf = io.StringIO(newline="")
+    grouped = RunRecorder(record_sink=propagation_writer(buf))
+    grouped.record_delivery("block", 3, 40, [(1, 12), (2, 9), (1, 30)])
+    single = RunRecorder()
+    for dst, delay in [(1, 12), (2, 9), (1, 30)]:
+        single.record_delivery("block", 3, 40, [(dst, delay)])
+    assert buf.getvalue().split("\r\n")[1:] == ["block,3,1,40,52", "block,3,2,40,49",
+                                                 "block,3,1,40,70", ""]
+    assert grouped.aggregates == single.aggregates == {(3, 1): [2, 42, 30], (3, 2): [1, 9, 9]}
 
 
 def test_emit_json_byte_identical_for_same_seed(tmp_path):
