@@ -15,7 +15,6 @@ import contextlib
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .config import PROTOCOLS, RunConfig
@@ -33,6 +32,8 @@ EXIT_IO = 3
 
 
 def _scenario_dir():
+    # imported here: importlib.resources costs every run ~20 ms, and only presets need it
+    from importlib import resources
     return resources.files("permachain") / "scenarios"
 
 

@@ -1,8 +1,7 @@
-"""Run configuration: one dataclass, loaded from JSON, echoed into reports."""
+"""Run configuration: one plain class, loaded from JSON, echoed into reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from math import inf
 
 from .distributions import MAX_MS, is_int, is_number, round_half_up_ms
@@ -24,26 +23,50 @@ BOUNDS = {"seed": (0, inf), "block_interval_ms": (1, inf), "block_capacity": (1,
           "pbft_timeout_ms": (0, inf), "drop_prob": (0, 1), "poet_rate": (1 / MAX_MS, inf)}
 
 
-@dataclass
-class RunConfig:
-    protocol: str
-    seed: int = 0
-    block_interval_ms: int = 1000
-    block_capacity: int = 10
-    empty_block_threshold: int = 10
-    day_length_ms: int = DAY_LENGTH_MS
-    tx_broadcast_interval_ms: int | None = None  # None: one block interval
-    tx_spread_ticks: int = 10
-    pbft_timeout_ms: int | None = None  # None: 10x the default latency's mean, else 100
-    drop_prob: float = 0.4
-    drop_prob_overrides: dict = field(default_factory=dict)
-    poet_rate: float = 0.001  # per-ms; mean lottery wait = 1000 ms
-    latency: LatencyTable = field(default_factory=lambda: LatencyTable.from_config(None))
-    processing_delay: ValidationDelays = field(
-        default_factory=lambda: ValidationDelays.from_config(None))
-    authority_rule: dict = field(default_factory=lambda: {"kind": "column"})
+# Every field in constructor order, which is also the order of the report's echo.
+FIELDS = ("protocol", "seed", "block_interval_ms", "block_capacity", "empty_block_threshold",
+          "day_length_ms", "tx_broadcast_interval_ms", "tx_spread_ticks", "pbft_timeout_ms",
+          "drop_prob", "drop_prob_overrides", "poet_rate", "latency", "processing_delay",
+          "authority_rule")
 
-    def __post_init__(self):
+
+class RunConfig:
+    """One run's parameters, validated on construction.
+
+    `latency`, `processing_delay` and `authority_rule` left as None take their
+    defaults: a constant 10 ms latency, a constant 1 ms processing delay and
+    the authority column of the node table.
+    """
+
+    def __init__(self, protocol: str, seed: int = 0, block_interval_ms: int = 1000,
+                 block_capacity: int = 10, empty_block_threshold: int = 10,
+                 day_length_ms: int = DAY_LENGTH_MS,
+                 tx_broadcast_interval_ms: int | None = None,  # None: one block interval
+                 tx_spread_ticks: int = 10,
+                 # None: 10x the default latency's mean, else 100
+                 pbft_timeout_ms: int | None = None,
+                 drop_prob: float = 0.4, drop_prob_overrides: dict | None = None,
+                 poet_rate: float = 0.001,  # per-ms; mean lottery wait = 1000 ms
+                 latency: LatencyTable | None = None,
+                 processing_delay: ValidationDelays | None = None,
+                 authority_rule: dict | None = None):
+        self.protocol = protocol
+        self.seed = seed
+        self.block_interval_ms = block_interval_ms
+        self.block_capacity = block_capacity
+        self.empty_block_threshold = empty_block_threshold
+        self.day_length_ms = day_length_ms
+        self.tx_broadcast_interval_ms = tx_broadcast_interval_ms
+        self.tx_spread_ticks = tx_spread_ticks
+        self.pbft_timeout_ms = pbft_timeout_ms
+        self.drop_prob = drop_prob
+        self.drop_prob_overrides = {} if drop_prob_overrides is None else drop_prob_overrides
+        self.poet_rate = poet_rate
+        self.latency = LatencyTable.from_config(None) if latency is None else latency
+        self.processing_delay = (ValidationDelays.from_config(None) if processing_delay is None
+                                 else processing_delay)
+        self.authority_rule = {"kind": "column"} if authority_rule is None else authority_rule
+
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         for name, (lo, hi) in BOUNDS.items():
@@ -85,7 +108,7 @@ class RunConfig:
 
     def to_echo_dict(self) -> dict:
         """Effective configuration as echoed into reports (defaults resolved)."""
-        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        echo = {name: getattr(self, name) for name in FIELDS}
         echo["drop_prob_overrides"] = {str(k): v
                                        for k, v in sorted(self.drop_prob_overrides.items())}
         echo["latency"] = self.latency.to_dict()
@@ -96,11 +119,14 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown = set(data) - set(FIELDS)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "protocol" not in data:
             raise ConfigError("config is missing required field 'protocol'")
+        # a JSON null is refused, where the constructor would read None as the default
+        if "authority_rule" in data and data["authority_rule"] is None:
+            raise ConfigError("authority_rule must be an object, got None")
         kwargs = dict(data)
         kwargs["latency"] = LatencyTable.from_config(data.get("latency"))
         kwargs["processing_delay"] = ValidationDelays.from_config(data.get("processing_delay"))

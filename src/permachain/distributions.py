@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable
 
 from .errors import ConfigError
 
@@ -49,26 +47,24 @@ def exponential(u: float, rate: float) -> float:
     return -math.log(1.0 - u) / rate
 
 
-@dataclass(frozen=True)
 class Distribution:
     """A named delay distribution with millisecond-scale parameters.
 
     kind        one of constant / uniform / normal / exponential / empirical
     params      constant: {ms}; uniform: {lo, hi}; normal: {mean, std};
                 exponential: {rate} (per-ms, mean = 1/rate); empirical: {values}
+
+    The constructor validates both and binds `fixed_ms` (a constant's value,
+    else None), `_draw` (every other kind: rng -> one draw in integer ms) and
+    `mean_ms` (the analytic mean before rounding; a normal's truncation bias
+    is ignored). An immutable value by convention.
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
-    fixed_ms: int | None = field(default=None, init=False, repr=False, compare=False)
-    # every other kind: rng -> one draw in integer ms, bound once by __post_init__
-    _draw: Callable[[random.Random], int] | None = field(default=None, init=False,
-                                                          repr=False, compare=False)
-    # analytic mean before rounding (a normal's truncation bias is ignored)
-    mean_ms: float = field(default=0.0, init=False, repr=False, compare=False)
+    __slots__ = ("kind", "params", "fixed_ms", "_draw", "mean_ms")
 
-    def __post_init__(self):
-        kind, p = self.kind, self.params
+    def __init__(self, kind: str, params: dict | None = None):
+        p = {} if params is None else params
+        self.kind, self.params, self.fixed_ms = kind, p, None
         if not isinstance(kind, str) or kind not in PARAMS:
             raise ConfigError(f"unknown distribution kind {kind!r}")
         for name in p:
@@ -87,7 +83,7 @@ class Distribution:
         if kind == "constant":
             if p["ms"] < 0:
                 raise ConfigError("constant distribution needs ms >= 0")
-            object.__setattr__(self, "fixed_ms", round_half_up_ms(p["ms"]))
+            self.fixed_ms = round_half_up_ms(p["ms"])
             mean, draw = p["ms"], None
         elif kind == "uniform":
             lo, hi = p["lo"], p["hi"]
@@ -129,8 +125,8 @@ class Distribution:
 
             def draw(rng):
                 return rounded[int(rng.random() * n)]
-        object.__setattr__(self, "_draw", draw)
-        object.__setattr__(self, "mean_ms", float(mean))
+        self._draw = draw
+        self.mean_ms = float(mean)
 
     def sample_ms(self, rng: random.Random) -> int:
         """Draw one delay in integer ms (>= 0); a constant draws nothing."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field, replace
 
 from .distributions import Distribution, constant
 from .errors import ConfigError, DigestInvalid, HeightGap, ParentMismatch
@@ -40,38 +39,59 @@ def _s(text: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-@dataclass(frozen=True)
+def value_eq(self, other) -> bool:
+    """`__eq__` of a slotted value: same class and equal public slots (memos are private)."""
+    return type(other) is type(self) and all(
+        getattr(other, name) == getattr(self, name) for cls in type(self).__mro__
+        for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_"))
+
+
 class Transaction:
-    tx_id: int
-    origin: int
-    payload: str
-    created_at: int
-    day: int
+    """An immutable value by convention: its serialization is memoized on first use."""
+
+    __slots__ = ("tx_id", "origin", "payload", "created_at", "day", "_ser")
+
+    def __init__(self, tx_id: int, origin: int, payload: str, created_at: int, day: int):
+        self.tx_id = tx_id
+        self.origin = origin
+        self.payload = payload
+        self.created_at = created_at
+        self.day = day
+        self._ser = None
+
+    __eq__ = value_eq
 
     def serialize(self) -> bytes:
-        # immutable value: cache the bytes on first use (hot path)
-        cached = getattr(self, "_ser", None)
-        if cached is None:
-            cached = (
+        cached = self._ser
+        if cached is None:  # hot path: each block that carries the transaction reads it
+            cached = self._ser = (
                 _u64(self.tx_id)
                 + _u64(self.origin)
                 + _s(self.payload)
                 + _u64(self.created_at)
                 + _u64(self.day)
             )
-            object.__setattr__(self, "_ser", cached)
         return cached
 
 
-@dataclass(frozen=True)
 class Block:
-    height: int
-    view: int
-    proposer: int
-    parent_digest: int
-    txs: tuple[Transaction, ...]
-    proposed_at: int
-    digest: int = 0
+    """An immutable value by convention; `compute_digest` memoizes its digest on it."""
+
+    __slots__ = ("height", "view", "proposer", "parent_digest", "txs", "proposed_at",
+                 "digest", "_computed_digest")
+
+    def __init__(self, height: int, view: int, proposer: int, parent_digest: int,
+                 txs: tuple[Transaction, ...], proposed_at: int, digest: int = 0):
+        self.height = height
+        self.view = view
+        self.proposer = proposer
+        self.parent_digest = parent_digest
+        self.txs = txs
+        self.proposed_at = proposed_at
+        self.digest = digest
+        self._computed_digest = None
+
+    __eq__ = value_eq
 
     def serialize_for_digest(self) -> bytes:
         parts = [
@@ -93,24 +113,21 @@ class Block:
 def compute_digest(block: Block) -> int:
     """Deterministic digest over every block field except the digest itself.
 
-    Memoized on the block object: a block is frozen, and a copy made with
-    `dataclasses.replace` starts without the memo (so a tampered copy is
-    hashed afresh). Only `make_block` carries the memo over to its copy.
+    Memoized on the block object, which nothing alters once it is built. A
+    copy built with `Block(...)` starts without the memo, so a tampered or
+    moved copy is hashed afresh.
     """
-    cached = getattr(block, "_computed_digest", None)
+    cached = block._computed_digest
     if cached is None:
-        cached = hash64(block.serialize_for_digest())
-        object.__setattr__(block, "_computed_digest", cached)
+        cached = block._computed_digest = hash64(block.serialize_for_digest())
     return cached
 
 
 def make_block(height: int, view: int, proposer: int, parent_digest: int,
                txs: tuple[Transaction, ...], proposed_at: int) -> Block:
     block = Block(height, view, proposer, parent_digest, txs, proposed_at)
-    digest = compute_digest(block)
-    block = replace(block, digest=digest)
-    # the digest field is not serialized, so the memo holds for the copy too
-    object.__setattr__(block, "_computed_digest", digest)
+    # the digest field is not serialized, so setting it keeps the memo valid
+    block.digest = compute_digest(block)
     return block
 
 
@@ -178,12 +195,12 @@ HYPERLEDGER_FABRIC_PRESET = {
 DELAY_PRESETS = {"hyperledger-fabric": HYPERLEDGER_FABRIC_PRESET}
 
 
-@dataclass
 class ValidationDelays:
     """Per-kind processing delay distributions with a global default."""
 
-    per_kind: dict = field(default_factory=dict)
-    default: Distribution | None = None
+    def __init__(self, per_kind: dict, default: Distribution | None = None):
+        self.per_kind = per_kind
+        self.default = default
 
     @classmethod
     def from_config(cls, spec: dict | None) -> "ValidationDelays":

@@ -1,14 +1,19 @@
 """Protocol message bodies.
 
 The network hands a body to each recipient's ``receive(sender, body)`` as it
-is (see network.py). Each body class carries what the rest of the simulator
-needs to know about it:
+is (see network.py), so one body object is shared by every member of a
+delivery group and nothing writes to it. Each body class carries what the
+rest of the simulator needs to know about it:
   * ``delay_kind``: which processing-delay distribution a receiver applies;
   * ``handler``: the node method that consumes it (see node.py);
-  * ``corrupted()``: the copy an active tamperer sends, with its carried
-    digest flipped by bitwise NOT (an involution), so every honest verifier
-    rejects it. A body that carries a block flips that block's digest, and a
-    body without a digest returns itself.
+  * ``corrupted()``: the copy an active tamperer sends, built by the class's
+    constructor with its carried digest flipped by bitwise NOT (an
+    involution), so every honest verifier rejects it. A body that carries a
+    block flips that block's digest, and a body without a digest returns
+    itself.
+
+Bodies are plain slotted classes, immutable by convention. Two bodies are
+equal when they have the same class and equal fields.
 
 A body that carries a block does not copy the block's height or digest: a
 receiver reads them from the block. `Prepare` and `Commit` are each a `_Vote`
@@ -19,10 +24,8 @@ carries that same object to the new primary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .ledger import (BLOCK, CONSENSUS_MESSAGE, DIGEST_MASK, TRANSACTION, Block,
-                     Transaction)
+                     Transaction, value_eq)
 
 
 def _flip(digest: int) -> int:
@@ -30,98 +33,127 @@ def _flip(digest: int) -> int:
 
 
 def _flip_block(block: Block) -> Block:
-    return replace(block, digest=_flip(block.digest))
+    """A copy of `block` carrying the flipped digest; it starts without the digest memo."""
+    return Block(block.height, block.view, block.proposer, block.parent_digest, block.txs,
+                 block.proposed_at, _flip(block.digest))
 
 
 # --- network message bodies -------------------------------------------------
 
 class _Body:
     """Defaults for a network body: consensus-message delay, no digest to corrupt."""
+    __slots__ = ()
     delay_kind = CONSENSUS_MESSAGE
 
     def corrupted(self):
         return self
 
+    __eq__ = value_eq
+
 
 class _BlockBody(_Body):
-    """A body whose `block` field carries the digest to corrupt."""
+    """A body whose `block` field carries the digest to corrupt; its constructor
+    takes the block alone, unless the subclass has its own `corrupted`."""
+    __slots__ = ()
 
     def corrupted(self):
-        return replace(self, block=_flip_block(self.block))
+        return type(self)(_flip_block(self.block))
 
 
-@dataclass(frozen=True)
 class TxGossip(_Body):
-    tx: Transaction
+    __slots__ = ("tx",)
     delay_kind = TRANSACTION
     handler = "on_gossip"
 
+    def __init__(self, tx: Transaction):
+        self.tx = tx
 
-@dataclass(frozen=True)
+
 class BlockMsg(_BlockBody):
     """Single-round block broadcast (round-robin / lottery protocols)."""
-    block: Block
+    __slots__ = ("block",)
     delay_kind = BLOCK
     handler = "on_block"
 
+    def __init__(self, block: Block):
+        self.block = block
 
-@dataclass(frozen=True)
+
 class PrePrepare(_BlockBody):
-    view: int
-    block: Block  # its height is the sequence number this pre-prepare orders
+    __slots__ = ("view", "block")  # the block's height is the sequence number it orders
     handler = "on_preprepare"
 
-
-@dataclass(frozen=True)
-class _Vote(_Body):
-    """One replica's vote for `digest` at (view, height); a subclass adds its handler."""
-    view: int
-    height: int
-    digest: int
+    def __init__(self, view: int, block: Block):
+        self.view = view
+        self.block = block
 
     def corrupted(self):
-        return replace(self, digest=_flip(self.digest))
+        return PrePrepare(self.view, _flip_block(self.block))
+
+
+class _Vote(_Body):
+    """One replica's vote for `digest` at (view, height); a subclass adds its handler."""
+    __slots__ = ("view", "height", "digest")
+
+    def __init__(self, view: int, height: int, digest: int):
+        self.view = view
+        self.height = height
+        self.digest = digest
+
+    def corrupted(self):
+        return type(self)(self.view, self.height, _flip(self.digest))
 
 
 class Prepare(_Vote):
+    __slots__ = ()
     handler = "on_prepare"
 
 
 class Commit(_Vote):
+    __slots__ = ()
     handler = "on_commit"
 
 
-@dataclass(frozen=True)
 class Lock:
-    view: int
-    block: Block
+    __slots__ = ("view", "block")
+
+    def __init__(self, view: int, block: Block):
+        self.view = view
+        self.block = block
 
 
-@dataclass(frozen=True)
 class ViewChange(_Body):
-    proposed_view: int
-    next_height: int  # sender's chain tip + 1, used by the new primary
-    lock: Lock | None = None  # the sender's lock for next_height, if it holds one
+    __slots__ = ("proposed_view", "next_height", "lock")
     handler = "on_viewchange"
+
+    def __init__(self, proposed_view: int, next_height: int, lock: Lock | None = None):
+        self.proposed_view = proposed_view
+        self.next_height = next_height  # sender's chain tip + 1, used by the new primary
+        self.lock = lock  # the sender's lock for next_height, if it holds one
 
     def corrupted(self):
         if self.lock is None:
             return self
         # the vote itself stays legible; only the carried certificate is junked
-        return replace(self, lock=replace(self.lock, block=_flip_block(self.lock.block)))
+        return ViewChange(self.proposed_view, self.next_height,
+                          Lock(self.lock.view, _flip_block(self.lock.block)))
 
 
-@dataclass(frozen=True)
 class NewView(_Body):
-    view: int
+    __slots__ = ("view",)
     handler = "on_newview"
 
+    def __init__(self, view: int):
+        self.view = view
 
-@dataclass(frozen=True)
+
 class BlockAnnounce(_BlockBody):
-    block: Block
+    __slots__ = ("block",)
     delay_kind = BLOCK
     handler = "on_announce"
+
+    def __init__(self, block: Block):
+        self.block = block
 
 
 def kind_of(body) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .distributions import is_int
@@ -19,20 +18,24 @@ from .errors import NodeTableError
 from .faults import ByzantineType
 
 
-@dataclass(frozen=True)
 class NodeSpec:
-    id: int
-    authority: bool
-    location: str
-    data: str = ""
-    byzantine: ByzantineType = ByzantineType.HONEST
+    def __init__(self, id: int, authority: bool, location: str, data: str = "",
+                 byzantine: ByzantineType = ByzantineType.HONEST):
+        self.id = id
+        self.authority = authority
+        self.location = location
+        self.data = data
+        self.byzantine = byzantine
+
+    def __eq__(self, other):
+        return type(other) is NodeSpec and vars(other) == vars(self)
 
 
-@dataclass(frozen=True)
 class NodeTable:
-    rows: tuple[NodeSpec, ...]
+    """Rows in input order; equal tables have equal rows."""
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple[NodeSpec, ...]):
+        self.rows = rows
         seen = set()
         for i, row in enumerate(self.rows, start=1):
             if row.id < 1:
@@ -42,6 +45,9 @@ class NodeTable:
             seen.add(row.id)
         if not any(r.authority for r in self.rows):
             raise NodeTableError("node table defines zero authorities")
+
+    def __eq__(self, other):
+        return type(other) is NodeTable and other.rows == self.rows
 
     @property
     def ids(self) -> list[int]:

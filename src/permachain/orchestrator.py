@@ -24,7 +24,6 @@ from __future__ import annotations
 import gc
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 
@@ -212,12 +211,12 @@ def run_day(world: World, day: int, loads: dict[int, int]) -> DayResult:
     )
 
 
-@dataclass
 class SimulationResult:
-    config: RunConfig
-    days: list[DayResult]
-    report: dict
-    world: World = field(repr=False)
+    def __init__(self, config: RunConfig, days: list[DayResult], report: dict, world: World):
+        self.config = config
+        self.days = days
+        self.report = report
+        self.world = world
 
     def summary_line(self) -> str:
         committed = sum(d.txs_committed for d in self.days)

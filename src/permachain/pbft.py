@@ -39,7 +39,6 @@ honest node such a block raises `ParentMismatch`, the sign of a benign fork.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from typing import Collection, Optional
@@ -51,11 +50,11 @@ from .ledger import Block, compute_digest, make_block
 from .node import Node
 
 
-@dataclass(frozen=True)
 class QuorumRule:
-    n: int
-    f: int
-    quorum: int
+    def __init__(self, n: int, f: int, quorum: int):
+        self.n = n
+        self.f = f
+        self.quorum = quorum
 
 
 def quorum_params(n: int) -> QuorumRule:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConsistencyError
@@ -30,34 +29,48 @@ TIMESERIES_COLUMNS = ("sim_time_ms", "node_id", "chain_height", "current_view")
 PROPAGATION_COLUMNS = ("kind", "src", "dst", "sent_at", "delivered_at")
 
 
-@dataclass
 class DayResult:
-    day: int
-    txs_scheduled: int
-    txs_committed: int
-    blocks_appended: dict[int, int]
-    day_start_sim_time: int
-    day_end_sim_time: int
-    view_changes: int
-    messages_by_kind: dict[str, int]
-    ended_by: str  # "empty-blocks" or "guard"
+    """One day's outcome, as `orchestrator.run_day` measured it."""
+
+    def __init__(self, day: int, txs_scheduled: int, txs_committed: int,
+                 blocks_appended: dict[int, int], day_start_sim_time: int,
+                 day_end_sim_time: int, view_changes: int, messages_by_kind: dict[str, int],
+                 ended_by: str):
+        self.day = day
+        self.txs_scheduled = txs_scheduled
+        self.txs_committed = txs_committed
+        self.blocks_appended = blocks_appended  # node -> blocks appended that day
+        self.day_start_sim_time = day_start_sim_time
+        self.day_end_sim_time = day_end_sim_time
+        self.view_changes = view_changes
+        self.messages_by_kind = messages_by_kind
+        self.ended_by = ended_by  # "empty-blocks" or "guard"
 
     def to_dict(self) -> dict:
         """The report's day entry; `emit_json` sorts its keys."""
-        return {**asdict(self),
-                "blocks_appended": {str(k): v for k, v in self.blocks_appended.items()}}
+        return {
+            "day": self.day,
+            "txs_scheduled": self.txs_scheduled,
+            "txs_committed": self.txs_committed,
+            "blocks_appended": {str(k): v for k, v in self.blocks_appended.items()},
+            "day_start_sim_time": self.day_start_sim_time,
+            "day_end_sim_time": self.day_end_sim_time,
+            "view_changes": self.view_changes,
+            "messages_by_kind": dict(self.messages_by_kind),
+            "ended_by": self.ended_by,
+        }
 
 
-@dataclass
 class RunRecorder:
-    engine: object = None  # read for the clock of node hooks
-    record_sink: object = None  # csv writer taking one PROPAGATION_COLUMNS row per delivery
-
-    message_counts: Counter = field(default_factory=Counter)
-    drop_counts: Counter = field(default_factory=Counter)
-    aggregates: dict = field(default_factory=dict)  # (src, dst) -> [count, sum, max]
-    timeline: list = field(default_factory=list)    # csv rows, dispatch order
-    view_change_log: list = field(default_factory=list)  # (t, node, old, new)
+    def __init__(self, engine=None, record_sink=None):
+        self.engine = engine  # read for the clock of node hooks
+        # csv writer taking one PROPAGATION_COLUMNS row per delivery
+        self.record_sink = record_sink
+        self.message_counts: Counter = Counter()
+        self.drop_counts: Counter = Counter()
+        self.aggregates: dict = {}  # (src, dst) -> [count, sum, max]
+        self.timeline: list = []    # csv rows, dispatch order
+        self.view_change_log: list = []  # (t, node, old, new)
 
     # -- network hooks -----------------------------------------------------
 

@@ -15,7 +15,6 @@ production begins, and the rest `tx_broadcast_interval_ms` apart.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .distributions import is_int
@@ -26,11 +25,11 @@ from .ledger import Transaction
 MAX_DAILY_LOAD = 10**6
 
 
-@dataclass(frozen=True)
 class LoadSchedule:
     """counts[day][node_id] -> number of transactions to create."""
 
-    counts: dict[int, dict[int, int]]
+    def __init__(self, counts: dict[int, dict[int, int]]):
+        self.counts = counts
 
     @property
     def days(self) -> list[int]:

@@ -2,9 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permachain
 from permachain.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, list_scenarios,
                             load_scenario, main)
 from permachain.config import RunConfig
@@ -18,6 +22,19 @@ NODE_ROWS = [
     {"id": 3, "authority": 1, "location": "Honolulu", "data": "", "byzantine": 0},
     {"id": 4, "authority": 0, "location": "Chicago", "data": "", "byzantine": 0},
 ]
+
+
+def test_import_loads_neither_dataclasses_nor_importlib_resources():
+    # a fresh interpreter without `site`, which loads none of them itself; each
+    # costs every CLI run several ms of start-up (see README "Start-up")
+    src = Path(permachain.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import permachain, permachain.orchestrator, permachain.cli; "
+            "print(*(m for m in ('dataclasses', 'inspect', 'importlib.resources') "
+            "if m in sys.modules))")
+    loaded = subprocess.run([sys.executable, "-S", "-c", code, str(src)], check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert loaded == []
 
 
 def test_parse_node_rows_types_and_flags():
@@ -150,6 +167,8 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
                  "'threshold'", id="authority_rule_column_threshold"),
     pytest.param({"protocol": "pbft", "authority_rule": {"kind": "column", "rule": "x"}},
                  "'rule'", id="authority_rule_unknown_key"),
+    pytest.param({"protocol": "pbft", "authority_rule": None}, "authority_rule",
+                 id="authority_rule_null"),
     pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "constant",
                                                               "ms": math.nan}}},
                  "ms", id="nan_ms"),

@@ -1,6 +1,5 @@
 """Digests, canonical serialization, chains, and validation delays."""
 
-import dataclasses
 import hashlib
 import random
 import struct
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from permachain import ledger
 from permachain.errors import ConfigError, DigestInvalid, HeightGap, ParentMismatch
-from permachain.ledger import (Chain, Transaction, ValidationDelays,
+from permachain.ledger import (Block, Chain, Transaction, ValidationDelays,
                                compute_digest, digest_hex, genesis_block,
                                hash64, make_block)
 from permachain.messages import BlockMsg
@@ -82,7 +81,8 @@ def test_append_valid_child():
 def test_append_rejects_tampered_digest():
     chain = Chain(owner=1)
     good = make_block(1, 0, 2, chain.tip.digest, (tx(1),), 1000)
-    bad = dataclasses.replace(good, digest=~good.digest & (2**64 - 1))
+    bad = Block(good.height, good.view, good.proposer, good.parent_digest, good.txs,
+                good.proposed_at, ~good.digest & (2**64 - 1))
     with pytest.raises(DigestInvalid):
         chain.append(bad)
 
@@ -93,7 +93,8 @@ def test_digest_memo_stays_with_its_block():
     assert compute_digest(good) == good.digest  # memoized on `good` from here on
     with pytest.raises(DigestInvalid):
         chain.append(BlockMsg(good).corrupted().block)
-    moved = dataclasses.replace(good, proposed_at=1001)
+    moved = Block(good.height, good.view, good.proposer, good.parent_digest, good.txs, 1001,
+                  good.digest)
     assert compute_digest(moved) != good.digest
     assert compute_digest(moved) == hash64(struct.pack("<QQQQQI", 1, 0, 2, chain.tip.digest,
                                                        1001, 1) + tx(1).serialize())
