@@ -2,10 +2,11 @@
 
 All samples are returned in integer milliseconds, rounded half-up, and are
 never negative. The normal distribution is truncated at zero by clipping.
-Every millisecond parameter is at most MAX_MS, a normal mean at least
--MAX_MS, and an exponential rate at least 1 / MAX_MS, so every draw and every
-mean is a finite number of milliseconds. A constant distribution holds its
-value as `fixed_ms` and consumes no draw.
+Each parameter lies in the closed range that PARAMS gives it: every
+millisecond parameter in [0, MAX_MS] (a normal mean in [-MAX_MS, MAX_MS]) and
+an exponential rate in [1 / MAX_MS, MAX_MS] per ms, so every draw and every
+mean is a finite number of milliseconds. A constant distribution holds its value as
+`fixed_ms` and consumes no draw.
 
 Every draw is a function of `rng.random()` alone, each u in [0, 1):
 
@@ -22,10 +23,14 @@ import random
 
 from .errors import ConfigError
 
-NUMERIC_PARAMS = {"constant": ("ms",), "uniform": ("lo", "hi"), "normal": ("mean", "std"),
-                  "exponential": ("rate",)}
-PARAMS = {**NUMERIC_PARAMS, "empirical": ("values",)}  # every parameter each kind takes
 MAX_MS = 10**9  # about 11.6 days
+# Each kind's parameters, each with its closed range (for empirical, the range
+# of every value in its list).
+PARAMS = {"constant": {"ms": (0, MAX_MS)},
+          "uniform": {"lo": (0, MAX_MS), "hi": (0, MAX_MS)},
+          "normal": {"mean": (-MAX_MS, MAX_MS), "std": (0, MAX_MS)},
+          "exponential": {"rate": (1 / MAX_MS, MAX_MS)},
+          "empirical": {"values": (0, MAX_MS)}}
 
 
 def is_int(x) -> bool:
@@ -33,9 +38,13 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def is_number(x) -> bool:
-    """An int or a finite float (JSON NaN and Infinity load as floats)."""
-    return is_int(x) or (isinstance(x, float) and math.isfinite(x))
+def check_number(name: str, x, lo, hi, integer: bool = False) -> None:
+    """Refuse x unless it is an int or a finite float (only an int, if `integer`)
+    in [lo, hi]; bools, and JSON NaN and Infinity, are refused."""
+    if not (is_int(x) or (not integer and isinstance(x, float) and math.isfinite(x))) \
+            or not lo <= x <= hi:
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {kind} in [{lo}, {hi}], got {x!r}")
 
 
 def round_half_up_ms(x: float) -> int:
@@ -70,56 +79,41 @@ class Distribution:
         for name in p:
             if name not in PARAMS[kind]:
                 raise ConfigError(f"{kind} distribution takes no parameter {name!r}")
-        for name in NUMERIC_PARAMS.get(kind, ()):
-            if not is_number(p.get(name)):
-                raise ConfigError(f"{kind} distribution needs a numeric {name!r}, "
-                                  f"got {p.get(name)!r}")
-            if name != "rate" and p[name] > MAX_MS:
-                raise ConfigError(f"{kind} distribution needs {name!r} <= {MAX_MS} ms, "
-                                  f"got {p[name]!r}")
+        for name, (lo, hi) in PARAMS[kind].items():
+            value = p.get(name)
+            if kind == "empirical" and not (isinstance(value, (list, tuple)) and value):
+                raise ConfigError(f"empirical distribution needs a non-empty list of {name!r}, "
+                                  f"got {value!r}")
+            for x in value if kind == "empirical" else (value,):
+                check_number(f"{kind} distribution's {name!r}", x, lo, hi)
         # Each kind binds its mean and its draw: the module docstring's formula,
         # rounded half-up as int(x + 0.5), equal to floor(x + 0.5) whenever
         # x + 0.5 >= 0. Only a normal draw can be negative, so only it clips at 0.
         if kind == "constant":
-            if p["ms"] < 0:
-                raise ConfigError("constant distribution needs ms >= 0")
             self.fixed_ms = round_half_up_ms(p["ms"])
             mean, draw = p["ms"], None
         elif kind == "uniform":
             lo, hi = p["lo"], p["hi"]
-            if not 0 <= lo <= hi:
-                raise ConfigError("uniform distribution needs 0 <= lo <= hi")
+            if lo > hi:
+                raise ConfigError(f"uniform distribution needs 'lo' <= 'hi', got {lo!r} > {hi!r}")
             span, mean = hi - lo, (lo + hi) / 2.0
 
             def draw(rng):
                 return int(lo + span * rng.random() + 0.5)
         elif kind == "normal":
             mean, std = p["mean"], p["std"]
-            if std < 0:
-                raise ConfigError("normal distribution needs std >= 0")
-            if mean < -MAX_MS:
-                raise ConfigError(f"normal distribution needs 'mean' >= -{MAX_MS} ms, "
-                                  f"got {mean!r}")
 
             def draw(rng, sqrt=math.sqrt, log=math.log, cos=math.cos, tau=math.tau):
                 x = mean + std * sqrt(-2.0 * log(1.0 - rng.random())) * cos(tau * rng.random())
                 return int(x + 0.5) if x > -0.5 else 0
         elif kind == "exponential":
             rate = p["rate"]
-            if rate < 1 / MAX_MS:
-                raise ConfigError(f"exponential distribution needs rate >= 1 / {MAX_MS}")
             mean = 1.0 / rate
 
             def draw(rng):
                 return int(exponential(rng.random(), rate) + 0.5)
         else:  # empirical
-            values = p.get("values")
-            if not values:
-                raise ConfigError("empirical distribution needs a non-empty value list")
-            if not isinstance(values, (list, tuple)) or not all(is_number(v) for v in values):
-                raise ConfigError(f"empirical distribution values must be numbers, got {values!r}")
-            if any(v < 0 or v > MAX_MS for v in values):
-                raise ConfigError(f"empirical distribution values must be in [0, {MAX_MS}]")
+            values = p["values"]
             rounded, n = tuple(int(v + 0.5) for v in values), len(values)
             mean = math.fsum(values) / n  # statistics.fmean's arithmetic, without its import
 

@@ -20,7 +20,7 @@ import hashlib
 import heapq
 import random
 import zlib
-from typing import Any, Callable, Optional
+from collections.abc import Callable
 
 SimTime = int  # milliseconds of simulated time
 
@@ -72,16 +72,16 @@ class EventEngine:
     def __init__(self):
         self.now: SimTime = 0
         self._instants: list[int] = []  # heap of the fire times in _buckets
-        self._buckets: dict[int, list[tuple[int, Any]]] = {}  # fire time -> events
-        self._handlers: dict[int, Callable[[Any], None]] = {}  # target -> handler
+        self._buckets: dict[int, list[tuple[int, object]]] = {}  # fire time -> events
+        self._handlers: dict[int, Callable[[object], None]] = {}  # target -> handler
         self.scheduled_count = 0
         self.dispatched_count = 0
         self.discarded_count = 0
 
-    def register(self, target: int, handler: Callable[[Any], None]) -> None:
+    def register(self, target: int, handler: Callable[[object], None]) -> None:
         self._handlers[target] = handler
 
-    def schedule(self, delay: int, target: int, payload: Any) -> None:
+    def schedule(self, delay: int, target: int, payload: object) -> None:
         """Enqueue `payload` for `target` at now() + delay. Rejects negative delay."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
@@ -97,7 +97,7 @@ class EventEngine:
     def pending(self) -> int:
         return self.scheduled_count - self.dispatched_count - self.discarded_count
 
-    def run_until_idle(self, deadline: Optional[SimTime] = None) -> SimTime:
+    def run_until_idle(self, deadline: SimTime | None = None) -> SimTime:
         """Dispatch events in (fire_at, seq) order until the queue empties.
 
         Exits early, discarding whatever remains queued, when the next event

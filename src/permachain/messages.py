@@ -15,11 +15,11 @@ rest of the simulator needs to know about it:
 Bodies are plain slotted classes, immutable by convention. Two bodies are
 equal when they have the same class and equal fields.
 
-A body that carries a block does not copy the block's height or digest: a
-receiver reads them from the block. `Prepare` and `Commit` are each a `_Vote`
-(view, height, digest) that adds only its handler. A `Lock` (view, block) is
-a prepared certificate: a replica holds one per height, and its `ViewChange`
-carries that same object to the new primary.
+A body that carries a block is a `_BlockBody` (block) and does not copy the
+block's height or digest: a receiver reads them from the block. `Prepare` and
+`Commit` are each a `_Vote` (view, height, digest) that adds only its handler.
+A `Lock` (view, block) is a prepared certificate: a replica holds one per
+height, and its `ViewChange` carries that same object to the new primary.
 """
 
 from __future__ import annotations
@@ -52,9 +52,12 @@ class _Body:
 
 
 class _BlockBody(_Body):
-    """A body whose `block` field carries the digest to corrupt; its constructor
-    takes the block alone, unless the subclass has its own `corrupted`."""
-    __slots__ = ()
+    """A body whose `block` slot carries the digest to corrupt. Its constructor
+    takes the block alone; a subclass that takes more has its own `corrupted`."""
+    __slots__ = ("block",)
+
+    def __init__(self, block: Block):
+        self.block = block
 
     def corrupted(self):
         return type(self)(_flip_block(self.block))
@@ -71,16 +74,13 @@ class TxGossip(_Body):
 
 class BlockMsg(_BlockBody):
     """Single-round block broadcast (round-robin / lottery protocols)."""
-    __slots__ = ("block",)
+    __slots__ = ()
     delay_kind = BLOCK
     handler = "on_block"
 
-    def __init__(self, block: Block):
-        self.block = block
-
 
 class PrePrepare(_BlockBody):
-    __slots__ = ("view", "block")  # the block's height is the sequence number it orders
+    __slots__ = ("view",)  # the block's height is the sequence number it orders
     handler = "on_preprepare"
 
     def __init__(self, view: int, block: Block):
@@ -148,12 +148,9 @@ class NewView(_Body):
 
 
 class BlockAnnounce(_BlockBody):
-    __slots__ = ("block",)
+    __slots__ = ()
     delay_kind = BLOCK
     handler = "on_announce"
-
-    def __init__(self, block: Block):
-        self.block = block
 
 
 def kind_of(body) -> str:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from . import messages as m
 from .distributions import Distribution
@@ -47,8 +47,8 @@ class LatencyTable:
     the reverse direction, unless that direction has an explicit entry too.
     """
 
-    def __init__(self, default: Optional[Distribution] = None,
-                 pairs: Optional[dict[tuple[str, str], Distribution]] = None):
+    def __init__(self, default: Distribution | None = None,
+                 pairs: dict[tuple[str, str], Distribution] | None = None):
         self.default = default
         self.pairs = pairs or {}
         self._models = {**{(b, a): d for (a, b), d in self.pairs.items()}, **self.pairs}

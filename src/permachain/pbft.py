@@ -39,9 +39,9 @@ honest node such a block raises `ParentMismatch`, the sign of a benign fork.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Collection
 from functools import partial
 from operator import attrgetter
-from typing import Collection, Optional
 
 from . import messages as m
 from .engine import COORDINATOR
@@ -112,7 +112,7 @@ class PbftReplica(PbftFollower):
         self.locks: dict[int, m.Lock] = {}
         self.in_flight = 0  # height of my latest proposal
         # view-change bookkeeping
-        self.vc_votes: dict[int, dict[int, tuple[int, Optional[m.Lock]]]] = defaultdict(dict)
+        self.vc_votes: dict[int, dict[int, tuple[int, m.Lock | None]]] = defaultdict(dict)
         self.vc_attempts = 0  # views that failed at the next height
         self.my_top_vote = 0
         self._timer_token = 0  # only the latest armed timer may fire
@@ -149,7 +149,7 @@ class PbftReplica(PbftFollower):
             return  # previous instance still unresolved
         self._propose(self.next_height)
 
-    def _propose(self, height: int, block: Optional[Block] = None) -> None:
+    def _propose(self, height: int, block: Block | None = None) -> None:
         if block is None and height <= self.chain.height:
             block = self.chain.blocks[height]  # replay a committed block
         if block is None and height in self.locks:
@@ -289,7 +289,7 @@ class PbftReplica(PbftFollower):
         self._adopt_view(proposed, votes.values())
 
     def _adopt_view(self, new_view: int,
-                    votes: Collection[tuple[int, Optional[m.Lock]]] = ()) -> None:
+                    votes: Collection[tuple[int, m.Lock | None]] = ()) -> None:
         self.world.recorder.on_view_adopted(self.id, self.view, new_view, self.chain.height)
         self.view = new_view
         self._arm_timer()

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, presets, overrides, exit codes."""
 
+import copy
 import json
 import math
 import subprocess
@@ -7,12 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import permachain
 from permachain.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, list_scenarios,
                             load_scenario, main)
 from permachain.config import RunConfig
-from permachain.errors import NodeTableError
+from permachain.errors import ConfigError, NodeTableError
 from permachain.faults import ByzantineType
 from permachain.nodetable import parse_node_rows, parse_node_table
 
@@ -30,7 +32,7 @@ def test_import_loads_neither_dataclasses_nor_importlib_resources():
     src = Path(permachain.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import permachain, permachain.orchestrator, permachain.cli; "
-            "print(*(m for m in ('dataclasses', 'inspect', 'importlib.resources') "
+            "print(*(m for m in ('dataclasses', 'inspect', 'importlib.resources', 'typing') "
             "if m in sys.modules))")
     loaded = subprocess.run([sys.executable, "-S", "-c", code, str(src)], check=True,
                             capture_output=True, text=True).stdout.split()
@@ -169,6 +171,17 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
                  "'rule'", id="authority_rule_unknown_key"),
     pytest.param({"protocol": "pbft", "authority_rule": None}, "authority_rule",
                  id="authority_rule_null"),
+    pytest.param({"protocol": "pbft", "latency": None}, "latency", id="latency_null"),
+    pytest.param({"protocol": "pbft", "processing_delay": None}, "processing_delay",
+                 id="processing_delay_null"),
+    pytest.param({"protocol": "pbft", "pbft_timeout_ms": None}, "pbft_timeout_ms",
+                 id="pbft_timeout_null"),
+    pytest.param({"protocol": "pbft", "tx_broadcast_interval_ms": None},
+                 "tx_broadcast_interval_ms", id="tx_broadcast_interval_null"),
+    pytest.param({"protocol": "pbft", "drop_prob_overrides": {"²": 0.1}},
+                 "drop_prob_overrides", id="drop_prob_overrides_superscript_key"),
+    pytest.param({"protocol": "pbft", "drop_prob_overrides": {"1" * 5000: 0.1}},
+                 "drop_prob_overrides", id="drop_prob_overrides_huge_key"),
     pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "constant",
                                                               "ms": math.nan}}},
                  "ms", id="nan_ms"),
@@ -194,6 +207,10 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     pytest.param({"protocol": "pbft", "drop_prob_overrides": {"1": -0.5}},
                  "drop_prob_overrides", id="negative_override"),
     pytest.param({"protocol": "poet", "poet_rate": 5e-324}, "poet_rate", id="tiny_poet_rate"),
+    pytest.param({"protocol": "poet", "poet_rate": 10**400}, "poet_rate", id="huge_poet_rate"),
+    pytest.param({"protocol": "pbft", "latency": {"default": {"kind": "exponential",
+                                                              "rate": 10**400}}},
+                 "rate", id="huge_exponential_rate"),
     pytest.param({"protocol": "pbft", "pbft_timeout_ms": -5000}, "pbft_timeout_ms",
                  id="negative_pbft_timeout"),
     pytest.param({"protocol": "pbft", "latency": {
@@ -228,6 +245,58 @@ def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     path.write_text(json.dumps(config))
     assert main(["--config", str(path)]) == EXIT_VALIDATION
     assert field in capsys.readouterr().err
+
+
+VALID_CONFIG = {
+    "protocol": "pbft", "seed": 1, "block_interval_ms": 1000, "block_capacity": 10,
+    "empty_block_threshold": 10, "day_length_ms": 60_000, "tx_broadcast_interval_ms": 500,
+    "tx_spread_ticks": 1, "pbft_timeout_ms": 100, "drop_prob": 0.4,
+    "drop_prob_overrides": {"1": 0.1}, "poet_rate": 0.001,
+    "latency": {"default": {"kind": "uniform", "lo": 1, "hi": 20},
+                "pairs": [{"src": "a", "dst": "b", "kind": "normal", "mean": 5, "std": 1},
+                          {"src": "b", "dst": "c", "kind": "exponential", "rate": 0.1}]},
+    "processing_delay": {"default": {"kind": "constant", "ms": 1},
+                         "block": {"kind": "empirical", "values": [1, 2.5]}},
+    "authority_rule": {"kind": "location_threshold", "threshold": 4},
+}
+
+
+def _paths(value, path=()):
+    """The path of every value below `value`, and of a new key (None) in every object."""
+    if isinstance(value, dict):
+        yield path + (None,)
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        yield path + (key,)
+        yield from _paths(sub, path + (key,))
+
+
+# any short text, and short text of ASCII and other digits, some of them not decimal
+TEXT = st.text(max_size=4) | st.text("0123456789²³¹١٢٣𝟘⑴", max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | TEXT
+    | st.sampled_from([10**20, -(10**20), 10**400, -1, 0, 5e-324, 1e308]),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(TEXT, children, max_size=3)),
+    max_leaves=6)
+
+
+@given(path=st.sampled_from(list(_paths(VALID_CONFIG))), value=JSON_VALUES, new_key=TEXT)
+def test_config_loads_or_refuses_any_json_value(path, value, new_key):
+    # one value of a valid config replaced by any JSON value, or one key added
+    # to one of its objects: the config loads, or it is refused with a
+    # ConfigError, nothing else
+    data = copy.deepcopy(VALID_CONFIG)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[new_key if path[-1] is None else path[-1]] = value
+    try:
+        config = RunConfig.from_dict(data)
+    except ConfigError:
+        return
+    json.dumps(config.to_echo_dict(), allow_nan=False)
 
 
 @pytest.mark.parametrize("kind, data, field", [
