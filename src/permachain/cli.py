@@ -97,10 +97,10 @@ def _load_inputs(args) -> tuple[RunConfig, NodeTable, LoadSchedule]:
     scenario = load_scenario(args.scenario) if args.scenario else None
 
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 raw_config = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also bytes that are not UTF-8, or a huge integer
                 raise PermachainError(f"config {args.config}: invalid JSON: {exc}")
         if not isinstance(raw_config, dict):
             raise PermachainError(f"config {args.config}: must be a JSON object, "

@@ -3,9 +3,10 @@
 A simulated millisecond clock, an event queue, and a run loop that dispatches
 events to registered handlers in (fire_at, seq) order: ties at the same
 fire_at go in schedule order, which makes the full event trace a
-deterministic function of (configuration, seed). The network schedules one
-event per delivery instant of a broadcast, so `dispatched_count` counts
-delivery instants, not deliveries (see network.py).
+deterministic function of (configuration, seed). The network joins each
+delivery group to the delivery event at the tail of its instant, so
+`dispatched_count` counts joined runs of delivery groups, not deliveries
+(see network.py).
 
 Randomness is never drawn from a global generator: every (node, purpose) pair
 owns an independent named stream, so adding or removing one node cannot
@@ -92,6 +93,28 @@ class EventEngine:
             heapq.heappush(self._instants, at)
         else:
             bucket.append((target, payload))
+        self.scheduled_count += 1
+
+    def join(self, delay: int, target: int, item: object) -> None:
+        """Append `item` to the list payload of the last event queued at now() + delay
+        if that event is `target`'s, else queue a `target` event with payload [item].
+
+        The order is that of one event per item: adjacent events of one instant run
+        back to back, and an item joined to the event being dispatched lands where a
+        new tail event would run, if its handler walks the list by index (a raise
+        drops its unwalked items). A target takes events from `join` only.
+        """
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        at = self.now + delay
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            bucket = self._buckets[at] = []
+            heapq.heappush(self._instants, at)
+        elif bucket[-1][0] == target:
+            bucket[-1][1].append(item)
+            return
+        bucket.append((target, [item]))
         self.scheduled_count += 1
 
     def pending(self) -> int:

@@ -34,11 +34,6 @@ def _u64(x: int) -> bytes:
     return struct.pack("<Q", x & DIGEST_MASK)
 
 
-def _s(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
 def value_eq(self, other) -> bool:
     """`__eq__` of a slotted value: same class and equal public slots (memos are private)."""
     return type(other) is type(self) and all(
@@ -64,21 +59,22 @@ class Transaction:
     def serialize(self) -> bytes:
         cached = self._ser
         if cached is None:  # hot path: each block that carries the transaction reads it
+            raw = self.payload.encode("utf-8")
             cached = self._ser = (
-                _u64(self.tx_id)
-                + _u64(self.origin)
-                + _s(self.payload)
-                + _u64(self.created_at)
-                + _u64(self.day)
+                struct.pack("<QQI", self.tx_id & DIGEST_MASK, self.origin & DIGEST_MASK,
+                            len(raw))
+                + raw
+                + struct.pack("<QQ", self.created_at & DIGEST_MASK, self.day & DIGEST_MASK)
             )
         return cached
 
 
 class Block:
-    """An immutable value by convention; `compute_digest` memoizes its digest on it."""
+    """An immutable value by convention; `compute_digest` memoizes its digest on it,
+    and `tx_ids` its list of transaction ids."""
 
     __slots__ = ("height", "view", "proposer", "parent_digest", "txs", "proposed_at",
-                 "digest", "_computed_digest")
+                 "digest", "_computed_digest", "_tx_ids")
 
     def __init__(self, height: int, view: int, proposer: int, parent_digest: int,
                  txs: tuple[Transaction, ...], proposed_at: int, digest: int = 0):
@@ -90,8 +86,15 @@ class Block:
         self.proposed_at = proposed_at
         self.digest = digest
         self._computed_digest = None
+        self._tx_ids = None
 
     __eq__ = value_eq
+
+    def tx_ids(self) -> list[int]:
+        """The ids of `txs` in order, built once for every node that appends the block."""
+        if self._tx_ids is None:
+            self._tx_ids = [tx.tx_id for tx in self.txs]
+        return self._tx_ids
 
     def serialize_for_digest(self) -> bytes:
         parts = [

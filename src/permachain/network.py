@@ -1,29 +1,31 @@
 """Point-to-point message latency and broadcast scheduling.
 
 Latency is configured per location pair with a global default fallback.
-`Network.broadcast` is the one delivery path. Once per broadcast it takes the
-body's kind, an active sender's ``corrupted()`` form and the processing-delay
-model; then it delivers to each recipient other than the sender at
+`Network.broadcast` is the one delivery path. It takes one body or a batch of
+same-kind bodies (an injection batch of ``TxGossip``), and once per call their
+kind and processing-delay model. Body by body, it takes an active sender's
+``corrupted()`` form and delivers to each recipient other than the sender at
 
     now + latency(src, dst) + processing_delay(kind, receiver)
 
 unless a passive sender drops it. The latency alone is the recorded
-propagation delay. Per recipient, in recipient order, the draws are: one on
-the sender's ``drop`` stream (only a passive sender with a drop probability
-above 0 has one), then, if not dropped, one on the sender's ``latency`` stream
-and one on the recipient's ``processing-delay`` stream. A constant model
-consumes no draw. Each node's Byzantine type, drop probability and
+propagation delay. Per body, and per recipient in recipient order, the draws
+are: one on the sender's ``drop`` stream (only a passive sender with a drop
+probability above 0 has one), then, if not dropped, one on the sender's
+``latency`` stream and one on the recipient's ``processing-delay`` stream. A
+constant model consumes no draw, and a batch of k bodies draws exactly what k
+one-body calls would. Each node's Byzantine type, drop probability and
 ``receive(sender, body)`` are fixed when it registers.
 
-A broadcast schedules one engine event per delivery instant, not per
-recipient: the recipients that share a total delay form a group (a group of
-one included), whose event on the network's own target carries
-``(src, sent_at, body, [(dst, latency), ...])``. Delivering it records a
-transaction or block group with one recorder call, then calls each member's
-``receive`` in recipient order. That is the order one event per recipient
-would give, because a broadcast's events are scheduled back to back, so no
-other event can fall between two deliveries of one instant; and the recorded
-rows keep that order, because no ``receive`` delivers a group itself.
+A body's recipients that share a total delay form a group (a group of one
+included), ``(src, sent_at, body, [(dst, latency), ...])``, which is joined
+(`EventEngine.join`) to the delivery event at the tail of its instant on the
+network's own target. Delivering an event walks its groups in order: each
+records a transaction or block group with one recorder call, then calls each
+member's ``receive`` in recipient order. That is the order one event per
+recipient would give, because a broadcast's groups are queued back to back,
+so no other event can fall between two deliveries of one instant; and the
+recorded rows keep that order, because no ``receive`` delivers a group itself.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ DELIVERY = -1
 
 
 class Network:
-    """Schedules deliveries through the event engine, one event per delivery
+    """Schedules deliveries through the event engine, delivery groups joined per
     instant; takes each node's streams and receiver at `register_node` and
     caches each (src, dst) latency model."""
 
@@ -131,29 +133,30 @@ class Network:
         self._outbound[node_id] = (byz, {}, self.streams.stream(node_id, "latency"), drop)
 
     def broadcast(self, src: int, body, recipients) -> int:
-        """Deliver `body` from `src` to every recipient but `src` itself.
+        """Deliver `body`, or each body of the non-empty list `body` (one kind) in turn,
+        from `src` to every recipient but `src`.
 
-        Returns how many deliveries were scheduled; the others were dropped.
-        """
+        Returns how many deliveries were scheduled; the others were dropped."""
         out = self._outbound.get(src)
         if out is None:
             raise UnknownNodeError(f"unknown sender {src}")
-        kind = m.kind_of(body)
-        if out[0] is ByzantineType.ACTIVE:
-            body = body.corrupted()
-        delay = self.delays.model_for(body.delay_kind)
-        send = self.send
-        # total delay -> [(dst, latency)]
-        groups: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        attempted = scheduled = 0
-        for dst in recipients:
-            if dst != src:
-                attempted += 1
+        bodies = body if isinstance(body, list) else (body,)
+        kind = m.kind_of(bodies[0])
+        active = out[0] is ByzantineType.ACTIVE
+        delay = self.delays.model_for(bodies[0].delay_kind)
+        others = [dst for dst in recipients if dst != src]
+        send, join, now = self.send, self.engine.join, self.engine.now
+        scheduled = 0
+        for body in bodies:
+            if active:
+                body = body.corrupted()
+            # total delay -> [(dst, latency)]
+            groups: dict[int, list[tuple[int, int]]] = defaultdict(list)
+            for dst in others:
                 scheduled += send(src, dst, delay, out, groups)
-        engine = self.engine
-        now = engine.now
-        for total, members in groups.items():
-            engine.schedule(total, DELIVERY, (src, now, body, members))
+            for total, members in groups.items():
+                join(total, DELIVERY, (src, now, body, members))
+        attempted = len(others) * len(bodies)
         if scheduled:
             self.recorder.message_sent(kind, scheduled)
         if attempted > scheduled:
@@ -180,13 +183,17 @@ class Network:
         groups[lat + delay.sample_ms(self._delay_rng[dst])].append((dst, lat))
         return True
 
-    def _deliver(self, group: tuple) -> None:
-        """Hand one group's body to each member in order, first recording a
-        transaction or block group (each latency is a propagation delay)."""
-        src, sent_at, body, members = group
-        kind = body.delay_kind
-        if kind in (TRANSACTION, BLOCK):
-            self.recorder.record_delivery(kind, src, sent_at, members)
-        receivers = self._receivers
-        for dst, _lat in members:
-            receivers[dst](src, body)
+    def _deliver(self, groups: list) -> None:
+        """Hand each group's body to each of its members in order, first recording
+        a transaction or block group (each latency is a propagation delay).
+        Walked by index: a `receive` may join a group to this very list."""
+        record, receivers = self.recorder.record_delivery, self._receivers
+        i = 0
+        while i < len(groups):
+            src, sent_at, body, members = groups[i]
+            i += 1
+            kind = body.delay_kind
+            if kind in (TRANSACTION, BLOCK):
+                record(kind, src, sent_at, members)
+            for dst, _lat in members:
+                receivers[dst](src, body)

@@ -49,8 +49,9 @@ class Node:
             handler(sender, body)
 
     def on_gossip(self, sender: int, msg: m.TxGossip) -> None:
-        if msg.tx.tx_id not in self.committed_txids:
-            self.pool.add(msg.tx)
+        tx = msg.tx
+        if tx.tx_id not in self.committed_txids:
+            self.pool.setdefault(tx.tx_id, tx)
 
     def _accept(self, block: Block) -> None:
         """Append `block` once it follows the tip, then every held block that follows it."""
@@ -62,8 +63,9 @@ class Node:
 
     def _append(self, block: Block) -> None:
         self.chain.append(block)
-        ids = [tx.tx_id for tx in block.txs]
-        self.committed_txids.update(ids)
-        self.pool.discard(ids)
+        if block.txs:
+            ids = block.tx_ids()
+            self.committed_txids.update(ids)
+            self.pool.discard(ids)
         self.world.recorder.on_append(self.id, block, self.view)
         self.world._on_block_appended(self.id, block)

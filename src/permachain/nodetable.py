@@ -131,17 +131,18 @@ _CSV_FIELDS = {"NodeID": "id", "Authority": "authority", "Location": "location",
 def parse_node_table(path: str | Path, authority_rule: dict | None = None) -> NodeTable:
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = []
-            for raw in reader:
-                rows.append({ours: (raw.get(theirs) or "").strip()
-                             for theirs, ours in _CSV_FIELDS.items()})
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                rows = [{ours: (raw.get(theirs) or "").strip()
+                         for theirs, ours in _CSV_FIELDS.items()}
+                        for raw in csv.DictReader(fh)]
+            except ValueError as exc:  # bytes that are not UTF-8
+                raise NodeTableError(f"node table {path} is not UTF-8 text: {exc}")
     else:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 rows = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also bytes that are not UTF-8, or a huge integer
                 raise NodeTableError(f"node table {path} is not valid JSON: {exc}")
         if not isinstance(rows, list):
             raise NodeTableError(f"node table {path} must be a JSON list of rows")

@@ -94,13 +94,15 @@ class World:
         self.engine.schedule(self.config.block_interval_ms, COORDINATOR, self._tick)
 
     def _inject(self, origin_id: int, day: int, count: int) -> None:
-        origin = self.nodes[origin_id]
-        for _ in range(count):
-            self.txs_created += 1
-            tx = Transaction(self.txs_created, origin_id, f"tx-{self.txs_created}",
-                             self.engine.now, day)
+        """Create `count` transactions at `origin_id` and gossip them in one batch."""
+        origin, now, first = self.nodes[origin_id], self.engine.now, self.txs_created + 1
+        self.txs_created += count
+        gossip = []
+        for tx_id in range(first, first + count):
+            tx = Transaction(tx_id, origin_id, f"tx-{tx_id}", now, day)
             origin.pool.add(tx)
-            self.network.broadcast(origin_id, m.TxGossip(tx), self.authorities)
+            gossip.append(m.TxGossip(tx))
+        self.network.broadcast(origin_id, gossip, self.authorities)
 
     # -- day termination ------------------------------------------------------
 

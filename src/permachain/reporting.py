@@ -2,12 +2,15 @@
 
 The recorder folds every transaction and block delivery into exact per-pair
 propagation-delay aggregates and, when given a sink, streams the delivery as
-one raw row of an opt-in propagation CSV as it happens; raw deliveries are
-never held in memory. It also keeps message counters by kind, the view-change
-log, and a timeline of (sim_time_ms, node_id, chain_height, current_view) rows.
-At the end of a run `build_report` assembles a schema-versioned JSON report
-from the recorder, the nodes' chains and the per-day results; the timeline is
-the optional plot-ready CSV.
+one raw row of an opt-in propagation CSV as it happens. Groups wait in a
+per-source buffer of at most FOLD_GROUPS; a fold, when it fills and as
+`aggregate_table` starts, counts each source's buffered (dst, delay) pairs
+and adds each distinct one n times, exactly as a member-by-member fold would.
+Raw deliveries are never held beyond the buffer. It also keeps message
+counters by kind, the view-change log, and a timeline of (sim_time_ms,
+node_id, chain_height, current_view) rows. At the end of a run `build_report`
+assembles a schema-versioned JSON report from the recorder, the nodes' chains
+and the per-day results; the timeline is the optional plot-ready CSV.
 
 Outputs are byte-stable for a fixed (configuration, seed): keys are sorted,
 row order is dispatch order, and no wall-clock data is embedded.
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import chain
 from pathlib import Path
 
 from .errors import ConsistencyError
@@ -27,6 +31,9 @@ SCHEMA_VERSION = 2
 
 TIMESERIES_COLUMNS = ("sim_time_ms", "node_id", "chain_height", "current_view")
 PROPAGATION_COLUMNS = ("kind", "src", "dst", "sent_at", "delivered_at")
+
+# Delivery groups the recorder buffers before it folds them into the aggregates.
+FOLD_GROUPS = 4096
 
 
 class DayResult:
@@ -68,7 +75,9 @@ class RunRecorder:
         self.record_sink = record_sink
         self.message_counts: Counter = Counter()
         self.drop_counts: Counter = Counter()
-        self.aggregates: dict = {}  # (src, dst) -> [count, sum, max]
+        self.aggregates: dict = {}  # (src, dst) -> [count, sum, max], folded groups only
+        self._buffer: defaultdict = defaultdict(list)  # src -> member lists not yet folded
+        self._buffered = 0  # groups in _buffer
         self.timeline: list = []    # csv rows, dispatch order
         self.view_change_log: list = []  # (t, node, old, new)
 
@@ -83,19 +92,30 @@ class RunRecorder:
     def record_delivery(self, kind: str, src: int, sent_at: int,
                         members: list[tuple[int, int]]) -> None:
         """Record one delivery group: `members` lists (dst, delay) in delivery order."""
-        aggregates = self.aggregates
-        for dst, delay in members:
-            agg = aggregates.get((src, dst))
-            if agg is None:
-                aggregates[src, dst] = [1, delay, delay]
-            else:
-                agg[0] += 1
-                agg[1] += delay
-                if delay > agg[2]:
-                    agg[2] = delay
+        self._buffer[src].append(members)
+        self._buffered += 1
+        if self._buffered >= FOLD_GROUPS:
+            self._fold()
         if self.record_sink is not None:
             self.record_sink.writerows([(kind, src, dst, sent_at, sent_at + delay)
                                         for dst, delay in members])
+
+    def _fold(self) -> None:
+        """Add every buffered group to the aggregates, one update per distinct
+        (src, dst, delay), and empty the buffer."""
+        aggregates = self.aggregates
+        for src, groups in self._buffer.items():
+            for (dst, delay), n in Counter(chain.from_iterable(groups)).items():
+                agg = aggregates.get((src, dst))
+                if agg is None:
+                    aggregates[src, dst] = [n, delay * n, delay]
+                else:
+                    agg[0] += n
+                    agg[1] += delay * n
+                    if delay > agg[2]:
+                        agg[2] = delay
+        self._buffer.clear()
+        self._buffered = 0
 
     # -- node hooks ----------------------------------------------------------
 
@@ -110,6 +130,7 @@ class RunRecorder:
     # -- aggregate views ------------------------------------------------------
 
     def aggregate_table(self) -> dict:
+        self._fold()
         out = {}
         for (src, dst), (count, total, peak) in sorted(self.aggregates.items()):
             out[f"{src}->{dst}"] = {
@@ -195,7 +216,6 @@ def emit_timeseries_csv(recorder: RunRecorder, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TIMESERIES_COLUMNS)
-            for row in recorder.timeline:
-                writer.writerow(row)
+            writer.writerows(recorder.timeline)
     except OSError as exc:
         raise OSError(f"cannot write timeseries to {path}: {exc}") from exc

@@ -88,36 +88,30 @@ def parse_schedule(data: dict, known_nodes: set[int] | None = None) -> LoadSched
 
 
 def load_schedule(path: str | Path, known_nodes: set[int] | None = None) -> LoadSchedule:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bytes that are not UTF-8, or a huge integer
             raise ScheduleError(f"schedule file {path} is not valid JSON: {exc}")
     return parse_schedule(data, known_nodes)
 
 
-class TransactionPool:
-    """Pending transactions at one node, drained FIFO by (created_at, tx_id)."""
+class TransactionPool(dict):
+    """Pending transactions at one node by id, drained FIFO by (created_at, tx_id).
 
-    def __init__(self):
-        self._txs: dict[int, Transaction] = {}
-
-    def __len__(self) -> int:
-        return len(self._txs)
-
-    def __contains__(self, tx_id: int) -> bool:
-        return tx_id in self._txs
+    A dict, so a gossip delivery inserts with `setdefault` and runs no pool method.
+    """
 
     def add(self, tx: Transaction) -> None:
-        self._txs.setdefault(tx.tx_id, tx)
+        self.setdefault(tx.tx_id, tx)
 
     def discard(self, tx_ids) -> None:
         for tx_id in tx_ids:
-            self._txs.pop(tx_id, None)
+            self.pop(tx_id, None)
 
     def take_batch(self, capacity: int) -> tuple[Transaction, ...]:
         """Remove and return up to `capacity` transactions in creation order."""
-        batch = sorted(self._txs.values(), key=lambda t: (t.created_at, t.tx_id))[:capacity]
+        batch = sorted(self.values(), key=lambda t: (t.created_at, t.tx_id))[:capacity]
         for tx in batch:
-            del self._txs[tx.tx_id]
+            del self[tx.tx_id]
         return tuple(batch)

@@ -340,6 +340,43 @@ def test_bad_schedule_or_node_table_is_validation_error(tmp_path, capsys, kind, 
     assert field in capsys.readouterr().err
 
 
+HUGE_INT = b"1" * 5000  # past the 4,300 digits int() converts from text
+NOT_UTF8 = b"\xff\xfe"
+
+
+@pytest.mark.parametrize("kind, suffix, content", [
+    pytest.param("config", ".json", b'{"protocol": "poa", "seed": ' + HUGE_INT + b"}",
+                 id="config_huge_int"),
+    pytest.param("config", ".json", b'{"protocol": "' + NOT_UTF8 + b'"}',
+                 id="config_not_utf8"),
+    pytest.param("nodes", ".json", b'[{"id": ' + HUGE_INT + b', "authority": 1}]',
+                 id="json_nodes_huge_int"),
+    pytest.param("nodes", ".json", b'[{"location": "' + NOT_UTF8 + b'"}]',
+                 id="json_nodes_not_utf8"),
+    pytest.param("nodes", ".csv", b"NodeID,Authority,Location\n1,1," + NOT_UTF8 + b"\n",
+                 id="csv_nodes_not_utf8"),
+    pytest.param("transactions", ".json", b'{"days": [{"day": ' + HUGE_INT + b"}]}",
+                 id="schedule_huge_int"),
+    pytest.param("transactions", ".json", b'{"days": [], "' + NOT_UTF8 + b'": 1}',
+                 id="schedule_not_utf8"),
+])
+def test_unreadable_input_file_is_validation_error_naming_it(tmp_path, capsys, kind, suffix,
+                                                             content):
+    args = ["--out", str(tmp_path / "out")]
+    for name, data in (("config", {"protocol": "poa"}),
+                       ("nodes", [dict(r, byzantine=0) for r in NODE_ROWS]),
+                       ("transactions", {"days": [{"day": 1, "loads": {"1": 1}}]})):
+        path = tmp_path / f"{name}{suffix if name == kind else '.json'}"
+        if name == kind:
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(data))
+        args += [f"--{name}", str(path)]
+    assert main(args) == EXIT_VALIDATION
+    assert f"{tmp_path / kind}{suffix}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_config_fails_before_any_output_file_is_opened(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"protocol": "pbft", "drop_prob": 5}))

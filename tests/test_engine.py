@@ -1,6 +1,7 @@
 """Event engine: ordering, fast-forward, deadlines, determinism."""
 
 import heapq
+from functools import partial
 from itertools import count
 
 import pytest
@@ -107,13 +108,16 @@ def test_dispatch_order_is_deterministic_and_monotone(items):
     assert times == sorted(times)
 
 
-TARGETS = (COORDINATOR, 1, 2)
+TARGETS = (COORDINATOR, 1, 2)  # take events from `schedule`
+JOINED = (-1, -2)  # take items from `join`, a list per event
 
-# An event: (delay, target, children), each child scheduled by the event's own
-# handler, in order, relative to the instant the handler runs.
+# An event: (delay, target, children), each child queued by the event's own
+# handler, in order, relative to the instant the handler runs. A child for a
+# JOINED target is joined, at delay 0 at times to the entry being delivered.
+delays = st.just(0) | st.integers(0, 6)
 event_trees = st.recursive(
-    st.tuples(st.integers(0, 6), st.sampled_from(TARGETS), st.just(())),
-    lambda children: st.tuples(st.integers(0, 6), st.sampled_from(TARGETS),
+    st.tuples(delays, st.sampled_from(TARGETS + JOINED), st.just(())),
+    lambda children: st.tuples(delays, st.sampled_from(TARGETS + JOINED),
                                st.lists(children, max_size=3).map(tuple)),
     max_leaves=25)
 
@@ -123,25 +127,35 @@ def run_engine(roots, deadline):
     engine = EventEngine()
     trace = []
 
-    def handler(target):
-        def handle(payload):
-            name, children = payload
-            trace.append((engine.now, target, name))
-            for i, (delay, child_target, grandchildren) in enumerate(children):
-                engine.schedule(delay, child_target, (f"{name}.{i}", grandchildren))
-        return handle
+    def queue(delay, target, item):
+        (engine.join if target in JOINED else engine.schedule)(delay, target, item)
 
-    for target in TARGETS:
+    def visit(target, item):
+        name, children = item
+        trace.append((engine.now, target, name))
+        for i, (delay, child_target, grandchildren) in enumerate(children):
+            queue(delay, child_target, (f"{name}.{i}", grandchildren))
+
+    def handler(target):
+        def handle_list(items):
+            i = 0
+            while i < len(items):  # a child may join this very list
+                visit(target, items[i])
+                i += 1
+        return handle_list if target in JOINED else partial(visit, target)
+
+    for target in TARGETS + JOINED:
         engine.register(target, handler(target))
     for i, (delay, target, children) in enumerate(roots):
-        engine.schedule(delay, target, (str(i), children))
+        queue(delay, target, (str(i), children))
     assert engine.run_until_idle(deadline) == (trace[-1][0] if trace else 0)
     return engine, trace
 
 
 def reference_order(roots, deadline):
-    """The same run on one heap entry per event, popped in (fire_at, seq) order;
-    returns (trace, how many events were left past the deadline)."""
+    """The same run on one heap entry per event or joined item, popped in
+    (fire_at, seq) order; returns (trace, [(time, target)] of the entries left
+    past the deadline, in that order)."""
     heap, seq, trace = [], count(), []
     for i, (delay, target, children) in enumerate(roots):
         heapq.heappush(heap, (delay, next(seq), target, str(i), children))
@@ -151,7 +165,15 @@ def reference_order(roots, deadline):
         for i, (delay, child_target, grandchildren) in enumerate(children):
             heapq.heappush(heap, (now + delay, next(seq), child_target, f"{name}.{i}",
                                   grandchildren))
-    return trace, len(heap)
+    return trace, [(at, target) for at, _, target, _, _ in sorted(heap)]
+
+
+def engine_events(entries):
+    """How many engine events carry `entries` ((time, target, ...) in dispatch
+    order): a run of one instant's items for one JOINED target shares one."""
+    keys = [(at, target) for at, target, *_ in entries]
+    return sum(1 for i, key in enumerate(keys)
+               if key[1] not in JOINED or i == 0 or keys[i - 1] != key)
 
 
 @given(st.lists(event_trees, max_size=12), st.none() | st.integers(0, 20))
@@ -159,9 +181,39 @@ def test_dispatch_order_matches_a_heap_of_fire_at_and_seq(roots, deadline):
     engine, trace = run_engine(roots, deadline)
     expected, left = reference_order(roots, deadline)
     assert trace == expected
-    assert (engine.dispatched_count, engine.discarded_count) == (len(expected), left)
+    assert (engine.dispatched_count, engine.discarded_count) == \
+        (engine_events(expected), engine_events(left))
     assert engine.scheduled_count == engine.dispatched_count + engine.discarded_count
     assert engine.pending() == 0
+
+
+def test_an_item_joined_to_the_entry_being_delivered_runs_at_its_tail():
+    engine = EventEngine()
+    seen = []
+
+    def handle(items):
+        i = 0
+        while i < len(items):
+            item = items[i]
+            i += 1
+            seen.append((engine.now, item))
+            if item == "z":
+                engine.join(0, -1, "c")  # the running entry [z] is the instant's last: joins it
+                engine.schedule(0, COORDINATOR, "x")
+                engine.join(0, -1, "d")  # after x: a new entry
+                engine.join(1, -1, "e")
+
+    engine.register(-1, handle)
+    engine.register(COORDINATOR, lambda payload: seen.append((engine.now, payload)))
+    engine.join(2, -1, "a")
+    engine.join(2, -1, "b")
+    engine.schedule(2, COORDINATOR, "w")
+    engine.join(2, -1, "z")
+    assert engine.scheduled_count == 3
+    assert engine.run_until_idle() == 3
+    assert seen == [(2, "a"), (2, "b"), (2, "w"), (2, "z"), (2, "c"), (2, "x"), (2, "d"),
+                    (3, "e")]
+    assert engine.scheduled_count == engine.dispatched_count == 6
 
 
 def test_advance_to_refuses_to_skip_a_pending_instant():

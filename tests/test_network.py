@@ -55,14 +55,14 @@ class LoggedRecorder(RunRecorder):
 
 
 def build_net(n_nodes=13, byz=None, drop_prob=0.4, latency=None, seed=1, overrides=None,
-              receive=lambda node, sender, body: None):
+              receive=lambda node, sender, body: None, delays=None):
     """A bare Network over nodes 1..n_nodes; node i hands each delivery to
     receive(i, sender, body)."""
     byz = byz or {}
     engine = EventEngine()
     streams = LoggedStreams(seed)
     table = latency or LatencyTable(default=Distribution("constant", {"ms": 10}))
-    delays = ValidationDelays.from_config({"default": {"kind": "constant", "ms": 1}})
+    delays = delays or ValidationDelays.from_config({"default": {"kind": "constant", "ms": 1}})
     recorder = LoggedRecorder()
     recorder.engine = engine
     faults = RunConfig("pbft", drop_prob=drop_prob, drop_prob_overrides=overrides or {})
@@ -88,12 +88,15 @@ def logged_net(**kwargs):
 
 
 def latencies(net, src, dst, n):
-    """Latencies of n single-recipient broadcasts, in send order."""
-    groups = []
-    net.engine.schedule = lambda delay, target, group: groups.append(group)
+    """Latencies of n single-recipient broadcasts from src to dst, in send order,
+    read from the rows the recorder takes as each one is delivered."""
+    rows = net.recorder.deliveries
+    start = len(rows)
     for i in range(n):
         net.broadcast(src, gossip(i), [dst])
-    return [lat for _src, _sent_at, _body, members in groups for _dst, lat in members]
+        net.engine.run_until_idle()
+    return [delivered_at - sent_at for _, s, d, sent_at, delivered_at in rows[start:]
+            if (s, d) == (src, dst)]
 
 
 def test_constant_latency_always_ten():
@@ -334,11 +337,36 @@ def test_one_event_per_delivery_instant():
     engine, net, _, log = logged_net()  # constant 10 ms latency, constant 1 ms processing
     for i in range(10):
         assert net.broadcast(1, gossip(i), range(1, 14)) == 12
-    assert engine.scheduled_count == 10
+    assert engine.scheduled_count == 1  # the ten groups share one instant, joined
     engine.run_until_idle()
-    assert engine.dispatched_count == 10
+    assert engine.dispatched_count == 1
     assert [(t, node, sender, body.tx.tx_id) for t, node, sender, body in log] == \
         [(11, node, 1, i) for i in range(10) for node in range(2, 14)]
+
+
+def test_a_batch_of_bodies_draws_and_delivers_as_one_broadcast_per_body():
+    latency = LatencyTable(default=Distribution("uniform", {"lo": 1, "hi": 30}))
+    delays = ValidationDelays.from_config(
+        {"transaction": {"kind": "normal", "mean": 5, "std": 3},
+         "default": {"kind": "constant", "ms": 1}})
+    nets = [logged_net(byz={1: 2}, drop_prob=0.4, latency=latency, delays=delays, seed=4)
+            for _ in range(2)]
+    bodies = [gossip(i) for i in range(8)]
+    (engine_b, net_b, recorder_b, log_b), (engine_s, net_s, recorder_s, log_s) = nets
+    scheduled = net_b.broadcast(1, bodies, range(1, 14))
+    assert scheduled == sum(net_s.broadcast(1, body, range(1, 14)) for body in bodies)
+    assert engine_b.scheduled_count == engine_s.scheduled_count  # groups joined alike
+    engine_b.run_until_idle()
+    engine_s.run_until_idle()
+    assert 0 < scheduled < 8 * 12 and len(log_b) == scheduled
+    assert log_b == log_s
+    assert recorder_b.deliveries == recorder_s.deliveries
+    assert (recorder_b.message_counts, recorder_b.drop_counts) == \
+        (recorder_s.message_counts, recorder_s.drop_counts)
+    asked = sorted(set(net_b.streams.asked))
+    assert asked == sorted(set(net_s.streams.asked))
+    assert [net_b.streams.stream(*key).random() for key in asked] == \
+        [net_s.streams.stream(*key).random() for key in asked]
 
 
 def mixed_delay_net(receive):
@@ -379,6 +407,23 @@ def test_grouped_deliveries_keep_the_order_of_one_event_per_recipient():
         (21, 7),
     ]
     assert engine.dispatched_count == 4 + 3 + 1
+
+
+def test_a_group_joined_while_its_event_is_delivered_runs_at_its_tail():
+    log = []
+
+    def receive(node, sender, body):
+        log.append((engine.now, node, sender, body.tx.tx_id))
+        if (node, body.tx.tx_id) == (2, 1):  # total delay 0: joins the event being delivered
+            net.broadcast(2, gossip(2), [3, 4])
+
+    zero = LatencyTable(default=Distribution("constant", {"ms": 0}))
+    delays = ValidationDelays.from_config({"default": {"kind": "constant", "ms": 0}})
+    engine, net, _ = build_net(n_nodes=4, latency=zero, delays=delays, receive=receive)
+    net.broadcast(1, gossip(1), [2, 3])
+    engine.run_until_idle()
+    assert log == [(0, 2, 1, 1), (0, 3, 1, 1), (0, 3, 2, 2), (0, 4, 2, 2)]
+    assert engine.scheduled_count == engine.dispatched_count == 1
 
 
 def test_a_group_past_the_deadline_is_discarded_whole():

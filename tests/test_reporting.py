@@ -2,10 +2,14 @@
 
 import io
 import json
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import quick_run
+from permachain import reporting
 from permachain.errors import ConsistencyError
 from permachain.reporting import (RunRecorder, check_benign_consistency, emit_json,
                                   emit_timeseries_csv, propagation_writer)
@@ -65,7 +69,53 @@ def test_a_delivery_group_is_recorded_member_by_member():
         single.record_delivery("block", 3, 40, [(dst, delay)])
     assert buf.getvalue().split("\r\n")[1:] == ["block,3,1,40,52", "block,3,2,40,49",
                                                  "block,3,1,40,70", ""]
-    assert grouped.aggregates == single.aggregates == {(3, 1): [2, 42, 30], (3, 2): [1, 9, 9]}
+    assert grouped.aggregate_table() == single.aggregate_table() == {
+        "3->1": {"count": 2, "mean_ms": 21.0, "max_ms": 30},
+        "3->2": {"count": 1, "mean_ms": 9.0, "max_ms": 9}}
+
+
+def member_by_member(groups):
+    """(src, dst) -> [count, sum, max], folded one delivery at a time."""
+    aggregates = {}
+    for src, members in groups:
+        for dst, delay in members:
+            agg = aggregates.setdefault((src, dst), [0, 0, delay])
+            agg[0] += 1
+            agg[1] += delay
+            agg[2] = max(agg[2], delay)
+    return aggregates
+
+
+delivery_groups = st.lists(st.tuples(
+    st.integers(1, 3), st.lists(st.tuples(st.integers(1, 4), st.integers(0, 40)),
+                                min_size=1, max_size=5)), max_size=40)
+
+
+@given(delivery_groups, st.integers(1, 6))
+def test_the_bulk_fold_equals_a_member_by_member_fold(groups, fold_groups):
+    recorder = RunRecorder()
+    with mock.patch.object(reporting, "FOLD_GROUPS", fold_groups):
+        for i, (src, members) in enumerate(groups):
+            recorder.record_delivery("transaction", src, i, members)
+        table = recorder.aggregate_table()
+    expected = member_by_member(groups)
+    assert recorder.aggregates == expected
+    assert table == {f"{src}->{dst}": {"count": n, "mean_ms": round(total / n, 3),
+                                       "max_ms": peak}
+                     for (src, dst), (n, total, peak) in sorted(expected.items())}
+
+
+def test_a_run_past_the_fold_threshold_folds_every_group():
+    rng = random.Random(7)
+    groups = [(rng.randint(1, 5), [(rng.randint(1, 9), rng.randint(0, 99))
+                                   for _ in range(rng.randint(1, 4))])
+              for _ in range(2 * reporting.FOLD_GROUPS + 5)]
+    recorder = RunRecorder()
+    for src, members in groups:
+        recorder.record_delivery("block", src, 0, members)
+    assert recorder.aggregates  # folded twice before the table was asked for
+    recorder.aggregate_table()
+    assert recorder.aggregates == member_by_member(groups)
 
 
 def test_emit_json_byte_identical_for_same_seed(tmp_path):
