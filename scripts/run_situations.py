@@ -44,9 +44,9 @@ def main():
         sc, table, result, elapsed = run(name, args.seed)
         results[name] = (table, result)
         day = result.days[0]
-        print(f"{name}: committed {day.txs_committed}/{day.txs_scheduled} txs, "
-              f"{day.view_changes} view changes, "
-              f"ended by {day.ended_by}, wall {elapsed:.1f}s")
+        print(f"{name}: committed {day['txs_committed']}/{day['txs_scheduled']} txs, "
+              f"{day['view_changes']} view changes, "
+              f"ended by {day['ended_by']}, wall {elapsed:.1f}s")
 
     print()
     header = f"{'node':>4} {'auth':>4} " + "".join(

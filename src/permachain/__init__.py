@@ -7,37 +7,4 @@ active/passive Byzantine authority behaviors. Every run is a pure function
 of (configuration, seed) and emits machine-readable reports.
 """
 
-from .config import RunConfig
-from .engine import EventEngine, RngStreams
-from .ledger import Block, Chain, Transaction, compute_digest
-from .nodetable import NodeTable, parse_node_rows, parse_node_table
-from .orchestrator import SimulationResult, World, run_all, run_day
-from .pbft import primary_of, quorum_params
-from .poa import leader_for_height, poet_elect
-from .workload import LoadSchedule, load_schedule, parse_schedule
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Block",
-    "Chain",
-    "EventEngine",
-    "LoadSchedule",
-    "NodeTable",
-    "RngStreams",
-    "RunConfig",
-    "SimulationResult",
-    "Transaction",
-    "World",
-    "compute_digest",
-    "leader_for_height",
-    "load_schedule",
-    "parse_node_rows",
-    "parse_node_table",
-    "parse_schedule",
-    "poet_elect",
-    "primary_of",
-    "quorum_params",
-    "run_all",
-    "run_day",
-]

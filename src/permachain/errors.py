@@ -28,19 +28,15 @@ class UnknownNodeError(PermachainError):
     """A message was addressed to a node id that is not registered."""
 
 
-class ChainError(PermachainError):
-    """Base class for block-append failures."""
-
-
-class ParentMismatch(ChainError):
+class ParentMismatch(PermachainError):
     """Block's parent digest does not match the chain tip."""
 
 
-class HeightGap(ChainError):
+class HeightGap(PermachainError):
     """Block height is not exactly tip height + 1."""
 
 
-class DigestInvalid(ChainError):
+class DigestInvalid(PermachainError):
     """Block digest does not verify against its contents (tampering)."""
 
 

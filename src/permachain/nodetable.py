@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from reprlib import repr as brief  # cuts a long cell short in an error message
 
 from .distributions import is_int
 from .errors import NodeTableError
@@ -19,12 +20,10 @@ from .faults import ByzantineType
 
 
 class NodeSpec:
-    def __init__(self, id: int, authority: bool, location: str, data: str = "",
-                 byzantine: ByzantineType = ByzantineType.HONEST):
+    def __init__(self, id: int, authority: bool, location: str, byzantine: ByzantineType):
         self.id = id
         self.authority = authority
         self.location = location
-        self.data = data
         self.byzantine = byzantine
 
     def __eq__(self, other):
@@ -39,9 +38,9 @@ class NodeTable:
         seen = set()
         for i, row in enumerate(self.rows, start=1):
             if row.id < 1:
-                raise NodeTableError(f"row {i}: node ids must be positive, got {row.id}")
+                raise NodeTableError(f"row {i}: node ids must be positive, got {brief(row.id)}")
             if row.id in seen:
-                raise NodeTableError(f"row {i}: duplicate node id {row.id}")
+                raise NodeTableError(f"row {i}: duplicate node id {brief(row.id)}")
             seen.add(row.id)
         if not any(r.authority for r in self.rows):
             raise NodeTableError("node table defines zero authorities")
@@ -88,23 +87,23 @@ def _int_cell(value, default: int | None = None) -> int:
 
 def _parse_row(i: int, raw: dict, authority_rule: dict) -> NodeSpec:
     if not isinstance(raw, dict):
-        raise NodeTableError(f"row {i}: must be an object, got {raw!r}")
+        raise NodeTableError(f"row {i}: must be an object, got {brief(raw)}")
     try:
         node_id = _int_cell(raw.get("id"))
     except ValueError:
-        raise NodeTableError(f"row {i}: missing or non-integer node id {raw.get('id')!r}")
+        raise NodeTableError(f"row {i}: missing or non-integer node id {brief(raw.get('id'))}")
     location = str(raw.get("location", ""))
     try:
         byz = ByzantineType(_int_cell(raw.get("byzantine"), 0))
     except ValueError:
         raise NodeTableError(
-            f"row {i}: invalid Byzantine code {raw.get('byzantine')!r} (must be 0, 1 or 2)")
+            f"row {i}: invalid Byzantine code {brief(raw.get('byzantine'))} (must be 0, 1 or 2)")
     if authority_rule.get("kind") == "location_threshold":
         try:
             authority = int(location) < authority_rule["threshold"]
         except ValueError:
             raise NodeTableError(
-                f"row {i}: location {location!r} is not an integer id, "
+                f"row {i}: location {brief(location)} is not an integer id, "
                 f"cannot apply the location-threshold authority rule")
     else:
         try:
@@ -113,10 +112,9 @@ def _parse_row(i: int, raw: dict, authority_rule: dict) -> NodeSpec:
             flag = None
         if flag not in (0, 1):
             raise NodeTableError(
-                f"row {i}: authority flag must be 0 or 1, got {raw.get('authority')!r}")
+                f"row {i}: authority flag must be 0 or 1, got {brief(raw.get('authority'))}")
         authority = flag == 1
-    return NodeSpec(id=node_id, authority=authority, location=location,
-                    data=str(raw.get("data") or ""), byzantine=byz)
+    return NodeSpec(id=node_id, authority=authority, location=location, byzantine=byz)
 
 
 def parse_node_rows(rows: list[dict], authority_rule: dict | None = None) -> NodeTable:
@@ -124,8 +122,9 @@ def parse_node_rows(rows: list[dict], authority_rule: dict | None = None) -> Nod
     return NodeTable(tuple(_parse_row(i, raw, rule) for i, raw in enumerate(rows, start=1)))
 
 
+# The Data column is accepted and not stored.
 _CSV_FIELDS = {"NodeID": "id", "Authority": "authority", "Location": "location",
-               "Data": "data", "Byzantine": "byzantine"}
+               "Byzantine": "byzantine"}
 
 
 def parse_node_table(path: str | Path, authority_rule: dict | None = None) -> NodeTable:

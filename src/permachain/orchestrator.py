@@ -36,7 +36,7 @@ from .network import Network
 from .nodetable import NodeTable
 from .pbft import PbftFollower, PbftReplica, quorum_params
 from .poa import Lottery, PoaNode, PoetAuthority
-from .reporting import DayResult, RunRecorder, build_report, propagation_writer
+from .reporting import RunRecorder, build_report, propagation_writer
 from .workload import LoadSchedule, batches
 
 
@@ -174,7 +174,8 @@ def emit_day(world: World, day: int, loads: dict[int, int]) -> int:
     return total
 
 
-def run_day(world: World, day: int, loads: dict[int, int]) -> DayResult:
+def run_day(world: World, day: int, loads: dict[int, int]) -> dict:
+    """Run one day; returns the report's entry for it."""
     config = world.config
     engine = world.engine
     day_start = engine.now
@@ -198,33 +199,33 @@ def run_day(world: World, day: int, loads: dict[int, int]) -> DayResult:
 
     messages_delta = Counter(world.recorder.message_counts)
     messages_delta.subtract(messages_before)
-    return DayResult(
-        day=day,
-        txs_scheduled=scheduled,
-        txs_committed=len(reference.committed_txids) - committed_before,
-        blocks_appended={n: world.nodes[n].chain.height - heights_before[n]
-                         for n in world.all_ids},
-        day_start_sim_time=day_start,
-        day_end_sim_time=end,
-        view_changes=sum(1 for row in world.recorder.view_change_log[vc_before:]
-                         if row[1] == world.reference),
-        messages_by_kind={k: v for k, v in sorted(messages_delta.items()) if v},
-        ended_by=world.day_ended_by,
-    )
+    return {
+        "day": day,
+        "txs_scheduled": scheduled,
+        "txs_committed": len(reference.committed_txids) - committed_before,
+        "blocks_appended": {str(n): world.nodes[n].chain.height - heights_before[n]
+                            for n in world.all_ids},
+        "day_start_sim_time": day_start,
+        "day_end_sim_time": end,
+        "view_changes": sum(1 for row in world.recorder.view_change_log[vc_before:]
+                            if row[1] == world.reference),
+        "messages_by_kind": {k: v for k, v in sorted(messages_delta.items()) if v},
+        "ended_by": world.day_ended_by,  # "empty-blocks" or "guard"
+    }
 
 
 class SimulationResult:
-    def __init__(self, config: RunConfig, days: list[DayResult], report: dict, world: World):
+    def __init__(self, config: RunConfig, days: list[dict], report: dict, world: World):
         self.config = config
         self.days = days
         self.report = report
         self.world = world
 
     def summary_line(self) -> str:
-        committed = sum(d.txs_committed for d in self.days)
-        scheduled = sum(d.txs_scheduled for d in self.days)
+        committed = sum(d["txs_committed"] for d in self.days)
+        scheduled = sum(d["txs_scheduled"] for d in self.days)
         heights = {n: self.world.nodes[n].chain.height for n in self.world.all_ids}
-        vcs = sum(d.view_changes for d in self.days)
+        vcs = sum(d["view_changes"] for d in self.days)
         return (f"days={len(self.days)} txs={committed}/{scheduled} "
                 f"final_heights={heights} view_changes={vcs}")
 
@@ -241,7 +242,7 @@ def run_all(config: RunConfig, table: NodeTable, schedule: LoadSchedule,
     gc.disable()
     try:
         world = World(config, table, records)
-        days: list[DayResult] = []
+        days: list[dict] = []
         for day in schedule.days:
             # a day's deadline is the next day's start, so the clock is never past it
             world.engine.advance_to((day - 1) * config.day_length_ms)

@@ -36,38 +36,6 @@ PROPAGATION_COLUMNS = ("kind", "src", "dst", "sent_at", "delivered_at")
 FOLD_GROUPS = 4096
 
 
-class DayResult:
-    """One day's outcome, as `orchestrator.run_day` measured it."""
-
-    def __init__(self, day: int, txs_scheduled: int, txs_committed: int,
-                 blocks_appended: dict[int, int], day_start_sim_time: int,
-                 day_end_sim_time: int, view_changes: int, messages_by_kind: dict[str, int],
-                 ended_by: str):
-        self.day = day
-        self.txs_scheduled = txs_scheduled
-        self.txs_committed = txs_committed
-        self.blocks_appended = blocks_appended  # node -> blocks appended that day
-        self.day_start_sim_time = day_start_sim_time
-        self.day_end_sim_time = day_end_sim_time
-        self.view_changes = view_changes
-        self.messages_by_kind = messages_by_kind
-        self.ended_by = ended_by  # "empty-blocks" or "guard"
-
-    def to_dict(self) -> dict:
-        """The report's day entry; `emit_json` sorts its keys."""
-        return {
-            "day": self.day,
-            "txs_scheduled": self.txs_scheduled,
-            "txs_committed": self.txs_committed,
-            "blocks_appended": {str(k): v for k, v in self.blocks_appended.items()},
-            "day_start_sim_time": self.day_start_sim_time,
-            "day_end_sim_time": self.day_end_sim_time,
-            "view_changes": self.view_changes,
-            "messages_by_kind": dict(self.messages_by_kind),
-            "ended_by": self.ended_by,
-        }
-
-
 class RunRecorder:
     def __init__(self, engine=None, record_sink=None):
         self.engine = engine  # read for the clock of node hooks
@@ -154,18 +122,20 @@ def check_benign_consistency(summaries: list[dict], benign: set[int]) -> None:
             )
 
 
-def build_report(world, days: list[DayResult]) -> dict:
-    """The report of a finished run of `world` (an orchestrator.World)."""
+def build_report(world, days: list[dict]) -> dict:
+    """The report of a finished run of `world` (an orchestrator.World), whose
+    `days` are `orchestrator.run_day`'s day entries."""
     recorder = world.recorder
     summaries = []
     for n in world.all_ids:
         digests = [digest_hex(d) for d in world.nodes[n].chain.digests_beyond_genesis()]
+        node = str(n)
         summaries.append({
             "node": n,
             "block_count": len(digests),
             "block_digests": digests,
-            "per_day_blocks": {str(d.day): d.blocks_appended[n]
-                               for d in days if d.blocks_appended[n]},
+            "per_day_blocks": {str(d["day"]): d["blocks_appended"][node]
+                               for d in days if d["blocks_appended"][node]},
         })
     return {
         "schema_version": SCHEMA_VERSION,
@@ -173,7 +143,7 @@ def build_report(world, days: list[DayResult]) -> dict:
         "config": world.config.to_echo_dict(),
         "benign_nodes": sorted(world.benign),
         "reference_node": world.reference,
-        "days": [d.to_dict() for d in days],
+        "days": days,
         "nodes": summaries,
         "messages_by_kind": dict(sorted(recorder.message_counts.items())),
         "drops_by_kind": dict(sorted(recorder.drop_counts.items())),
@@ -185,7 +155,7 @@ def build_report(world, days: list[DayResult]) -> dict:
         "totals": {
             "txs_created": world.txs_created,
             "txs_committed": len(world.nodes[world.reference].committed_txids),
-            "txs_scheduled": sum(d.txs_scheduled for d in days),
+            "txs_scheduled": sum(d["txs_scheduled"] for d in days),
         },
     }
 

@@ -40,9 +40,6 @@ class LoadSchedule:
             raise ScheduleError("day out of schedule range", day=day)
         return self.counts[day]
 
-    def total(self) -> int:
-        return sum(sum(v.values()) for v in self.counts.values())
-
 
 def batches(count: int, spread_ticks: int) -> list[int]:
     """Split a day's count across at most `spread_ticks` ticks, remainder front-loaded."""

@@ -46,15 +46,15 @@ def test_criterion_1_active_majority_blocks_nothing():
     result = run_scenario("situation1")
     chains = benign_digestlists(result)
     ok = all(len(digests) == 0 for digests in chains.values())
-    ok = ok and sum(d.txs_scheduled for d in result.days) == 8868
-    ok = ok and sum(d.txs_committed for d in result.days) == 0
+    ok = ok and sum(d["txs_scheduled"] for d in result.days) == 8868
+    ok = ok and sum(d["txs_committed"] for d in result.days) == 0
 
     start = time.perf_counter()
     desk = run_scenario("situation1-desk")
     elapsed = time.perf_counter() - start
     desk_chains = benign_digestlists(desk)
     ok = ok and all(len(d) == 0 for d in desk_chains.values())
-    ok = ok and sum(d.txs_scheduled for d in desk.days) == 200
+    ok = ok and sum(d["txs_scheduled"] for d in desk.days) == 200
     ok = ok and elapsed < 60.0
     _verdict(1, ok, f"benign block count 0 with 5 tamperers; desk run {elapsed:.1f}s < 60s")
 
@@ -66,8 +66,8 @@ def test_criterion_2_tolerated_tamperers_full_agreement():
     chains = benign_digestlists(result)
     distinct = set(chains.values())
     ok = len(distinct) == 1 and len(next(iter(distinct))) > 0
-    scheduled = sum(d.txs_scheduled for d in result.days)
-    committed = sum(d.txs_committed for d in result.days)
+    scheduled = sum(d["txs_scheduled"] for d in result.days)
+    committed = sum(d["txs_committed"] for d in result.days)
     ok = ok and scheduled == committed == 8868
     _verdict(2, ok, f"all benign chains identical, {committed}/{scheduled} txs committed")
 
@@ -95,7 +95,7 @@ def test_criterion_3_passive_droppers_liveness_and_prefix():
         if all(set(world.nodes[n].committed_txids) >= set(
                 world.nodes[world.reference].committed_txids)
                and world.nodes[n].chain.height == len(ref_digests)
-               for n in benign_auth) and result.days[0].txs_committed == 150:
+               for n in benign_auth) and result.days[0]["txs_committed"] == 150:
             complete_seeds += 1
         for f in followers:
             fd = world.nodes[f].chain.digests_beyond_genesis()
@@ -109,8 +109,8 @@ def test_criterion_3_passive_droppers_liveness_and_prefix():
         if len(set(benign_digestlists(faulty).values())) != 1:
             identical_ok = False
         clean = _dropper_run(0, seed)
-        if (faulty.days[0].day_end_sim_time - faulty.days[0].day_start_sim_time) > \
-           (clean.days[0].day_end_sim_time - clean.days[0].day_start_sim_time):
+        if (faulty.days[0]["day_end_sim_time"] - faulty.days[0]["day_start_sim_time"]) > \
+           (clean.days[0]["day_end_sim_time"] - clean.days[0]["day_start_sim_time"]):
             slower += 1
 
     ok = complete_seeds >= 9 and prefix_ok and identical_ok and slower == len(seeds)
@@ -128,7 +128,7 @@ def test_criterion_4_view_change_count():
     first_commit = next(row for row in world.recorder.timeline
                         if row[1] == ref and row[2] >= 1)
     ok = len([t for t in vcs if t < first_commit[0]]) == 3
-    ok = ok and result.days[0].view_changes == 3
+    ok = ok and result.days[0]["view_changes"] == 3
     ok = ok and first_commit[3] == 3  # committed under view 3
     _verdict(4, ok, "exactly 3 view changes precede the first commit, made in view 3")
 
@@ -213,12 +213,12 @@ def test_criterion_9_discontinuous_days():
                        protocol="poa", block_capacity=10, empty_block_threshold=10)
     chain = result.world.nodes[1].chain
     d1, d2, d3 = result.days
-    day1_sizes = [len(b.txs) for b in chain.blocks[1:1 + d1.blocks_appended[1]]]
+    day1_sizes = [len(b.txs) for b in chain.blocks[1:1 + d1["blocks_appended"]["1"]]]
     ok = day1_sizes == [10, 10, 5] + [0] * 10
-    ok = ok and d2.blocks_appended[1] == 10
+    ok = ok and d2["blocks_appended"]["1"] == 10
     ok = ok and all(len(b.txs) == 0 for b in chain.blocks[14:24])
     day_len = result.config.day_length_ms
-    ok = ok and [d.day_start_sim_time for d in result.days] == [0, day_len, 2 * day_len]
+    ok = ok and [d["day_start_sim_time"] for d in result.days] == [0, day_len, 2 * day_len]
     _verdict(9, ok, "day 1: exactly 3 full + 10 empty; day 2: 10 empty; "
                     "clock lands on day-length multiples")
 

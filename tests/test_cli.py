@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import permachain
-from permachain.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, list_scenarios,
+from permachain.cli import (ENV_SEED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, list_scenarios,
                             load_scenario, main)
 from permachain.config import RunConfig
 from permachain.errors import ConfigError, NodeTableError
@@ -85,6 +85,10 @@ def test_location_threshold_authority_rule():
     assert table.authorities == [1, 2, 3]
     with pytest.raises(NodeTableError, match="location-threshold"):
         parse_node_rows(NODE_ROWS, {"kind": "location_threshold", "threshold": 4})
+    with pytest.raises(NodeTableError, match="row 1: location 'xxx") as err:
+        parse_node_rows([dict(NODE_ROWS[0], location="x" * 5000)],
+                        {"kind": "location_threshold", "threshold": 4})
+    assert len(str(err.value)) < 200  # a long cell is cut short, not echoed whole
 
 
 @pytest.mark.parametrize("rule, echoed, authorities", [
@@ -125,6 +129,12 @@ def test_situation_presets_match_their_fault_layout():
     assert len(poa["nodes"]) == 12
     assert all(r["byzantine"] == 0 for r in poa["nodes"])
     assert sum(r["authority"] for r in poa["nodes"]) == 7
+
+
+def test_list_scenarios_flag_prints_each_preset_and_exits_ok(capsys):
+    assert main(["--list-scenarios"]) == EXIT_OK
+    names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == [name for name, _ in list_scenarios()] and "poa-baseline" in names
 
 
 def test_unknown_scenario_fails_validation(tmp_path, capsys):
@@ -239,6 +249,14 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
                  id="zero_tx_spread_ticks"),
     pytest.param({"protocol": "pbft", "block_capacity": 0}, "block_capacity",
                  id="zero_block_capacity"),
+    pytest.param({"seed": 1}, "'protocol'", id="no_protocol"),
+    pytest.param({"protocol": "pbft", "authority_rule": 5}, "authority_rule",
+                 id="authority_rule_number"),
+    pytest.param({"protocol": "pbft", "drop_prob_overrides": [1]}, "drop_prob_overrides",
+                 id="drop_prob_overrides_list"),
+    pytest.param({"protocol": "pbft", "processing_delay": {
+        "gossip": {"kind": "constant", "ms": 1}}},
+                 "unknown processing-delay kind 'gossip'", id="unknown_processing_delay_kind"),
 ])
 def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"
@@ -325,19 +343,51 @@ def test_config_loads_or_refuses_any_json_value(path, value, new_key):
                  id="huge_count"),
     pytest.param("config", {"protocol": "poa", "drop_prob_overrides": {"9": 0.1}},
                  "drop_prob_overrides", id="override_names_no_node"),
+    pytest.param("nodes", {"id": 1, "authority": 1}, "JSON list", id="nodes_object"),
+    pytest.param("nodes", [dict(NODE_ROWS[0], id=0)], "row 1: node ids must be positive",
+                 id="node_id_zero"),
+    pytest.param("nodes", "NodeID,Authority,Location,Data,Byzantine\n" + "1" * 5000 + ",1,a,,0\n",
+                 "row 1: missing or non-integer node id", id="csv_huge_node_id"),
+    pytest.param("nodes", [dict(NODE_ROWS[0], byzantine="2" * 5000)], "row 1: invalid Byzantine",
+                 id="long_byzantine_cell"),
+    pytest.param("nodes", [dict(NODE_ROWS[0], authority="x" * 5000)], "row 1: authority flag",
+                 id="long_authority_cell"),
+    pytest.param("config", {"protocol": "poa", "authority_rule": {"kind": "location_threshold"}},
+                 "row 1: location 'Portland'", id="location_not_integer"),
+    pytest.param("transactions", {}, "'days'", id="schedule_without_days"),
+    pytest.param("transactions", {"days": [{"day": 1, "loads": {}}, {"day": 1, "loads": {}}]},
+                 "duplicate day", id="duplicate_day"),
+    pytest.param("transactions", {"days": [{"day": 1, "loads": {"x": 1}}]},
+                 "node key is not an integer", id="non_integer_node_key"),
+    pytest.param("config", None, "--config is required", id="no_config_flag"),
+    pytest.param("nodes", None, "--nodes is required", id="no_nodes_flag"),
+    pytest.param("transactions", None, "--transactions is required",
+                 id="no_transactions_flag"),
+    pytest.param(ENV_SEED, "seven", f"{ENV_SEED} must be an integer", id="env_seed_not_integer"),
 ])
-def test_bad_schedule_or_node_table_is_validation_error(tmp_path, capsys, kind, data,
-                                                        field):
+def test_bad_schedule_or_node_table_is_validation_error(tmp_path, capsys, monkeypatch, kind,
+                                                        data, field):
+    # `data` replaces one input: a list or object is written as JSON, a string
+    # as a CSV node table or the PERMACHAIN_SEED value, and None leaves the
+    # flag out
     inputs = {"config": {"protocol": "poa"},
               "nodes": [dict(r, byzantine=0) for r in NODE_ROWS],
               "transactions": {"days": [{"day": 1, "loads": {"1": 1}}]},
               kind: data}
     args = ["--out", str(tmp_path / "out")]
     for name, content in inputs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(content))
-        args += [f"--{name}", str(tmp_path / f"{name}.json")]
+        if name == ENV_SEED:
+            monkeypatch.setenv(name, content)
+        elif isinstance(content, str):
+            (tmp_path / f"{name}.csv").write_text(content)
+            args += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        elif content is not None:
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+            args += [f"--{name}", str(tmp_path / f"{name}.json")]
     assert main(args) == EXIT_VALIDATION
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert field in err
+    assert len(err.encode()) < 200  # a long input cell is cut short, not echoed whole
 
 
 HUGE_INT = b"1" * 5000  # past the 4,300 digits int() converts from text

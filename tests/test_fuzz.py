@@ -110,5 +110,5 @@ def check_invariants(result, unreachable):
     assert engine.scheduled_count == engine.dispatched_count + engine.discarded_count
     length = world.config.day_length_ms
     for day in result.days:  # no day overruns into the next one's start
-        assert day.day_start_sim_time == (day.day - 1) * length
-        assert day.day_end_sim_time <= day.day_start_sim_time + length
+        assert day["day_start_sim_time"] == (day["day"] - 1) * length
+        assert day["day_end_sim_time"] <= day["day_start_sim_time"] + length

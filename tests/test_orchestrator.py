@@ -58,7 +58,7 @@ def test_zero_tx_day_ends_after_exactly_k_empty_blocks():
     result = quick_run({1: {}}, n_authorities=3, protocol="poa",
                        empty_block_threshold=10)
     assert result.world.nodes[1].chain.height == 10
-    assert result.days[0].ended_by == "empty-blocks"
+    assert result.days[0]["ended_by"] == "empty-blocks"
 
 
 def test_k_equals_one_ends_at_first_empty_block():
@@ -74,26 +74,26 @@ def test_day_of_25_txs_capacity_10_gives_3_full_then_k_empty():
     chain = result.world.nodes[1].chain
     sizes = [len(b.txs) for b in chain.blocks[1:]]
     assert sizes == [10, 10, 5] + [0] * 10
-    assert result.days[0].txs_committed == 25
+    assert result.days[0]["txs_committed"] == 25
 
 
 def test_fast_forward_lands_exactly_on_day_boundaries():
     result = quick_run({1: {1: 4}, 2: {}, 3: {1: 2}}, n_authorities=3,
                        protocol="poa")
-    starts = [d.day_start_sim_time for d in result.days]
+    starts = [d["day_start_sim_time"] for d in result.days]
     assert starts == [0, DAY_LENGTH_MS, 2 * DAY_LENGTH_MS]
     for d in result.days:
-        assert d.day_start_sim_time % DAY_LENGTH_MS == 0
-        assert d.day_end_sim_time < d.day_start_sim_time + DAY_LENGTH_MS
+        assert d["day_start_sim_time"] % DAY_LENGTH_MS == 0
+        assert d["day_end_sim_time"] < d["day_start_sim_time"] + DAY_LENGTH_MS
 
 
 def test_chains_persist_and_grow_across_days():
     result = quick_run({1: {1: 4}, 2: {1: 4}}, n_authorities=3, protocol="poa",
                        empty_block_threshold=3)
-    per_day = {d.day: d.blocks_appended[1] for d in result.days}
+    per_day = {d["day"]: d["blocks_appended"]["1"] for d in result.days}
     assert per_day[1] == 4  # 1 non-empty + 3 empty
     assert per_day[2] >= 4  # rotation continues; day 2 may open with an empty
-    assert result.days[0].txs_committed == result.days[1].txs_committed == 4
+    assert result.days[0]["txs_committed"] == result.days[1]["txs_committed"] == 4
     # one continuous ledger: the final chain is the sum of the day snapshots
     digests = result.world.nodes[1].chain.digests_beyond_genesis()
     assert len(digests) == per_day[1] + per_day[2]
@@ -109,9 +109,9 @@ def test_guard_day_reports_stall_not_failure():
                        day_length_ms=900, tx_broadcast_interval_ms=500,
                        empty_block_threshold=3)
     day = result.days[0]
-    assert day.ended_by == "guard"
-    assert (day.txs_scheduled, day.txs_committed) == (5, 0)
-    assert day.day_end_sim_time <= 900
+    assert day["ended_by"] == "guard"
+    assert (day["txs_scheduled"], day["txs_committed"]) == (5, 0)
+    assert day["day_end_sim_time"] <= 900
 
 
 def test_late_transactions_carry_over_to_the_next_day():
@@ -121,11 +121,11 @@ def test_late_transactions_carry_over_to_the_next_day():
                        tx_broadcast_interval_ms=6000, tx_spread_ticks=5,
                        empty_block_threshold=3)
     d1, d2 = result.days
-    assert d1.ended_by == "empty-blocks"
-    assert (d1.txs_scheduled, d1.txs_committed) == (5, 1)
-    assert d2.txs_scheduled == 0
-    assert d2.txs_committed == 4  # carryover, not loss
-    assert d2.ended_by == "empty-blocks"
+    assert d1["ended_by"] == "empty-blocks"
+    assert (d1["txs_scheduled"], d1["txs_committed"]) == (5, 1)
+    assert d2["txs_scheduled"] == 0
+    assert d2["txs_committed"] == 4  # carryover, not loss
+    assert d2["ended_by"] == "empty-blocks"
 
 
 def test_scheduled_batches_fire_while_the_day_drains():
@@ -135,10 +135,10 @@ def test_scheduled_batches_fire_while_the_day_drains():
                        tx_broadcast_interval_ms=5000, tx_spread_ticks=10,
                        empty_block_threshold=3)
     day = result.days[0]
-    assert day.ended_by == "empty-blocks"
+    assert day["ended_by"] == "empty-blocks"
     assert result.world.nodes[1].chain.height == 4
-    assert (day.txs_committed, result.world.txs_created) == (2, 20)
-    assert day.day_end_sim_time == 46_011
+    assert (day["txs_committed"], result.world.txs_created) == (2, 20)
+    assert day["day_end_sim_time"] == 46_011
 
 
 def test_day_cost_independent_of_idle_hours():
@@ -147,7 +147,7 @@ def test_day_cost_independent_of_idle_hours():
                       day_length_ms=3_600_000)
     long = quick_run({1: {1: 6}}, n_authorities=3, protocol="poa",
                      day_length_ms=86_400_000)
-    assert short.days[0].day_end_sim_time == long.days[0].day_end_sim_time
+    assert short.days[0]["day_end_sim_time"] == long.days[0]["day_end_sim_time"]
 
 
 def test_no_transaction_created_before_its_day_starts():
@@ -164,8 +164,8 @@ def test_multi_day_run_at_desk_scale_conserves_transactions():
     loads = {day: {n: (day + n) % 3 for n in range(1, 6)} for day in range(1, 181)}
     result = quick_run(loads, n_authorities=5, protocol="poa",
                        empty_block_threshold=3)
-    scheduled = sum(d.txs_scheduled for d in result.days)
-    committed = sum(d.txs_committed for d in result.days)
+    scheduled = sum(d["txs_scheduled"] for d in result.days)
+    committed = sum(d["txs_committed"] for d in result.days)
     expected = sum(sum(v.values()) for v in loads.values())
     assert scheduled == expected
     assert committed == expected

@@ -335,6 +335,20 @@ def test_new_primary_reproposes_only_a_valid_certificate(tampered, invalid_certs
     assert world.recorder.message_counts["PrePrepare"] == 3
 
 
+def test_primary_retries_its_locked_block_instead_of_draining_its_pool():
+    # node 1, the primary of view 0 in a 4-authority group, holds a prepare lock
+    # at its next height from an earlier attempt; its tick re-proposes that digest
+    world = make_world(4)
+    r = world.nodes[1]
+    locked = block_at(1, genesis_block().digest, txs=(tx(9),))
+    r.locks[1] = m.Lock(0, locked)
+    r.pool.add(tx(1))
+    r.maybe_propose()
+    assert r.preprepared[0, 1].digest == locked.digest
+    assert list(r.pool) == [1]  # the pool was not drained into a fresh block
+    assert world.recorder.message_counts["PrePrepare"] == 3
+
+
 def test_newview_heals_lagging_view():
     world = make_world(13)
     r = world.nodes[2]
@@ -348,8 +362,8 @@ def test_three_faulty_leaders_give_three_view_changes_then_commit():
     result = quick_run({1: {5: 10}}, n_authorities=13,
                        byzantine={1: 1, 2: 1, 3: 1}, seed=3)
     day = result.days[0]
-    assert day.view_changes == 3
-    assert day.txs_committed == 10
+    assert day["view_changes"] == 3
+    assert day["txs_committed"] == 10
     ref = result.world.reference
     first_commit = next(row for row in result.world.recorder.timeline
                         if row[1] == ref and row[2] >= 1)

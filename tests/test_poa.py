@@ -43,14 +43,14 @@ def test_single_round_law_and_identical_chains():
     digests = {tuple(world.nodes[n].chain.digests_beyond_genesis())
                for n in world.all_ids}
     assert len(digests) == 1
-    assert result.days[0].txs_committed == 12
+    assert result.days[0]["txs_committed"] == 12
 
 
 def test_empty_pool_still_proposes_empty_blocks():
     result = quick_run({1: {}}, n_authorities=3, protocol="poa",
                        empty_block_threshold=4)
     day = result.days[0]
-    assert day.ended_by == "empty-blocks"
+    assert day["ended_by"] == "empty-blocks"
     assert result.world.nodes[1].chain.height == 4
     assert all(b.is_empty for b in result.world.nodes[1].chain.blocks[1:])
 
@@ -83,7 +83,7 @@ def test_byzantine_types_warn_and_are_ignored_under_poa():
     digests = {tuple(result.world.nodes[n].chain.digests_beyond_genesis())
                for n in result.world.all_ids}
     assert len(digests) == 1
-    assert result.days[0].txs_committed == 3
+    assert result.days[0]["txs_committed"] == 3
 
 
 def test_poet_single_authority_always_wins():
@@ -120,7 +120,7 @@ def test_poet_run_consistent_and_paced_by_waits():
     digests = {tuple(world.nodes[n].chain.digests_beyond_genesis())
                for n in world.all_ids}
     assert len(digests) == 1
-    assert result.days[0].txs_committed == 4
+    assert result.days[0]["txs_committed"] == 4
     proposers = {b.proposer for b in world.nodes[1].chain.blocks[1:]}
     assert proposers <= set(world.authorities)
 

@@ -182,7 +182,7 @@ def test_csv_and_json_agree_on_final_heights(tmp_path):
 def test_report_self_consistency_totals():
     result = quick_run({1: {1: 4}, 2: {1: 3}}, n_authorities=4, seed=3)
     totals = result.report["totals"]
-    assert totals["txs_committed"] == sum(d.txs_committed for d in result.days)
+    assert totals["txs_committed"] == sum(d["txs_committed"] for d in result.days)
     ref_chain = result.world.nodes[result.world.reference].chain
     distinct = {tx.tx_id for b in ref_chain.blocks for tx in b.txs}
     assert totals["txs_committed"] == len(distinct)

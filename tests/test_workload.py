@@ -31,7 +31,8 @@ def test_load_schedule_from_file(tmp_path):
     path = tmp_path / "loads.json"
     path.write_text(json.dumps(SAMPLE))
     sched = load_schedule(path, known_nodes={1, 2, 111})
-    assert sched.total() == 5 + 14 + 112 + 8 + 33 + 78 + 10 + 31 + 97
+    total = sum(sum(sched.loads_for(d).values()) for d in sched.days)
+    assert total == 5 + 14 + 112 + 8 + 33 + 78 + 10 + 31 + 97
 
 
 def test_negative_count_names_the_cell():
