@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from pathlib import Path
 
 from .config import PROTOCOLS, RunConfig
+from .distributions import brief, check_object, int_cell, read_json
 from .errors import PermachainError
 from .nodetable import NodeTable, parse_node_rows, parse_node_table
 from .orchestrator import check_inputs, run_all
@@ -31,30 +31,26 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 
-def _scenario_dir():
+def _presets() -> dict:
+    """Bundled preset files by name, in file-name order (the order --list-scenarios prints)."""
     # imported here: importlib.resources costs every run ~20 ms, and only presets need it
     from importlib import resources
-    return resources.files("permachain") / "scenarios"
+    entries = sorted((resources.files("permachain") / "scenarios").iterdir(), key=lambda e: e.name)
+    return {e.name[:-len(".json")]: e for e in entries if e.name.endswith(".json")}
 
 
 def list_scenarios() -> list[tuple[str, str]]:
     """(name, description) for every bundled scenario preset."""
-    out = []
-    for entry in sorted(_scenario_dir().iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            data = json.loads(entry.read_text())
-            out.append((data["name"], data.get("description", "")))
-    return out
+    return [(name, read_json(entry).get("description", "")) for name, entry in _presets().items()]
 
 
 def load_scenario(name: str) -> dict:
-    entry = _scenario_dir() / f"{name}.json"
-    try:
-        text = entry.read_text()
-    except (FileNotFoundError, OSError):
-        known = ", ".join(n for n, _ in list_scenarios())
-        raise PermachainError(f"unknown scenario {name!r} (bundled: {known})")
-    return json.loads(text)
+    """A bundled preset by name; any other name, a path included, is refused."""
+    presets = _presets()
+    if name not in presets:
+        raise PermachainError(f"unknown scenario {brief(name)} "
+                              f"(bundled: {', '.join(presets)})")
+    return read_json(presets[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--nodes", help="node table (JSON or CSV)")
     parser.add_argument("--transactions", help="transaction-load schedule JSON")
     parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument("--seed", type=int, help="seed override")
+    parser.add_argument("--seed", help="seed override")
     parser.add_argument("--protocol", choices=PROTOCOLS,
                         help="protocol override")
     parser.add_argument("--scenario", help="run a bundled scenario preset")
@@ -81,30 +77,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(args, raw_config: dict) -> int:
     if args.seed is not None:
-        return args.seed
-    if "seed" in raw_config:
+        name, text = "--seed", args.seed
+    elif "seed" in raw_config:
         return raw_config["seed"]
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise PermachainError(f"{ENV_SEED} must be an integer, got {env!r}")
-    return 0
+    else:
+        name, text = ENV_SEED, os.environ.get(ENV_SEED, "0")
+    seed = int_cell(text)
+    if seed is None:
+        raise PermachainError(f"{name} must be an integer, got {brief(text)}")
+    return seed
 
 
 def _load_inputs(args) -> tuple[RunConfig, NodeTable, LoadSchedule]:
     scenario = load_scenario(args.scenario) if args.scenario else None
 
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                raw_config = json.load(fh)
-            except ValueError as exc:  # also bytes that are not UTF-8, or a huge integer
-                raise PermachainError(f"config {args.config}: invalid JSON: {exc}")
-        if not isinstance(raw_config, dict):
-            raise PermachainError(f"config {args.config}: must be a JSON object, "
-                                  f"got {type(raw_config).__name__}")
+        raw_config = check_object("config", read_json(args.config))
     elif scenario is not None:
         raw_config = dict(scenario["config"])
     else:

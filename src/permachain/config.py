@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from math import inf
 
-from .distributions import MAX_MS, check_number, is_int, round_half_up_ms
+from .distributions import (MAX_MS, brief, check_number, check_object, int_cell, is_int,
+                            round_half_up_ms)
 from .errors import ConfigError
 from .ledger import ValidationDelays
 from .network import LatencyTable
@@ -49,11 +50,9 @@ class RunConfig:
     """
 
     def __init__(self, protocol: str, **fields):
-        unknown = set(fields) - {*NUMBERS, *OBJECTS}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        check_object("config", fields, {*NUMBERS, *OBJECTS})
         if protocol not in PROTOCOLS:
-            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {brief(protocol)}")
         self.protocol = protocol
         for name, (default, lo, hi, integer) in NUMBERS.items():
             value = fields.get(name)
@@ -61,36 +60,29 @@ class RunConfig:
                 check_number(name, value, lo, hi, integer)
             setattr(self, name, default if value is None else value)  # None: derived below
         overrides = fields.get("drop_prob_overrides")
-        overrides = {} if overrides is None else overrides
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"drop_prob_overrides must map node ids to numbers, "
-                              f"got {overrides!r}")
+        overrides = check_object("drop_prob_overrides", {} if overrides is None else overrides)
         self.drop_prob_overrides = {}
         for node, p in overrides.items():
-            try:  # str.isdigit() would pass "²", which int() refuses
-                node_id = int(node) if str(node).isdecimal() else None
-            except ValueError:  # more digits than int() converts
-                node_id = None
+            node_id = int_cell(node)
             if node_id is None:
-                raise ConfigError(f"drop_prob_overrides keys must be node ids, got {node!r}")
-            check_number(f"drop_prob_overrides for node {node_id}", p, 0, 1)
+                raise ConfigError(f"drop_prob_overrides keys must be node ids, got {brief(node)}")
+            check_number(f"drop_prob_overrides for node {brief(node_id)}", p, 0, 1)
             self.drop_prob_overrides[node_id] = float(p)
         self.latency = LatencyTable.from_config(fields.get("latency"))
         self.processing_delay = ValidationDelays.from_config(fields.get("processing_delay"))
         rule = fields.get("authority_rule")
         rule = self.authority_rule = {"kind": "column"} if rule is None else rule
-        if not isinstance(rule, dict):
-            raise ConfigError(f"authority_rule must be an object, got {rule!r}")
-        kind = rule.get("kind")
+        kind = check_object("authority_rule", rule, ("kind", "threshold")).get("kind")
         if kind not in ("column", "location_threshold"):
-            raise ConfigError("authority_rule.kind must be 'column' or 'location_threshold'")
-        unknown = set(rule) - {"kind", "threshold" if kind == "location_threshold" else "kind"}
-        if unknown:
-            raise ConfigError(f"authority_rule of kind {kind!r} takes no keys {sorted(unknown)}")
+            raise ConfigError(f"authority_rule.kind must be 'column' or 'location_threshold', "
+                              f"got {brief(kind)}")
+        if kind == "column" and "threshold" in rule:
+            raise ConfigError("authority_rule of kind 'column' takes no 'threshold'")
         if kind == "location_threshold":
             threshold = rule.get("threshold", 4)
             if not is_int(threshold):
-                raise ConfigError(f"authority_rule.threshold must be an integer, got {threshold!r}")
+                raise ConfigError(f"authority_rule.threshold must be an integer, "
+                                  f"got {brief(threshold)}")
             self.authority_rule = {**rule, "threshold": threshold}  # the echo shows the default
         if self.tx_broadcast_interval_ms is None:
             self.tx_broadcast_interval_ms = self.block_interval_ms
@@ -113,11 +105,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        if "protocol" not in data:
-            raise ConfigError("config is missing required field 'protocol'")
-        nulls = sorted(name for name, value in data.items() if value is None)
+        check_object("config", data, required=("protocol",))
+        nulls = [name for name, value in data.items() if value is None]
         if nulls:  # the constructor reads None as the default; a JSON null is refused
-            raise ConfigError(f"config fields must not be null: {nulls}")
+            raise ConfigError(f"config fields must not be null: {brief(nulls)}")
         return cls(**data)

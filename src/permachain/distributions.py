@@ -1,4 +1,5 @@
-"""Statistical delay distributions (latencies, processing delays).
+"""Statistical delay distributions (latencies, processing delays), and the rules
+every loader applies to outside input: brief, int_cell, check_object, read_json.
 
 All samples are returned in integer milliseconds, rounded half-up, and are
 never negative. The normal distribution is truncated at zero by clipping.
@@ -18,8 +19,10 @@ Every draw is a function of `rng.random()` alone, each u in [0, 1):
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import reprlib
 
 from .errors import ConfigError
 
@@ -38,13 +41,55 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def brief(x) -> str:
+    """How an error message quotes an input value: reprlib's short repr, in ASCII, <= 40 chars."""
+    text = reprlib.repr(x).encode("ascii", "backslashreplace").decode()
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-17:]}"
+
+
+def int_cell(x) -> int | None:
+    """x as an int if it is an int but not a bool, or a str of ASCII digits (int() also
+    takes signs, spaces, underscores and other scripts' digits); else None."""
+    if is_int(x):
+        return x
+    if isinstance(x, str) and x.isascii() and x.isdigit():
+        try:
+            return int(x)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def check_number(name: str, x, lo, hi, integer: bool = False) -> None:
     """Refuse x unless it is an int or a finite float (only an int, if `integer`)
     in [lo, hi]; bools, and JSON NaN and Infinity, are refused."""
     if not (is_int(x) or (not integer and isinstance(x, float) and math.isfinite(x))) \
             or not lo <= x <= hi:
         kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{name} must be {kind} in [{lo}, {hi}], got {x!r}")
+        raise ConfigError(f"{name} must be {kind} in [{lo}, {hi}], got {brief(x)}")
+
+
+def check_object(name: str, x, keys=None, required=(), error=ConfigError) -> dict:
+    """Return x if it is a dict (a JSON object) that holds every key in `required`
+    and, unless `keys` is None, no key outside `keys`; else raise `error`."""
+    if not isinstance(x, dict):
+        raise error(f"{name} must be a JSON object, got {brief(x)}")
+    for key in required:
+        if key not in x:
+            raise error(f"{name} is missing required key {key!r}")
+    unknown = [] if keys is None else [key for key in x if key not in keys]
+    if unknown:
+        raise error(f"{name} has unknown keys {brief(unknown)}")
+    return x
+
+
+def read_json(path, error=ConfigError):
+    """The JSON value in the UTF-8 file at `path`; text that is not JSON raises `error`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # also bytes that are not UTF-8, or a huge integer
+            raise error(f"{path} is not valid JSON: {exc}")
 
 
 def round_half_up_ms(x: float) -> int:
@@ -75,15 +120,13 @@ class Distribution:
         p = {} if params is None else params
         self.kind, self.params, self.fixed_ms = kind, p, None
         if not isinstance(kind, str) or kind not in PARAMS:
-            raise ConfigError(f"unknown distribution kind {kind!r}")
-        for name in p:
-            if name not in PARAMS[kind]:
-                raise ConfigError(f"{kind} distribution takes no parameter {name!r}")
+            raise ConfigError(f"unknown distribution kind {brief(kind)}")
+        check_object(f"{kind} distribution", p, PARAMS[kind])
         for name, (lo, hi) in PARAMS[kind].items():
             value = p.get(name)
             if kind == "empirical" and not (isinstance(value, (list, tuple)) and value):
                 raise ConfigError(f"empirical distribution needs a non-empty list of {name!r}, "
-                                  f"got {value!r}")
+                                  f"got {brief(value)}")
             for x in value if kind == "empirical" else (value,):
                 check_number(f"{kind} distribution's {name!r}", x, lo, hi)
         # Each kind binds its mean and its draw: the module docstring's formula,
@@ -95,7 +138,8 @@ class Distribution:
         elif kind == "uniform":
             lo, hi = p["lo"], p["hi"]
             if lo > hi:
-                raise ConfigError(f"uniform distribution needs 'lo' <= 'hi', got {lo!r} > {hi!r}")
+                raise ConfigError(f"uniform distribution needs 'lo' <= 'hi', "
+                                  f"got {brief(lo)} > {brief(hi)}")
             span, mean = hi - lo, (lo + hi) / 2.0
 
             def draw(rng):
@@ -133,8 +177,7 @@ class Distribution:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "Distribution":
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigError(f"distribution spec must be a dict with a 'kind': {spec!r}")
+        check_object("distribution spec", spec, required=("kind",))
         params = {k: v for k, v in spec.items() if k != "kind"}
         return cls(spec["kind"], params)
 

@@ -14,14 +14,7 @@ class NodeTableError(ConfigError):
 
 
 class ScheduleError(ConfigError):
-    """Malformed transaction-load schedule. Carries the offending cell."""
-
-    def __init__(self, message: str, day: int | None = None, node: int | str | None = None):
-        if day is not None or node is not None:
-            message = f"{message} (day={day}, node={node})"
-        super().__init__(message)
-        self.day = day
-        self.node = node
+    """Malformed transaction-load schedule; the message names the day and node."""
 
 
 class UnknownNodeError(PermachainError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from .distributions import Distribution, constant
+from .distributions import Distribution, brief, check_object, constant
 from .errors import ConfigError, DigestInvalid, HeightGap, ParentMismatch
 
 DIGEST_MASK = 0xFFFFFFFFFFFFFFFF
@@ -209,26 +209,15 @@ class ValidationDelays:
     def from_config(cls, spec: dict | None) -> "ValidationDelays":
         if spec is None:
             return cls(per_kind={}, default=constant(1))
-        if not isinstance(spec, dict):
-            raise ConfigError(f"processing_delay must be an object, got {spec!r}")
-        if "preset" in spec:
-            name = spec["preset"]
+        if "preset" in check_object("processing_delay", spec):
+            # a preset is used whole; its placeholders cannot be patched
+            name = check_object("processing_delay", spec, ("preset",))["preset"]
             if not isinstance(name, str) or name not in DELAY_PRESETS:
-                raise ConfigError(f"unknown processing-delay preset {name!r}")
-            extra = sorted(set(spec) - {"preset"})
-            if extra:  # a preset is used whole; its placeholders cannot be patched
-                raise ConfigError(f"processing_delay takes no keys beside 'preset', got {extra}")
+                raise ConfigError(f"unknown processing-delay preset {brief(name)}")
             spec = DELAY_PRESETS[name]
-        per_kind = {}
-        default = None
-        for key, sub in spec.items():
-            dist = Distribution.from_dict(sub)
-            if key == "default":
-                default = dist
-            elif key in (TRANSACTION, BLOCK, CONSENSUS_MESSAGE):
-                per_kind[key] = dist
-            else:
-                raise ConfigError(f"unknown processing-delay kind {key!r}")
+        check_object("processing_delay", spec, ("default", TRANSACTION, BLOCK, CONSENSUS_MESSAGE))
+        per_kind = {key: Distribution.from_dict(sub) for key, sub in spec.items()}
+        default = per_kind.pop("default", None)
         return cls(per_kind=per_kind, default=default)
 
     def model_for(self, kind: str) -> Distribution:

@@ -35,7 +35,7 @@ from collections import defaultdict
 from collections.abc import Callable
 
 from . import messages as m
-from .distributions import Distribution
+from .distributions import Distribution, brief, check_object
 from .engine import EventEngine, RngStreams
 from .errors import ConfigError, UnknownNodeError
 from .faults import ByzantineType, should_drop
@@ -59,25 +59,18 @@ class LatencyTable:
     def from_config(cls, spec: dict | None) -> "LatencyTable":
         if spec is None:
             return cls(default=Distribution("constant", {"ms": 10}))
-        if not isinstance(spec, dict):
-            raise ConfigError(f"latency must be an object, got {spec!r}")
-        for key in spec:
-            if key not in ("default", "pairs"):
-                raise ConfigError(f"unknown latency key {key!r} (expected 'default' or 'pairs')")
-        default = None
-        if "default" in spec:
-            default = Distribution.from_dict(spec["default"])
+        check_object("latency", spec, ("default", "pairs"))
+        default = Distribution.from_dict(spec["default"]) if "default" in spec else None
         pairs: dict[tuple[str, str], Distribution] = {}
         entries = spec.get("pairs", [])
         if not isinstance(entries, list):
-            raise ConfigError(f"latency pairs must be a list, got {entries!r}")
+            raise ConfigError(f"latency pairs must be a list, got {brief(entries)}")
         for entry in entries:
-            if not isinstance(entry, dict) or "src" not in entry or "dst" not in entry:
-                raise ConfigError(f"latency pair needs 'src' and 'dst' fields, got {entry!r}")
+            check_object("latency pair", entry, required=("src", "dst"))
             for end in ("src", "dst"):
                 if not isinstance(entry[end], str):
                     raise ConfigError(f"latency pair {end!r} must be a location name, "
-                                      f"got {entry[end]!r}")
+                                      f"got {brief(entry[end])}")
             pairs[(entry["src"], entry["dst"])] = Distribution.from_dict(
                 {k: v for k, v in entry.items() if k not in ("src", "dst")})
         return cls(default=default, pairs=pairs)
@@ -86,7 +79,7 @@ class LatencyTable:
         model = self._models.get((src_loc, dst_loc), self.default)
         if model is None:
             raise ConfigError(
-                f"no latency model for location pair ({src_loc!r}, {dst_loc!r}) and no default"
+                f"no latency model for location pair {brief((src_loc, dst_loc))} and no default"
             )
         return model
 

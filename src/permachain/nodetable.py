@@ -10,11 +10,9 @@ parses as an integer below the threshold `RunConfig` resolved is an authority).
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from reprlib import repr as brief  # cuts a long cell short in an error message
 
-from .distributions import is_int
+from .distributions import brief, check_object, int_cell, read_json
 from .errors import NodeTableError
 from .faults import ByzantineType
 
@@ -70,51 +68,40 @@ class NodeTable:
         return {r.id for r in self.rows if r.byzantine is ByzantineType.HONEST}
 
 
-def _int_cell(value, default: int | None = None) -> int:
-    """A JSON integer or a CSV digit string; an empty cell means `default`.
+# A JSON row's keys; `data` (the CSV Data column) is accepted and not stored.
+_ROW_KEYS = ("id", "authority", "location", "data", "byzantine")
 
-    Raises ValueError for a missing required cell, a boolean or a fraction,
-    which int() would otherwise coerce.
-    """
-    if value is None or value == "":
-        if default is None:
-            raise ValueError("missing cell")
-        return default
-    if not (is_int(value) or isinstance(value, str)):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
+
+def _code_cell(value) -> int | None:
+    """A Byzantine code or authority flag cell: empty or left out means 0."""
+    return 0 if value is None or value == "" else int_cell(value)
 
 
 def _parse_row(i: int, raw: dict, authority_rule: dict) -> NodeSpec:
-    if not isinstance(raw, dict):
-        raise NodeTableError(f"row {i}: must be an object, got {brief(raw)}")
-    try:
-        node_id = _int_cell(raw.get("id"))
-    except ValueError:
+    check_object(f"row {i}", raw, _ROW_KEYS, error=NodeTableError)
+    node_id = int_cell(raw.get("id"))
+    if node_id is None:
         raise NodeTableError(f"row {i}: missing or non-integer node id {brief(raw.get('id'))}")
     location = str(raw.get("location", ""))
-    try:
-        byz = ByzantineType(_int_cell(raw.get("byzantine"), 0))
-    except ValueError:
+    code = _code_cell(raw.get("byzantine"))
+    if code not in (0, 1, 2):
         raise NodeTableError(
             f"row {i}: invalid Byzantine code {brief(raw.get('byzantine'))} (must be 0, 1 or 2)")
     if authority_rule.get("kind") == "location_threshold":
-        try:
-            authority = int(location) < authority_rule["threshold"]
-        except ValueError:
+        location_id = int_cell(location)
+        if location_id is None:
             raise NodeTableError(
                 f"row {i}: location {brief(location)} is not an integer id, "
                 f"cannot apply the location-threshold authority rule")
+        authority = location_id < authority_rule["threshold"]
     else:
-        try:
-            flag = _int_cell(raw.get("authority"), 0)
-        except ValueError:
-            flag = None
+        flag = _code_cell(raw.get("authority"))
         if flag not in (0, 1):
             raise NodeTableError(
                 f"row {i}: authority flag must be 0 or 1, got {brief(raw.get('authority'))}")
         authority = flag == 1
-    return NodeSpec(id=node_id, authority=authority, location=location, byzantine=byz)
+    return NodeSpec(id=node_id, authority=authority, location=location,
+                    byzantine=ByzantineType(code))
 
 
 def parse_node_rows(rows: list[dict], authority_rule: dict | None = None) -> NodeTable:
@@ -122,7 +109,6 @@ def parse_node_rows(rows: list[dict], authority_rule: dict | None = None) -> Nod
     return NodeTable(tuple(_parse_row(i, raw, rule) for i, raw in enumerate(rows, start=1)))
 
 
-# The Data column is accepted and not stored.
 _CSV_FIELDS = {"NodeID": "id", "Authority": "authority", "Location": "location",
                "Byzantine": "byzantine"}
 
@@ -138,11 +124,7 @@ def parse_node_table(path: str | Path, authority_rule: dict | None = None) -> No
             except ValueError as exc:  # bytes that are not UTF-8
                 raise NodeTableError(f"node table {path} is not UTF-8 text: {exc}")
     else:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                rows = json.load(fh)
-            except ValueError as exc:  # also bytes that are not UTF-8, or a huge integer
-                raise NodeTableError(f"node table {path} is not valid JSON: {exc}")
+        rows = read_json(path, NodeTableError)
         if not isinstance(rows, list):
             raise NodeTableError(f"node table {path} must be a JSON list of rows")
     return parse_node_rows(rows, authority_rule)

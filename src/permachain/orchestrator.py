@@ -29,6 +29,7 @@ from operator import attrgetter
 
 from . import messages as m
 from .config import RunConfig
+from .distributions import brief
 from .engine import COORDINATOR, EventEngine, RngStreams
 from .errors import ConfigError, PermachainError
 from .ledger import BLOCK, CONSENSUS_MESSAGE, TRANSACTION, Transaction
@@ -140,7 +141,7 @@ def check_inputs(config: RunConfig, table: NodeTable) -> None:
     """
     stray = sorted(set(config.drop_prob_overrides) - set(table.ids))
     if stray:
-        raise ConfigError(f"drop_prob_overrides names nodes not in the node table: {stray}")
+        raise ConfigError(f"drop_prob_overrides names nodes not in the node table: {brief(stray)}")
     n = len(table.authorities)
     if config.protocol == "pbft" and 2 * quorum_params(n).quorum <= n:
         raise ConfigError(f"pbft cannot run with {n} authorities: two quorums of 2f+1 "

@@ -14,10 +14,9 @@ production begins, and the rest `tx_broadcast_interval_ms` apart.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from .distributions import is_int
+from .distributions import brief, check_object, int_cell, is_int, read_json
 from .errors import ScheduleError
 from .ledger import Transaction
 
@@ -37,7 +36,7 @@ class LoadSchedule:
 
     def loads_for(self, day: int) -> dict[int, int]:
         if day not in self.counts:
-            raise ScheduleError("day out of schedule range", day=day)
+            raise ScheduleError(f"day {day} is out of the schedule's range")
         return self.counts[day]
 
 
@@ -51,46 +50,36 @@ def batches(count: int, spread_ticks: int) -> list[int]:
 
 
 def parse_schedule(data: dict, known_nodes: set[int] | None = None) -> LoadSchedule:
-    if not isinstance(data, dict) or "days" not in data:
-        raise ScheduleError("schedule must be an object with a 'days' list")
-    if not isinstance(data["days"], list):
-        raise ScheduleError(f"schedule 'days' must be a list, got {data['days']!r}")
+    days = check_object("schedule", data, ("days",), ("days",), ScheduleError)["days"]
+    if not isinstance(days, list):
+        raise ScheduleError(f"schedule 'days' must be a list, got {brief(days)}")
     counts: dict[int, dict[int, int]] = {}
-    for entry in data["days"]:
-        if not isinstance(entry, dict):
-            raise ScheduleError(f"schedule 'days' entries must be objects, got {entry!r}")
+    for entry in days:
+        entry = check_object("schedule 'days' entry", entry, ("day", "loads"), error=ScheduleError)
         day = entry.get("day")
         if not is_int(day) or day < 1:
-            raise ScheduleError(f"bad day index {day!r}", day=day)
+            raise ScheduleError(f"bad day index {brief(day)}")
+        where = f"day {brief(day)}"
         if day in counts:
-            raise ScheduleError("duplicate day entry", day=day)
-        raw_loads = entry.get("loads", {})
-        if not isinstance(raw_loads, dict):
-            raise ScheduleError(f"'loads' must map node ids to counts, got {raw_loads!r}",
-                                day=day)
+            raise ScheduleError(f"duplicate day entry for {where}")
         loads: dict[int, int] = {}
+        raw_loads = check_object(f"{where}: 'loads'", entry.get("loads", {}), error=ScheduleError)
         for node_key, n in raw_loads.items():
-            try:
-                node = int(node_key)
-            except (TypeError, ValueError):
-                raise ScheduleError("node key is not an integer", day=day, node=node_key)
+            node = int_cell(node_key)
+            if node is None:
+                raise ScheduleError(f"{where}: node key {brief(node_key)} is not an integer")
             if known_nodes is not None and node not in known_nodes:
-                raise ScheduleError("unknown node in schedule", day=day, node=node)
+                raise ScheduleError(f"{where}: unknown node key {brief(node_key)}")
             if not is_int(n) or not 0 <= n <= MAX_DAILY_LOAD:
-                raise ScheduleError(f"count must be an integer in [0, {MAX_DAILY_LOAD}], "
-                                    f"got {n!r}", day=day, node=node)
+                raise ScheduleError(f"{where}, node {brief(node)}: count must be an integer "
+                                    f"in [0, {MAX_DAILY_LOAD}], got {brief(n)}")
             loads[node] = n
         counts[day] = loads
     return LoadSchedule(counts)
 
 
 def load_schedule(path: str | Path, known_nodes: set[int] | None = None) -> LoadSchedule:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # also bytes that are not UTF-8, or a huge integer
-            raise ScheduleError(f"schedule file {path} is not valid JSON: {exc}")
-    return parse_schedule(data, known_nodes)
+    return parse_schedule(read_json(path, ScheduleError), known_nodes)
 
 
 class TransactionPool(dict):

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,10 @@ import permachain
 from permachain.cli import (ENV_SEED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, list_scenarios,
                             load_scenario, main)
 from permachain.config import RunConfig
-from permachain.errors import ConfigError, NodeTableError
+from permachain.errors import ConfigError, NodeTableError, ScheduleError
 from permachain.faults import ByzantineType
 from permachain.nodetable import parse_node_rows, parse_node_table
+from permachain.workload import parse_schedule
 
 NODE_ROWS = [
     {"id": 1, "authority": 1, "location": "Portland", "data": "", "byzantine": 2},
@@ -142,6 +144,27 @@ def test_unknown_scenario_fails_validation(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["relative_path", "absolute_path", "bundled_via_path"])
+def test_scenario_must_be_a_bundled_preset_name(tmp_path, capsys, name):
+    # a path would reach any JSON file, and one that is not a preset crashed the loader
+    (tmp_path / "x.json").write_text("not json")
+    scenarios = Path(permachain.__file__).parent / "scenarios"
+    arg = {"relative_path": os.path.relpath(tmp_path / "x", scenarios),
+           "absolute_path": str(tmp_path / "x"),
+           "bundled_via_path": "../scenarios/poa-baseline"}[name]
+    assert main(["--scenario", arg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "unknown scenario" in err and "poa-baseline, poet-baseline" in err
+    assert len(err.encode()) < 200 and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["1_0", "+7", " 7", "-1", "٧", ""])
+def test_seed_flag_takes_ascii_digits_only(tmp_path, capsys, seed):
+    assert main(["--scenario", "poa-baseline", "--seed", seed,
+                 "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert f"--seed must be an integer, got {ascii(seed)}" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_io_error(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.json")]) == EXIT_IO
     assert "not found" in capsys.readouterr().err
@@ -256,7 +279,8 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
                  id="drop_prob_overrides_list"),
     pytest.param({"protocol": "pbft", "processing_delay": {
         "gossip": {"kind": "constant", "ms": 1}}},
-                 "unknown processing-delay kind 'gossip'", id="unknown_processing_delay_kind"),
+                 "processing_delay has unknown keys ['gossip']",
+                 id="unknown_processing_delay_kind"),
 ])
 def test_bad_config_schema_is_validation_error(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"
@@ -300,21 +324,59 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-@given(path=st.sampled_from(list(_paths(VALID_CONFIG))), value=JSON_VALUES, new_key=TEXT)
-def test_config_loads_or_refuses_any_json_value(path, value, new_key):
-    # one value of a valid config replaced by any JSON value, or one key added
-    # to one of its objects: the config loads, or it is refused with a
-    # ConfigError, nothing else
-    data = copy.deepcopy(VALID_CONFIG)
+def _swapped(data, path, value, new_key):
+    """A copy of data with the value at `path` replaced (`new_key` added, if path ends in None)."""
+    data = copy.deepcopy(data)
     parent = data
     for key in path[:-1]:
         parent = parent[key]
     parent[new_key if path[-1] is None else path[-1]] = value
+    return data
+
+
+@given(path=st.sampled_from(list(_paths(VALID_CONFIG))), value=JSON_VALUES, new_key=TEXT)
+def test_config_loads_or_refuses_any_json_value(path, value, new_key):
+    # one value of a valid config replaced by any JSON value, or one key added
+    # to one of its objects: the config loads, or it is refused with a short
+    # ConfigError, nothing else
     try:
-        config = RunConfig.from_dict(data)
-    except ConfigError:
+        config = RunConfig.from_dict(_swapped(VALID_CONFIG, path, value, new_key))
+    except ConfigError as exc:
+        assert len(str(exc).encode()) < 200
         return
     json.dumps(config.to_echo_dict(), allow_nan=False)
+
+
+# valid under both authority rules: locations 1-4 against a threshold of 4
+VALID_ROWS = [{"id": i, "authority": int(i < 4), "location": str(i), "data": "", "byzantine": 0}
+              for i in range(1, 5)]
+VALID_SCHEDULE = {"days": [{"day": 1, "loads": {"1": 3, "4": 0}}, {"day": 2, "loads": {}}]}
+
+
+@given(path=st.sampled_from(list(_paths(VALID_ROWS))),
+       rule=st.sampled_from([None, {"kind": "location_threshold", "threshold": 4}]),
+       value=JSON_VALUES, new_key=TEXT)
+def test_node_table_loads_or_refuses_any_json_value(path, rule, value, new_key):
+    # the same swap in a valid node table: it parses, or it is refused with a
+    # short NodeTableError, nothing else
+    try:
+        parse_node_rows(_swapped(VALID_ROWS, path, value, new_key), rule)
+    except NodeTableError as exc:
+        assert len(str(exc).encode()) < 200
+
+
+@given(path=st.sampled_from(list(_paths(VALID_SCHEDULE))), value=JSON_VALUES, new_key=TEXT)
+def test_schedule_loads_or_refuses_any_json_value(path, value, new_key):
+    # and in a valid schedule: it parses, or it is refused with a short
+    # ScheduleError, nothing else
+    try:
+        parse_schedule(_swapped(VALID_SCHEDULE, path, value, new_key), {1, 2, 3, 4})
+    except ScheduleError as exc:
+        assert len(str(exc).encode()) < 200
+
+
+ROWS = [dict(r, byzantine=0) for r in NODE_ROWS]
+LONG, DIGITS = "x" * 5000, "1" * 5000
 
 
 @pytest.mark.parametrize("kind, data, field", [
@@ -358,12 +420,57 @@ def test_config_loads_or_refuses_any_json_value(path, value, new_key):
     pytest.param("transactions", {"days": [{"day": 1, "loads": {}}, {"day": 1, "loads": {}}]},
                  "duplicate day", id="duplicate_day"),
     pytest.param("transactions", {"days": [{"day": 1, "loads": {"x": 1}}]},
-                 "node key is not an integer", id="non_integer_node_key"),
+                 "day 1: node key 'x' is not an integer", id="non_integer_node_key"),
     pytest.param("config", None, "--config is required", id="no_config_flag"),
     pytest.param("nodes", None, "--nodes is required", id="no_nodes_flag"),
     pytest.param("transactions", None, "--transactions is required",
                  id="no_transactions_flag"),
     pytest.param(ENV_SEED, "seven", f"{ENV_SEED} must be an integer", id="env_seed_not_integer"),
+    # a 5,000-character (or 5,000-digit) value at every place an input value is quoted
+    *(pytest.param("transactions", data, field, id=f"long_{name}") for name, data, field in [
+        ("schedule_node_key", {"days": [{"day": 1, "loads": {DIGITS: 1}}]}, "node key"),
+        ("count", {"days": [{"day": 1, "loads": {"1": LONG}}]}, "day 1, node 1: count"),
+        ("day", {"days": [{"day": LONG}]}, "bad day index"),
+        ("days", {"days": LONG}, "schedule 'days'"),
+        ("loads", {"days": [{"day": 1, "loads": [LONG]}]}, "day 1: 'loads'"),
+    ]),
+    *(pytest.param("config", {"protocol": "poa", **fields}, field, id=f"long_{name}")
+      for name, fields, field in [
+        ("override_key", {"drop_prob_overrides": {DIGITS: 0.1}}, "drop_prob_overrides"),
+        ("overrides", {"drop_prob_overrides": LONG}, "drop_prob_overrides"),
+        ("number_field", {"block_capacity": LONG}, "block_capacity"),
+        ("protocol", {"protocol": LONG}, "protocol must be one of"),
+        ("latency", {"latency": LONG}, "latency"),
+        ("latency_key", {"latency": {LONG: 1}}, "latency has unknown keys"),
+        ("latency_pair", {"latency": {"pairs": [LONG]}}, "latency pair"),
+        ("distribution_kind", {"latency": {"default": {"kind": LONG}}}, "distribution kind"),
+        ("parameter_name", {"latency": {"default": {"kind": "constant", "ms": 1, LONG: 1}}},
+         "constant distribution has unknown keys"),
+        ("empirical_values", {"latency": {"default": {"kind": "empirical", "values": LONG}}},
+         "'values'"),
+        ("processing_delay", {"processing_delay": LONG}, "processing_delay"),
+        ("delay_kind", {"processing_delay": {LONG: {"kind": "constant", "ms": 1}}},
+         "processing_delay has unknown keys"),
+        ("preset", {"processing_delay": {"preset": LONG}}, "processing-delay preset"),
+        ("authority_rule", {"authority_rule": LONG}, "authority_rule"),
+        ("threshold", {"authority_rule": {"kind": "location_threshold", "threshold": LONG}},
+         "authority_rule.threshold"),
+        ("config_field", {LONG: 1}, "config has unknown keys"),
+    ]),
+    # integer text is ASCII digits only: no underscore, sign or other script's digits
+    pytest.param("nodes", [dict(ROWS[0], id="1_0"), *ROWS[1:]],
+                 "row 1: missing or non-integer node id '1_0'", id="node_id_underscore"),
+    pytest.param("nodes", [dict(ROWS[0], id="+2"), *ROWS[1:]],
+                 "row 1: missing or non-integer node id '+2'", id="node_id_plus"),
+    pytest.param("transactions", {"days": [{"day": 1, "loads": {"1_0": 1}}]},
+                 "day 1: node key '1_0' is not an integer", id="schedule_key_underscore"),
+    pytest.param("transactions", {"days": [{"day": 1, "loads": {"٣": 1}}]},
+                 "day 1: node key '\\u0663' is not an integer", id="schedule_key_arabic_indic"),
+    pytest.param("config", {"protocol": "poa", "drop_prob_overrides": {"١٠": 0.1}},
+                 "drop_prob_overrides keys must be node ids, got '\\u0661\\u0660'",
+                 id="override_key_arabic_indic"),
+    pytest.param(ENV_SEED, "1_0", f"{ENV_SEED} must be an integer, got '1_0'",
+                 id="env_seed_underscore"),
 ])
 def test_bad_schedule_or_node_table_is_validation_error(tmp_path, capsys, monkeypatch, kind,
                                                         data, field):
@@ -371,7 +478,7 @@ def test_bad_schedule_or_node_table_is_validation_error(tmp_path, capsys, monkey
     # as a CSV node table or the PERMACHAIN_SEED value, and None leaves the
     # flag out
     inputs = {"config": {"protocol": "poa"},
-              "nodes": [dict(r, byzantine=0) for r in NODE_ROWS],
+              "nodes": ROWS,
               "transactions": {"days": [{"day": 1, "loads": {"1": 1}}]},
               kind: data}
     args = ["--out", str(tmp_path / "out")]

@@ -39,7 +39,7 @@ def test_negative_count_names_the_cell():
     bad = {"days": [{"day": 3, "loads": {"2": -3}}]}
     with pytest.raises(ScheduleError) as err:
         parse_schedule(bad)
-    assert "day=3" in str(err.value) and "node=2" in str(err.value)
+    assert "day 3, node 2: count" in str(err.value)
 
 
 def test_unknown_node_rejected():
