@@ -10,10 +10,8 @@ from __future__ import annotations
 from math import inf
 
 from .distributions import (MAX_MS, brief, check_number, check_object, int_cell, is_int,
-                            round_half_up_ms)
+                            latency_table, processing_delays, round_half_up_ms)
 from .errors import ConfigError
-from .ledger import ValidationDelays
-from .network import LatencyTable
 
 PROTOCOLS = ("pbft", "poa", "poet")
 
@@ -68,8 +66,8 @@ class RunConfig:
                 raise ConfigError(f"drop_prob_overrides keys must be node ids, got {brief(node)}")
             check_number(f"drop_prob_overrides for node {brief(node_id)}", p, 0, 1)
             self.drop_prob_overrides[node_id] = float(p)
-        self.latency = LatencyTable.from_config(fields.get("latency"))
-        self.processing_delay = ValidationDelays.from_config(fields.get("processing_delay"))
+        self.latency = latency_table(fields.get("latency"))
+        self.processing_delay = processing_delays(fields.get("processing_delay"))
         rule = fields.get("authority_rule")
         rule = self.authority_rule = {"kind": "column"} if rule is None else rule
         kind = check_object("authority_rule", rule, ("kind", "threshold")).get("kind")

@@ -1,5 +1,6 @@
-"""Statistical delay distributions (latencies, processing delays), and the rules
-every loader applies to outside input: brief, int_cell, check_object, read_json.
+"""Statistical delay distributions, the delay tables built from them (latency per
+location pair, processing delay per message kind), and the rules every loader
+applies to outside input: brief, int_cell, check_object, read_json.
 
 All samples are returned in integer milliseconds, rounded half-up, and are
 never negative. The normal distribution is truncated at zero by clipping.
@@ -182,5 +183,82 @@ class Distribution:
         return cls(spec["kind"], params)
 
 
-def constant(ms: float) -> Distribution:
-    return Distribution("constant", {"ms": ms})
+# Delay kinds, per message category: the keys of a processing-delay table.
+TRANSACTION = "transaction"
+BLOCK = "block"
+CONSENSUS_MESSAGE = "consensus-message"
+
+# Processing-delay presets. "hyperledger-fabric" is named for the Hyperledger
+# Fabric-derived statistics it is meant to hold; its values are placeholders
+# that calibrated studies must override with measured data.
+DELAY_PRESETS = {"hyperledger-fabric": {
+    TRANSACTION: {"kind": "normal", "mean": 2.0, "std": 0.5},
+    BLOCK: {"kind": "normal", "mean": 5.0, "std": 1.0},
+    CONSENSUS_MESSAGE: {"kind": "normal", "mean": 1.0, "std": 0.25},
+    "default": {"kind": "constant", "ms": 1},
+}}
+
+
+class DelayTable:
+    """Delay models by key, a (src-location, dst-location) pair or a delay kind, and
+    a default for every other key. `to_dict` returns `spec`, the normalized input the
+    table was built from, as the report echoes it. Immutable by convention."""
+
+    __slots__ = ("name", "models", "default", "spec")
+
+    def __init__(self, name: str, models: dict, default: Distribution | None, spec: dict):
+        self.name, self.models, self.default, self.spec = name, models, default, spec
+
+    def model_for(self, key) -> Distribution:
+        model = self.models.get(key, self.default)
+        if model is None:
+            raise ConfigError(f"no {self.name} model for {brief(key)} and no default")
+        return model
+
+    def to_dict(self) -> dict:
+        return self.spec
+
+
+def latency_table(spec: dict | None) -> DelayTable:
+    """The config's `latency` (None: a constant 10 ms default) by location pair. A pair
+    also serves the reverse direction, unless that has an entry of its own."""
+    if spec is None:
+        spec = {"default": {"kind": "constant", "ms": 10}}
+    check_object("latency", spec, ("default", "pairs"))
+    default = Distribution.from_dict(spec["default"]) if "default" in spec else None
+    pairs: dict[tuple[str, str], Distribution] = {}
+    entries = spec.get("pairs", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"latency pairs must be a list, got {brief(entries)}")
+    for entry in entries:
+        check_object("latency pair", entry, required=("src", "dst"))
+        for end in ("src", "dst"):
+            if not isinstance(entry[end], str):
+                raise ConfigError(f"latency pair {end!r} must be a location name, "
+                                  f"got {brief(entry[end])}")
+        pairs[(entry["src"], entry["dst"])] = Distribution.from_dict(
+            {k: v for k, v in entry.items() if k not in ("src", "dst")})
+    echo = {} if default is None else {"default": default.to_dict()}
+    if pairs:
+        echo["pairs"] = [{"src": a, "dst": b, **d.to_dict()} for (a, b), d in pairs.items()]
+    models = {**{(b, a): d for (a, b), d in pairs.items()}, **pairs}
+    return DelayTable("latency", models, default, echo)
+
+
+def processing_delays(spec: dict | None) -> DelayTable:
+    """The config's `processing_delay` (None: a constant 1 ms default) as a table keyed
+    by delay kind: a model per kind and a default, or a preset used whole (its
+    placeholders cannot be patched). The echo lists the kinds sorted, then the default."""
+    if spec is None:
+        spec = {"default": {"kind": "constant", "ms": 1}}
+    elif "preset" in check_object("processing_delay", spec):
+        name = check_object("processing_delay", spec, ("preset",))["preset"]
+        if not isinstance(name, str) or name not in DELAY_PRESETS:
+            raise ConfigError(f"unknown processing-delay preset {brief(name)}")
+        spec = DELAY_PRESETS[name]
+    check_object("processing_delay", spec, ("default", TRANSACTION, BLOCK, CONSENSUS_MESSAGE))
+    models = {key: Distribution.from_dict(spec[key])
+              for key in sorted(spec, key=lambda k: (k == "default", k))}
+    echo = {key: model.to_dict() for key, model in models.items()}
+    default = models.pop("default", None)
+    return DelayTable("processing-delay", models, default, echo)

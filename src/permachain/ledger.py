@@ -1,9 +1,9 @@
 """Transactions, blocks, digests, and per-node chains.
 
 Cryptography is replaced by a deterministic 64-bit digest over a canonical
-serialization, plus statistical validation delays. Only *detectability* of
-tampering matters here, not forgery resistance, so the digest is the first
-8 bytes of an unkeyed BLAKE2b, read little-endian.
+serialization, and validation time by a processing delay (distributions.py).
+Only *detectability* of tampering matters here, not forgery resistance, so
+the digest is the first 8 bytes of an unkeyed BLAKE2b, read little-endian.
 
 Canonical serialization (bit-exact, documented in the README):
   u64le(x)    8 bytes, little-endian, unsigned
@@ -19,8 +19,7 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from .distributions import Distribution, brief, check_object, constant
-from .errors import ConfigError, DigestInvalid, HeightGap, ParentMismatch
+from .errors import DigestInvalid, HeightGap, ParentMismatch
 
 DIGEST_MASK = 0xFFFFFFFFFFFFFFFF
 GENESIS_PARENT = 0
@@ -179,55 +178,3 @@ class Chain:
     def digests_beyond_genesis(self) -> list[int]:
         return [b.digest for b in self.blocks[1:]]
 
-
-# Delay kinds, per message category.
-TRANSACTION = "transaction"
-BLOCK = "block"
-CONSENSUS_MESSAGE = "consensus-message"
-
-# Processing-delay preset named for the Hyperledger-Fabric-derived statistics
-# it is meant to hold. The values below are placeholders; calibrated studies
-# must override them with measured data.
-HYPERLEDGER_FABRIC_PRESET = {
-    TRANSACTION: {"kind": "normal", "mean": 2.0, "std": 0.5},
-    BLOCK: {"kind": "normal", "mean": 5.0, "std": 1.0},
-    CONSENSUS_MESSAGE: {"kind": "normal", "mean": 1.0, "std": 0.25},
-    "default": {"kind": "constant", "ms": 1},
-}
-
-DELAY_PRESETS = {"hyperledger-fabric": HYPERLEDGER_FABRIC_PRESET}
-
-
-class ValidationDelays:
-    """Per-kind processing delay distributions with a global default."""
-
-    def __init__(self, per_kind: dict, default: Distribution | None = None):
-        self.per_kind = per_kind
-        self.default = default
-
-    @classmethod
-    def from_config(cls, spec: dict | None) -> "ValidationDelays":
-        if spec is None:
-            return cls(per_kind={}, default=constant(1))
-        if "preset" in check_object("processing_delay", spec):
-            # a preset is used whole; its placeholders cannot be patched
-            name = check_object("processing_delay", spec, ("preset",))["preset"]
-            if not isinstance(name, str) or name not in DELAY_PRESETS:
-                raise ConfigError(f"unknown processing-delay preset {brief(name)}")
-            spec = DELAY_PRESETS[name]
-        check_object("processing_delay", spec, ("default", TRANSACTION, BLOCK, CONSENSUS_MESSAGE))
-        per_kind = {key: Distribution.from_dict(sub) for key, sub in spec.items()}
-        default = per_kind.pop("default", None)
-        return cls(per_kind=per_kind, default=default)
-
-    def model_for(self, kind: str) -> Distribution:
-        dist = self.per_kind.get(kind, self.default)
-        if dist is None:
-            raise ConfigError(f"no processing-delay distribution for kind {kind!r} and no default")
-        return dist
-
-    def to_dict(self) -> dict:
-        out = {k: d.to_dict() for k, d in sorted(self.per_kind.items())}
-        if self.default is not None:
-            out["default"] = self.default.to_dict()
-        return out

@@ -24,8 +24,8 @@ height, and its `ViewChange` carries that same object to the new primary.
 
 from __future__ import annotations
 
-from .ledger import (BLOCK, CONSENSUS_MESSAGE, DIGEST_MASK, TRANSACTION, Block,
-                     Transaction, value_eq)
+from .distributions import BLOCK, CONSENSUS_MESSAGE, TRANSACTION
+from .ledger import DIGEST_MASK, Block, Transaction, value_eq
 
 
 def _flip(digest: int) -> int:

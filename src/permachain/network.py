@@ -1,6 +1,7 @@
 """Point-to-point message latency and broadcast scheduling.
 
-Latency is configured per location pair with a global default fallback.
+Latency per location pair and processing delay per body kind come from two
+`DelayTable`s (see distributions.py); `send` caches each pair's latency model.
 `Network.broadcast` is the one delivery path. It takes one body or a batch of
 same-kind bodies (an injection batch of ``TxGossip``), and once per call their
 kind and processing-delay model. Body by body, it takes an active sender's
@@ -35,62 +36,10 @@ from collections import defaultdict
 from collections.abc import Callable
 
 from . import messages as m
-from .distributions import Distribution, brief, check_object
+from .distributions import BLOCK, TRANSACTION, DelayTable, Distribution
 from .engine import EventEngine, RngStreams
-from .errors import ConfigError, UnknownNodeError
+from .errors import UnknownNodeError
 from .faults import ByzantineType, should_drop
-from .ledger import BLOCK, TRANSACTION, ValidationDelays
-
-
-class LatencyTable:
-    """Latency models per (src-location, dst-location) pair, plus a default.
-
-    `pairs` holds the explicit entries in input order. Each one also serves
-    the reverse direction, unless that direction has an explicit entry too.
-    """
-
-    def __init__(self, default: Distribution | None = None,
-                 pairs: dict[tuple[str, str], Distribution] | None = None):
-        self.default = default
-        self.pairs = pairs or {}
-        self._models = {**{(b, a): d for (a, b), d in self.pairs.items()}, **self.pairs}
-
-    @classmethod
-    def from_config(cls, spec: dict | None) -> "LatencyTable":
-        if spec is None:
-            return cls(default=Distribution("constant", {"ms": 10}))
-        check_object("latency", spec, ("default", "pairs"))
-        default = Distribution.from_dict(spec["default"]) if "default" in spec else None
-        pairs: dict[tuple[str, str], Distribution] = {}
-        entries = spec.get("pairs", [])
-        if not isinstance(entries, list):
-            raise ConfigError(f"latency pairs must be a list, got {brief(entries)}")
-        for entry in entries:
-            check_object("latency pair", entry, required=("src", "dst"))
-            for end in ("src", "dst"):
-                if not isinstance(entry[end], str):
-                    raise ConfigError(f"latency pair {end!r} must be a location name, "
-                                      f"got {brief(entry[end])}")
-            pairs[(entry["src"], entry["dst"])] = Distribution.from_dict(
-                {k: v for k, v in entry.items() if k not in ("src", "dst")})
-        return cls(default=default, pairs=pairs)
-
-    def model_for(self, src_loc: str, dst_loc: str) -> Distribution:
-        model = self._models.get((src_loc, dst_loc), self.default)
-        if model is None:
-            raise ConfigError(
-                f"no latency model for location pair {brief((src_loc, dst_loc))} and no default"
-            )
-        return model
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.default is not None:
-            out["default"] = self.default.to_dict()
-        if self.pairs:
-            out["pairs"] = [{"src": a, "dst": b, **dist.to_dict()}
-                            for (a, b), dist in self.pairs.items()]
-        return out
 
 
 # Engine target of every delivery group; node ids are >= 1 and the coordinator is 0.
@@ -103,7 +52,7 @@ class Network:
     caches each (src, dst) latency model."""
 
     def __init__(self, engine: EventEngine, streams: RngStreams,
-                 latency: LatencyTable, delays: ValidationDelays, recorder):
+                 latency: DelayTable, delays: DelayTable, recorder):
         self.engine = engine
         self.streams = streams
         self.latency = latency
@@ -170,8 +119,8 @@ class Network:
         if model is None:
             if dst not in self._locations:
                 raise UnknownNodeError(f"unknown recipient {dst}")
-            model = models[dst] = self.latency.model_for(self._locations[src],
-                                                         self._locations[dst])
+            model = models[dst] = self.latency.model_for((self._locations[src],
+                                                          self._locations[dst]))
         lat = model.sample_ms(latency_rng)
         groups[lat + delay.sample_ms(self._delay_rng[dst])].append((dst, lat))
         return True

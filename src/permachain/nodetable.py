@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .distributions import brief, check_object, int_cell, read_json
+from .distributions import brief, check_object, int_cell, is_int, read_json
 from .errors import NodeTableError
 from .faults import ByzantineType
 
@@ -82,7 +82,11 @@ def _parse_row(i: int, raw: dict, authority_rule: dict) -> NodeSpec:
     node_id = int_cell(raw.get("id"))
     if node_id is None:
         raise NodeTableError(f"row {i}: missing or non-integer node id {brief(raw.get('id'))}")
-    location = str(raw.get("location", ""))
+    location = raw.get("location", "")
+    if not (isinstance(location, str) or is_int(location)):
+        raise NodeTableError(f"row {i}: location must be a string or an integer, "
+                             f"got {brief(location)}")
+    location = str(location)
     code = _code_cell(raw.get("byzantine"))
     if code not in (0, 1, 2):
         raise NodeTableError(

@@ -15,8 +15,8 @@ A day ends one of two ways:
   * the simulated-time guard (one day length) is hit: whatever is still
     queued is discarded and the day is reported as stalled, not failed.
 
-`run_all` runs with the cyclic garbage collector off: a finished run leaves
-no unreachable cycle, so reference counting frees all it drops.
+`run_all` runs with the cyclic garbage collector off. A finished run leaves no
+cycle, not even through its world, so reference counting frees all it drops.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from operator import attrgetter
 
 from . import messages as m
 from .config import RunConfig
-from .distributions import brief
+from .distributions import BLOCK, CONSENSUS_MESSAGE, TRANSACTION, brief
 from .engine import COORDINATOR, EventEngine, RngStreams
 from .errors import ConfigError, PermachainError
-from .ledger import BLOCK, CONSENSUS_MESSAGE, TRANSACTION, Transaction
+from .ledger import Transaction
 from .network import Network
 from .nodetable import NodeTable
 from .pbft import PbftFollower, PbftReplica, quorum_params
@@ -153,7 +153,7 @@ def check_inputs(config: RunConfig, table: NodeTable) -> None:
         for src in table.rows:
             for dst in table.rows:
                 if src.id != dst.id and (src.authority or dst.authority):
-                    config.latency.model_for(src.location, dst.location)
+                    config.latency.model_for((src.location, dst.location))
 
 
 def emit_day(world: World, day: int, loads: dict[int, int]) -> int:
@@ -251,8 +251,13 @@ def run_all(config: RunConfig, table: NodeTable, schedule: LoadSchedule,
                 days.append(run_day(world, day, schedule.loads_for(day)))
             except PermachainError as exc:
                 raise PermachainError(f"day {day}: {exc}") from exc
-        return SimulationResult(config=config, days=days, report=build_report(world, days),
-                                world=world)
+        report = build_report(world, days)
+        # drop the back-references that make the world a cycle: refcounting frees it
+        world.engine._handlers.clear()
+        world.kickoff = None
+        for node in world.nodes.values():
+            node.world = None
+        return SimulationResult(config=config, days=days, report=report, world=world)
     finally:
         if collecting:
             gc.enable()

@@ -1,0 +1,120 @@
+"""Mutants of src/permachain that named tier-1 tests must catch, and their runner.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only the named ones
+
+A mutant is (name, file under src/permachain, snippet, replacement, test ids).
+The runner first runs every named test against an unmutated copy of src/,
+where each must pass. Then, for one mutant at a time, it copies src/ to a
+temporary directory, replaces the snippet, which must occur exactly once in
+the file, and runs only that mutant's tests against the copy in one pytest
+subprocess. Each named test must fail. The exit status is 1 if a test fails
+unmutated, a snippet does not occur exactly once, or a test passes a mutant.
+Not part of tier-1: a run starts one pytest process per mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+ORCH, LEDGER, CLI = "tests/test_orchestrator.py", "tests/test_ledger.py", "tests/test_cli.py"
+NETWORK = "tests/test_network.py"
+
+MUTANTS = [
+    ("gc_enabled_unconditionally", "orchestrator.py",
+     "        if collecting:\n            gc.enable()\n", "        gc.enable()\n",
+     [f"{ORCH}::test_run_all_leaves_the_collector_as_it_found_it[gc-off-completes]",
+      f"{ORCH}::test_run_all_leaves_the_collector_as_it_found_it[gc-off-raises]"]),
+    ("commit_tally_read_by_index", "pbft.py",
+     "if self.id in self.commits.get(key, ()):", "if self.id in self.commits[key]:",
+     [f"{ORCH}::test_vote_tallies_hold_no_empty_entries"]),
+    ("digest_memo_not_handed_on", "ledger.py",
+     "    block.digest = compute_digest(block)\n",
+     "    block.digest = hash64(block.serialize_for_digest())\n",
+     [f"{LEDGER}::test_a_new_block_is_hashed_once_and_a_flipped_copy_afresh"]),
+    ("equality_compares_memos", "ledger.py",
+     ' if not name.startswith("_"))', ")",
+     ["tests/test_faults.py::test_corrupt_is_involution"]),
+    ("no_reverse_latency_pairs", "distributions.py",
+     "models = {**{(b, a): d for (a, b), d in pairs.items()}, **pairs}", "models = pairs",
+     [f"{NETWORK}::test_pair_specific_model_with_default_fallback",
+      f"{NETWORK}::test_latency_echo_round_trips_explicit_reverse_pairs"]),
+    ("no_default_delay_model", "distributions.py",
+     "model = self.models.get(key, self.default)", "model = self.models.get(key)",
+     [f"{LEDGER}::test_validation_delay_constant_and_fallback",
+      f"{NETWORK}::test_pair_specific_model_with_default_fallback"]),
+    ("world_cycle_kept", "orchestrator.py",
+     "        world.engine._handlers.clear()\n        world.kickoff = None\n"
+     "        for node in world.nodes.values():\n            node.world = None\n", "",
+     [f"{ORCH}::test_a_dropped_result_frees_its_world_without_the_collector[{protocol}]"
+      for protocol in ("pbft", "poa", "poet")]),
+    ("any_location_accepted", "nodetable.py",
+     "if not (isinstance(location, str) or is_int(location)):", "if False:",
+     [f"{CLI}::test_bad_schedule_or_node_table_is_validation_error[location_{case}]"
+      for case in ("null", "true", "float", "list", "object")]),
+]
+
+
+def copy_src(to: Path) -> Path:
+    src = to / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def run_tests(src: Path, ids: list[str]) -> dict[str, str]:
+    """Run `ids` against the package under `src`: test id -> PASSED, FAILED or ERROR."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run([sys.executable, "-c", "import permachain; print(permachain.__file__)"],
+                           env=env, capture_output=True, text=True, check=True).stdout
+    if not Path(where.strip()).is_relative_to(src):
+        sys.exit(f"the tests would import permachain from {where.strip()}, not from {src}")
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "--tb=no", "-rA", *ids], cwd=ROOT, env=env, capture_output=True,
+                         text=True).stdout
+    outcomes = {}
+    for line in out.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("PASSED", "FAILED", "ERROR") and rest:
+            outcomes[rest.split(" - ")[0]] = word
+    return outcomes
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {name for name, *_ in MUTANTS}
+    if unknown:
+        sys.exit(f"unknown mutants: {sorted(unknown)}")
+    mutants = [mutant for mutant in MUTANTS if not names or mutant[0] in names]
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        ids = sorted({test for *_, tests in mutants for test in tests})
+        outcomes = run_tests(copy_src(Path(tmp) / "unmutated"), ids)
+        for test in ids:
+            if outcomes.get(test) != "PASSED":
+                bad += 1
+                print(f"unmutated: {test} {outcomes.get(test, 'did not run')}")
+        for name, file, snippet, replacement, tests in mutants:
+            src = copy_src(Path(tmp) / name)
+            path = src / "permachain" / file
+            text = path.read_text(encoding="utf-8")
+            found = text.count(snippet)
+            if found != 1:
+                bad += 1
+                print(f"{name}: the snippet occurs {found} times in {file}, not once")
+                continue
+            path.write_text(text.replace(snippet, replacement), encoding="utf-8")
+            outcomes = run_tests(src, tests)
+            survivors = [f"{test} {outcomes.get(test, 'did not run')}" for test in tests
+                         if outcomes.get(test) != "FAILED"]
+            bad += bool(survivors)
+            print(f"{name}: " + (f"SURVIVED {', '.join(survivors)}" if survivors else "killed"))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

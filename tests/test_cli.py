@@ -41,6 +41,17 @@ def test_import_loads_neither_dataclasses_nor_importlib_resources():
     assert loaded == []
 
 
+def test_loading_a_config_loads_no_simulator_module():
+    # the delay tables a config builds live in distributions.py, so parsing a
+    # config loads neither the network nor the ledger, nor what they import
+    src = Path(permachain.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import permachain.config; "
+            "print(*sorted(m for m in sys.modules if m.startswith('permachain.')))")
+    loaded = subprocess.run([sys.executable, "-S", "-c", code, str(src)], check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert loaded == ["permachain.config", "permachain.distributions", "permachain.errors"]
+
+
 def test_parse_node_rows_types_and_flags():
     table = parse_node_rows(NODE_ROWS)
     row1 = table.spec(1)
@@ -78,6 +89,11 @@ def test_duplicate_id_and_zero_authorities_rejected():
         parse_node_rows([NODE_ROWS[0], dict(NODE_ROWS[1], id=1)])
     with pytest.raises(NodeTableError, match="zero authorities"):
         parse_node_rows([dict(r, authority=0) for r in NODE_ROWS])
+
+
+def test_integer_location_is_its_decimal_text():
+    table = parse_node_rows([dict(NODE_ROWS[0], location=7), NODE_ROWS[1]])
+    assert table.spec(1).location == "7"
 
 
 def test_location_threshold_authority_rule():
@@ -416,6 +432,11 @@ LONG, DIGITS = "x" * 5000, "1" * 5000
                  id="long_authority_cell"),
     pytest.param("config", {"protocol": "poa", "authority_rule": {"kind": "location_threshold"}},
                  "row 1: location 'Portland'", id="location_not_integer"),
+    # a location is a string, or an integer taken as its decimal text
+    *(pytest.param("nodes", [dict(ROWS[0], location=value), *ROWS[1:]],
+                   "row 1: location must be a string or an integer", id=f"location_{name}")
+      for name, value in [("null", None), ("true", True), ("float", 1.5), ("list", [1, 2]),
+                          ("object", {"a": 1})]),
     pytest.param("transactions", {}, "'days'", id="schedule_without_days"),
     pytest.param("transactions", {"days": [{"day": 1, "loads": {}}, {"day": 1, "loads": {}}]},
                  "duplicate day", id="duplicate_day"),

@@ -6,7 +6,7 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
-from permachain.distributions import Distribution, constant, round_half_up_ms
+from permachain.distributions import Distribution, round_half_up_ms
 from permachain.errors import ConfigError
 
 
@@ -33,7 +33,7 @@ def test_draws_round_half_up_and_clip_at_zero(x, expected):
 
 
 def test_constant_always_same():
-    dist = constant(10)
+    dist = Distribution("constant", {"ms": 10})
     g = rng()
     assert [dist.sample_ms(g) for _ in range(5)] == [10, 10, 10, 10, 10]
 
@@ -92,7 +92,7 @@ def test_invalid_specs_rejected():
 
 
 def test_mean_ms_analytic():
-    assert constant(7).mean_ms == 7
+    assert Distribution("constant", {"ms": 7}).mean_ms == 7
     assert Distribution("uniform", {"lo": 2, "hi": 8}).mean_ms == 5
     assert Distribution("exponential", {"rate": 0.001}).mean_ms == 1000
 

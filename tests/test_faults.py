@@ -4,11 +4,12 @@ import pytest
 
 from permachain import messages as m
 from permachain.config import RunConfig
+from permachain.distributions import latency_table, processing_delays
 from permachain.engine import EventEngine, RngStreams
 from permachain.errors import ConfigError
 from permachain.faults import ByzantineType, should_drop
-from permachain.ledger import ValidationDelays, compute_digest, genesis_block, make_block
-from permachain.network import LatencyTable, Network
+from permachain.ledger import compute_digest, genesis_block, make_block
+from permachain.network import Network
 from permachain.reporting import RunRecorder
 
 
@@ -55,8 +56,7 @@ def test_corrupt_leaves_tx_gossip_alone():
 def drop_fraction(byz, prob, n=10_000, seed=3):
     """Share of n single-recipient broadcasts from node 1 that its network drops."""
     engine = EventEngine()
-    delays = ValidationDelays.from_config(None)
-    net = Network(engine, RngStreams(seed), LatencyTable.from_config(None), delays,
+    net = Network(engine, RngStreams(seed), latency_table(None), processing_delays(None),
                   RunRecorder(engine))
     for node in (1, 2):
         net.register_node(node, "here", byz, prob, lambda sender, body: None)

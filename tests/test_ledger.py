@@ -1,6 +1,7 @@
 """Digests, canonical serialization, chains, and validation delays."""
 
 import hashlib
+import json
 import random
 import struct
 
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permachain import ledger
+from permachain.distributions import processing_delays
 from permachain.errors import ConfigError, DigestInvalid, HeightGap, ParentMismatch
-from permachain.ledger import (Block, Chain, Transaction, ValidationDelays,
-                               compute_digest, digest_hex, genesis_block,
-                               hash64, make_block)
+from permachain.ledger import (Block, Chain, Transaction, compute_digest, digest_hex,
+                               genesis_block, hash64, make_block)
 from permachain.messages import BlockMsg
 
 # computed once from the documented reference serialization
@@ -154,7 +155,7 @@ def test_chain_validity_closed_under_append(tx_counts):
 
 
 def test_validation_delay_constant_and_fallback():
-    vd = ValidationDelays.from_config({
+    vd = processing_delays({
         "consensus-message": {"kind": "constant", "ms": 2},
         "default": {"kind": "constant", "ms": 9},
     })
@@ -164,22 +165,46 @@ def test_validation_delay_constant_and_fallback():
 
 
 def test_validation_delay_no_default_errors():
-    vd = ValidationDelays.from_config({"block": {"kind": "constant", "ms": 1}})
-    with pytest.raises(ConfigError, match="no processing-delay distribution for kind"):
+    vd = processing_delays({"block": {"kind": "constant", "ms": 1}})
+    with pytest.raises(ConfigError,
+                       match="no processing-delay model for 'transaction' and no default"):
         vd.model_for("transaction")
 
 
 def test_validation_delay_truncated_normal_nonnegative():
-    vd = ValidationDelays.from_config({"default": {"kind": "normal", "mean": 5, "std": 1}})
+    vd = processing_delays({"default": {"kind": "normal", "mean": 5, "std": 1}})
     g = random.Random(1)
     assert all(vd.model_for("block").sample_ms(g) >= 0 for _ in range(2000))
 
 
 def test_delay_preset_expands():
-    vd = ValidationDelays.from_config({"preset": "hyperledger-fabric"})
-    assert "transaction" in vd.per_kind and vd.default is not None
+    vd = processing_delays({"preset": "hyperledger-fabric"})
+    assert "transaction" in vd.models and vd.default is not None
     with pytest.raises(ConfigError):
-        ValidationDelays.from_config({"preset": "nope"})
+        processing_delays({"preset": "nope"})
+
+
+@pytest.mark.parametrize("spec, echo", [
+    pytest.param({"default": {"kind": "constant", "ms": 3},
+                  "transaction": {"kind": "uniform", "hi": 4, "lo": 2},
+                  "block": {"kind": "exponential", "rate": 0.5}},
+                 {"block": {"kind": "exponential", "rate": 0.5},
+                  "transaction": {"kind": "uniform", "hi": 4, "lo": 2},
+                  "default": {"kind": "constant", "ms": 3}}, id="per_kind"),
+    pytest.param({"preset": "hyperledger-fabric"},
+                 {"block": {"kind": "normal", "mean": 5.0, "std": 1.0},
+                  "consensus-message": {"kind": "normal", "mean": 1.0, "std": 0.25},
+                  "transaction": {"kind": "normal", "mean": 2.0, "std": 0.5},
+                  "default": {"kind": "constant", "ms": 1}}, id="preset"),
+])
+def test_processing_delay_echo_round_trips(spec, echo):
+    # the echo lists the kinds sorted, then the default, and builds the same table
+    table = processing_delays(spec)
+    assert json.dumps(table.to_dict()) == json.dumps(echo)
+    echoed = processing_delays(table.to_dict())
+    assert echoed.to_dict() == table.to_dict()
+    for kind in ("transaction", "block", "consensus-message", "gossip"):
+        assert echoed.model_for(kind).to_dict() == table.model_for(kind).to_dict()
 
 
 def test_digest_hex_is_16_chars():

@@ -10,13 +10,14 @@ from functools import partial
 import pytest
 
 from permachain import messages as m
-from permachain.distributions import Distribution, round_half_up_ms
+from permachain.distributions import (Distribution, latency_table, processing_delays,
+                                      round_half_up_ms)
 from permachain.engine import EventEngine, RngStreams
 from permachain.errors import ConfigError, UnknownNodeError
 from permachain.config import RunConfig
 from permachain.faults import ByzantineType
-from permachain.ledger import Transaction, ValidationDelays
-from permachain.network import LatencyTable, Network
+from permachain.ledger import Transaction
+from permachain.network import Network
 from permachain.reporting import RunRecorder
 
 
@@ -61,8 +62,8 @@ def build_net(n_nodes=13, byz=None, drop_prob=0.4, latency=None, seed=1, overrid
     byz = byz or {}
     engine = EventEngine()
     streams = LoggedStreams(seed)
-    table = latency or LatencyTable(default=Distribution("constant", {"ms": 10}))
-    delays = delays or ValidationDelays.from_config({"default": {"kind": "constant", "ms": 1}})
+    table = latency or latency_table({"default": {"kind": "constant", "ms": 10}})
+    delays = delays or processing_delays({"default": {"kind": "constant", "ms": 1}})
     recorder = LoggedRecorder()
     recorder.engine = engine
     faults = RunConfig("pbft", drop_prob=drop_prob, drop_prob_overrides=overrides or {})
@@ -105,13 +106,13 @@ def test_constant_latency_always_ten():
 
 
 def test_degenerate_uniform_latency():
-    table = LatencyTable(default=Distribution("uniform", {"lo": 5, "hi": 5}))
+    table = latency_table({"default": {"kind": "uniform", "lo": 5, "hi": 5}})
     _, net, _ = build_net(latency=table)
     assert latencies(net, 1, 2, 20) == [5] * 20
 
 
 def test_empirical_latency_reproducible_and_concentrated():
-    table = LatencyTable(default=Distribution("empirical", {"values": [3, 7]}))
+    table = latency_table({"default": {"kind": "empirical", "values": [3, 7]}})
     _, net1, _ = build_net(latency=table, seed=9)
     _, net2, _ = build_net(latency=table, seed=9)
     seq1 = latencies(net1, 1, 2, 10_000)
@@ -121,7 +122,7 @@ def test_empirical_latency_reproducible_and_concentrated():
 
 
 def test_pair_specific_model_with_default_fallback():
-    table = LatencyTable.from_config({
+    table = latency_table({
         "default": {"kind": "constant", "ms": 10},
         "pairs": [{"src": "loc-1", "dst": "loc-2", "kind": "constant", "ms": 50}],
     })
@@ -136,21 +137,22 @@ def test_latency_echo_round_trips_explicit_reverse_pairs():
             "pairs": [{"src": "a", "dst": "b", "kind": "constant", "ms": 5},
                       {"src": "c", "dst": "a", "kind": "uniform", "lo": 1, "hi": 3},
                       {"src": "b", "dst": "a", "kind": "constant", "ms": 50}]}
-    table = LatencyTable.from_config(spec)
+    table = latency_table(spec)
     assert table.to_dict() == spec  # every explicit entry once, in input order
-    assert table.model_for("b", "a").params == {"ms": 50}
-    assert table.model_for("a", "c").kind == "uniform"
-    echoed = LatencyTable.from_config(table.to_dict())
+    assert table.model_for(("b", "a")).params == {"ms": 50}
+    assert table.model_for(("a", "c")).kind == "uniform"
+    echoed = latency_table(table.to_dict())
     locations = ("a", "b", "c", "d")
     for src in locations:
         for dst in locations:
-            assert echoed.model_for(src, dst).to_dict() == table.model_for(src, dst).to_dict()
+            assert echoed.model_for((src, dst)).to_dict() == table.model_for((src, dst)).to_dict()
 
 
 def test_no_model_no_default_errors():
-    table = LatencyTable(default=None)
+    table = latency_table({})
     _, net, _ = build_net(latency=table)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match=r"no latency model for \('loc-1', 'loc-2'\) and no default"):
         net.broadcast(1, gossip(), [2])
 
 
@@ -207,7 +209,7 @@ def test_broadcast_mean_scheduled_under_partial_drops():
 
 def test_latency_draws_unaffected_by_other_nodes():
     # per-sender streams: dropping an unrelated node leaves draws unchanged
-    table = LatencyTable(default=Distribution("uniform", {"lo": 1, "hi": 30}))
+    table = latency_table({"default": {"kind": "uniform", "lo": 1, "hi": 30}})
     _, big, _ = build_net(n_nodes=13, latency=table, seed=5)
     _, small, _ = build_net(n_nodes=3, latency=table, seed=5)
     big.broadcast(3, gossip(50), [2])  # unrelated traffic from another sender
@@ -288,7 +290,7 @@ def test_each_kind_draws_its_formula_from_random_alone(spec):
 
 def test_passive_sender_draws_drop_stream_once_per_recipient():
     # per recipient, in order: drop iff the drop stream reads below p, else one latency draw
-    table = LatencyTable(default=Distribution("uniform", {"lo": 1, "hi": 30}))
+    table = latency_table({"default": {"kind": "uniform", "lo": 1, "hi": 30}})
     _, net, recorder, log = logged_net(byz={1: 2}, drop_prob=0.4, latency=table, seed=3)
     drop, latency = reference_stream(3, 1, "drop"), reference_stream(3, 1, "latency")
     expected = []
@@ -345,8 +347,8 @@ def test_one_event_per_delivery_instant():
 
 
 def test_a_batch_of_bodies_draws_and_delivers_as_one_broadcast_per_body():
-    latency = LatencyTable(default=Distribution("uniform", {"lo": 1, "hi": 30}))
-    delays = ValidationDelays.from_config(
+    latency = latency_table({"default": {"kind": "uniform", "lo": 1, "hi": 30}})
+    delays = processing_delays(
         {"transaction": {"kind": "normal", "mean": 5, "std": 3},
          "default": {"kind": "constant", "ms": 1}})
     nets = [logged_net(byz={1: 2}, drop_prob=0.4, latency=latency, delays=delays, seed=4)
@@ -375,7 +377,7 @@ def mixed_delay_net(receive):
     With 1 ms processing, a broadcast from node 1 to nodes 2-7 arrives at 2, 4
     and 6 after 11 ms, at 3 and 5 after 6 ms and at 7 after 21 ms.
     """
-    table = LatencyTable.from_config({
+    table = latency_table({
         "default": {"kind": "constant", "ms": 10},
         "pairs": [{"src": "loc-1", "dst": f"loc-{dst}", "kind": "constant", "ms": ms}
                   for dst, ms in ((3, 5), (5, 5), (7, 20))],
@@ -417,8 +419,8 @@ def test_a_group_joined_while_its_event_is_delivered_runs_at_its_tail():
         if (node, body.tx.tx_id) == (2, 1):  # total delay 0: joins the event being delivered
             net.broadcast(2, gossip(2), [3, 4])
 
-    zero = LatencyTable(default=Distribution("constant", {"ms": 0}))
-    delays = ValidationDelays.from_config({"default": {"kind": "constant", "ms": 0}})
+    zero = latency_table({"default": {"kind": "constant", "ms": 0}})
+    delays = processing_delays({"default": {"kind": "constant", "ms": 0}})
     engine, net, _ = build_net(n_nodes=4, latency=zero, delays=delays, receive=receive)
     net.broadcast(1, gossip(1), [2, 3])
     engine.run_until_idle()

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -231,6 +232,22 @@ def test_a_finished_run_leaves_no_unreachable_cycle(name):
         gc.enable()
     assert unreachable == 0, f"{name} left {unreachable} objects in unreachable cycles"
     assert result.days  # the run was alive through the count
+
+
+@pytest.mark.parametrize("protocol", ["pbft", "poa", "poet"])
+def test_a_dropped_result_frees_its_world_without_the_collector(protocol):
+    # run_all drops the world's back-references once the report is built, so the
+    # world is no cycle and reference counting frees it as soon as it is dropped
+    gc.collect()
+    gc.disable()
+    try:
+        result = quick_run({1: {1: 5}, 2: {2: 4}}, n_authorities=4, n_followers=1,
+                           protocol=protocol)
+        world = weakref.ref(result.world)
+        del result
+        assert world() is None, f"a finished {protocol} world outlived its result"
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("raises", [False, True], ids=["completes", "raises"])
