@@ -42,9 +42,20 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+class _Brief(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than str() converts: quoted by its size
+            return f"{'-' if x < 0 else ''}<int of {x.bit_length()} bits>"
+
+
+_BRIEF = _Brief()
+
+
 def brief(x) -> str:
     """How an error message quotes an input value: reprlib's short repr, in ASCII, <= 40 chars."""
-    text = reprlib.repr(x).encode("ascii", "backslashreplace").decode()
+    text = _BRIEF.repr(x).encode("ascii", "backslashreplace").decode()
     return text if len(text) <= 40 else f"{text[:20]}...{text[-17:]}"
 
 

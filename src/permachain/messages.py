@@ -1,9 +1,10 @@
 """Protocol message bodies.
 
-The network hands a body to each recipient's ``receive(sender, body)`` as it
-is (see network.py), so one body object is shared by every member of a
-delivery group and nothing writes to it. Each body class carries what the
-rest of the simulator needs to know about it:
+The network hands a body to each recipient as it is, in the list that a
+delivery group passes to ``receive(sender, bodies)`` (see network.py), so one
+body object is shared by every member of a delivery group and nothing writes
+to it. Each body class carries what the rest of the simulator needs to know
+about it:
   * ``delay_kind``: which processing-delay distribution a receiver applies;
   * ``handler``: the node method that consumes it (see node.py);
   * ``corrupted()``: the copy an active tamperer sends, built by the class's

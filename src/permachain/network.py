@@ -2,10 +2,11 @@
 
 Latency per location pair and processing delay per body kind come from two
 `DelayTable`s (see distributions.py); `send` caches each pair's latency model.
-`Network.broadcast` is the one delivery path. It takes one body or a batch of
-same-kind bodies (an injection batch of ``TxGossip``), and once per call their
-kind and processing-delay model. Body by body, it takes an active sender's
-``corrupted()`` form and delivers to each recipient other than the sender at
+`Network.broadcast` is the one delivery path. It takes one body or a list of
+``TxGossip`` bodies (an injection batch; a list of any other kind is refused),
+and once per call their kind and processing-delay model. Body by body, it
+takes an active sender's ``corrupted()`` form and delivers to each recipient
+other than the sender at
 
     now + latency(src, dst) + processing_delay(kind, receiver)
 
@@ -14,19 +15,28 @@ propagation delay. Per body, and per recipient in recipient order, the draws
 are: one on the sender's ``drop`` stream (only a passive sender with a drop
 probability above 0 has one), then, if not dropped, one on the sender's
 ``latency`` stream and one on the recipient's ``processing-delay`` stream. A
-constant model consumes no draw, and a batch of k bodies draws exactly what k
+constant model consumes no draw, and a list of k bodies draws exactly what k
 one-body calls would. Each node's Byzantine type, drop probability and
-``receive(sender, body)`` are fixed when it registers.
+``receive(sender, bodies)`` are fixed when it registers.
 
 A body's recipients that share a total delay form a group (a group of one
-included), ``(src, sent_at, body, [(dst, latency), ...])``, which is joined
+included), ``(src, sent_at, bodies, [(dst, latency), ...])``, which is joined
 (`EventEngine.join`) to the delivery event at the tail of its instant on the
-network's own target. Delivering an event walks its groups in order: each
-records a transaction or block group with one recorder call, then calls each
-member's ``receive`` in recipient order. That is the order one event per
-recipient would give, because a broadcast's groups are queued back to back,
-so no other event can fall between two deliveries of one instant; and the
-recorded rows keep that order, because no ``receive`` delivers a group itself.
+network's own target. A body whose groups equal the previous body's in the
+same call (the same totals, the same member lists) makes no group of its
+own: it is appended to the `bodies` list that the previous body's groups
+share. Delivering an event walks its groups in order: each records a
+transaction or block group with one recorder call per body, then calls each
+member's ``receive`` once with the group's bodies, in recipient order.
+
+That is the order of one event per recipient and body, but for one swap.
+Adjacent events of one instant run back to back, and a broadcast queues all
+its groups at once, so no other event can fall between two deliveries of
+one instant; the recorded rows keep that order, because no ``receive``
+delivers a group itself. The swap: a merged group hands its bodies member by
+member, not body by body. Only an injection batch merges, and a
+``TxGossip``'s handler sends nothing and reads and writes only its own
+node's pool and committed set, so no node can tell the two orders apart.
 """
 
 from __future__ import annotations
@@ -60,13 +70,13 @@ class Network:
         self.recorder = recorder
         self._locations: dict[int, str] = {}
         self._delay_rng: dict[int, random.Random] = {}
-        self._receivers: dict[int, Callable[[int, object], None]] = {}
+        self._receivers: dict[int, Callable[[int, list], None]] = {}
         # sender -> (byz, dst -> latency model, latency stream, (p, drop stream) or None)
         self._outbound: dict[int, tuple] = {}
         engine.register(DELIVERY, self._deliver)
 
     def register_node(self, node_id: int, location: str, byz: ByzantineType,
-                      drop_prob: float, receive: Callable[[int, object], None]) -> None:
+                      drop_prob: float, receive: Callable[[int, list], None]) -> None:
         self._locations[node_id] = location
         self._delay_rng[node_id] = self.streams.stream(node_id, "processing-delay")
         self._receivers[node_id] = receive
@@ -75,20 +85,26 @@ class Network:
         self._outbound[node_id] = (byz, {}, self.streams.stream(node_id, "latency"), drop)
 
     def broadcast(self, src: int, body, recipients) -> int:
-        """Deliver `body`, or each body of the non-empty list `body` (one kind) in turn,
-        from `src` to every recipient but `src`.
+        """Deliver `body`, or each body of the non-empty list `body` of `TxGossip`
+        in turn, from `src` to every recipient but `src`.
 
         Returns how many deliveries were scheduled; the others were dropped."""
         out = self._outbound.get(src)
         if out is None:
             raise UnknownNodeError(f"unknown sender {src}")
-        bodies = body if isinstance(body, list) else (body,)
+        if isinstance(body, list):
+            bodies = body
+            if set(map(type, bodies)) != {m.TxGossip}:
+                raise TypeError("a broadcast list carries TxGossip bodies only")
+        else:
+            bodies = (body,)
         kind = m.kind_of(bodies[0])
         active = out[0] is ByzantineType.ACTIVE
         delay = self.delays.model_for(bodies[0].delay_kind)
         others = [dst for dst in recipients if dst != src]
         send, join, now = self.send, self.engine.join, self.engine.now
         scheduled = 0
+        last = shared = None  # the previous body's groups and the bodies they carry
         for body in bodies:
             if active:
                 body = body.corrupted()
@@ -96,8 +112,12 @@ class Network:
             groups: dict[int, list[tuple[int, int]]] = defaultdict(list)
             for dst in others:
                 scheduled += send(src, dst, delay, out, groups)
+            if groups == last:
+                shared.append(body)
+                continue
+            last, shared = groups, [body]
             for total, members in groups.items():
-                join(total, DELIVERY, (src, now, body, members))
+                join(total, DELIVERY, (src, now, shared, members))
         attempted = len(others) * len(bodies)
         if scheduled:
             self.recorder.message_sent(kind, scheduled)
@@ -126,16 +146,17 @@ class Network:
         return True
 
     def _deliver(self, groups: list) -> None:
-        """Hand each group's body to each of its members in order, first recording
-        a transaction or block group (each latency is a propagation delay).
-        Walked by index: a `receive` may join a group to this very list."""
+        """Hand each group's bodies to each of its members in order, first recording
+        a transaction or block group once per body (each latency is a propagation
+        delay). Walked by index: a `receive` may join a group to this very list."""
         record, receivers = self.recorder.record_delivery, self._receivers
         i = 0
         while i < len(groups):
-            src, sent_at, body, members = groups[i]
+            src, sent_at, bodies, members = groups[i]
             i += 1
-            kind = body.delay_kind
+            kind = bodies[0].delay_kind
             if kind in (TRANSACTION, BLOCK):
-                record(kind, src, sent_at, members)
+                for _ in bodies:
+                    record(kind, src, sent_at, members)
             for dst, _lat in members:
-                receivers[dst](src, body)
+                receivers[dst](src, bodies)

@@ -3,8 +3,11 @@
 Each network message class names the handler method that consumes it (see
 messages.py); a node class that lacks that method counts the body under
 ``unhandled_<Kind>`` in its stats and otherwise ignores it. The network calls
-`receive(sender, body)` once per delivery, after it has recorded a transaction
-or block delivery. Every class takes (node_id, byz, world).
+`receive(sender, bodies)` once per member of a delivery group, after it has
+recorded the group's transaction or block deliveries; `bodies` is a list of
+bodies of one class (more than one only for an injection batch of
+``TxGossip``), and `receive` resolves their handler once and calls it once
+per body, in order. Every class takes (node_id, byz, world).
 
 `_accept` is the one in-order block path: a valid block above the next height
 is held in `_ahead` until the blocks below it have been appended.
@@ -41,12 +44,14 @@ class Node:
     def start_day(self) -> None:
         """Called on every authority as a day begins, before block production."""
 
-    def receive(self, sender: int, body) -> None:
-        handler = getattr(self, body.handler, None)
+    def receive(self, sender: int, bodies: list) -> None:
+        handler = getattr(self, bodies[0].handler, None)
         if handler is None:
-            self._count("unhandled_" + m.kind_of(body))
+            key = "unhandled_" + m.kind_of(bodies[0])
+            self.stats[key] = self.stats.get(key, 0) + len(bodies)
         else:
-            handler(sender, body)
+            for body in bodies:
+                handler(sender, body)
 
     def on_gossip(self, sender: int, msg: m.TxGossip) -> None:
         tx = msg.tx

@@ -86,7 +86,10 @@ def _parse_row(i: int, raw: dict, authority_rule: dict) -> NodeSpec:
     if not (isinstance(location, str) or is_int(location)):
         raise NodeTableError(f"row {i}: location must be a string or an integer, "
                              f"got {brief(location)}")
-    location = str(location)
+    try:
+        location = str(location)
+    except ValueError:  # more digits than str() converts
+        raise NodeTableError(f"row {i}: location {brief(location)} has too many digits") from None
     code = _code_cell(raw.get("byzantine"))
     if code not in (0, 1, 2):
         raise NodeTableError(

@@ -14,6 +14,8 @@ production begins, and the rest `tx_broadcast_interval_ms` apart.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import repeat
 from pathlib import Path
 
 from .distributions import brief, check_object, int_cell, is_int, read_json
@@ -92,8 +94,7 @@ class TransactionPool(dict):
         self.setdefault(tx.tx_id, tx)
 
     def discard(self, tx_ids) -> None:
-        for tx_id in tx_ids:
-            self.pop(tx_id, None)
+        deque(map(self.pop, tx_ids, repeat(None)), maxlen=0)  # one C-level loop
 
     def take_batch(self, capacity: int) -> tuple[Transaction, ...]:
         """Remove and return up to `capacity` transactions in creation order."""

@@ -58,6 +58,18 @@ MUTANTS = [
      "if not (isinstance(location, str) or is_int(location)):", "if False:",
      [f"{CLI}::test_bad_schedule_or_node_table_is_validation_error[location_{case}]"
       for case in ("null", "true", "float", "list", "object")]),
+    ("merge_compares_totals_only", "network.py",
+     "if groups == last:", "if last is not None and groups.keys() == last.keys():",
+     [f"{NETWORK}::test_a_batch_merges_only_bodies_with_the_same_members"]),
+    ("merged_bodies_reversed", "network.py",
+     "receivers[dst](src, bodies)", "receivers[dst](src, bodies[::-1])",
+     [f"{NETWORK}::test_a_constant_delay_batch_is_one_group_per_instant",
+      f"{NETWORK}::test_a_batch_merges_only_bodies_with_the_same_members"]),
+    ("delivery_group_walked_in_reverse", "network.py",
+     "for dst, _lat in members:", "for dst, _lat in reversed(members):",
+     [f"{NETWORK}::test_one_event_per_delivery_instant",
+      f"{NETWORK}::test_grouped_deliveries_keep_the_order_of_one_event_per_recipient",
+      f"{NETWORK}::test_a_constant_delay_batch_is_one_group_per_instant"]),
 ]
 
 

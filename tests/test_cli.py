@@ -391,6 +391,24 @@ def test_schedule_loads_or_refuses_any_json_value(path, value, new_key):
         assert len(str(exc).encode()) < 200
 
 
+# more digits than str() converts; only an in-process caller can pass one, since
+# read_json refuses such a number in a file
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: RunConfig("pbft", block_interval_ms=-HUGE), ConfigError,
+                 "block_interval_ms must be an integer in [1, inf], got -<int of 16610 bits>",
+                 id="config_field"),
+    pytest.param(lambda: parse_node_rows([dict(VALID_ROWS[0], location=HUGE)]), NodeTableError,
+                 "row 1: location <int of 16610 bits> has too many digits", id="node_location"),
+])
+def test_an_integer_too_long_for_text_is_refused_by_its_size(build, error, message):
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 ROWS = [dict(r, byzantine=0) for r in NODE_ROWS]
 LONG, DIGITS = "x" * 5000, "1" * 5000
 

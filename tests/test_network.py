@@ -9,7 +9,8 @@ from functools import partial
 
 import pytest
 
-from permachain import messages as m
+from permachain import messages as m, orchestrator
+from permachain.cli import EXIT_OK, main
 from permachain.distributions import (Distribution, latency_table, processing_delays,
                                       round_half_up_ms)
 from permachain.engine import EventEngine, RngStreams
@@ -18,6 +19,7 @@ from permachain.config import RunConfig
 from permachain.faults import ByzantineType
 from permachain.ledger import Transaction
 from permachain.network import Network
+from permachain.node import Node
 from permachain.reporting import RunRecorder
 
 
@@ -56,9 +58,9 @@ class LoggedRecorder(RunRecorder):
 
 
 def build_net(n_nodes=13, byz=None, drop_prob=0.4, latency=None, seed=1, overrides=None,
-              receive=lambda node, sender, body: None, delays=None):
-    """A bare Network over nodes 1..n_nodes; node i hands each delivery to
-    receive(i, sender, body)."""
+              receive=lambda node, sender, bodies: None, delays=None):
+    """A bare Network over nodes 1..n_nodes; node i hands each delivery group's
+    bodies to receive(i, sender, bodies)."""
     byz = byz or {}
     engine = EventEngine()
     streams = LoggedStreams(seed)
@@ -83,7 +85,8 @@ def logged_net(**kwargs):
     dispatch order."""
     log = []
     engine, net, recorder = build_net(
-        receive=lambda node, sender, body: log.append((engine.now, node, sender, body)),
+        receive=lambda node, sender, bodies: log.extend((engine.now, node, sender, body)
+                                                        for body in bodies),
         **kwargs)
     return engine, net, recorder, log
 
@@ -371,7 +374,7 @@ def test_a_batch_of_bodies_draws_and_delivers_as_one_broadcast_per_body():
         [net_s.streams.stream(*key).random() for key in asked]
 
 
-def mixed_delay_net(receive):
+def mixed_delay_net(receive, **kwargs):
     """Nodes 1-9; from node 1, nodes 3 and 5 are 5 ms away, node 7 is 20 ms, the rest 10 ms.
 
     With 1 ms processing, a broadcast from node 1 to nodes 2-7 arrives at 2, 4
@@ -382,13 +385,13 @@ def mixed_delay_net(receive):
         "pairs": [{"src": "loc-1", "dst": f"loc-{dst}", "kind": "constant", "ms": ms}
                   for dst, ms in ((3, 5), (5, 5), (7, 20))],
     })
-    return build_net(n_nodes=9, latency=table, receive=receive)
+    return build_net(n_nodes=9, latency=table, receive=receive, **kwargs)
 
 
 def test_grouped_deliveries_keep_the_order_of_one_event_per_recipient():
     log = []
 
-    def receive(node, sender, body):
+    def receive(node, sender, bodies):
         log.append((engine.now, node))
         if node == 2:  # node 2 schedules an event at its own delivery instant
             engine.schedule(0, 9, "scheduled during the group")
@@ -414,7 +417,8 @@ def test_grouped_deliveries_keep_the_order_of_one_event_per_recipient():
 def test_a_group_joined_while_its_event_is_delivered_runs_at_its_tail():
     log = []
 
-    def receive(node, sender, body):
+    def receive(node, sender, bodies):
+        body, = bodies
         log.append((engine.now, node, sender, body.tx.tx_id))
         if (node, body.tx.tx_id) == (2, 1):  # total delay 0: joins the event being delivered
             net.broadcast(2, gossip(2), [3, 4])
@@ -430,10 +434,104 @@ def test_a_group_joined_while_its_event_is_delivered_runs_at_its_tail():
 
 def test_a_group_past_the_deadline_is_discarded_whole():
     log = []
-    engine, net, _ = mixed_delay_net(lambda node, sender, body: log.append((engine.now, node)))
+    engine, net, _ = mixed_delay_net(lambda node, sender, bodies: log.append((engine.now, node)))
     net.broadcast(1, gossip(), range(2, 8))
     engine.run_until_idle(deadline=10)
     assert log == [(6, 3), (6, 5)]
     assert (engine.scheduled_count, engine.dispatched_count, engine.discarded_count) == (3, 1, 2)
     assert engine.scheduled_count == engine.dispatched_count + engine.discarded_count
     assert engine.pending() == 0
+
+
+def receive_calls(**kwargs):
+    """build_net over mixed_delay_net's layout, plus a log of every `receive` call
+    as (time, node, sender, tx ids), in dispatch order."""
+    calls = []
+    engine, net, recorder = mixed_delay_net(
+        lambda node, sender, bodies: calls.append(
+            (engine.now, node, sender, [body.tx.tx_id for body in bodies])), **kwargs)
+    return engine, net, recorder, calls
+
+
+def test_a_constant_delay_batch_is_one_group_per_instant():
+    k = 6
+    engine, net, recorder, calls = receive_calls()
+    assert net.broadcast(1, [gossip(i) for i in range(k)], range(1, 8)) == 6 * k
+    one_by_one, net_s, recorder_s, _ = receive_calls()
+    for i in range(k):
+        net_s.broadcast(1, gossip(i), range(1, 8))
+    assert engine.scheduled_count == one_by_one.scheduled_count == 3
+    engine.run_until_idle()
+    one_by_one.run_until_idle()
+    ids = list(range(k))
+    assert calls == [(6, 3, 1, ids), (6, 5, 1, ids), (11, 2, 1, ids), (11, 4, 1, ids),
+                     (11, 6, 1, ids), (21, 7, 1, ids)]
+    assert recorder.deliveries == recorder_s.deliveries  # one row per body, in body order
+    assert engine.dispatched_count == one_by_one.dispatched_count == 3
+
+
+def test_a_batch_merges_only_bodies_with_the_same_members():
+    # a passive sender under constant delays: recipients 2 and 4 share a total
+    # delay and 3 has its own, and a body's members are those its drops spared
+    runs = []
+    for batched in (True, False):
+        engine, net, recorder, calls = receive_calls(byz={1: 2}, drop_prob=0.3)
+        bodies = [gossip(i) for i in range(20)]
+        if batched:
+            scheduled = net.broadcast(1, bodies, range(1, 5))
+        else:
+            scheduled = sum(net.broadcast(1, body, range(1, 5)) for body in bodies)
+        engine.run_until_idle()
+        by_node = {}
+        for t, node, _, ids in calls:
+            by_node.setdefault(node, []).extend((t, i) for i in ids)
+        runs.append((scheduled, by_node, recorder.deliveries, len(calls)))
+    (scheduled, by_node, rows, n_calls), (scheduled_s, by_node_s, rows_s, n_calls_s) = runs
+    assert 0 < scheduled == scheduled_s < 20 * 3
+    assert by_node == by_node_s  # every node gets the same bodies, in the same order
+    assert rows == rows_s
+    assert n_calls < n_calls_s == scheduled  # some bodies did share their members
+
+
+@pytest.mark.parametrize("bodies", [[m.Prepare(0, 1, 5)], [gossip(), m.Prepare(0, 1, 5)],
+                                    [m.BlockAnnounce(None)]],
+                         ids=["prepare", "gossip_then_prepare", "announce"])
+def test_broadcast_refuses_a_list_of_other_bodies(bodies):
+    engine, net, recorder = build_net()
+    with pytest.raises(TypeError, match="TxGossip bodies only"):
+        net.broadcast(1, bodies, range(2, 14))
+    assert engine.scheduled_count == 0
+    assert recorder.message_counts == {} and recorder.hook_calls == []
+
+
+class UnmergedNetwork(Network):
+    """A Network that sends a list one body per call, so no two bodies share a group."""
+
+    def broadcast(self, src, body, recipients):
+        scheduled = 0
+        for one in body if isinstance(body, list) else [body]:
+            scheduled += super().broadcast(src, one, recipients)
+        return scheduled
+
+
+@pytest.mark.parametrize("name", ["poa-baseline", "situation1-desk", "pbft-viewchange"])
+def test_merged_batches_write_the_bytes_of_unmerged_ones(name, tmp_path, monkeypatch):
+    receive = Node.receive
+    calls = []
+
+    def counting_receive(node, sender, bodies):
+        calls[-1] += 1
+        receive(node, sender, bodies)
+
+    monkeypatch.setattr(Node, "receive", counting_receive)
+    outputs = []
+    for network in (Network, UnmergedNetwork):
+        monkeypatch.setattr(orchestrator, "Network", network)
+        out = tmp_path / network.__name__
+        calls.append(0)
+        assert main(["--scenario", name, "--out", str(out), "--emit-csv",
+                     "--emit-records"]) == EXIT_OK
+        outputs.append([(out / f).read_bytes()
+                        for f in ("report.json", "timeseries.csv", "propagation.csv")])
+    assert outputs[0] == outputs[1]
+    assert calls[0] < calls[1]  # the real network did merge some batches

@@ -195,9 +195,9 @@ def test_whole_run_conserves_events_and_deliveries(name, monkeypatch):
     received = Counter()  # body kind -> deliveries handed to a node
     receive = Node.receive
 
-    def counting_receive(node, sender, body):
-        received[m.kind_of(body)] += 1
-        receive(node, sender, body)
+    def counting_receive(node, sender, bodies):
+        received.update(m.kind_of(body) for body in bodies)
+        receive(node, sender, bodies)
 
     monkeypatch.setattr(Node, "receive", counting_receive)
     result = run_all(*load_inputs(name))

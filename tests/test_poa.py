@@ -61,9 +61,9 @@ def test_out_of_order_blocks_buffer_until_parent():
     g = genesis_block().digest
     blk1 = make_block(1, 0, 1, g, (), 1000)
     blk2 = make_block(2, 0, 2, blk1.digest, (), 2000)
-    node.receive(3, m.BlockMsg(blk2))
+    node.receive(3, [m.BlockMsg(blk2)])
     assert node.chain.height == 0
-    node.receive(3, m.BlockMsg(blk1))
+    node.receive(3, [m.BlockMsg(blk1)])
     assert node.chain.height == 2
 
 
@@ -71,7 +71,7 @@ def test_invalid_block_digest_ignored():
     world = make_world(3, protocol="poa")
     node = world.nodes[2]
     blk = make_block(1, 0, 1, genesis_block().digest, (), 1000)
-    node.receive(3, m.BlockMsg(blk).corrupted())
+    node.receive(3, [m.BlockMsg(blk).corrupted()])
     assert node.chain.height == 0
     assert node.stats["block_invalid_digest"] == 1
 

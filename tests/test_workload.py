@@ -113,3 +113,14 @@ def test_duplicate_add_is_idempotent():
     pool.add(tx(1, 50))
     pool.add(tx(1, 50))
     assert len(pool) == 1
+
+
+def test_discard_drops_the_given_ids_and_skips_absent_ones():
+    pool = TransactionPool()
+    for tx_id in (1, 2, 3, 4):
+        pool.add(tx(tx_id, 0))
+    pool.discard((2, 9, 4, 2))
+    assert sorted(pool) == [1, 3]
+    pool.discard(())
+    pool.discard(iter([1]))
+    assert sorted(pool) == [3]
