@@ -11,37 +11,25 @@ Usage: python scripts/run_situations.py [--seed N]
 import argparse
 import time
 
-from permachain.cli import load_scenario
-from permachain.config import RunConfig
-from permachain.nodetable import parse_node_rows
+from permachain.cli import load_inputs
 from permachain.orchestrator import run_all
-from permachain.workload import parse_schedule
 
 SCENARIOS = ["situation1", "situation2", "situation3", "situation4"]
-
-
-def run(name: str, seed: int | None):
-    sc = load_scenario(name)
-    raw = dict(sc["config"])
-    if seed is not None:
-        raw["seed"] = seed
-    config = RunConfig.from_dict(raw)
-    table = parse_node_rows(sc["nodes"], config.authority_rule)
-    schedule = parse_schedule(sc["transactions"], set(table.ids))
-    start = time.perf_counter()
-    result = run_all(config, table, schedule)
-    elapsed = time.perf_counter() - start
-    return sc, table, result, elapsed
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
+    seed_args = [] if args.seed is None else ["--seed", str(args.seed)]
 
     results = {}
     for name in SCENARIOS:
-        sc, table, result, elapsed = run(name, args.seed)
+        # loaded as `permachain --scenario NAME [--seed N]` loads it
+        config, table, schedule = load_inputs(["--scenario", name, *seed_args])
+        start = time.perf_counter()
+        result = run_all(config, table, schedule)
+        elapsed = time.perf_counter() - start
         results[name] = (table, result)
         day = result.days[0]
         print(f"{name}: committed {day['txs_committed']}/{day['txs_scheduled']} txs, "

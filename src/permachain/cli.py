@@ -88,7 +88,12 @@ def _resolve_seed(args, raw_config: dict) -> int:
     return seed
 
 
-def _load_inputs(args) -> tuple[RunConfig, NodeTable, LoadSchedule]:
+def load_inputs(args) -> tuple[RunConfig, NodeTable, LoadSchedule]:
+    """(config, node table, schedule) from parsed arguments or from an argv list
+    such as ``["--scenario", "situation1"]``; flags other than the input ones
+    are parsed and ignored."""
+    if isinstance(args, list):
+        args = build_parser().parse_args(args)
     scenario = load_scenario(args.scenario) if args.scenario else None
 
     if args.config:
@@ -132,7 +137,7 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
-        config, table, schedule = _load_inputs(args)
+        config, table, schedule = load_inputs(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         records_path = out_dir / "propagation.csv"

@@ -7,8 +7,6 @@ refused with a ConfigError that names the field.
 
 from __future__ import annotations
 
-from math import inf
-
 from .distributions import (MAX_MS, brief, check_number, check_object, int_cell, is_int,
                             latency_table, processing_delays, round_half_up_ms)
 from .errors import ConfigError
@@ -18,19 +16,19 @@ PROTOCOLS = ("pbft", "poa", "poet")
 DAY_LENGTH_MS = 86_400_000
 
 # Every numeric field: its default (None: derived at load), its closed range and
-# whether it is an integer. A day longer than MAX_MS could run without end, and
-# a lottery rate outside [1 / MAX_MS, MAX_MS] could draw an infinite wait or
-# overflow a float.
+# whether it is an integer. Every bound is finite, so a valid config always echoes
+# as JSON text. A day longer than MAX_MS could run without end, and a lottery
+# rate outside [1 / MAX_MS, MAX_MS] could draw an infinite wait or overflow a float.
 NUMBERS = {
-    "seed": (0, 0, inf, True),
-    "block_interval_ms": (1000, 1, inf, True),
-    "block_capacity": (10, 1, inf, True),
-    "empty_block_threshold": (10, 1, inf, True),
+    "seed": (0, 0, 2**64 - 1, True),
+    "block_interval_ms": (1000, 1, MAX_MS, True),
+    "block_capacity": (10, 1, MAX_MS, True),
+    "empty_block_threshold": (10, 1, MAX_MS, True),
     "day_length_ms": (DAY_LENGTH_MS, 1, MAX_MS, True),
-    "tx_broadcast_interval_ms": (None, 1, inf, True),  # derived: one block interval
-    "tx_spread_ticks": (10, 1, inf, True),
+    "tx_broadcast_interval_ms": (None, 1, MAX_MS, True),  # derived: one block interval
+    "tx_spread_ticks": (10, 1, MAX_MS, True),
     # derived: 10x the default latency's mean, else 100
-    "pbft_timeout_ms": (None, 0, inf, True),
+    "pbft_timeout_ms": (None, 0, MAX_MS, True),
     "drop_prob": (0.4, 0, 1, False),
     "poet_rate": (0.001, 1 / MAX_MS, MAX_MS, False),  # per-ms; mean lottery wait = 1000 ms
 }

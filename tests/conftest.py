@@ -1,14 +1,34 @@
-"""Shared builders for simulator tests."""
+"""Shared builders for simulator tests, and one shared run per bundled input.
+
+The `shared_run` fixture runs each bundled scenario and `tests/fixtures` input
+at most once per session. The golden pins, the CLI byte check, the no-cycles,
+conservation and vote-tally tests, the seed test and acceptance criteria 1, 2,
+4 and 7 read that run instead of their own. It is read-only: a test that
+changed its result or its files would change what later tests read.
+"""
 
 from __future__ import annotations
+
+import contextlib
+import functools
+import gc
+import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+from permachain import messages as m
+from permachain.cli import load_inputs
 from permachain.config import RunConfig
+from permachain.node import Node
 from permachain.nodetable import NodeTable, parse_node_rows
 from permachain.orchestrator import SimulationResult, World, run_all
+from permachain.reporting import emit_json, emit_timeseries_csv
 from permachain.workload import parse_schedule
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 FAST_NET = {
     "latency": {"default": {"kind": "constant", "ms": 10}},
@@ -71,3 +91,50 @@ def quick_run(loads_by_day: dict[int, dict[int, int]], n_authorities: int,
 @pytest.fixture
 def small_world() -> World:
     return make_world(4)
+
+
+class SharedRun:
+    """One run of a bundled input, loaded and written as `main` does with `--emit-csv`
+    (and, for a fixture, `--emit-records`), with the cyclic collector off.
+
+    `argv` loads the input; `received`: body kind -> bodies handed to a node;
+    `unreachable`: what `gc.collect()` found right after `run_all`; `elapsed`:
+    the run's wall seconds; `out`: the directory of the files `main` writes.
+    """
+
+    def __init__(self, name: str, out: Path):
+        fixture = FIXTURES / name
+        self.argv = (["--config", str(fixture / "config.json"),
+                      "--nodes", str(fixture / "nodes.csv"),
+                      "--transactions", str(fixture / "transactions.json")]
+                     if fixture.is_dir() else ["--scenario", name])
+        self.out = out
+        config, table, schedule = load_inputs(self.argv)
+        self.received = Counter()
+        receive = Node.receive
+
+        def counting_receive(node, sender, bodies):
+            self.received.update(m.kind_of(body) for body in bodies)
+            receive(node, sender, bodies)
+
+        with (open(out / "propagation.csv", "w", newline="") if fixture.is_dir()
+              else contextlib.nullcontext()) as records:
+            gc.collect()  # the garbage of earlier tests and of parsing
+            gc.disable()  # here, so that run_all's restore cannot collect first
+            Node.receive = counting_receive
+            try:
+                start = time.perf_counter()
+                self.result = run_all(config, table, schedule, records)
+                self.elapsed = time.perf_counter() - start
+                self.unreachable = gc.collect()  # while the result is alive
+            finally:
+                Node.receive = receive
+                gc.enable()
+        emit_json(self.result.report, out / "report.json")
+        emit_timeseries_csv(self.result.world.recorder, out / "timeseries.csv")
+
+
+@pytest.fixture(scope="session")
+def shared_run(tmp_path_factory):
+    """`shared_run(name)`: the session's one `SharedRun` of that bundled input."""
+    return functools.cache(lambda name: SharedRun(name, tmp_path_factory.mktemp(name)))

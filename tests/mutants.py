@@ -70,6 +70,20 @@ MUTANTS = [
      [f"{NETWORK}::test_one_event_per_delivery_instant",
       f"{NETWORK}::test_grouped_deliveries_keep_the_order_of_one_event_per_recipient",
       f"{NETWORK}::test_a_constant_delay_batch_is_one_group_per_instant"]),
+    ("equality_compares_no_slot", "ledger.py",
+     'for name in cls.__dict__.get("__slots__", ())', "for name in ()",
+     ["tests/test_faults.py::test_corrupt_leaves_tx_gossip_alone"]),
+    ("poet_keeps_committed_txs_pooled", "poa.py",
+     "        super()._append(block)\n",
+     "        kept = dict(self.pool)\n"
+     "        super()._append(block)\n        self.pool.update(kept)\n",
+     ["tests/test_poa.py::test_poet_run_consistent_and_paced_by_waits",
+      "tests/test_golden.py::test_scenario_outputs_match_golden_digests[poet-baseline]"]),
+    ("self_cycle_per_day", "orchestrator.py",
+     "            try:\n",
+     "            cycle = []\n            cycle.append(cycle)\n            try:\n",
+     [f"{ORCH}::test_a_finished_run_leaves_no_unreachable_cycle[{name}]"
+      for name in ("poa-baseline", "situation1", "empirical-pbft")]),
 ]
 
 

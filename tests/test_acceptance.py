@@ -1,6 +1,7 @@
 """Acceptance suite: one test per shipped criterion, each printing a verdict.
 
-Full-scale scenario presets are exercised where the criterion demands them;
+Full-scale scenario presets are exercised where the criterion demands them,
+read from the session's shared run of each (`shared_run` in conftest.py);
 statistical criteria run at their stated tolerances with fixed seed sets.
 """
 
@@ -11,27 +12,15 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_table, quick_run
-from permachain.cli import load_scenario, main
-from permachain.config import RunConfig
+from permachain.cli import main
 from permachain.engine import RngStreams
-from permachain.nodetable import parse_node_rows
-from permachain.orchestrator import run_all
 from permachain.pbft import quorum_params
 from permachain.poa import poet_elect
-from permachain.workload import parse_schedule
 
 
 def _verdict(number: int, ok: bool, label: str) -> None:
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {label}")
     assert ok, f"criterion {number}: {label}"
-
-
-def run_scenario(name: str):
-    sc = load_scenario(name)
-    config = RunConfig.from_dict(sc["config"])
-    table = parse_node_rows(sc["nodes"], config.authority_rule)
-    schedule = parse_schedule(sc["transactions"], set(table.ids))
-    return run_all(config, table, schedule)
 
 
 def benign_digestlists(result):
@@ -42,27 +31,25 @@ def benign_digestlists(result):
 
 # -- 1: five active tamperers stop all benign progress ------------------------
 
-def test_criterion_1_active_majority_blocks_nothing():
-    result = run_scenario("situation1")
+def test_criterion_1_active_majority_blocks_nothing(shared_run):
+    result = shared_run("situation1").result
     chains = benign_digestlists(result)
     ok = all(len(digests) == 0 for digests in chains.values())
     ok = ok and sum(d["txs_scheduled"] for d in result.days) == 8868
     ok = ok and sum(d["txs_committed"] for d in result.days) == 0
 
-    start = time.perf_counter()
-    desk = run_scenario("situation1-desk")
-    elapsed = time.perf_counter() - start
-    desk_chains = benign_digestlists(desk)
+    desk = shared_run("situation1-desk")
+    desk_chains = benign_digestlists(desk.result)
     ok = ok and all(len(d) == 0 for d in desk_chains.values())
-    ok = ok and sum(d["txs_scheduled"] for d in desk.days) == 200
-    ok = ok and elapsed < 60.0
-    _verdict(1, ok, f"benign block count 0 with 5 tamperers; desk run {elapsed:.1f}s < 60s")
+    ok = ok and sum(d["txs_scheduled"] for d in desk.result.days) == 200
+    ok = ok and desk.elapsed < 60.0
+    _verdict(1, ok, f"benign block count 0 with 5 tamperers; desk run {desk.elapsed:.1f}s < 60s")
 
 
 # -- 2: four tamperers, full safety and completeness ---------------------------
 
-def test_criterion_2_tolerated_tamperers_full_agreement():
-    result = run_scenario("situation4")
+def test_criterion_2_tolerated_tamperers_full_agreement(shared_run):
+    result = shared_run("situation4").result
     chains = benign_digestlists(result)
     distinct = set(chains.values())
     ok = len(distinct) == 1 and len(next(iter(distinct))) > 0
@@ -120,8 +107,8 @@ def test_criterion_3_passive_droppers_liveness_and_prefix():
 
 # -- 4: three faulty leaders, exactly three view changes -----------------------
 
-def test_criterion_4_view_change_count():
-    result = run_scenario("pbft-viewchange")
+def test_criterion_4_view_change_count(shared_run):
+    result = shared_run("pbft-viewchange").result
     world = result.world
     ref = world.reference
     vcs = [t for (t, n, _old, _new) in world.recorder.view_change_log if n == ref]
@@ -171,8 +158,8 @@ def test_criterion_6_quorum_values():
 
 # -- 7: single-round law and consistency -----------------------------------------
 
-def test_criterion_7_single_round_consistency():
-    result = run_scenario("poa-baseline")
+def test_criterion_7_single_round_consistency(shared_run):
+    result = shared_run("poa-baseline").result
     world = result.world
     blocks = world.nodes[world.reference].chain.height
     counts = world.recorder.message_counts
@@ -226,16 +213,11 @@ def test_criterion_9_discontinuous_days():
 # -- 10: run-level determinism ---------------------------------------------------------
 
 def test_criterion_10_byte_identical_reruns(tmp_path):
-    outs = []
     for tag in ("x", "y"):
-        out = tmp_path / tag
-        code = main(["--scenario", "situation1-desk", "--seed", "7",
-                     "--out", str(out), "--emit-csv"])
-        assert code == 0
-        outs.append(out)
-    ok = (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
-    ok = ok and (outs[0] / "timeseries.csv").read_bytes() == \
-        (outs[1] / "timeseries.csv").read_bytes()
+        assert main(["--scenario", "situation1-desk", "--seed", "7",
+                     "--out", str(tmp_path / tag), "--emit-csv"]) == 0
+    ok = all((tmp_path / "x" / f).read_bytes() == (tmp_path / "y" / f).read_bytes()
+             for f in ("report.json", "timeseries.csv"))
     _verdict(10, ok, "same-seed reruns produce byte-identical JSON and CSV")
 
 

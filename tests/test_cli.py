@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 import permachain
 from permachain.cli import (ENV_SEED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, list_scenarios,
                             load_scenario, main)
-from permachain.config import RunConfig
+from permachain.config import NUMBERS, RunConfig
 from permachain.errors import ConfigError, NodeTableError, ScheduleError
 from permachain.faults import ByzantineType
 from permachain.nodetable import parse_node_rows, parse_node_table
@@ -398,7 +398,8 @@ HUGE = 10**5000
 
 @pytest.mark.parametrize("build, error, message", [
     pytest.param(lambda: RunConfig("pbft", block_interval_ms=-HUGE), ConfigError,
-                 "block_interval_ms must be an integer in [1, inf], got -<int of 16610 bits>",
+                 "block_interval_ms must be an integer in [1, 1000000000], "
+                 "got -<int of 16610 bits>",
                  id="config_field"),
     pytest.param(lambda: parse_node_rows([dict(VALID_ROWS[0], location=HUGE)]), NodeTableError,
                  "row 1: location <int of 16610 bits> has too many digits", id="node_location"),
@@ -409,8 +410,27 @@ def test_an_integer_too_long_for_text_is_refused_by_its_size(build, error, messa
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("field", [name for name, (*_, integer) in NUMBERS.items() if integer])
+def test_every_integer_field_has_a_finite_upper_bound(field):
+    # an integer of any size used to build, and then its echo could not be written
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer in "):
+        RunConfig("pbft", **{field: HUGE})
+    json.dumps(RunConfig("pbft", **{field: NUMBERS[field][2]}).to_echo_dict())
+
+
 ROWS = [dict(r, byzantine=0) for r in NODE_ROWS]
 LONG, DIGITS = "x" * 5000, "1" * 5000
+
+
+def input_files(tmp_path, inputs: dict) -> list[str]:
+    """Write each input (flag name -> CSV text or a JSON value) to a file; the flags
+    that read them."""
+    args = []
+    for name, content in inputs.items():
+        path = tmp_path / (f"{name}.csv" if isinstance(content, str) else f"{name}.json")
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        args += [f"--{name}", str(path)]
+    return args
 
 
 @pytest.mark.parametrize("kind, data, field", [
@@ -520,17 +540,10 @@ def test_bad_schedule_or_node_table_is_validation_error(tmp_path, capsys, monkey
               "nodes": ROWS,
               "transactions": {"days": [{"day": 1, "loads": {"1": 1}}]},
               kind: data}
-    args = ["--out", str(tmp_path / "out")]
-    for name, content in inputs.items():
-        if name == ENV_SEED:
-            monkeypatch.setenv(name, content)
-        elif isinstance(content, str):
-            (tmp_path / f"{name}.csv").write_text(content)
-            args += [f"--{name}", str(tmp_path / f"{name}.csv")]
-        elif content is not None:
-            (tmp_path / f"{name}.json").write_text(json.dumps(content))
-            args += [f"--{name}", str(tmp_path / f"{name}.json")]
-    assert main(args) == EXIT_VALIDATION
+    if ENV_SEED in inputs:
+        monkeypatch.setenv(ENV_SEED, inputs.pop(ENV_SEED))
+    files = input_files(tmp_path, {k: v for k, v in inputs.items() if v is not None})
+    assert main(["--out", str(tmp_path / "out"), *files]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert field in err
     assert len(err.encode()) < 200  # a long input cell is cut short, not echoed whole
@@ -558,17 +571,12 @@ NOT_UTF8 = b"\xff\xfe"
 ])
 def test_unreadable_input_file_is_validation_error_naming_it(tmp_path, capsys, kind, suffix,
                                                              content):
-    args = ["--out", str(tmp_path / "out")]
-    for name, data in (("config", {"protocol": "poa"}),
-                       ("nodes", [dict(r, byzantine=0) for r in NODE_ROWS]),
-                       ("transactions", {"days": [{"day": 1, "loads": {"1": 1}}]})):
-        path = tmp_path / f"{name}{suffix if name == kind else '.json'}"
-        if name == kind:
-            path.write_bytes(content)
-        else:
-            path.write_text(json.dumps(data))
-        args += [f"--{name}", str(path)]
-    assert main(args) == EXIT_VALIDATION
+    inputs = {"config": {"protocol": "poa"}, "nodes": ROWS,
+              "transactions": {"days": [{"day": 1, "loads": {"1": 1}}]}}
+    del inputs[kind]
+    (tmp_path / f"{kind}{suffix}").write_bytes(content)
+    assert main(["--out", str(tmp_path / "out"), f"--{kind}", str(tmp_path / f"{kind}{suffix}"),
+                 *input_files(tmp_path, inputs)]) == EXIT_VALIDATION
     assert f"{tmp_path / kind}{suffix}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -591,10 +599,7 @@ def test_pbft_group_whose_quorums_need_not_intersect_fails_before_any_output(
     inputs = {"config": {"protocol": "pbft"}, "nodes": nodes,
               "transactions": {"days": [{"day": 1, "loads": {"1": 1}}]}}
     out = tmp_path / "out"
-    args = ["--out", str(out), "--emit-records", "--emit-csv"]
-    for name, content in inputs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(content))
-        args += [f"--{name}", str(tmp_path / f"{name}.json")]
+    args = ["--out", str(out), "--emit-records", "--emit-csv", *input_files(tmp_path, inputs)]
     assert main(args) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"pbft cannot run with {n} authorities" in err and "2(2f+1) <= n" in err
@@ -625,43 +630,40 @@ def test_incomplete_delay_table_fails_before_any_output(tmp_path, capsys, protoc
                         for r in NODE_ROWS],
               "transactions": {"days": [{"day": 1, "loads": {}}]}}
     out = tmp_path / "out"
-    args = ["--out", str(out), "--emit-records"]
-    for name, content in inputs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(content))
-        args += [f"--{name}", str(tmp_path / f"{name}.json")]
-    assert main(args) == EXIT_VALIDATION
+    assert main(["--out", str(out), "--emit-records", *input_files(tmp_path, inputs)]) \
+        == EXIT_VALIDATION
     assert named in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_emit_records_streams_every_delivery_to_propagation_csv(tmp_path, capsys):
-    for d in ("a", "b", "plain"):
-        flags = [] if d == "plain" else ["--emit-records"]
-        assert main(["--scenario", "poa-baseline", "--out", str(tmp_path / d)]
-                    + flags) == EXIT_OK
-    records = (tmp_path / "a/propagation.csv").read_bytes()
-    assert records == (tmp_path / "b/propagation.csv").read_bytes()
-    assert not (tmp_path / "plain/propagation.csv").exists()
-    assert (tmp_path / "a/report.json").read_bytes() == \
-        (tmp_path / "plain/report.json").read_bytes()
+def test_emit_records_streams_every_delivery_to_propagation_csv(tmp_path, shared_run):
+    # main writes the bytes of each input's shared run, which the golden pins check;
+    # poa-baseline's shared run streams no records, so streaming them changes no
+    # report byte, and the smallest fixture's does, so a second run's must match
+    for name in ("poa-baseline", "empirical-pbft"):
+        run, out = shared_run(name), tmp_path / name
+        assert main([*run.argv, "--out", str(out), "--emit-csv", "--emit-records"]) == EXIT_OK
+        for path in run.out.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), f"{name}: {path.name}"
 
-    lines = records.decode().split("\r\n")
-    assert lines[0] == "kind,src,dst,sent_at,delivered_at" and lines[-1] == ""
-    delays = {}
-    for line in lines[1:-1]:
-        kind, src, dst, sent_at, delivered_at = line.split(",")
-        assert kind in ("transaction", "block")
-        delays.setdefault(f"{src}->{dst}", []).append(int(delivered_at) - int(sent_at))
-    report = json.loads((tmp_path / "a/report.json").read_text())
-    assert report["schema_version"] == 2
-    assert report["propagation"]["aggregates"] == {
-        pair: {"count": len(ds), "mean_ms": round(sum(ds) / len(ds), 3), "max_ms": max(ds)}
-        for pair, ds in delays.items()}
+        lines = (out / "propagation.csv").read_bytes().decode().split("\r\n")
+        assert lines[0] == "kind,src,dst,sent_at,delivered_at" and lines[-1] == ""
+        delays = {}
+        for line in lines[1:-1]:
+            kind, src, dst, sent_at, delivered_at = line.split(",")
+            assert kind in ("transaction", "block")
+            delays.setdefault(f"{src}->{dst}", []).append(int(delivered_at) - int(sent_at))
+        report = json.loads((out / "report.json").read_text())
+        assert report["schema_version"] == 2
+        assert report["propagation"]["aggregates"] == {
+            pair: {"count": len(ds), "mean_ms": round(sum(ds) / len(ds), 3), "max_ms": max(ds)}
+            for pair, ds in delays.items()}
 
+
+def test_the_record_thinning_knob_is_refused(tmp_path, capsys):
     # the raw-record thinning knob is gone; a config that still sets it is refused
     config = dict(load_scenario("poa-baseline")["config"], record_sampling=1)
     (tmp_path / "config.json").write_text(json.dumps(config))
-    capsys.readouterr()
     assert main(["--config", str(tmp_path / "config.json")]) == EXIT_VALIDATION
     assert "record_sampling" in capsys.readouterr().err
 
@@ -679,15 +681,9 @@ def test_explicit_files_run_end_to_end(tmp_path, capsys):
               "tx_broadcast_interval_ms": 500, "tx_spread_ticks": 1,
               "latency": {"default": {"kind": "constant", "ms": 10}},
               "processing_delay": {"default": {"kind": "constant", "ms": 1}}}
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    (tmp_path / "nodes.json").write_text(json.dumps(
-        [dict(r, byzantine=0) for r in NODE_ROWS]))
-    (tmp_path / "txs.json").write_text(json.dumps(
-        {"days": [{"day": 1, "loads": {"1": 4}}]}))
-    code = main(["--config", str(tmp_path / "config.json"),
-                 "--nodes", str(tmp_path / "nodes.json"),
-                 "--transactions", str(tmp_path / "txs.json"),
-                 "--out", str(tmp_path / "out"), "--emit-csv"])
+    inputs = {"config": config, "nodes": ROWS,
+              "transactions": {"days": [{"day": 1, "loads": {"1": 4}}]}}
+    code = main([*input_files(tmp_path, inputs), "--out", str(tmp_path / "out"), "--emit-csv"])
     assert code == EXIT_OK
     summary = capsys.readouterr().out.strip()
     assert "txs=4/4" in summary
@@ -697,19 +693,17 @@ def test_explicit_files_run_end_to_end(tmp_path, capsys):
 
 def test_same_seed_runs_are_byte_identical(tmp_path):
     for d in ("a", "b"):
-        code = main(["--scenario", "poa-baseline", "--seed", "42",
-                     "--out", str(tmp_path / d), "--emit-csv"])
-        assert code == EXIT_OK
-    assert (tmp_path / "a/report.json").read_bytes() == \
-        (tmp_path / "b/report.json").read_bytes()
-    assert (tmp_path / "a/timeseries.csv").read_bytes() == \
-        (tmp_path / "b/timeseries.csv").read_bytes()
+        assert main(["--scenario", "poa-baseline", "--seed", "42",
+                     "--out", str(tmp_path / d), "--emit-csv"]) == EXIT_OK
+    for f in ("report.json", "timeseries.csv"):
+        assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
 
 
 def test_cli_overrides_echoed_into_report(tmp_path):
     code = main(["--scenario", "poa-baseline", "--seed", "99",
                  "--protocol", "poet", "--out", str(tmp_path)])
     assert code == EXIT_OK
+    assert not (tmp_path / "propagation.csv").exists()  # written only with --emit-records
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["seed"] == 99
     assert report["config"]["protocol"] == "poet"
@@ -722,14 +716,8 @@ def test_env_seed_is_lowest_precedence(tmp_path, monkeypatch):
               "tx_broadcast_interval_ms": 500, "tx_spread_ticks": 1,
               "latency": {"default": {"kind": "constant", "ms": 10}},
               "processing_delay": {"default": {"kind": "constant", "ms": 1}}}
-    (tmp_path / "config.json").write_text(json.dumps(config))  # no seed field
-    (tmp_path / "nodes.json").write_text(json.dumps(
-        [dict(r, byzantine=0) for r in NODE_ROWS]))
-    (tmp_path / "txs.json").write_text(json.dumps(
-        {"days": [{"day": 1, "loads": {"1": 1}}]}))
-    args = ["--config", str(tmp_path / "config.json"),
-            "--nodes", str(tmp_path / "nodes.json"),
-            "--transactions", str(tmp_path / "txs.json"),
+    args = [*input_files(tmp_path, {"config": config, "nodes": ROWS,  # config: no seed field
+                                    "transactions": {"days": [{"day": 1, "loads": {"1": 1}}]}}),
             "--out", str(tmp_path / "envout")]
     monkeypatch.setenv("PERMACHAIN_SEED", "777")
     assert main(args) == EXIT_OK

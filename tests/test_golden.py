@@ -5,6 +5,8 @@ covers the random draws: small committed inputs under `tests/fixtures/`
 with uniform, normal, exponential and empirical latency, the
 `hyperledger-fabric` processing delays, passive drops and the poet lottery.
 Their `propagation.csv` (from `--emit-records`) pins every latency draw.
+The pins read the files of each input's shared run (`shared_run` in
+conftest.py), which `tests/test_cli.py` ties to what `main` writes.
 
 Every run is a pure function of (configuration, seed), and every preset sets
 its own seed, so these bytes may only change on purpose. A change that moves
@@ -25,11 +27,10 @@ from pathlib import Path
 import pytest
 
 import permachain
+from conftest import FIXTURES
 from permachain.cli import EXIT_OK, list_scenarios, load_scenario, main
 
 MAX_REPORT_BYTES = 256 * 1024  # the largest bundled report is ~47 KB
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 # scenario -> (report.json digest, timeseries.csv digest)
 GOLDEN = {
@@ -69,11 +70,10 @@ def test_every_bundled_scenario_is_pinned():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_scenario_outputs_match_golden_digests(name, tmp_path):
-    assert main(["--scenario", name, "--out", str(tmp_path), "--emit-csv"]) == EXIT_OK
-    assert (sha256(tmp_path / "report.json"), sha256(tmp_path / "timeseries.csv")) \
-        == GOLDEN[name]
-    assert (tmp_path / "report.json").stat().st_size < MAX_REPORT_BYTES
+def test_scenario_outputs_match_golden_digests(name, shared_run):
+    out = shared_run(name).out
+    assert (sha256(out / "report.json"), sha256(out / "timeseries.csv")) == GOLDEN[name]
+    assert (out / "report.json").stat().st_size < MAX_REPORT_BYTES
 
 
 # fixture -> (report.json, timeseries.csv, propagation.csv digests).
@@ -104,13 +104,10 @@ def test_every_fixture_is_pinned():
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_GOLDEN))
-def test_fixture_outputs_match_golden_digests(name, tmp_path):
-    inputs = FIXTURES / name
-    assert main(["--config", str(inputs / "config.json"), "--nodes", str(inputs / "nodes.csv"),
-                 "--transactions", str(inputs / "transactions.json"), "--out", str(tmp_path),
-                 "--emit-csv", "--emit-records"]) == EXIT_OK
+def test_fixture_outputs_match_golden_digests(name, shared_run):
+    out = shared_run(name).out
     outputs = ("report.json", "timeseries.csv", "propagation.csv")
-    assert tuple(sha256(tmp_path / f) for f in outputs) == FIXTURE_GOLDEN[name]
+    assert tuple(sha256(out / f) for f in outputs) == FIXTURE_GOLDEN[name]
 
 
 # Constant delays only, no passive node, and a protocol other than poet: no
@@ -119,11 +116,11 @@ DRAW_FREE = ("pbft-viewchange", "poa-baseline", "situation1-desk", "situation4")
 
 
 @pytest.mark.parametrize("name", DRAW_FREE)
-def test_draw_free_scenario_report_does_not_depend_on_seed(name, tmp_path):
+def test_draw_free_scenario_report_does_not_depend_on_seed(name, shared_run, tmp_path):
+    # the shared run is at the preset's seed, 1
+    assert main(["--scenario", name, "--seed", "7", "--out", str(tmp_path)]) == EXIT_OK
     reports = []
-    for seed in (1, 7):
-        out = tmp_path / str(seed)
-        assert main(["--scenario", name, "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+    for seed, out in ((1, shared_run(name).out), (7, tmp_path)):
         report = json.loads((out / "report.json").read_text())
         assert report.pop("seed") == report["config"].pop("seed") == seed
         reports.append(report)

@@ -1,24 +1,16 @@
 """Day loop: empty-block termination, fast-forward, carryover, guard."""
 
 import gc
-import json
 import weakref
-from collections import Counter
-from pathlib import Path
 
 import pytest
 
-from conftest import make_world, quick_run
-from permachain import messages as m
-from permachain.cli import list_scenarios, load_scenario
-from permachain.config import DAY_LENGTH_MS, RunConfig
+from conftest import FIXTURES, make_world, quick_run
+from permachain.cli import list_scenarios
+from permachain.config import DAY_LENGTH_MS
 from permachain.ledger import genesis_block, make_block
-from permachain.node import Node
-from permachain.nodetable import parse_node_rows, parse_node_table
-from permachain.orchestrator import run_all
 from permachain.pbft import PbftFollower, PbftReplica
 from permachain.reporting import RunRecorder
-from permachain.workload import load_schedule, parse_schedule
 
 
 def test_stop_condition_counter_semantics():
@@ -173,34 +165,11 @@ def test_multi_day_run_at_desk_scale_conserves_transactions():
     assert result.report["totals"]["txs_created"] == expected
 
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def load_inputs(name):
-    """(config, node table, schedule) of a bundled scenario or of a fixture directory."""
-    fixture = FIXTURES / name
-    if fixture.is_dir():
-        config = RunConfig.from_dict(json.loads((fixture / "config.json").read_text()))
-        table = parse_node_table(fixture / "nodes.csv", config.authority_rule)
-        return config, table, load_schedule(fixture / "transactions.json", set(table.ids))
-    sc = load_scenario(name)
-    config = RunConfig.from_dict(sc["config"])
-    table = parse_node_rows(sc["nodes"], config.authority_rule)
-    return config, table, parse_schedule(sc["transactions"], set(table.ids))
-
-
 @pytest.mark.parametrize("name", ["pbft-viewchange", "poa-baseline", "poet-baseline",
                                   "situation1-desk", "pbft-quorum-small"])
-def test_whole_run_conserves_events_and_deliveries(name, monkeypatch):
-    received = Counter()  # body kind -> deliveries handed to a node
-    receive = Node.receive
-
-    def counting_receive(node, sender, bodies):
-        received.update(m.kind_of(body) for body in bodies)
-        receive(node, sender, bodies)
-
-    monkeypatch.setattr(Node, "receive", counting_receive)
-    result = run_all(*load_inputs(name))
+def test_whole_run_conserves_events_and_deliveries(name, shared_run):
+    run = shared_run(name)
+    result, received = run.result, run.received  # body kind -> deliveries handed to a node
     engine = result.world.engine
     assert engine.scheduled_count == engine.dispatched_count + engine.discarded_count
 
@@ -219,19 +188,12 @@ BUNDLED_INPUTS = ([name for name, _ in list_scenarios()]
 
 
 @pytest.mark.parametrize("name", BUNDLED_INPUTS)
-def test_a_finished_run_leaves_no_unreachable_cycle(name):
+def test_a_finished_run_leaves_no_unreachable_cycle(name, shared_run):
     # run_all switches the cyclic collector off, which is only safe while
     # reference counting alone frees whatever a run drops
-    inputs = load_inputs(name)
-    gc.collect()  # the garbage of earlier tests
-    gc.disable()  # here, so that run_all's restore cannot collect first
-    try:
-        result = run_all(*inputs)
-        unreachable = gc.collect()
-    finally:
-        gc.enable()
-    assert unreachable == 0, f"{name} left {unreachable} objects in unreachable cycles"
-    assert result.days  # the run was alive through the count
+    run = shared_run(name)
+    assert run.unreachable == 0, f"{name} left {run.unreachable} objects in unreachable cycles"
+    assert run.result.days  # the run was alive through the count
 
 
 @pytest.mark.parametrize("protocol", ["pbft", "poa", "poet"])
@@ -270,10 +232,10 @@ def test_run_all_leaves_the_collector_as_it_found_it(collecting, raises, monkeyp
         gc.enable()
 
 
-def test_vote_tallies_hold_no_empty_entries():
+def test_vote_tallies_hold_no_empty_entries(shared_run):
     # the tallies are defaultdicts, so a lookup with [] instead of .get would
     # leave an empty entry for every vote read but never cast
-    result = run_all(*load_inputs("pbft-quorum-small"))
+    result = shared_run("pbft-quorum-small").result
     assert result.report["view_changes"]  # the run has view changes, tamperers, droppers
     nodes = result.world.nodes.values()
     followers = [n for n in nodes if type(n) is PbftFollower]

@@ -121,6 +121,8 @@ def test_poet_run_consistent_and_paced_by_waits():
                for n in world.all_ids}
     assert len(digests) == 1
     assert result.days[0]["txs_committed"] == 4
+    tx_ids = [tx.tx_id for block in world.nodes[1].chain.blocks for tx in block.txs]
+    assert len(tx_ids) == len(set(tx_ids)) == 4  # no transaction committed twice
     proposers = {b.proposer for b in world.nodes[1].chain.blocks[1:]}
     assert proposers <= set(world.authorities)
 
