@@ -41,11 +41,13 @@ def main():
         f"{name.replace('situation', 'type/blocks s'):>18}" for name in SCENARIOS)
     print(header)
     any_table = results[SCENARIOS[0]][0]
+    # each layout's Byzantine type per node id; the layouts share their ids
+    byzantine = {name: {r.id: r.byzantine for r in results[name][0].rows} for name in SCENARIOS}
     for row in any_table.rows:
         cells = []
         for name in SCENARIOS:
-            table, result = results[name]
-            byz = table.spec(row.id).byzantine
+            result = results[name][1]
+            byz = byzantine[name][row.id]
             height = result.world.nodes[row.id].chain.height
             cells.append(f"{int(byz)} / {height:>5}")
         print(f"{row.id:>4} {int(row.authority):>4} "

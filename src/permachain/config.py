@@ -27,7 +27,9 @@ NUMBERS = {
     "day_length_ms": (DAY_LENGTH_MS, 1, MAX_MS, True),
     "tx_broadcast_interval_ms": (None, 1, MAX_MS, True),  # derived: one block interval
     "tx_spread_ticks": (10, 1, MAX_MS, True),
-    # derived: 10x the default latency's mean, else 100
+    # derived: 10x the default latency's mean, else 100, and at most MAX_MS. The cap changes
+    # no run: a timer armed at t >= day start with a timeout >= MAX_MS, capped or not, fires
+    # at t + interval (>= 1) + timeout > day start + MAX_MS >= the day's deadline: discarded
     "pbft_timeout_ms": (None, 0, MAX_MS, True),
     "drop_prob": (0.4, 0, 1, False),
     "poet_rate": (0.001, 1 / MAX_MS, MAX_MS, False),  # per-ms; mean lottery wait = 1000 ms
@@ -84,8 +86,8 @@ class RunConfig:
             self.tx_broadcast_interval_ms = self.block_interval_ms
         if self.pbft_timeout_ms is None:
             default = self.latency.default
-            self.pbft_timeout_ms = (100 if default is None
-                                    else max(1, round_half_up_ms(10 * default.mean_ms)))
+            self.pbft_timeout_ms = (100 if default is None else
+                                    min(MAX_MS, max(1, round_half_up_ms(10 * default.mean_ms))))
 
     def drop_prob_for(self, node: int) -> float:
         return self.drop_prob_overrides.get(node, self.drop_prob)

@@ -3,10 +3,10 @@
 A simulated millisecond clock, an event queue, and a run loop that dispatches
 events to registered handlers in (fire_at, seq) order: ties at the same
 fire_at go in schedule order, which makes the full event trace a
-deterministic function of (configuration, seed). The network joins each
-delivery group to the delivery event at the tail of its instant, so
-`dispatched_count` counts joined runs of delivery groups, not deliveries
-(see network.py).
+deterministic function of (configuration, seed). An item scheduled for the
+target of the last event queued at its instant joins that event's list, so
+`dispatched_count` counts runs of one target's items, such as a run of
+delivery groups (see network.py) or of control calls, not items.
 
 Randomness is never drawn from a global generator: every (node, purpose) pair
 owns an independent named stream, so adding or removing one node cannot
@@ -22,8 +22,6 @@ import heapq
 import random
 import zlib
 from collections.abc import Callable
-
-SimTime = int  # milliseconds of simulated time
 
 # Reserved pseudo-node id for control work: proposal ticks, injections,
 # lottery rounds and pbft timers, each scheduled as a call. Real node ids are >= 1.
@@ -63,46 +61,33 @@ class EventEngine:
     """Single-threaded event loop with integer-millisecond time.
 
     The queue is a heap of distinct fire times plus, per fire time, a list of
-    (target, payload) events in schedule order, after the calendar queues of
+    (target, [item, ...]) events in schedule order, after the calendar queues of
     Brown (CACM 1988) for integer event times. An instant's list is drained by
-    index, so an event scheduled at delay 0 from inside that instant runs after
-    every event already in it: exactly the (fire_at, seq) order of one heap
-    entry per event.
+    index, so an item scheduled at delay 0 from inside that instant runs after
+    every item already in it: exactly the (fire_at, seq) order of one heap
+    entry per item.
     """
 
     def __init__(self):
-        self.now: SimTime = 0
+        self.now = 0  # milliseconds of simulated time
         self._instants: list[int] = []  # heap of the fire times in _buckets
-        self._buckets: dict[int, list[tuple[int, object]]] = {}  # fire time -> events
-        self._handlers: dict[int, Callable[[object], None]] = {}  # target -> handler
+        self._buckets: dict[int, list[tuple[int, list]]] = {}  # fire time -> events
+        self._handlers: dict[int, Callable[[list], None]] = {}  # target -> handler
         self.scheduled_count = 0
         self.dispatched_count = 0
         self.discarded_count = 0
 
-    def register(self, target: int, handler: Callable[[object], None]) -> None:
+    def register(self, target: int, handler: Callable[[list], None]) -> None:
         self._handlers[target] = handler
 
-    def schedule(self, delay: int, target: int, payload: object) -> None:
-        """Enqueue `payload` for `target` at now() + delay. Rejects negative delay."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        at = self.now + int(delay)
-        bucket = self._buckets.get(at)
-        if bucket is None:
-            self._buckets[at] = [(target, payload)]
-            heapq.heappush(self._instants, at)
-        else:
-            bucket.append((target, payload))
-        self.scheduled_count += 1
-
-    def join(self, delay: int, target: int, item: object) -> None:
+    def schedule(self, delay: int, target: int, item: object) -> None:
         """Append `item` to the list payload of the last event queued at now() + delay
         if that event is `target`'s, else queue a `target` event with payload [item].
 
         The order is that of one event per item: adjacent events of one instant run
-        back to back, and an item joined to the event being dispatched lands where a
-        new tail event would run, if its handler walks the list by index (a raise
-        drops its unwalked items). A target takes events from `join` only.
+        back to back, and an item added to the event being dispatched lands where a
+        new tail event would run, if its handler walks the list with an iterator (a
+        raise drops its unwalked items). Rejects negative delay.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
@@ -111,7 +96,7 @@ class EventEngine:
         if bucket is None:
             bucket = self._buckets[at] = []
             heapq.heappush(self._instants, at)
-        elif bucket[-1][0] == target:
+        elif bucket and bucket[-1][0] == target:
             bucket[-1][1].append(item)
             return
         bucket.append((target, [item]))
@@ -120,7 +105,7 @@ class EventEngine:
     def pending(self) -> int:
         return self.scheduled_count - self.dispatched_count - self.discarded_count
 
-    def run_until_idle(self, deadline: SimTime | None = None) -> SimTime:
+    def run_until_idle(self, deadline: int | None = None) -> int:
         """Dispatch events in (fire_at, seq) order until the queue empties.
 
         Exits early, discarding whatever remains queued, when the next event
@@ -155,7 +140,7 @@ class EventEngine:
             del buckets[at]
         return self.now
 
-    def advance_to(self, t: SimTime) -> SimTime:
+    def advance_to(self, t: int) -> int:
         """Fast-forward the clock to t without dispatching anything."""
         if t < self.now:
             raise ValueError(f"cannot advance to t={t} before now={self.now}")

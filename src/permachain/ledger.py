@@ -107,10 +107,6 @@ class Block:
         parts.extend(tx.serialize() for tx in self.txs)
         return b"".join(parts)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.txs
-
 
 def compute_digest(block: Block) -> int:
     """Deterministic digest over every block field except the digest itself.
@@ -152,9 +148,6 @@ class Chain:
     @property
     def tip(self) -> Block:
         return self.blocks[-1]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
     def append(self, block: Block) -> None:
         """Extend by one block; raises a distinguishable error per violated rule."""

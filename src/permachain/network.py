@@ -20,10 +20,10 @@ one-body calls would. Each node's Byzantine type, drop probability and
 ``receive(sender, bodies)`` are fixed when it registers.
 
 A body's recipients that share a total delay form a group (a group of one
-included), ``(src, sent_at, bodies, [(dst, latency), ...])``, which is joined
-(`EventEngine.join`) to the delivery event at the tail of its instant on the
-network's own target. A body whose groups equal the previous body's in the
-same call (the same totals, the same member lists) makes no group of its
+included), ``(src, sent_at, bodies, [(dst, latency), ...])``, scheduled on the
+network's own target, so it joins its instant's tail event if that is a delivery
+event (`EventEngine.schedule`). A body whose groups equal the previous body's in
+the same call (the same totals, the same member lists) makes no group of its
 own: it is appended to the `bodies` list that the previous body's groups
 share. Delivering an event walks its groups in order: each records a
 transaction or block group with one recorder call per body, then calls each
@@ -57,7 +57,7 @@ DELIVERY = -1
 
 
 class Network:
-    """Schedules deliveries through the event engine, delivery groups joined per
+    """Schedules deliveries through the event engine, delivery groups run per
     instant; takes each node's streams and receiver at `register_node` and
     caches each (src, dst) latency model."""
 
@@ -102,7 +102,7 @@ class Network:
         active = out[0] is ByzantineType.ACTIVE
         delay = self.delays.model_for(bodies[0].delay_kind)
         others = [dst for dst in recipients if dst != src]
-        send, join, now = self.send, self.engine.join, self.engine.now
+        send, schedule, now = self.send, self.engine.schedule, self.engine.now
         scheduled = 0
         last = shared = None  # the previous body's groups and the bodies they carry
         for body in bodies:
@@ -117,7 +117,7 @@ class Network:
                 continue
             last, shared = groups, [body]
             for total, members in groups.items():
-                join(total, DELIVERY, (src, now, shared, members))
+                schedule(total, DELIVERY, (src, now, shared, members))
         attempted = len(others) * len(bodies)
         if scheduled:
             self.recorder.message_sent(kind, scheduled)
@@ -148,12 +148,9 @@ class Network:
     def _deliver(self, groups: list) -> None:
         """Hand each group's bodies to each of its members in order, first recording
         a transaction or block group once per body (each latency is a propagation
-        delay). Walked by index: a `receive` may join a group to this very list."""
+        delay). Walked by an iterator: a `receive` may add a group to this very list."""
         record, receivers = self.recorder.record_delivery, self._receivers
-        i = 0
-        while i < len(groups):
-            src, sent_at, bodies, members = groups[i]
-            i += 1
+        for src, sent_at, bodies, members in groups:
             kind = bodies[0].delay_kind
             if kind in (TRANSACTION, BLOCK):
                 for _ in bodies:

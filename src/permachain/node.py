@@ -21,6 +21,13 @@ from .ledger import Block, Chain
 from .workload import TransactionPool
 
 
+def primary_of(turn: int, authorities: list[int]) -> int:
+    """Round-robin: a pbft view's primary, or poa's proposer above chain height `turn`."""
+    if not authorities:
+        raise ValueError("empty authority list")
+    return authorities[turn % len(authorities)]
+
+
 class Node:
     view = 0  # only pbft replicas change views
 

@@ -54,16 +54,6 @@ class NodeTable:
     def authorities(self) -> list[int]:
         return [r.id for r in self.rows if r.authority]
 
-    @property
-    def followers(self) -> list[int]:
-        return [r.id for r in self.rows if not r.authority]
-
-    def spec(self, node_id: int) -> NodeSpec:
-        for r in self.rows:
-            if r.id == node_id:
-                return r
-        raise NodeTableError(f"unknown node id {node_id}")
-
     def benign(self) -> set[int]:
         return {r.id for r in self.rows if r.byzantine is ByzantineType.HONEST}
 

@@ -71,7 +71,7 @@ class World:
             node = self.nodes[row.id] = node_class(row.id, row.byzantine, self)
             self.network.register_node(row.id, row.location, node.byz,
                                        config.drop_prob_for(row.id), node.receive)
-        self.engine.register(COORDINATOR, lambda call: call())
+        self.engine.register(COORDINATOR, run_calls)
         self.kickoff = kickoff(self)
         ignored = [r.id for r in table.rows if self.nodes[r.id].byz is not r.byzantine]
         if ignored:
@@ -110,13 +110,16 @@ class World:
     def _on_block_appended(self, node_id: int, block) -> None:
         if not self.day_active or node_id != self.reference:
             return
-        if block.is_empty:
-            self.empty_streak += 1
-        else:
-            self.empty_streak = 0
+        self.empty_streak = 0 if block.txs else self.empty_streak + 1
         if self.empty_streak >= self.config.empty_block_threshold:
             self.day_active = False
             self.day_ended_by = "empty-blocks"
+
+
+def run_calls(calls: list) -> None:
+    """COORDINATOR's handler: the calls scheduled in a row at one instant share an event."""
+    for call in calls:  # an iterator: a call added to `calls` as they run is made too
+        call()
 
 
 # protocol -> (authority class, follower class, world -> the call that starts
@@ -216,8 +219,7 @@ def run_day(world: World, day: int, loads: dict[int, int]) -> dict:
 
 
 class SimulationResult:
-    def __init__(self, config: RunConfig, days: list[dict], report: dict, world: World):
-        self.config = config
+    def __init__(self, days: list[dict], report: dict, world: World):
         self.days = days
         self.report = report
         self.world = world
@@ -257,7 +259,7 @@ def run_all(config: RunConfig, table: NodeTable, schedule: LoadSchedule,
         world.kickoff = None
         for node in world.nodes.values():
             node.world = None
-        return SimulationResult(config=config, days=days, report=report, world=world)
+        return SimulationResult(days=days, report=report, world=world)
     finally:
         if collecting:
             gc.enable()

@@ -47,7 +47,7 @@ from . import messages as m
 from .engine import COORDINATOR
 from .faults import ByzantineType
 from .ledger import Block, compute_digest, make_block
-from .node import Node
+from .node import Node, primary_of
 
 
 class QuorumRule:
@@ -63,12 +63,6 @@ def quorum_params(n: int) -> QuorumRule:
         raise ValueError("need at least one authority")
     f = (n - 1) // 3
     return QuorumRule(n=n, f=f, quorum=2 * f + 1)
-
-
-def primary_of(view: int, authorities: list[int]) -> int:
-    if not authorities:
-        raise ValueError("empty authority list")
-    return authorities[view % len(authorities)]
 
 
 class PbftFollower(Node):

@@ -21,16 +21,7 @@ from . import messages as m
 from .engine import COORDINATOR
 from .faults import ByzantineType
 from .ledger import Block, compute_digest, make_block
-from .node import Node
-
-
-def leader_for_height(height: int, authorities: list[int]) -> int:
-    """Round-robin leader for a block height (heights start at 1)."""
-    if height < 1:
-        raise ValueError("genesis has no leader; heights start at 1")
-    if not authorities:
-        raise ValueError("empty authority list")
-    return authorities[(height - 1) % len(authorities)]
+from .node import Node, primary_of
 
 
 def poet_elect(authorities: list[int], rate_per_ms: float, streams):
@@ -79,7 +70,7 @@ class PoaNode(Node):
 
     def maybe_propose(self) -> None:
         """Block-interval tick (authorities only): propose iff the rotation points at me."""
-        if leader_for_height(self.next_height, self.world.authorities) == self.id:
+        if primary_of(self.chain.height, self.world.authorities) == self.id:
             self._propose()
 
     def propose_lottery(self) -> None:

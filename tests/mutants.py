@@ -84,6 +84,21 @@ MUTANTS = [
      "            cycle = []\n            cycle.append(cycle)\n            try:\n",
      [f"{ORCH}::test_a_finished_run_leaves_no_unreachable_cycle[{name}]"
       for name in ("poa-baseline", "situation1", "empirical-pbft")]),
+    ("null_read_as_default", "config.py",
+     "if nulls:", "if False:",
+     [f"{CLI}::test_bad_config_schema_is_validation_error[{field}_null]"
+      for field in ("authority_rule", "latency", "processing_delay", "pbft_timeout",
+                    "tx_broadcast_interval")]),
+    ("control_calls_walked_as_a_snapshot", "orchestrator.py",
+     "for call in calls:", "for call in list(calls):",
+     ["tests/test_poa.py::test_a_lone_poet_authority_runs_each_next_round_from_its_own_append"]),
+    ("delivery_groups_walked_as_a_snapshot", "network.py",
+     "for src, sent_at, bodies, members in groups:",
+     "for src, sent_at, bodies, members in list(groups):",
+     [f"{NETWORK}::test_a_group_joined_while_its_event_is_delivered_runs_at_its_tail"]),
+    ("emptied_instant_read_as_holding_an_event", "engine.py",
+     "elif bucket and bucket[-1][0] == target:", "elif bucket[-1][0] == target:",
+     ["tests/test_engine.py::test_a_raise_drops_the_rest_of_its_own_list"]),
 ]
 
 

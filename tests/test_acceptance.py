@@ -71,7 +71,8 @@ def _dropper_run(n_passive: int, seed: int, drop_prob: float = 0.4):
 
 def test_criterion_3_passive_droppers_liveness_and_prefix():
     seeds = list(range(1, 11))
-    followers = make_table(13, n_followers=2).followers  # _dropper_run's node table
+    followers = [r.id for r in make_table(13, n_followers=2).rows  # _dropper_run's node table
+                 if not r.authority]
     complete_seeds = 0
     prefix_ok = True
     for seed in seeds:
@@ -204,7 +205,7 @@ def test_criterion_9_discontinuous_days():
     ok = day1_sizes == [10, 10, 5] + [0] * 10
     ok = ok and d2["blocks_appended"]["1"] == 10
     ok = ok and all(len(b.txs) == 0 for b in chain.blocks[14:24])
-    day_len = result.config.day_length_ms
+    day_len = result.world.config.day_length_ms
     ok = ok and [d["day_start_sim_time"] for d in result.days] == [0, day_len, 2 * day_len]
     _verdict(9, ok, "day 1: exactly 3 full + 10 empty; day 2: 10 empty; "
                     "clock lands on day-length multiples")

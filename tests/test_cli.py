@@ -54,12 +54,11 @@ def test_loading_a_config_loads_no_simulator_module():
 
 def test_parse_node_rows_types_and_flags():
     table = parse_node_rows(NODE_ROWS)
-    row1 = table.spec(1)
-    assert row1.authority and row1.byzantine is ByzantineType.PASSIVE
-    row2 = table.spec(2)
-    assert row2.authority and row2.byzantine is ByzantineType.ACTIVE
+    row1, row2 = table.rows[:2]
+    assert row1.id == 1 and row1.authority and row1.byzantine is ByzantineType.PASSIVE
+    assert row2.id == 2 and row2.authority and row2.byzantine is ByzantineType.ACTIVE
     assert table.authorities == [1, 2, 3]
-    assert table.followers == [4]
+    assert [r.id for r in table.rows if not r.authority] == [4]
     assert table.benign() == {3, 4}
 
 
@@ -93,7 +92,7 @@ def test_duplicate_id_and_zero_authorities_rejected():
 
 def test_integer_location_is_its_decimal_text():
     table = parse_node_rows([dict(NODE_ROWS[0], location=7), NODE_ROWS[1]])
-    assert table.spec(1).location == "7"
+    assert table.rows[0].id == 1 and table.rows[0].location == "7"
 
 
 def test_location_threshold_authority_rule():
@@ -121,6 +120,25 @@ def test_authority_rule_is_echoed_as_applied(rule, echoed, authorities):
     rows = [{"id": i, "authority": int(i == 1), "location": str(i), "byzantine": 0}
             for i in range(1, 7)]
     assert parse_node_rows(rows, config.authority_rule).authorities == authorities
+
+
+def test_a_derived_pbft_timeout_is_capped_and_its_echo_reloads():
+    # 10x a 10**9 ms mean would be 10**10, past the range from_dict accepts
+    config = RunConfig("pbft", latency={"default": {"kind": "constant", "ms": 10**9}})
+    echo = config.to_echo_dict()
+    assert echo["pbft_timeout_ms"] == NUMBERS["pbft_timeout_ms"][2] == 10**9
+    assert RunConfig.from_dict(echo).to_echo_dict() == echo
+
+
+SHARED_RUNS = [*sorted(name for name, _ in list_scenarios()),
+               *sorted(p.name for p in (Path(__file__).parent / "fixtures").iterdir()
+                       if p.is_dir())]
+
+
+@pytest.mark.parametrize("name", SHARED_RUNS)
+def test_every_shared_run_config_echo_reloads(name, shared_run):
+    echo = json.loads((shared_run(name).out / "report.json").read_text())["config"]
+    assert RunConfig.from_dict(echo).to_echo_dict() == echo
 
 
 def test_list_scenarios_contains_bundled_presets():

@@ -1,7 +1,6 @@
 """Event engine: ordering, fast-forward, deadlines, determinism."""
 
 import heapq
-from functools import partial
 from itertools import count
 
 import pytest
@@ -10,9 +9,11 @@ from hypothesis import given, strategies as st
 from permachain.engine import COORDINATOR, EventEngine, RngStreams
 
 
-def collector(engine):
+def collector(engine, targets=(COORDINATOR,)):
+    """Log (time, item) for each item of each event on `targets`, in dispatch order."""
     seen = []
-    engine.register(COORDINATOR, lambda payload: seen.append((engine.now, payload)))
+    for target in targets:
+        engine.register(target, lambda items: seen.extend((engine.now, item) for item in items))
     return seen
 
 
@@ -98,7 +99,8 @@ def test_dispatch_order_is_deterministic_and_monotone(items):
     for _ in range(2):
         engine = EventEngine()
         trace = []
-        engine.register(COORDINATOR, lambda p, tr=trace, e=engine: tr.append((e.now, p)))
+        engine.register(COORDINATOR, lambda items, tr=trace, e=engine:
+                        tr.extend((e.now, item) for item in items))
         for delay, tag in items:
             engine.schedule(delay, COORDINATOR, tag)
         engine.run_until_idle()
@@ -108,16 +110,15 @@ def test_dispatch_order_is_deterministic_and_monotone(items):
     assert times == sorted(times)
 
 
-TARGETS = (COORDINATOR, 1, 2)  # take events from `schedule`
-JOINED = (-1, -2)  # take items from `join`, a list per event
+TARGETS = (COORDINATOR, 1, 2, -1)
 
 # An event: (delay, target, children), each child queued by the event's own
-# handler, in order, relative to the instant the handler runs. A child for a
-# JOINED target is joined, at delay 0 at times to the entry being delivered.
+# handler, in order, relative to the instant the handler runs; a child at
+# delay 0 may join the list of the event being dispatched.
 delays = st.just(0) | st.integers(0, 6)
 event_trees = st.recursive(
-    st.tuples(delays, st.sampled_from(TARGETS + JOINED), st.just(())),
-    lambda children: st.tuples(delays, st.sampled_from(TARGETS + JOINED),
+    st.tuples(delays, st.sampled_from(TARGETS), st.just(())),
+    lambda children: st.tuples(delays, st.sampled_from(TARGETS),
                                st.lists(children, max_size=3).map(tuple)),
     max_leaves=25)
 
@@ -127,35 +128,26 @@ def run_engine(roots, deadline):
     engine = EventEngine()
     trace = []
 
-    def queue(delay, target, item):
-        (engine.join if target in JOINED else engine.schedule)(delay, target, item)
-
-    def visit(target, item):
-        name, children = item
-        trace.append((engine.now, target, name))
-        for i, (delay, child_target, grandchildren) in enumerate(children):
-            queue(delay, child_target, (f"{name}.{i}", grandchildren))
-
     def handler(target):
-        def handle_list(items):
-            i = 0
-            while i < len(items):  # a child may join this very list
-                visit(target, items[i])
-                i += 1
-        return handle_list if target in JOINED else partial(visit, target)
+        def handle(items):
+            for name, children in items:  # a child may join this very list
+                trace.append((engine.now, target, name))
+                for i, (delay, child_target, grandchildren) in enumerate(children):
+                    engine.schedule(delay, child_target, (f"{name}.{i}", grandchildren))
+        return handle
 
-    for target in TARGETS + JOINED:
+    for target in TARGETS:
         engine.register(target, handler(target))
     for i, (delay, target, children) in enumerate(roots):
-        queue(delay, target, (str(i), children))
+        engine.schedule(delay, target, (str(i), children))
     assert engine.run_until_idle(deadline) == (trace[-1][0] if trace else 0)
     return engine, trace
 
 
 def reference_order(roots, deadline):
-    """The same run on one heap entry per event or joined item, popped in
-    (fire_at, seq) order; returns (trace, [(time, target)] of the entries left
-    past the deadline, in that order)."""
+    """The same run on one heap entry per item, popped in (fire_at, seq) order;
+    returns (trace, [(time, target)] of the entries left past the deadline, in
+    that order)."""
     heap, seq, trace = [], count(), []
     for i, (delay, target, children) in enumerate(roots):
         heapq.heappush(heap, (delay, next(seq), target, str(i), children))
@@ -170,10 +162,9 @@ def reference_order(roots, deadline):
 
 def engine_events(entries):
     """How many engine events carry `entries` ((time, target, ...) in dispatch
-    order): a run of one instant's items for one JOINED target shares one."""
+    order): a run of one instant's items for one target shares one."""
     keys = [(at, target) for at, target, *_ in entries]
-    return sum(1 for i, key in enumerate(keys)
-               if key[1] not in JOINED or i == 0 or keys[i - 1] != key)
+    return sum(1 for i, key in enumerate(keys) if i == 0 or keys[i - 1] != key)
 
 
 @given(st.lists(event_trees, max_size=12), st.none() | st.integers(0, 20))
@@ -192,23 +183,20 @@ def test_an_item_joined_to_the_entry_being_delivered_runs_at_its_tail():
     seen = []
 
     def handle(items):
-        i = 0
-        while i < len(items):
-            item = items[i]
-            i += 1
+        for item in items:
             seen.append((engine.now, item))
             if item == "z":
-                engine.join(0, -1, "c")  # the running entry [z] is the instant's last: joins it
+                engine.schedule(0, -1, "c")  # the running [z] is the instant's last: joins it
                 engine.schedule(0, COORDINATOR, "x")
-                engine.join(0, -1, "d")  # after x: a new entry
-                engine.join(1, -1, "e")
+                engine.schedule(0, -1, "d")  # after x: a new entry
+                engine.schedule(1, -1, "e")
 
     engine.register(-1, handle)
-    engine.register(COORDINATOR, lambda payload: seen.append((engine.now, payload)))
-    engine.join(2, -1, "a")
-    engine.join(2, -1, "b")
+    engine.register(COORDINATOR, lambda items: seen.extend((engine.now, x) for x in items))
+    engine.schedule(2, -1, "a")
+    engine.schedule(2, -1, "b")
     engine.schedule(2, COORDINATOR, "w")
-    engine.join(2, -1, "z")
+    engine.schedule(2, -1, "z")
     assert engine.scheduled_count == 3
     assert engine.run_until_idle() == 3
     assert seen == [(2, "a"), (2, "b"), (2, "w"), (2, "z"), (2, "c"), (2, "x"), (2, "d"),
@@ -218,9 +206,9 @@ def test_an_item_joined_to_the_entry_being_delivered_runs_at_its_tail():
 
 def test_advance_to_refuses_to_skip_a_pending_instant():
     engine = EventEngine()
-    seen = collector(engine)
+    seen = collector(engine, (COORDINATOR, 1))
     engine.schedule(5, COORDINATOR, "a")
-    engine.schedule(5, COORDINATOR, "b")
+    engine.schedule(5, 1, "b")  # another target: an event of its own
     engine.schedule(9, COORDINATOR, "c")
     assert engine.advance_to(5) == 5  # lands on the instant, skips nothing
     with pytest.raises(ValueError):
@@ -231,24 +219,46 @@ def test_advance_to_refuses_to_skip_a_pending_instant():
     assert engine.advance_to(10) == 10  # a drained instant holds nothing back
 
 
-def test_a_raising_handler_leaves_the_rest_of_its_instant_queued():
-    engine = EventEngine()
+def raising_collector(engine, targets=(COORDINATOR,)):
+    """Log each item of each event on `targets`; an item "boom" raises instead."""
     seen = []
 
-    def handle(payload):
-        if payload == "boom":
-            raise RuntimeError(payload)
-        seen.append(payload)
+    def handle(items):
+        for item in items:
+            if item == "boom":
+                raise RuntimeError(item)
+            seen.append(item)
 
-    engine.register(COORDINATOR, handle)
-    for payload in ("a", "boom", "b"):
-        engine.schedule(3, COORDINATOR, payload)
+    for target in targets:
+        engine.register(target, handle)
+    return seen
+
+
+def test_a_raising_handler_leaves_the_rest_of_its_instant_queued():
+    engine = EventEngine()
+    seen = raising_collector(engine, (COORDINATOR, 1))
+    for target, item in ((COORDINATOR, "a"), (1, "boom"), (COORDINATOR, "b")):
+        engine.schedule(3, target, item)  # alternating targets: an event per item
     with pytest.raises(RuntimeError):
         engine.run_until_idle()
     assert (seen, engine.pending()) == (["a"], 1)
     assert engine.run_until_idle() == 3
     assert seen == ["a", "b"]
     assert engine.scheduled_count == engine.dispatched_count == 3
+
+
+def test_a_raise_drops_the_rest_of_its_own_list():
+    engine = EventEngine()
+    seen = raising_collector(engine)
+    for item in ("a", "boom", "b"):
+        engine.schedule(3, COORDINATOR, item)  # one target: one event [a, boom, b]
+    with pytest.raises(RuntimeError):
+        engine.run_until_idle()
+    assert (seen, engine.pending()) == (["a"], 0)  # b went with its event
+    engine.schedule(0, COORDINATOR, "c")  # the emptied instant takes a new event
+    assert engine.run_until_idle() == 3
+    assert seen == ["a", "c"]
+    assert engine.scheduled_count == engine.dispatched_count == 2
 
 
 def test_rng_streams_reproducible_and_independent():

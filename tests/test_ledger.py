@@ -76,7 +76,7 @@ def test_append_valid_child():
     b = make_block(1, 0, 2, chain.tip.digest, (tx(1),), 1000)
     chain.append(b)
     assert chain.height == 1
-    assert len(chain) == 2
+    assert len(chain.blocks) == 2
 
 
 def test_append_rejects_tampered_digest():
@@ -146,7 +146,7 @@ def test_chain_validity_closed_under_append(tx_counts):
         next_id += n_txs
         chain.append(make_block(i, 0, 1, chain.tip.digest, txs, i * 1000))
     heights = [b.height for b in chain.blocks]
-    assert heights == list(range(len(chain)))
+    assert heights == list(range(len(chain.blocks)))
     for parent, child in zip(chain.blocks, chain.blocks[1:]):
         assert child.parent_digest == parent.digest
         assert compute_digest(child) == child.digest

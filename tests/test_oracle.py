@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import quick_run
 from permachain.pbft import quorum_params
-from permachain.poa import leader_for_height
+from permachain.node import primary_of
 
 INTERVAL = 1000
 DELAYS = [(10, 1), (37, 5), (0, 0), (250, 3)]  # (L, P): 4(L + P) < I throughout
@@ -42,7 +42,7 @@ def commit_time(protocol, authorities, interval, hop):
     """The module docstring's closed form: the time `node` commits height `h`."""
     n = len(authorities)
     if protocol == "poa":
-        return lambda node, h: h * interval + (0 if node == leader_for_height(h, authorities)
+        return lambda node, h: h * interval + (0 if node == primary_of(h - 1, authorities)
                                                else hop)
     if n == 1:
         return lambda node, h: h * interval + (0 if node == 1 else hop)

@@ -19,7 +19,7 @@ def test_stop_condition_counter_semantics():
 
     class FakeBlock:
         def __init__(self, empty, height):
-            self.is_empty = empty
+            self.txs = () if empty else ("a transaction",)
             self.height = height
 
     for h in range(1, 10):
@@ -145,7 +145,7 @@ def test_day_cost_independent_of_idle_hours():
 
 def test_no_transaction_created_before_its_day_starts():
     result = quick_run({1: {1: 3}, 2: {1: 3}}, n_authorities=3, protocol="poa")
-    interval = result.config.block_interval_ms
+    interval = result.world.config.block_interval_ms
     for block in result.world.nodes[1].chain.blocks:
         for tx in block.txs:
             day_start = (tx.day - 1) * DAY_LENGTH_MS

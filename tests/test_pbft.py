@@ -8,7 +8,8 @@ from permachain import messages as m
 from permachain.engine import COORDINATOR
 from permachain.errors import ConfigError
 from permachain.ledger import genesis_block, make_block, Transaction
-from permachain.pbft import primary_of, quorum_params
+from permachain.node import primary_of
+from permachain.pbft import quorum_params
 from permachain.reporting import check_benign_consistency
 
 

@@ -10,22 +10,26 @@ from permachain.engine import RngStreams
 from permachain.distributions import round_half_up_ms
 from permachain.ledger import genesis_block, make_block
 from permachain import messages as m
-from permachain.poa import leader_for_height, poet_elect
+from permachain.node import primary_of
+from permachain.poa import poet_elect
 
 
 def test_leader_for_height_rotation():
+    # poa's proposer of height h is primary_of(h - 1): the turn is the tip's height
     auths = [11, 12, 13, 14, 15]
-    assert leader_for_height(1, auths) == 11
-    assert leader_for_height(6, auths) == 11  # wraps
-    assert leader_for_height(5, auths) == 15
-    with pytest.raises(ValueError):
-        leader_for_height(0, auths)
+    assert primary_of(0, auths) == 11
+    assert primary_of(5, auths) == 11  # wraps
+    assert primary_of(4, auths) == 15
+    result = quick_run({1: {}}, n_authorities=3, protocol="poa", empty_block_threshold=7)
+    blocks = result.world.nodes[1].chain.blocks[1:]
+    assert [(b.height, b.proposer) for b in blocks] == \
+        [(1, 1), (2, 2), (3, 3), (4, 1), (5, 2), (6, 3), (7, 1)]
 
 
 def test_leader_counts_over_heights():
     # counting oracle: 100 heights over 7 authorities -> 14 or 15 leads each
     auths = list(range(1, 8))
-    counts = Counter(leader_for_height(h, auths) for h in range(1, 101))
+    counts = Counter(primary_of(h - 1, auths) for h in range(1, 101))
     assert set(counts.values()) <= {14, 15}
     assert sum(counts.values()) == 100
 
@@ -52,7 +56,7 @@ def test_empty_pool_still_proposes_empty_blocks():
     day = result.days[0]
     assert day["ended_by"] == "empty-blocks"
     assert result.world.nodes[1].chain.height == 4
-    assert all(b.is_empty for b in result.world.nodes[1].chain.blocks[1:])
+    assert not any(b.txs for b in result.world.nodes[1].chain.blocks[1:])
 
 
 def test_out_of_order_blocks_buffer_until_parent():
@@ -111,6 +115,17 @@ def test_poet_ties_break_to_lowest_id():
     streams = RngStreams(1)
     leader, wait = poet_elect([7, 3, 9], 1000.0, streams)
     assert (leader, wait) == (3, 1)
+
+
+def test_a_lone_poet_authority_runs_each_next_round_from_its_own_append():
+    # the winner's append completes the round and schedules the next at delay 0,
+    # while the winner's own control event is the instant's tail: the round joins
+    # that event's list of calls and must still be made
+    result = quick_run({1: {1: 25}}, n_authorities=1, n_followers=2, protocol="poet",
+                       empty_block_threshold=3)
+    day = result.days[0]
+    assert (day["txs_committed"], day["ended_by"]) == (25, "empty-blocks")
+    assert day["blocks_appended"] == {"1": 6, "2": 6, "3": 6}  # 3 full, then 3 empty
 
 
 def test_poet_run_consistent_and_paced_by_waits():
