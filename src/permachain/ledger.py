@@ -96,16 +96,9 @@ class Block:
         return self._tx_ids
 
     def serialize_for_digest(self) -> bytes:
-        parts = [
-            _u64(self.height),
-            _u64(self.view),
-            _u64(self.proposer),
-            _u64(self.parent_digest),
-            _u64(self.proposed_at),
-            struct.pack("<I", len(self.txs)),
-        ]
-        parts.extend(tx.serialize() for tx in self.txs)
-        return b"".join(parts)
+        return b"".join([_u64(self.height), _u64(self.view), _u64(self.proposer),
+                         _u64(self.parent_digest), _u64(self.proposed_at),
+                         struct.pack("<I", len(self.txs)), *map(Transaction.serialize, self.txs)])
 
 
 def compute_digest(block: Block) -> int:

@@ -1,7 +1,7 @@
 """Point-to-point message latency and broadcast scheduling.
 
 Latency per location pair and processing delay per body kind come from two
-`DelayTable`s (see distributions.py); `send` caches each pair's latency model.
+`DelayTable`s (see distributions.py), bound once per sender and recipient (`_route`).
 `Network.broadcast` is the one delivery path. It takes one body or a list of
 ``TxGossip`` bodies (an injection batch; a list of any other kind is refused),
 and once per call their kind and processing-delay model. Body by body, it
@@ -15,8 +15,10 @@ propagation delay. Per body, and per recipient in recipient order, the draws
 are: one on the sender's ``drop`` stream (only a passive sender with a drop
 probability above 0 has one), then, if not dropped, one on the sender's
 ``latency`` stream and one on the recipient's ``processing-delay`` stream. A
-constant model consumes no draw, and a list of k bodies draws exactly what k
-one-body calls would. Each node's Byzantine type, drop probability and
+constant model consumes no draw: a latency is sampled once per pair, as its
+route is built, and a processing delay once per call. A list of k bodies
+draws exactly what k one-body calls would, and an unknown recipient is
+refused before any draw. Each node's Byzantine type, drop probability and
 ``receive(sender, bodies)`` are fixed when it registers.
 
 A body's recipients that share a total delay form a group (a group of one
@@ -26,7 +28,7 @@ event (`EventEngine.schedule`). A body whose groups equal the previous body's in
 the same call (the same totals, the same member lists) makes no group of its
 own: it is appended to the `bodies` list that the previous body's groups
 share. Delivering an event walks its groups in order: each records a
-transaction or block group with one recorder call per body, then calls each
+transaction or block group once, with its body count, then calls each
 member's ``receive`` once with the group's bodies, in recipient order.
 
 That is the order of one event per recipient and body, but for one swap.
@@ -42,7 +44,6 @@ node's pool and committed set, so no node can tell the two orders apart.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from collections.abc import Callable
 
 from . import messages as m
@@ -59,7 +60,7 @@ DELIVERY = -1
 class Network:
     """Schedules deliveries through the event engine, delivery groups run per
     instant; takes each node's streams and receiver at `register_node` and
-    caches each (src, dst) latency model."""
+    builds each sender's route to a recipient on first use."""
 
     def __init__(self, engine: EventEngine, streams: RngStreams,
                  latency: DelayTable, delays: DelayTable, recorder):
@@ -71,7 +72,7 @@ class Network:
         self._locations: dict[int, str] = {}
         self._delay_rng: dict[int, random.Random] = {}
         self._receivers: dict[int, Callable[[int, list], None]] = {}
-        # sender -> (byz, dst -> latency model, latency stream, (p, drop stream) or None)
+        # sender -> (byz, dst -> route, latency stream, (p, drop stream) or None)
         self._outbound: dict[int, tuple] = {}
         engine.register(DELIVERY, self._deliver)
 
@@ -100,60 +101,72 @@ class Network:
             bodies = (body,)
         kind = m.kind_of(bodies[0])
         active = out[0] is ByzantineType.ACTIVE
+        _, routes, _, drop = out
+        targets = [routes.get(dst) or self._route(src, dst, out)
+                   for dst in recipients if dst != src]
         delay = self.delays.model_for(bodies[0].delay_kind)
-        others = [dst for dst in recipients if dst != src]
+        fixed = None if delay.fixed_ms is None else delay.sample_ms(None)  # draws nothing
         send, schedule, now = self.send, self.engine.schedule, self.engine.now
         scheduled = 0
         last = shared = None  # the previous body's groups and the bodies they carry
         for body in bodies:
             if active:
                 body = body.corrupted()
-            # total delay -> [(dst, latency)]
-            groups: dict[int, list[tuple[int, int]]] = defaultdict(list)
-            for dst in others:
-                scheduled += send(src, dst, delay, out, groups)
+            groups: dict[int, list[tuple[int, int]]] = {}  # total delay -> [(dst, latency)]
+            for route in targets:
+                scheduled += send(route, drop, delay, fixed, groups)
             if groups == last:
                 shared.append(body)
                 continue
             last, shared = groups, [body]
             for total, members in groups.items():
                 schedule(total, DELIVERY, (src, now, shared, members))
-        attempted = len(others) * len(bodies)
+        attempted = len(targets) * len(bodies)
         if scheduled:
             self.recorder.message_sent(kind, scheduled)
         if attempted > scheduled:
             self.recorder.message_dropped(kind, attempted - scheduled)
         return scheduled
 
-    def send(self, src: int, dst: int, delay: Distribution, out: tuple,
-             groups: dict[int, list[tuple[int, int]]]) -> bool:
+    def _route(self, src: int, dst: int, out: tuple) -> tuple:
+        """Build and keep `src`'s route to `dst`: (dst, latency model, (dst, latency)
+        if the model is constant else None, src's latency stream, dst's
+        processing-delay stream). Draws nothing."""
+        if dst not in self._locations:
+            raise UnknownNodeError(f"unknown recipient {dst}")
+        model = self.latency.model_for((self._locations[src], self._locations[dst]))
+        member = None if model.fixed_ms is None else (dst, model.sample_ms(out[2]))
+        return out[1].setdefault(dst, (dst, model, member, out[2], self._delay_rng[dst]))
+
+    def send(self, route: tuple, drop: tuple | None, delay: Distribution,
+             fixed: int | None, groups: dict[int, list[tuple[int, int]]]) -> bool:
         """One recipient's delivery within `broadcast`, a method of its own so that
         perfbench's span on it counts every attempt; False when it was dropped.
 
-        `out` is the sender's `_outbound` entry, which `broadcast` looked up once.
-        (dst, latency) joins the group in `groups` for its total delay."""
-        _, models, latency_rng, drop = out
+        `drop` is the sender's (p, drop stream) or None, `fixed` the value of a
+        constant `delay`, else None. (dst, latency) joins the group for its total."""
         if drop is not None and drop[1].random() < drop[0]:
             return False
-        model = models.get(dst)
-        if model is None:
-            if dst not in self._locations:
-                raise UnknownNodeError(f"unknown recipient {dst}")
-            model = models[dst] = self.latency.model_for((self._locations[src],
-                                                          self._locations[dst]))
-        lat = model.sample_ms(latency_rng)
-        groups[lat + delay.sample_ms(self._delay_rng[dst])].append((dst, lat))
+        dst, model, member, latency_rng, delay_rng = route
+        if member is None:
+            member = (dst, model.sample_ms(latency_rng))
+        total = member[1] + (delay.sample_ms(delay_rng) if fixed is None else fixed)
+        members = groups.get(total)
+        if members is None:
+            groups[total] = [member]
+        else:
+            members.append(member)
         return True
 
     def _deliver(self, groups: list) -> None:
         """Hand each group's bodies to each of its members in order, first recording
-        a transaction or block group once per body (each latency is a propagation
-        delay). Walked by an iterator: a `receive` may add a group to this very list."""
+        a transaction or block group once, with its body count (each latency is a
+        propagation delay). Walked by an iterator: a `receive` may add a group to
+        this very list."""
         record, receivers = self.recorder.record_delivery, self._receivers
         for src, sent_at, bodies, members in groups:
             kind = bodies[0].delay_kind
             if kind in (TRANSACTION, BLOCK):
-                for _ in bodies:
-                    record(kind, src, sent_at, members)
+                record(kind, src, sent_at, members, len(bodies))
             for dst, _lat in members:
                 receivers[dst](src, bodies)

@@ -6,8 +6,9 @@ messages.py); a node class that lacks that method counts the body under
 `receive(sender, bodies)` once per member of a delivery group, after it has
 recorded the group's transaction or block deliveries; `bodies` is a list of
 bodies of one class (more than one only for an injection batch of
-``TxGossip``), and `receive` resolves their handler once and calls it once
-per body, in order. Every class takes (node_id, byz, world).
+``TxGossip``), and `receive` resolves their handler once: `on_gossip` takes
+the whole list, and any other handler is called once per body, in order.
+Every class takes (node_id, byz, world).
 
 `_accept` is the one in-order block path: a valid block above the next height
 is held in `_ahead` until the blocks below it have been appended.
@@ -52,18 +53,24 @@ class Node:
         """Called on every authority as a day begins, before block production."""
 
     def receive(self, sender: int, bodies: list) -> None:
-        handler = getattr(self, bodies[0].handler, None)
+        name = bodies[0].handler
+        handler = getattr(self, name, None)
         if handler is None:
             key = "unhandled_" + m.kind_of(bodies[0])
             self.stats[key] = self.stats.get(key, 0) + len(bodies)
+        elif name == "on_gossip":
+            handler(sender, bodies)
         else:
             for body in bodies:
                 handler(sender, body)
 
-    def on_gossip(self, sender: int, msg: m.TxGossip) -> None:
-        tx = msg.tx
-        if tx.tx_id not in self.committed_txids:
-            self.pool.setdefault(tx.tx_id, tx)
+    def on_gossip(self, sender: int, batch: list[m.TxGossip]) -> None:
+        """Pool each gossiped transaction not yet committed, keeping the first copy."""
+        committed, pool = self.committed_txids, self.pool
+        for msg in batch:
+            tx = msg.tx
+            if tx.tx_id not in committed:
+                pool.setdefault(tx.tx_id, tx)
 
     def _accept(self, block: Block) -> None:
         """Append `block` once it follows the tip, then every held block that follows it."""

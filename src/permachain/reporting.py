@@ -1,11 +1,12 @@
 """Run instrumentation and machine-readable outputs.
 
 The recorder folds every transaction and block delivery into exact per-pair
-propagation-delay aggregates and, when given a sink, streams the delivery as
-one raw row of an opt-in propagation CSV as it happens. Groups wait in a
-per-source buffer of at most FOLD_GROUPS; a fold, when it fills and as
-`aggregate_table` starts, counts each source's buffered (dst, delay) pairs
-and adds each distinct one n times, exactly as a member-by-member fold would.
+propagation-delay aggregates and, when given a sink, streams each delivery as
+one raw row of an opt-in propagation CSV as it happens. A delivery group is
+recorded once with its body count k, and writes its rows k times. Groups wait
+in a per-source buffer of at most FOLD_GROUPS; a fold, when it fills and as
+`aggregate_table` starts, counts each source's buffered (dst, delay) pairs, k
+times each, and adds each distinct one n times, as a body-by-body fold would.
 Raw deliveries are never held beyond the buffer. It also keeps message
 counters by kind, the view-change log, and a timeline of (sim_time_ms,
 node_id, chain_height, current_view) rows. At the end of a run `build_report`
@@ -58,15 +59,16 @@ class RunRecorder:
         self.drop_counts[kind] += n
 
     def record_delivery(self, kind: str, src: int, sent_at: int,
-                        members: list[tuple[int, int]]) -> None:
-        """Record one delivery group: `members` lists (dst, delay) in delivery order."""
-        self._buffer[src].append(members)
+                        members: list[tuple[int, int]], times: int) -> None:
+        """Record one delivery group of `times` bodies: `members` lists (dst, delay)
+        in delivery order, and each body is delivered to every member."""
+        self._buffer[src].append(members * times)
         self._buffered += 1
         if self._buffered >= FOLD_GROUPS:
             self._fold()
         if self.record_sink is not None:
             self.record_sink.writerows([(kind, src, dst, sent_at, sent_at + delay)
-                                        for dst, delay in members])
+                                        for dst, delay in members] * times)
 
     def _fold(self) -> None:
         """Add every buffered group to the aggregates, one update per distinct

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import settings
 
 from permachain import messages as m
-from permachain.cli import load_inputs
+from permachain.cli import list_scenarios, load_inputs
 from permachain.config import RunConfig
 from permachain.node import Node
 from permachain.nodetable import NodeTable, parse_node_rows
@@ -29,6 +29,9 @@ from permachain.reporting import emit_json, emit_timeseries_csv
 from permachain.workload import parse_schedule
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# Every bundled scenario, then every input under tests/fixtures.
+BUNDLED_INPUTS = ([name for name, _ in list_scenarios()]
+                  + sorted(p.name for p in FIXTURES.iterdir() if p.is_dir()))
 
 FAST_NET = {
     "latency": {"default": {"kind": "constant", "ms": 10}},
@@ -36,7 +39,27 @@ FAST_NET = {
 }
 
 # The long fuzz tier: pytest --hypothesis-profile=long (not loaded by default).
+# It also runs the tests marked `long`, which are skipped without it.
 settings.register_profile("long", max_examples=500)
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "long: runs only with --hypothesis-profile=long")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--hypothesis-profile") != "long":
+        for item in items:
+            if "long" in item.keywords:
+                item.add_marker(pytest.mark.skip(reason="long tier: --hypothesis-profile=long"))
+
+
+def input_argv(name: str) -> list[str]:
+    """The CLI arguments that load the bundled input `name` (see BUNDLED_INPUTS)."""
+    fixture = FIXTURES / name
+    return (["--config", str(fixture / "config.json"), "--nodes", str(fixture / "nodes.csv"),
+             "--transactions", str(fixture / "transactions.json")]
+            if fixture.is_dir() else ["--scenario", name])
 
 
 def make_table(n_authorities: int, n_followers: int = 0,
@@ -104,10 +127,7 @@ class SharedRun:
 
     def __init__(self, name: str, out: Path):
         fixture = FIXTURES / name
-        self.argv = (["--config", str(fixture / "config.json"),
-                      "--nodes", str(fixture / "nodes.csv"),
-                      "--transactions", str(fixture / "transactions.json")]
-                     if fixture.is_dir() else ["--scenario", name])
+        self.argv = input_argv(name)
         self.out = out
         config, table, schedule = load_inputs(self.argv)
         self.received = Counter()

@@ -96,6 +96,22 @@ MUTANTS = [
      "for src, sent_at, bodies, members in groups:",
      "for src, sent_at, bodies, members in list(groups):",
      [f"{NETWORK}::test_a_group_joined_while_its_event_is_delivered_runs_at_its_tail"]),
+    ("routes_shared_across_senders", "network.py",
+     "(byz, {}, self.streams",
+     "(byz, next(iter(self._outbound.values()), (0, {}))[1], self.streams",
+     [f"{NETWORK}::test_a_route_never_serves_another_sender"]),
+    ("constant_latency_drawn_per_attempt", "network.py",
+     "member = None if model.fixed_ms is None else (dst, model.sample_ms(out[2]))",
+     "member = None",
+     [f"{NETWORK}::test_a_constant_model_is_sampled_once_per_pair_or_per_broadcast"]),
+    ("group_recorded_once_whatever_its_bodies", "network.py",
+     "record(kind, src, sent_at, members, len(bodies))", "record(kind, src, sent_at, members)",
+     [f"{NETWORK}::test_merged_batches_write_the_bytes_of_unmerged_ones[{name}]"
+      for name in ("poa-baseline", "situation1-desk", "pbft-viewchange")]),
+    ("gossip_batch_pools_committed_txs", "node.py",
+     "            if tx.tx_id not in committed:\n                pool.setdefault",
+     "            pool.setdefault",
+     [f"{NETWORK}::test_the_gossip_handler_takes_a_batch_in_one_call"]),
     ("emptied_instant_read_as_holding_an_event", "engine.py",
      "elif bucket and bucket[-1][0] == target:", "elif bucket[-1][0] == target:",
      ["tests/test_engine.py::test_a_raise_drops_the_rest_of_its_own_list"]),

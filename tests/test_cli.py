@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import permachain
+from conftest import BUNDLED_INPUTS
 from permachain.cli import (ENV_SEED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, list_scenarios,
                             load_scenario, main)
 from permachain.config import NUMBERS, RunConfig
@@ -130,12 +131,7 @@ def test_a_derived_pbft_timeout_is_capped_and_its_echo_reloads():
     assert RunConfig.from_dict(echo).to_echo_dict() == echo
 
 
-SHARED_RUNS = [*sorted(name for name, _ in list_scenarios()),
-               *sorted(p.name for p in (Path(__file__).parent / "fixtures").iterdir()
-                       if p.is_dir())]
-
-
-@pytest.mark.parametrize("name", SHARED_RUNS)
+@pytest.mark.parametrize("name", BUNDLED_INPUTS)
 def test_every_shared_run_config_echo_reloads(name, shared_run):
     echo = json.loads((shared_run(name).out / "report.json").read_text())["config"]
     assert RunConfig.from_dict(echo).to_echo_dict() == echo

@@ -1,5 +1,6 @@
 """Latency sampling, sender-side drops, and broadcast scheduling."""
 
+import collections
 import hashlib
 import math
 import random
@@ -9,6 +10,7 @@ from functools import partial
 
 import pytest
 
+from conftest import BUNDLED_INPUTS, input_argv
 from permachain import messages as m, orchestrator
 from permachain.cli import EXIT_OK, main
 from permachain.distributions import (Distribution, latency_table, processing_delays,
@@ -21,6 +23,7 @@ from permachain.ledger import Transaction
 from permachain.network import Network
 from permachain.node import Node
 from permachain.reporting import RunRecorder
+from reference import RefEngine, RefNetwork
 
 
 class LoggedStreams(RngStreams):
@@ -51,10 +54,11 @@ class LoggedRecorder(RunRecorder):
         self.hook_calls.append(("dropped", kind, n))
         super().message_dropped(kind, n)
 
-    def record_delivery(self, kind, src, sent_at, members):
-        self.deliveries.extend((kind, src, dst, sent_at, sent_at + latency)
-                               for dst, latency in members)
-        super().record_delivery(kind, src, sent_at, members)
+    def record_delivery(self, kind, src, sent_at, members, times):
+        for _ in range(times):  # one row per body, as the sink writes them
+            self.deliveries.extend((kind, src, dst, sent_at, sent_at + latency)
+                                   for dst, latency in members)
+        super().record_delivery(kind, src, sent_at, members, times)
 
 
 def build_net(n_nodes=13, byz=None, drop_prob=0.4, latency=None, seed=1, overrides=None,
@@ -505,18 +509,18 @@ def test_broadcast_refuses_a_list_of_other_bodies(bodies):
     assert recorder.message_counts == {} and recorder.hook_calls == []
 
 
-class UnmergedNetwork(Network):
-    """A Network that sends a list one body per call, so no two bodies share a group."""
-
-    def broadcast(self, src, body, recipients):
-        scheduled = 0
-        for one in body if isinstance(body, list) else [body]:
-            scheduled += super().broadcast(src, one, recipients)
-        return scheduled
+def cli_outputs(argv, out, monkeypatch, engine, network):
+    """The report, timeseries and propagation bytes that `main` writes for `argv`
+    with `engine` and `network` swapped into the orchestrator."""
+    monkeypatch.setattr(orchestrator, "EventEngine", engine)
+    monkeypatch.setattr(orchestrator, "Network", network)
+    assert main([*argv, "--out", str(out), "--emit-csv", "--emit-records"]) == EXIT_OK
+    return [(out / f).read_bytes() for f in ("report.json", "timeseries.csv", "propagation.csv")]
 
 
 @pytest.mark.parametrize("name", ["poa-baseline", "situation1-desk", "pbft-viewchange"])
 def test_merged_batches_write_the_bytes_of_unmerged_ones(name, tmp_path, monkeypatch):
+    # the reference model (tests/reference.py) delivers one body to one recipient per event
     receive = Node.receive
     calls = []
 
@@ -526,13 +530,135 @@ def test_merged_batches_write_the_bytes_of_unmerged_ones(name, tmp_path, monkeyp
 
     monkeypatch.setattr(Node, "receive", counting_receive)
     outputs = []
-    for network in (Network, UnmergedNetwork):
-        monkeypatch.setattr(orchestrator, "Network", network)
-        out = tmp_path / network.__name__
+    for engine, network in ((EventEngine, Network), (RefEngine, RefNetwork)):
         calls.append(0)
-        assert main(["--scenario", name, "--out", str(out), "--emit-csv",
-                     "--emit-records"]) == EXIT_OK
-        outputs.append([(out / f).read_bytes()
-                        for f in ("report.json", "timeseries.csv", "propagation.csv")])
+        outputs.append(cli_outputs(["--scenario", name], tmp_path / network.__name__,
+                                   monkeypatch, engine, network))
     assert outputs[0] == outputs[1]
     assert calls[0] < calls[1]  # the real network did merge some batches
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("name", BUNDLED_INPUTS)
+def test_every_bundled_input_writes_the_bytes_of_the_reference_model(name, tmp_path,
+                                                                     monkeypatch):
+    real, naive = (cli_outputs(input_argv(name), tmp_path / network.__name__,
+                               monkeypatch, engine, network)
+                   for engine, network in ((EventEngine, Network), (RefEngine, RefNetwork)))
+    assert real == naive
+
+
+def test_an_unknown_recipient_is_refused_before_any_draw():
+    for byz in ({}, {1: 1}, {1: 2}):  # honest, active and passive (always dropping) senders
+        engine, net, recorder = build_net(n_nodes=3, byz=byz, drop_prob=1.0, seed=2)
+        with pytest.raises(UnknownNodeError, match="unknown recipient 99"):
+            net.broadcast(1, gossip(), [2, 99])
+        assert engine.scheduled_count == 0 and recorder.hook_calls == []
+        for purpose in ("drop", "latency"):
+            assert net.streams.stream(1, purpose).random() == \
+                reference_stream(2, 1, purpose).random()
+
+
+def counted_samples(monkeypatch):
+    """Patch Distribution.sample_ms to count its calls per distribution object."""
+    counts = collections.Counter()
+    sample_ms = Distribution.sample_ms
+
+    def counting(self, rng):
+        counts[id(self)] += 1
+        return sample_ms(self, rng)
+
+    monkeypatch.setattr(Distribution, "sample_ms", counting)
+    return counts
+
+
+def test_a_constant_model_is_sampled_once_per_pair_or_per_broadcast(monkeypatch):
+    counts = counted_samples(monkeypatch)
+    table = latency_table({
+        "default": {"kind": "constant", "ms": 10},
+        "pairs": [{"src": "loc-1", "dst": "loc-3", "kind": "constant", "ms": 5}]})
+    delays = processing_delays({"default": {"kind": "constant", "ms": 1}})
+    engine, net, recorder, log = logged_net(n_nodes=5, latency=table, delays=delays)
+    for i in range(4):
+        net.broadcast(1, gossip(i), range(1, 6))
+    net.broadcast(1, [gossip(i) for i in range(4, 10)], range(1, 6))
+    net.broadcast(3, gossip(10), [1, 2])
+    engine.run_until_idle()
+    assert len(log) == 10 * 4 + 2
+    pair, default = table.model_for(("loc-1", "loc-3")), table.default
+    assert counts == {id(pair): 2,     # routes 1->3 and 3->1
+                      id(default): 4,  # routes 1->2, 1->4, 1->5 and 3->2
+                      id(delays.default): 6}  # one per broadcast call
+    assert sorted({(s, d, at - sent) for _, s, d, sent, at in recorder.deliveries}) == \
+        [(1, 2, 10), (1, 3, 5), (1, 4, 10), (1, 5, 10), (3, 1, 5), (3, 2, 10)]
+
+
+def test_random_models_draw_once_per_attempt_in_stream_order():
+    # constant and random pairs mixed, and loc-1 -> loc-2 differs from loc-2 -> loc-1
+    latency = latency_table({
+        "default": {"kind": "uniform", "lo": 1, "hi": 30},
+        "pairs": [{"src": "loc-1", "dst": "loc-2", "kind": "constant", "ms": 7},
+                  {"src": "loc-2", "dst": "loc-1", "kind": "exponential", "rate": 0.1},
+                  {"src": "loc-1", "dst": "loc-4", "kind": "constant", "ms": 3}]})
+    delays = processing_delays({"transaction": {"kind": "normal", "mean": 5, "std": 3},
+                                "default": {"kind": "constant", "ms": 2}})
+    runs = []
+    for engine, network in ((EventEngine(), Network), (RefEngine(), RefNetwork)):
+        streams, recorder = RngStreams(8), LoggedRecorder()
+        recorder.engine = engine
+        net = network(engine, streams, latency, delays, recorder)
+        log = []
+        for i in range(1, 7):
+            net.register_node(i, f"loc-{i}", ByzantineType(2 if i == 2 else 0), 0.3,
+                              lambda sender, bodies, i=i: log.extend(
+                                  (engine.now, i, sender, body) for body in bodies))
+        net.broadcast(1, [gossip(i) for i in range(5)], range(1, 7))
+        net.broadcast(2, [gossip(i) for i in range(5, 9)], range(1, 7))
+        net.broadcast(1, m.Prepare(0, 1, 5), range(1, 7))
+        net.broadcast(2, gossip(9), [1, 4])
+        engine.run_until_idle()
+        state = [streams.stream(node, purpose).random() for node in range(1, 7)
+                 for purpose in ("drop", "latency", "processing-delay")]
+        # a merged group hands its bodies member by member (network.py), so the
+        # receive log is compared as a multiset; the recorded rows keep their order
+        runs.append((sorted(log, key=lambda row: row[:3] + (type(row[3]).__name__,)),
+                     recorder.deliveries, recorder.message_counts, recorder.drop_counts,
+                     state))
+    assert runs[0] == runs[1]
+    assert 0 < runs[0][3]["TxGossip"]  # node 2 dropped some
+
+
+def test_a_route_never_serves_another_sender():
+    # loc-1 -> loc-3 is 5 ms; node 2 at loc-2 reaches node 3 on the 10 ms default
+    table = latency_table({
+        "default": {"kind": "constant", "ms": 10},
+        "pairs": [{"src": "loc-1", "dst": "loc-3", "kind": "constant", "ms": 5}]})
+    _, net, _ = build_net(n_nodes=3, latency=table)
+    assert latencies(net, 1, 3, 2) == [5, 5]
+    assert latencies(net, 2, 3, 2) == [10, 10]
+    assert latencies(net, 3, 1, 1) == [5]
+
+
+class GossipNode(Node):
+    """A Node that logs each gossip handler call."""
+
+    def __init__(self):
+        super().__init__(1, ByzantineType.HONEST, None)
+        self.gossip_calls = []
+
+    def on_gossip(self, sender, batch):
+        self.gossip_calls.append((sender, len(batch)))
+        super().on_gossip(sender, batch)
+
+
+def test_the_gossip_handler_takes_a_batch_in_one_call():
+    node = GossipNode()
+    first, copy = Transaction(4, 2, "first", 0, 1), Transaction(4, 2, "copy", 9, 1)
+    node.committed_txids.add(6)
+    node.receive(2, [m.TxGossip(first), m.TxGossip(Transaction(6, 2, "x", 0, 1)),
+                     m.TxGossip(copy), m.TxGossip(Transaction(5, 2, "y", 0, 1))])
+    assert node.gossip_calls == [(2, 4)]
+    assert list(node.pool) == [4, 5]  # the committed transaction is skipped
+    assert node.pool[4] is first      # the first copy is kept
+    node.receive(3, [m.TxGossip(Transaction(6, 3, "z", 0, 1))])
+    assert node.gossip_calls == [(2, 4), (3, 1)] and 6 not in node.pool

@@ -5,8 +5,7 @@ import weakref
 
 import pytest
 
-from conftest import FIXTURES, make_world, quick_run
-from permachain.cli import list_scenarios
+from conftest import BUNDLED_INPUTS, make_world, quick_run
 from permachain.config import DAY_LENGTH_MS
 from permachain.ledger import genesis_block, make_block
 from permachain.pbft import PbftFollower, PbftReplica
@@ -181,10 +180,6 @@ def test_whole_run_conserves_events_and_deliveries(name, shared_run):
         assert received == counts
     recorded = sum(a["count"] for a in result.report["propagation"]["aggregates"].values())
     assert recorded == received["TxGossip"] + received["BlockMsg"] + received["BlockAnnounce"]
-
-
-BUNDLED_INPUTS = ([name for name, _ in list_scenarios()]
-                  + sorted(p.name for p in FIXTURES.iterdir() if p.is_dir()))
 
 
 @pytest.mark.parametrize("name", BUNDLED_INPUTS)

@@ -17,7 +17,7 @@ from permachain.reporting import (RunRecorder, check_benign_consistency, emit_js
 
 def feed(recorder, triples):
     for src, dst, delay in triples:
-        recorder.record_delivery("transaction", src, 100, [(dst, delay)])
+        recorder.record_delivery("transaction", src, 100, [(dst, delay)], 1)
 
 
 def test_aggregates_match_bruteforce_mean_and_max():
@@ -63,10 +63,10 @@ def test_record_sink_gets_every_delivery_and_leaves_aggregates_alone():
 def test_a_delivery_group_is_recorded_member_by_member():
     buf = io.StringIO(newline="")
     grouped = RunRecorder(record_sink=propagation_writer(buf))
-    grouped.record_delivery("block", 3, 40, [(1, 12), (2, 9), (1, 30)])
+    grouped.record_delivery("block", 3, 40, [(1, 12), (2, 9), (1, 30)], 1)
     single = RunRecorder()
     for dst, delay in [(1, 12), (2, 9), (1, 30)]:
-        single.record_delivery("block", 3, 40, [(dst, delay)])
+        single.record_delivery("block", 3, 40, [(dst, delay)], 1)
     assert buf.getvalue().split("\r\n")[1:] == ["block,3,1,40,52", "block,3,2,40,49",
                                                  "block,3,1,40,70", ""]
     assert grouped.aggregate_table() == single.aggregate_table() == {
@@ -86,9 +86,9 @@ def member_by_member(groups):
     return aggregates
 
 
-delivery_groups = st.lists(st.tuples(
-    st.integers(1, 3), st.lists(st.tuples(st.integers(1, 4), st.integers(0, 40)),
-                                min_size=1, max_size=5)), max_size=40)
+group_members = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 40)),
+                         min_size=1, max_size=5)
+delivery_groups = st.lists(st.tuples(st.integers(1, 3), group_members), max_size=40)
 
 
 @given(delivery_groups, st.integers(1, 6))
@@ -96,13 +96,27 @@ def test_the_bulk_fold_equals_a_member_by_member_fold(groups, fold_groups):
     recorder = RunRecorder()
     with mock.patch.object(reporting, "FOLD_GROUPS", fold_groups):
         for i, (src, members) in enumerate(groups):
-            recorder.record_delivery("transaction", src, i, members)
+            recorder.record_delivery("transaction", src, i, members, 1)
         table = recorder.aggregate_table()
     expected = member_by_member(groups)
     assert recorder.aggregates == expected
     assert table == {f"{src}->{dst}": {"count": n, "mean_ms": round(total / n, 3),
                                        "max_ms": peak}
                      for (src, dst), (n, total, peak) in sorted(expected.items())}
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), group_members, st.integers(1, 4)), max_size=30),
+       st.integers(1, 6))
+def test_a_group_of_k_bodies_records_what_k_one_body_groups_would(groups, fold_groups):
+    sinks = [io.StringIO(newline=""), io.StringIO(newline="")]
+    counted, one_by_one = (RunRecorder(record_sink=propagation_writer(sink)) for sink in sinks)
+    with mock.patch.object(reporting, "FOLD_GROUPS", fold_groups):
+        for i, (src, members, times) in enumerate(groups):
+            counted.record_delivery("transaction", src, i, members, times)
+            for _ in range(times):
+                one_by_one.record_delivery("transaction", src, i, members, 1)
+        assert counted.aggregate_table() == one_by_one.aggregate_table()
+    assert sinks[0].getvalue() == sinks[1].getvalue()  # every body's rows, in order
 
 
 def test_a_run_past_the_fold_threshold_folds_every_group():
@@ -112,7 +126,7 @@ def test_a_run_past_the_fold_threshold_folds_every_group():
               for _ in range(2 * reporting.FOLD_GROUPS + 5)]
     recorder = RunRecorder()
     for src, members in groups:
-        recorder.record_delivery("block", src, 0, members)
+        recorder.record_delivery("block", src, 0, members, 1)
     assert recorder.aggregates  # folded twice before the table was asked for
     recorder.aggregate_table()
     assert recorder.aggregates == member_by_member(groups)
