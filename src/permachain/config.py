@@ -7,7 +7,7 @@ refused with a ConfigError that names the field.
 
 from __future__ import annotations
 
-from .distributions import (MAX_MS, brief, check_number, check_object, int_cell, is_int,
+from .distributions import (MAX_MS, brief, check_number, check_object, int_cell,
                             latency_table, processing_delays, round_half_up_ms)
 from .errors import ConfigError
 
@@ -78,9 +78,7 @@ class RunConfig:
             raise ConfigError("authority_rule of kind 'column' takes no 'threshold'")
         if kind == "location_threshold":
             threshold = rule.get("threshold", 4)
-            if not is_int(threshold):
-                raise ConfigError(f"authority_rule.threshold must be an integer, "
-                                  f"got {brief(threshold)}")
+            check_number("authority_rule.threshold", threshold, 0, MAX_MS, integer=True)
             self.authority_rule = {**rule, "threshold": threshold}  # the echo shows the default
         if self.tx_broadcast_interval_ms is None:
             self.tx_broadcast_interval_ms = self.block_interval_ms

@@ -41,9 +41,9 @@ def value_eq(self, other) -> bool:
 
 
 class Transaction:
-    """An immutable value by convention: its serialization is memoized on first use."""
+    """An immutable value by convention."""
 
-    __slots__ = ("tx_id", "origin", "payload", "created_at", "day", "_ser")
+    __slots__ = ("tx_id", "origin", "payload", "created_at", "day")
 
     def __init__(self, tx_id: int, origin: int, payload: str, created_at: int, day: int):
         self.tx_id = tx_id
@@ -51,21 +51,15 @@ class Transaction:
         self.payload = payload
         self.created_at = created_at
         self.day = day
-        self._ser = None
 
     __eq__ = value_eq
 
     def serialize(self) -> bytes:
-        cached = self._ser
-        if cached is None:  # hot path: each block that carries the transaction reads it
-            raw = self.payload.encode("utf-8")
-            cached = self._ser = (
-                struct.pack("<QQI", self.tx_id & DIGEST_MASK, self.origin & DIGEST_MASK,
+        raw = self.payload.encode("utf-8")
+        return (struct.pack("<QQI", self.tx_id & DIGEST_MASK, self.origin & DIGEST_MASK,
                             len(raw))
                 + raw
-                + struct.pack("<QQ", self.created_at & DIGEST_MASK, self.day & DIGEST_MASK)
-            )
-        return cached
+                + struct.pack("<QQ", self.created_at & DIGEST_MASK, self.day & DIGEST_MASK))
 
 
 class Block:

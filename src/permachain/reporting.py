@@ -3,15 +3,13 @@
 The recorder folds every transaction and block delivery into exact per-pair
 propagation-delay aggregates and, when given a sink, streams each delivery as
 one raw row of an opt-in propagation CSV as it happens. A delivery group is
-recorded once with its body count k, and writes its rows k times. Groups wait
-in a per-source buffer of at most FOLD_GROUPS; a fold, when it fills and as
-`aggregate_table` starts, counts each source's buffered (dst, delay) pairs, k
-times each, and adds each distinct one n times, as a body-by-body fold would.
-Raw deliveries are never held beyond the buffer. It also keeps message
-counters by kind, the view-change log, and a timeline of (sim_time_ms,
-node_id, chain_height, current_view) rows. At the end of a run `build_report`
-assembles a schema-versioned JSON report from the recorder, the nodes' chains
-and the per-day results; the timeline is the optional plot-ready CSV.
+recorded once with its body count k: each member's pair gains k deliveries of
+its delay, as a body-by-body fold would, and its rows are written k times. Raw
+deliveries are never held. It also keeps message counters by kind, the
+view-change log, and a timeline of (sim_time_ms, node_id, chain_height,
+current_view) rows. At the end of a run `build_report` assembles a
+schema-versioned JSON report from the recorder, the nodes' chains and the
+per-day results; the timeline is the optional plot-ready CSV.
 
 Outputs are byte-stable for a fixed (configuration, seed): keys are sorted,
 row order is dispatch order, and no wall-clock data is embedded.
@@ -21,8 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter, defaultdict
-from itertools import chain
+from collections import Counter
 from pathlib import Path
 
 from .errors import ConsistencyError
@@ -33,9 +30,6 @@ SCHEMA_VERSION = 2
 TIMESERIES_COLUMNS = ("sim_time_ms", "node_id", "chain_height", "current_view")
 PROPAGATION_COLUMNS = ("kind", "src", "dst", "sent_at", "delivered_at")
 
-# Delivery groups the recorder buffers before it folds them into the aggregates.
-FOLD_GROUPS = 4096
-
 
 class RunRecorder:
     def __init__(self, engine=None, record_sink=None):
@@ -44,9 +38,7 @@ class RunRecorder:
         self.record_sink = record_sink
         self.message_counts: Counter = Counter()
         self.drop_counts: Counter = Counter()
-        self.aggregates: dict = {}  # (src, dst) -> [count, sum, max], folded groups only
-        self._buffer: defaultdict = defaultdict(list)  # src -> member lists not yet folded
-        self._buffered = 0  # groups in _buffer
+        self.aggregates: dict = {}  # (src, dst) -> [count, sum, max]
         self.timeline: list = []    # csv rows, dispatch order
         self.view_change_log: list = []  # (t, node, old, new)
 
@@ -62,30 +54,19 @@ class RunRecorder:
                         members: list[tuple[int, int]], times: int) -> None:
         """Record one delivery group of `times` bodies: `members` lists (dst, delay)
         in delivery order, and each body is delivered to every member."""
-        self._buffer[src].append(members * times)
-        self._buffered += 1
-        if self._buffered >= FOLD_GROUPS:
-            self._fold()
+        aggregates = self.aggregates
+        for dst, delay in members:
+            agg = aggregates.get((src, dst))
+            if agg is None:
+                aggregates[src, dst] = [times, delay * times, delay]
+            else:
+                agg[0] += times
+                agg[1] += delay * times
+                if delay > agg[2]:
+                    agg[2] = delay
         if self.record_sink is not None:
             self.record_sink.writerows([(kind, src, dst, sent_at, sent_at + delay)
                                         for dst, delay in members] * times)
-
-    def _fold(self) -> None:
-        """Add every buffered group to the aggregates, one update per distinct
-        (src, dst, delay), and empty the buffer."""
-        aggregates = self.aggregates
-        for src, groups in self._buffer.items():
-            for (dst, delay), n in Counter(chain.from_iterable(groups)).items():
-                agg = aggregates.get((src, dst))
-                if agg is None:
-                    aggregates[src, dst] = [n, delay * n, delay]
-                else:
-                    agg[0] += n
-                    agg[1] += delay * n
-                    if delay > agg[2]:
-                        agg[2] = delay
-        self._buffer.clear()
-        self._buffered = 0
 
     # -- node hooks ----------------------------------------------------------
 
@@ -100,7 +81,6 @@ class RunRecorder:
     # -- aggregate views ------------------------------------------------------
 
     def aggregate_table(self) -> dict:
-        self._fold()
         out = {}
         for (src, dst), (count, total, peak) in sorted(self.aggregates.items()):
             out[f"{src}->{dst}"] = {

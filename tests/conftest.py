@@ -2,9 +2,10 @@
 
 The `shared_run` fixture runs each bundled scenario and `tests/fixtures` input
 at most once per session. The golden pins, the CLI byte check, the no-cycles,
-conservation and vote-tally tests, the seed test and acceptance criteria 1, 2,
-4 and 7 read that run instead of their own. It is read-only: a test that
-changed its result or its files would change what later tests read.
+conservation and vote-tally tests, the seed test, the merged-batch check against
+the reference model and acceptance criteria 1, 2, 4 and 7 read that run instead
+of their own. It is read-only: a test that changed its result or its files
+would change what later tests read.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # Every bundled scenario, then every input under tests/fixtures.
 BUNDLED_INPUTS = ([name for name, _ in list_scenarios()]
                   + sorted(p.name for p in FIXTURES.iterdir() if p.is_dir()))
+
+# The bundled scenarios whose shared run streams propagation.csv, as every
+# fixture's does: the inputs whose merged batches are checked against the
+# reference model.
+RECORDED_SCENARIOS = ("pbft-viewchange", "poa-baseline", "situation1-desk")
 
 FAST_NET = {
     "latency": {"default": {"kind": "constant", "ms": 10}},
@@ -118,26 +124,30 @@ def small_world() -> World:
 
 class SharedRun:
     """One run of a bundled input, loaded and written as `main` does with `--emit-csv`
-    (and, for a fixture, `--emit-records`), with the cyclic collector off.
+    (and, for a fixture or one of RECORDED_SCENARIOS, `--emit-records`), with the
+    cyclic collector off.
 
     `argv` loads the input; `received`: body kind -> bodies handed to a node;
-    `unreachable`: what `gc.collect()` found right after `run_all`; `elapsed`:
-    the run's wall seconds; `out`: the directory of the files `main` writes.
+    `receive_calls`: the calls that handed them; `unreachable`: what
+    `gc.collect()` found right after `run_all`; `elapsed`: the run's wall
+    seconds; `out`: the directory of the files `main` writes.
     """
 
     def __init__(self, name: str, out: Path):
-        fixture = FIXTURES / name
         self.argv = input_argv(name)
         self.out = out
         config, table, schedule = load_inputs(self.argv)
         self.received = Counter()
+        self.receive_calls = 0
         receive = Node.receive
 
         def counting_receive(node, sender, bodies):
+            self.receive_calls += 1
             self.received.update(m.kind_of(body) for body in bodies)
             receive(node, sender, bodies)
 
-        with (open(out / "propagation.csv", "w", newline="") if fixture.is_dir()
+        recorded = (FIXTURES / name).is_dir() or name in RECORDED_SCENARIOS
+        with (open(out / "propagation.csv", "w", newline="") if recorded
               else contextlib.nullcontext()) as records:
             gc.collect()  # the garbage of earlier tests and of parsing
             gc.disable()  # here, so that run_all's restore cannot collect first

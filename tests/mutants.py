@@ -112,6 +112,15 @@ MUTANTS = [
      "            if tx.tx_id not in committed:\n                pool.setdefault",
      "            pool.setdefault",
      [f"{NETWORK}::test_the_gossip_handler_takes_a_batch_in_one_call"]),
+    ("group_fold_ignores_its_bodies", "reporting.py",
+     "agg[0] += times", "agg[0] += 1",
+     ["tests/test_reporting.py::test_a_group_of_k_bodies_adds_k_deliveries_to_a_recorded_pair",
+      "tests/test_reporting.py::test_a_group_of_k_bodies_records_what_k_one_body_groups_would"]),
+    ("fold_keeps_the_least_delay", "reporting.py",
+     "if delay > agg[2]:", "if delay < agg[2]:",
+     ["tests/test_reporting.py::test_aggregates_match_bruteforce_mean_and_max",
+      "tests/test_reporting.py::test_a_delivery_group_is_recorded_member_by_member",
+      "tests/test_reporting.py::test_the_bulk_fold_equals_a_member_by_member_fold"]),
     ("emptied_instant_read_as_holding_an_event", "engine.py",
      "elif bucket and bucket[-1][0] == target:", "elif bucket[-1][0] == target:",
      ["tests/test_engine.py::test_a_raise_drops_the_rest_of_its_own_list"]),

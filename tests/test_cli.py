@@ -415,6 +415,11 @@ HUGE = 10**5000
                  "block_interval_ms must be an integer in [1, 1000000000], "
                  "got -<int of 16610 bits>",
                  id="config_field"),
+    pytest.param(lambda: RunConfig("pbft", authority_rule={"kind": "location_threshold",
+                                                           "threshold": HUGE}), ConfigError,
+                 "authority_rule.threshold must be an integer in [0, 1000000000], "
+                 "got <int of 16610 bits>",
+                 id="authority_threshold"),
     pytest.param(lambda: parse_node_rows([dict(VALID_ROWS[0], location=HUGE)]), NodeTableError,
                  "row 1: location <int of 16610 bits> has too many digits", id="node_location"),
 ])
@@ -652,9 +657,9 @@ def test_incomplete_delay_table_fails_before_any_output(tmp_path, capsys, protoc
 
 def test_emit_records_streams_every_delivery_to_propagation_csv(tmp_path, shared_run):
     # main writes the bytes of each input's shared run, which the golden pins check;
-    # poa-baseline's shared run streams no records, so streaming them changes no
+    # poet-baseline's shared run streams no records, so streaming them changes no
     # report byte, and the smallest fixture's does, so a second run's must match
-    for name in ("poa-baseline", "empirical-pbft"):
+    for name in ("poet-baseline", "empirical-pbft"):
         run, out = shared_run(name), tmp_path / name
         assert main([*run.argv, "--out", str(out), "--emit-csv", "--emit-records"]) == EXIT_OK
         for path in run.out.iterdir():

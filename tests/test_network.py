@@ -10,7 +10,7 @@ from functools import partial
 
 import pytest
 
-from conftest import BUNDLED_INPUTS, input_argv
+from conftest import BUNDLED_INPUTS, RECORDED_SCENARIOS, input_argv
 from permachain import messages as m, orchestrator
 from permachain.cli import EXIT_OK, main
 from permachain.distributions import (Distribution, latency_table, processing_delays,
@@ -509,33 +509,35 @@ def test_broadcast_refuses_a_list_of_other_bodies(bodies):
     assert recorder.message_counts == {} and recorder.hook_calls == []
 
 
+OUTPUTS = ("report.json", "timeseries.csv", "propagation.csv")
+
+
 def cli_outputs(argv, out, monkeypatch, engine, network):
     """The report, timeseries and propagation bytes that `main` writes for `argv`
     with `engine` and `network` swapped into the orchestrator."""
     monkeypatch.setattr(orchestrator, "EventEngine", engine)
     monkeypatch.setattr(orchestrator, "Network", network)
     assert main([*argv, "--out", str(out), "--emit-csv", "--emit-records"]) == EXIT_OK
-    return [(out / f).read_bytes() for f in ("report.json", "timeseries.csv", "propagation.csv")]
+    return [(out / f).read_bytes() for f in OUTPUTS]
 
 
-@pytest.mark.parametrize("name", ["poa-baseline", "situation1-desk", "pbft-viewchange"])
-def test_merged_batches_write_the_bytes_of_unmerged_ones(name, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", RECORDED_SCENARIOS)
+def test_merged_batches_write_the_bytes_of_unmerged_ones(name, shared_run, tmp_path,
+                                                         monkeypatch):
     # the reference model (tests/reference.py) delivers one body to one recipient per event
+    run = shared_run(name)  # the real network's run, before receive is patched
     receive = Node.receive
-    calls = []
+    calls = 0
 
     def counting_receive(node, sender, bodies):
-        calls[-1] += 1
+        nonlocal calls
+        calls += 1
         receive(node, sender, bodies)
 
     monkeypatch.setattr(Node, "receive", counting_receive)
-    outputs = []
-    for engine, network in ((EventEngine, Network), (RefEngine, RefNetwork)):
-        calls.append(0)
-        outputs.append(cli_outputs(["--scenario", name], tmp_path / network.__name__,
-                                   monkeypatch, engine, network))
-    assert outputs[0] == outputs[1]
-    assert calls[0] < calls[1]  # the real network did merge some batches
+    naive = cli_outputs(run.argv, tmp_path, monkeypatch, RefEngine, RefNetwork)
+    assert [(run.out / f).read_bytes() for f in OUTPUTS] == naive
+    assert run.receive_calls < calls  # the real network did merge some batches
 
 
 @pytest.mark.long

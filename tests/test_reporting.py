@@ -2,14 +2,11 @@
 
 import io
 import json
-import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import quick_run
-from permachain import reporting
 from permachain.errors import ConsistencyError
 from permachain.reporting import (RunRecorder, check_benign_consistency, emit_json,
                                   emit_timeseries_csv, propagation_writer)
@@ -74,6 +71,15 @@ def test_a_delivery_group_is_recorded_member_by_member():
         "3->2": {"count": 1, "mean_ms": 9.0, "max_ms": 9}}
 
 
+def test_a_group_of_k_bodies_adds_k_deliveries_to_a_recorded_pair():
+    recorder = RunRecorder()
+    recorder.record_delivery("block", 1, 0, [(2, 10)], 1)
+    recorder.record_delivery("transaction", 1, 5, [(2, 4), (3, 6)], 3)
+    assert recorder.aggregate_table() == {
+        "1->2": {"count": 4, "mean_ms": 5.5, "max_ms": 10},
+        "1->3": {"count": 3, "mean_ms": 6.0, "max_ms": 6}}
+
+
 def member_by_member(groups):
     """(src, dst) -> [count, sum, max], folded one delivery at a time."""
     aggregates = {}
@@ -91,13 +97,12 @@ group_members = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 40)),
 delivery_groups = st.lists(st.tuples(st.integers(1, 3), group_members), max_size=40)
 
 
-@given(delivery_groups, st.integers(1, 6))
-def test_the_bulk_fold_equals_a_member_by_member_fold(groups, fold_groups):
+@given(delivery_groups)
+def test_the_bulk_fold_equals_a_member_by_member_fold(groups):
     recorder = RunRecorder()
-    with mock.patch.object(reporting, "FOLD_GROUPS", fold_groups):
-        for i, (src, members) in enumerate(groups):
-            recorder.record_delivery("transaction", src, i, members, 1)
-        table = recorder.aggregate_table()
+    for i, (src, members) in enumerate(groups):
+        recorder.record_delivery("transaction", src, i, members, 1)
+    table = recorder.aggregate_table()
     expected = member_by_member(groups)
     assert recorder.aggregates == expected
     assert table == {f"{src}->{dst}": {"count": n, "mean_ms": round(total / n, 3),
@@ -105,31 +110,16 @@ def test_the_bulk_fold_equals_a_member_by_member_fold(groups, fold_groups):
                      for (src, dst), (n, total, peak) in sorted(expected.items())}
 
 
-@given(st.lists(st.tuples(st.integers(1, 3), group_members, st.integers(1, 4)), max_size=30),
-       st.integers(1, 6))
-def test_a_group_of_k_bodies_records_what_k_one_body_groups_would(groups, fold_groups):
+@given(st.lists(st.tuples(st.integers(1, 3), group_members, st.integers(1, 4)), max_size=30))
+def test_a_group_of_k_bodies_records_what_k_one_body_groups_would(groups):
     sinks = [io.StringIO(newline=""), io.StringIO(newline="")]
     counted, one_by_one = (RunRecorder(record_sink=propagation_writer(sink)) for sink in sinks)
-    with mock.patch.object(reporting, "FOLD_GROUPS", fold_groups):
-        for i, (src, members, times) in enumerate(groups):
-            counted.record_delivery("transaction", src, i, members, times)
-            for _ in range(times):
-                one_by_one.record_delivery("transaction", src, i, members, 1)
-        assert counted.aggregate_table() == one_by_one.aggregate_table()
+    for i, (src, members, times) in enumerate(groups):
+        counted.record_delivery("transaction", src, i, members, times)
+        for _ in range(times):
+            one_by_one.record_delivery("transaction", src, i, members, 1)
+    assert counted.aggregate_table() == one_by_one.aggregate_table()
     assert sinks[0].getvalue() == sinks[1].getvalue()  # every body's rows, in order
-
-
-def test_a_run_past_the_fold_threshold_folds_every_group():
-    rng = random.Random(7)
-    groups = [(rng.randint(1, 5), [(rng.randint(1, 9), rng.randint(0, 99))
-                                   for _ in range(rng.randint(1, 4))])
-              for _ in range(2 * reporting.FOLD_GROUPS + 5)]
-    recorder = RunRecorder()
-    for src, members in groups:
-        recorder.record_delivery("block", src, 0, members, 1)
-    assert recorder.aggregates  # folded twice before the table was asked for
-    recorder.aggregate_table()
-    assert recorder.aggregates == member_by_member(groups)
 
 
 def test_emit_json_byte_identical_for_same_seed(tmp_path):
