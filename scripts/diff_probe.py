@@ -9,9 +9,11 @@ the CLI. For each input the script prints the index, the protocol, the
 authority count and either the SHA-256 of the model's outputs (report JSON,
 timeline, every node's stats) followed by the engine's scheduled, dispatched
 and discarded event counts, or ``ERR <message>`` when the run stops on a
-simulator error. The inputs depend only on --seed and --count, so two
-checkouts print the same hashes exactly when the model behaves the same; the
-trailing counts differ alone when only the event bookkeeping changed.
+simulator error or its benign nodes disagree on a committed block (the check
+that report emission makes: ``ERR benign nodes A and B disagree ...``). The
+inputs depend only on --seed and --count, so two checkouts print the same
+hashes exactly when the model behaves the same; the trailing counts differ
+alone when only the event bookkeeping changed.
 
 Usage: python scripts/diff_probe.py [--count 100] [--seed 0]
 """
@@ -25,6 +27,7 @@ from permachain.config import RunConfig
 from permachain.errors import PermachainError
 from permachain.nodetable import parse_node_rows
 from permachain.orchestrator import run_all
+from permachain.reporting import check_benign_consistency
 from permachain.workload import parse_schedule
 
 PBFT_SIZES = (1, 4, 5, 7, 8, 9, 10)  # 2, 3 and 6 authorities are refused
@@ -70,6 +73,7 @@ def fingerprint(config: dict, rows: list, transactions: dict) -> str:
     schedule = parse_schedule(transactions, set(table.ids))
     try:
         result = run_all(run_config, table, schedule)
+        check_benign_consistency(result.report["nodes"], result.world.benign)
     except PermachainError as exc:
         return f"ERR {exc}"
     world = result.world

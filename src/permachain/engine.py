@@ -9,8 +9,10 @@ target of the last event queued at its instant joins that event's list, so
 delivery groups (see network.py) or of control calls, not items.
 
 Randomness is never drawn from a global generator: every (node, purpose) pair
-owns an independent named stream, so adding or removing one node cannot
-perturb the draws of any other node. A stream is a stdlib `random.Random`, and
+owns an independent named stream, whose values depend on (seed, node, purpose)
+alone. Which draw serves which delivery does not: a sender draws its recipients'
+latencies from one stream in recipient order, so adding or removing a node can
+shift the draws of another. A stream is a stdlib `random.Random`, and
 callers take only `random()` from it: that is the one sequence the Python docs
 promise to reproduce for a given seed across versions.
 """
@@ -32,8 +34,6 @@ class RngStreams:
     """Independent, reproducible RNG streams keyed by (node id, purpose tag)."""
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed must be a non-negative integer")
         self.seed = seed
         self._streams: dict[tuple[int, str], random.Random] = {}
 
@@ -129,10 +129,7 @@ class EventEngine:
                     target, payload = bucket[i]
                     i += 1
                     self.dispatched_count += 1
-                    handler = handlers.get(target)
-                    if handler is None:
-                        raise KeyError(f"no handler registered for event target {target}")
-                    handler(payload)
+                    handlers[target](payload)
             except BaseException:
                 del bucket[:i]  # a raising handler leaves the rest of its instant queued
                 raise

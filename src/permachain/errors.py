@@ -17,10 +17,6 @@ class ScheduleError(ConfigError):
     """Malformed transaction-load schedule; the message names the day and node."""
 
 
-class UnknownNodeError(PermachainError):
-    """A message was addressed to a node id that is not registered."""
-
-
 class ParentMismatch(PermachainError):
     """Block's parent digest does not match the chain tip."""
 

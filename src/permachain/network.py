@@ -17,8 +17,8 @@ probability above 0 has one), then, if not dropped, one on the sender's
 ``latency`` stream and one on the recipient's ``processing-delay`` stream. A
 constant model consumes no draw: a latency is sampled once per pair, as its
 route is built, and a processing delay once per call. A list of k bodies
-draws exactly what k one-body calls would, and an unknown recipient is
-refused before any draw. Each node's Byzantine type, drop probability and
+draws exactly what k one-body calls would, and an unknown recipient raises
+`KeyError` before any draw. Each node's Byzantine type, drop probability and
 ``receive(sender, bodies)`` are fixed when it registers.
 
 A body's recipients that share a total delay form a group (a group of one
@@ -49,7 +49,6 @@ from collections.abc import Callable
 from . import messages as m
 from .distributions import BLOCK, TRANSACTION, DelayTable, Distribution
 from .engine import EventEngine, RngStreams
-from .errors import UnknownNodeError
 from .faults import ByzantineType, should_drop
 
 
@@ -90,9 +89,7 @@ class Network:
         in turn, from `src` to every recipient but `src`.
 
         Returns how many deliveries were scheduled; the others were dropped."""
-        out = self._outbound.get(src)
-        if out is None:
-            raise UnknownNodeError(f"unknown sender {src}")
+        out = self._outbound[src]
         if isinstance(body, list):
             bodies = body
             if set(map(type, bodies)) != {m.TxGossip}:
@@ -132,8 +129,6 @@ class Network:
         """Build and keep `src`'s route to `dst`: (dst, latency model, (dst, latency)
         if the model is constant else None, src's latency stream, dst's
         processing-delay stream). Draws nothing."""
-        if dst not in self._locations:
-            raise UnknownNodeError(f"unknown recipient {dst}")
         model = self.latency.model_for((self._locations[src], self._locations[dst]))
         member = None if model.fixed_ms is None else (dst, model.sample_ms(out[2]))
         return out[1].setdefault(dst, (dst, model, member, out[2], self._delay_rng[dst]))

@@ -1,14 +1,13 @@
 """State and behaviour every node shares, whatever its protocol.
 
 Each network message class names the handler method that consumes it (see
-messages.py); a node class that lacks that method counts the body under
-``unhandled_<Kind>`` in its stats and otherwise ignores it. The network calls
-`receive(sender, bodies)` once per member of a delivery group, after it has
-recorded the group's transaction or block deliveries; `bodies` is a list of
-bodies of one class (more than one only for an injection batch of
-``TxGossip``), and `receive` resolves their handler once: `on_gossip` takes
-the whole list, and any other handler is called once per body, in order.
-Every class takes (node_id, byz, world).
+messages.py), and every node class has the handlers of the bodies its
+protocol sends it. The network calls `receive(sender, bodies)` once per
+member of a delivery group, after it has recorded the group's transaction or
+block deliveries; `bodies` is a list of bodies of one class (more than one
+only for an injection batch of ``TxGossip``), and `receive` resolves their
+handler once: `on_gossip` takes the whole list, and any other handler is
+called once per body, in order. Every class takes (node_id, byz, world).
 
 `_accept` is the one in-order block path: a valid block above the next height
 is held in `_ahead` until the blocks below it have been appended.
@@ -24,8 +23,6 @@ from .workload import TransactionPool
 
 def primary_of(turn: int, authorities: list[int]) -> int:
     """Round-robin: a pbft view's primary, or poa's proposer above chain height `turn`."""
-    if not authorities:
-        raise ValueError("empty authority list")
     return authorities[turn % len(authorities)]
 
 
@@ -54,11 +51,8 @@ class Node:
 
     def receive(self, sender: int, bodies: list) -> None:
         name = bodies[0].handler
-        handler = getattr(self, name, None)
-        if handler is None:
-            key = "unhandled_" + m.kind_of(bodies[0])
-            self.stats[key] = self.stats.get(key, 0) + len(bodies)
-        elif name == "on_gossip":
+        handler = getattr(self, name)
+        if name == "on_gossip":
             handler(sender, bodies)
         else:
             for body in bodies:

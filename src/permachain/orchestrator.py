@@ -169,8 +169,6 @@ def emit_day(world: World, day: int, loads: dict[int, int]) -> int:
     config = world.config
     total = 0
     for node_id in sorted(loads):
-        if node_id not in world.nodes:
-            raise PermachainError(f"schedule references unknown node {node_id}")
         for tick, batch in enumerate(batches(loads[node_id], config.tx_spread_ticks)):
             at = config.block_interval_ms + tick * config.tx_broadcast_interval_ms
             world.engine.schedule(at, COORDINATOR, partial(world._inject, node_id, day, batch))
@@ -237,6 +235,7 @@ def run_all(config: RunConfig, table: NodeTable, schedule: LoadSchedule,
             records=None) -> SimulationResult:
     """Run every scheduled day and assemble the report (`records`: see World).
 
+    `schedule` must name only `table`'s nodes, which `parse_schedule` checks.
     The cyclic collector is off from the world's build to the report and is
     on again afterwards only if it was on before, also when the run raises.
     """

@@ -59,8 +59,6 @@ class QuorumRule:
 
 def quorum_params(n: int) -> QuorumRule:
     """Fault tolerance and vote threshold for n authorities."""
-    if n < 1:
-        raise ValueError("need at least one authority")
     f = (n - 1) // 3
     return QuorumRule(n=n, f=f, quorum=2 * f + 1)
 

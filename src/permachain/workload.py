@@ -37,8 +37,6 @@ class LoadSchedule:
         return sorted(self.counts)
 
     def loads_for(self, day: int) -> dict[int, int]:
-        if day not in self.counts:
-            raise ScheduleError(f"day {day} is out of the schedule's range")
         return self.counts[day]
 
 
@@ -51,7 +49,7 @@ def batches(count: int, spread_ticks: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(ticks)]
 
 
-def parse_schedule(data: dict, known_nodes: set[int] | None = None) -> LoadSchedule:
+def parse_schedule(data: dict, known_nodes: set[int]) -> LoadSchedule:
     days = check_object("schedule", data, ("days",), ("days",), ScheduleError)["days"]
     if not isinstance(days, list):
         raise ScheduleError(f"schedule 'days' must be a list, got {brief(days)}")
@@ -70,7 +68,7 @@ def parse_schedule(data: dict, known_nodes: set[int] | None = None) -> LoadSched
             node = int_cell(node_key)
             if node is None:
                 raise ScheduleError(f"{where}: node key {brief(node_key)} is not an integer")
-            if known_nodes is not None and node not in known_nodes:
+            if node not in known_nodes:
                 raise ScheduleError(f"{where}: unknown node key {brief(node_key)}")
             if not is_int(n) or not 0 <= n <= MAX_DAILY_LOAD:
                 raise ScheduleError(f"{where}, node {brief(node)}: count must be an integer "
@@ -80,7 +78,7 @@ def parse_schedule(data: dict, known_nodes: set[int] | None = None) -> LoadSched
     return LoadSchedule(counts)
 
 
-def load_schedule(path: str | Path, known_nodes: set[int] | None = None) -> LoadSchedule:
+def load_schedule(path: str | Path, known_nodes: set[int]) -> LoadSchedule:
     return parse_schedule(read_json(path, ScheduleError), known_nodes)
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ORCH, LEDGER, CLI = "tests/test_orchestrator.py", "tests/test_ledger.py", "tests/test_cli.py"
-NETWORK = "tests/test_network.py"
+NETWORK, PBFT = "tests/test_network.py", "tests/test_pbft.py"
 
 MUTANTS = [
     ("gc_enabled_unconditionally", "orchestrator.py",
@@ -115,7 +115,8 @@ MUTANTS = [
     ("group_fold_ignores_its_bodies", "reporting.py",
      "agg[0] += times", "agg[0] += 1",
      ["tests/test_reporting.py::test_a_group_of_k_bodies_adds_k_deliveries_to_a_recorded_pair",
-      "tests/test_reporting.py::test_a_group_of_k_bodies_records_what_k_one_body_groups_would"]),
+      "tests/test_reporting.py::test_a_group_of_k_bodies_records_what_k_one_body_groups_would",
+      f"{NETWORK}::test_repeated_injection_batches_write_the_bytes_of_the_reference_model"]),
     ("fold_keeps_the_least_delay", "reporting.py",
      "if delay > agg[2]:", "if delay < agg[2]:",
      ["tests/test_reporting.py::test_aggregates_match_bruteforce_mean_and_max",
@@ -124,6 +125,22 @@ MUTANTS = [
     ("emptied_instant_read_as_holding_an_event", "engine.py",
      "elif bucket and bucket[-1][0] == target:", "elif bucket[-1][0] == target:",
      ["tests/test_engine.py::test_a_raise_drops_the_rest_of_its_own_list"]),
+    ("non_primary_preprepare_accepted", "pbft.py",
+     '            self._count("preprepare_not_primary")\n            return\n',
+     '            self._count("preprepare_not_primary")\n',
+     [f"{PBFT}::test_wrong_view_and_non_primary_preprepares_ignored"]),
+    ("conflicting_preprepare_not_counted", "pbft.py",
+     '                self._count("preprepare_conflicting")\n', "                pass\n",
+     [f"{PBFT}::test_conflicting_preprepare_ignored"]),
+    ("invalid_poa_block_accepted", "poa.py",
+     '            self._count("block_invalid_digest")\n            return\n',
+     '            self._count("block_invalid_digest")\n',
+     ["tests/test_poa.py::test_invalid_block_digest_ignored"]),
+    ("fork_block_appended", "pbft.py",
+     '            self._count("fork_ignored")  # honest blocks do not extend my private fork\n'
+     "            return\n",
+     '            self._count("fork_ignored")\n',
+     [f"{PBFT}::test_active_replica_ignores_an_announced_block_off_its_private_fork"]),
 ]
 
 

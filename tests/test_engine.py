@@ -281,5 +281,3 @@ def test_rng_streams_differ_across_purposes_and_seeds():
     assert s.stream(1, "latency").random() != s.stream(1, "drop").random()
     assert RngStreams(8).stream(1, "latency").random() != \
         RngStreams(9).stream(1, "latency").random()
-    with pytest.raises(ValueError):
-        RngStreams(-1)

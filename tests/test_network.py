@@ -10,19 +10,20 @@ from functools import partial
 
 import pytest
 
-from conftest import BUNDLED_INPUTS, RECORDED_SCENARIOS, input_argv
+from conftest import BUNDLED_INPUTS, RECORDED_SCENARIOS, input_argv, make_config, make_table
 from permachain import messages as m, orchestrator
 from permachain.cli import EXIT_OK, main
 from permachain.distributions import (Distribution, latency_table, processing_delays,
                                       round_half_up_ms)
 from permachain.engine import EventEngine, RngStreams
-from permachain.errors import ConfigError, UnknownNodeError
+from permachain.errors import ConfigError
 from permachain.config import RunConfig
 from permachain.faults import ByzantineType
 from permachain.ledger import Transaction
 from permachain.network import Network
 from permachain.node import Node
-from permachain.reporting import RunRecorder
+from permachain.reporting import RunRecorder, emit_json
+from permachain.workload import parse_schedule
 from reference import RefEngine, RefNetwork
 
 
@@ -176,10 +177,11 @@ def test_send_schedules_delivery_after_latency_plus_processing():
 
 
 def test_unknown_recipient_raises():
+    # the loaders refuse an unknown node id; past them, one is a KeyError, never skipped
     _, net, _ = build_net(n_nodes=2)
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(KeyError):
         net.broadcast(1, gossip(), [99])
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(KeyError):
         net.broadcast(99, gossip(), [1])
 
 
@@ -540,6 +542,36 @@ def test_merged_batches_write_the_bytes_of_unmerged_ones(name, shared_run, tmp_p
     assert run.receive_calls < calls  # the real network did merge some batches
 
 
+def test_repeated_injection_batches_write_the_bytes_of_the_reference_model(tmp_path,
+                                                                          monkeypatch):
+    # two batches of three transactions a day from each origin, over two days, so
+    # each pair's later groups of several bodies fold into a pair already recorded
+    config = make_config(tx_spread_ticks=2)
+    table = make_table(4, n_followers=2)
+    schedule = parse_schedule({"days": [{"day": day, "loads": {"1": 6, "5": 6}}
+                                        for day in (1, 2)]}, set(table.ids))
+    groups = collections.Counter()  # (src, dst) -> groups of more than one body
+    record_delivery = RunRecorder.record_delivery
+
+    def counting(recorder, kind, src, sent_at, members, times):
+        groups.update((src, dst) for dst, _ in members if times > 1)
+        record_delivery(recorder, kind, src, sent_at, members, times)
+
+    monkeypatch.setattr(RunRecorder, "record_delivery", counting)
+    outputs = []
+    for engine, network in ((EventEngine, Network), (RefEngine, RefNetwork)):
+        monkeypatch.setattr(orchestrator, "EventEngine", engine)
+        monkeypatch.setattr(orchestrator, "Network", network)
+        out = tmp_path / network.__name__
+        out.mkdir()
+        with open(out / "propagation.csv", "w", newline="") as records:
+            result = orchestrator.run_all(config, table, schedule, records)
+        emit_json(result.report, out / "report.json")
+        outputs.append([(out / f).read_bytes() for f in ("report.json", "propagation.csv")])
+    assert outputs[0] == outputs[1]
+    assert groups == {(src, dst): 4 for src in (1, 5) for dst in range(1, 5) if dst != src}
+
+
 @pytest.mark.long
 @pytest.mark.parametrize("name", BUNDLED_INPUTS)
 def test_every_bundled_input_writes_the_bytes_of_the_reference_model(name, tmp_path,
@@ -553,7 +585,7 @@ def test_every_bundled_input_writes_the_bytes_of_the_reference_model(name, tmp_p
 def test_an_unknown_recipient_is_refused_before_any_draw():
     for byz in ({}, {1: 1}, {1: 2}):  # honest, active and passive (always dropping) senders
         engine, net, recorder = build_net(n_nodes=3, byz=byz, drop_prob=1.0, seed=2)
-        with pytest.raises(UnknownNodeError, match="unknown recipient 99"):
+        with pytest.raises(KeyError, match="99"):
             net.broadcast(1, gossip(), [2, 99])
         assert engine.scheduled_count == 0 and recorder.hook_calls == []
         for purpose in ("drop", "latency"):

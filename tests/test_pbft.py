@@ -48,8 +48,6 @@ def test_primary_rotates_and_wraps():
     assert primary_of(0, auths) == 1
     assert primary_of(13, auths) == 1
     assert primary_of(3, auths) == 4
-    with pytest.raises(ValueError):
-        primary_of(0, [])
 
 
 def block_at(height, parent, txs=(), view=0, proposer=1):
@@ -226,6 +224,22 @@ def test_active_tamperer_ignores_blocks_off_its_private_fork(tamperer, loads, se
     assert result.world.nodes[tamperer].stats["fork_ignored"] > 0
 
 
+def test_active_replica_ignores_an_announced_block_off_its_private_fork():
+    world = make_world(4, byzantine={2: 1})  # f = 1: quorum 3, announce threshold 2
+    r = world.nodes[2]
+    g = genesis_block().digest
+    private, honest = block_at(1, g), block_at(1, g, txs=(tx(1),))
+    r.receive(1, [m.PrePrepare(0, private)])  # the primary's vote and r's own
+    r.receive(3, [m.Prepare(0, 1, private.digest)])  # r's prepare quorum: it self-appends
+    assert r.chain.tip == private and "fork_ignored" not in r.stats
+    on_honest = block_at(2, honest.digest)
+    for sender in (3, 4):  # f+1 valid announcements of a block built on the other height 1
+        r.receive(sender, [m.BlockAnnounce(on_honest)])
+    assert r.stats["fork_ignored"] == 1
+    assert r.chain.height == 1 and r.chain.tip == private
+    assert r._ahead == {}
+
+
 def test_authority_catches_up_from_announcements():
     world = make_world(13)
     r = world.nodes[2]
@@ -256,25 +270,6 @@ def test_timeout_grace_doubles_per_failed_view():
     timers = [delay - world.config.block_interval_ms
               for delay, target in scheduled if target == COORDINATOR]
     assert timers == [base, 2 * base, 4 * base, base, 2 * base]
-
-
-GENESIS_CHILD = block_at(1, genesis_block().digest)
-
-
-@pytest.mark.parametrize("protocol, node_id, body", [
-    pytest.param("poa", 2, m.PrePrepare(0, GENESIS_CHILD), id="poa_node"),
-    pytest.param("pbft", 5, m.Prepare(0, 1, GENESIS_CHILD.digest), id="pbft_follower"),
-    pytest.param("pbft", 2, m.BlockMsg(GENESIS_CHILD), id="pbft_replica"),
-])
-def test_body_without_handler_is_counted_and_ignored(protocol, node_id, body):
-    world = make_world(4, n_followers=1, protocol=protocol)
-    node = world.nodes[node_id]
-    node.pool.add(tx(1))
-    node.receive(1, [body])
-    assert node.stats == {f"unhandled_{type(body).__name__}": 1}
-    assert node.chain.height == 0
-    assert len(node.pool) == 1
-    assert not world.recorder.message_counts
 
 
 def test_stale_timer_tokens_ignored():

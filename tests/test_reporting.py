@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -140,6 +141,17 @@ def test_emit_json_refuses_inconsistent_benign_chains(tmp_path):
     with pytest.raises(ConsistencyError):
         emit_json(report, tmp_path / "never.json")
     assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("protocol, ended_by", [("pbft", "guard"), ("poa", "empty-blocks")])
+def test_a_run_without_benign_nodes_writes_its_report(protocol, ended_by, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # poa warns that it ignores the Byzantine types
+        result = quick_run({1: {1: 3}}, n_authorities=4, byzantine={1: 1, 2: 2, 3: 1, 4: 2},
+                           protocol=protocol, day_length_ms=5000, empty_block_threshold=2)
+    assert result.days[0]["ended_by"] == ended_by
+    emit_json(result.report, tmp_path / "report.json")
+    assert json.loads((tmp_path / "report.json").read_text())["benign_nodes"] == []
 
 
 def test_check_benign_consistency_allows_prefixes():

@@ -17,10 +17,11 @@ SAMPLE = {
         {"day": 180, "loads": {"1": 10, "2": 31, "111": 97}},
     ]
 }
+SAMPLE_NODES = {1, 2, 111}
 
 
 def test_parse_known_cells():
-    sched = parse_schedule(SAMPLE)
+    sched = parse_schedule(SAMPLE, SAMPLE_NODES)
     assert sched.loads_for(1)[1] == 5
     assert sched.loads_for(2)[2] == 33
     assert sched.loads_for(180)[111] == 97
@@ -30,7 +31,7 @@ def test_parse_known_cells():
 def test_load_schedule_from_file(tmp_path):
     path = tmp_path / "loads.json"
     path.write_text(json.dumps(SAMPLE))
-    sched = load_schedule(path, known_nodes={1, 2, 111})
+    sched = load_schedule(path, SAMPLE_NODES)
     total = sum(sum(sched.loads_for(d).values()) for d in sched.days)
     assert total == 5 + 14 + 112 + 8 + 33 + 78 + 10 + 31 + 97
 
@@ -38,7 +39,7 @@ def test_load_schedule_from_file(tmp_path):
 def test_negative_count_names_the_cell():
     bad = {"days": [{"day": 3, "loads": {"2": -3}}]}
     with pytest.raises(ScheduleError) as err:
-        parse_schedule(bad)
+        parse_schedule(bad, SAMPLE_NODES)
     assert "day 3, node 2: count" in str(err.value)
 
 
@@ -52,12 +53,13 @@ def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "loads.json"
     path.write_text("{not json")
     with pytest.raises(ScheduleError):
-        load_schedule(path)
+        load_schedule(path, SAMPLE_NODES)
 
 
 def test_day_out_of_range():
-    sched = parse_schedule(SAMPLE)
-    with pytest.raises(ScheduleError):
+    # run_all asks only for the schedule's own days; any other is not read as no load
+    sched = parse_schedule(SAMPLE, SAMPLE_NODES)
+    with pytest.raises(KeyError):
         sched.loads_for(7)
 
 
