@@ -10,7 +10,9 @@ an exponential rate in [1 / MAX_MS, MAX_MS] per ms, so every draw and every
 mean is a finite number of milliseconds. A constant distribution holds its value as
 `fixed_ms` and consumes no draw.
 
-Every draw is a function of `rng.random()` alone, each u in [0, 1):
+`Distribution.sample_ms` is the one draw rule: every random latency and
+processing delay, and every poet lottery wait (poa.py), is its formula below on
+`rng.random()` alone, each u in [0, 1):
 
     uniform      lo + (hi - lo) * u
     normal       mean + std * sqrt(-2 log(1 - u1)) * cos(2 pi u2)   (Box-Muller)
@@ -24,6 +26,7 @@ import json
 import math
 import random
 import reprlib
+from math import cos, log, sqrt, tau
 
 from .errors import ConfigError
 
@@ -108,11 +111,6 @@ def round_half_up_ms(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def exponential(u: float, rate: float) -> float:
-    """An exponential variate with the given rate from one uniform u in [0, 1)."""
-    return -math.log(1.0 - u) / rate
-
-
 class Distribution:
     """A named delay distribution with millisecond-scale parameters.
 
@@ -121,12 +119,13 @@ class Distribution:
                 exponential: {rate} (per-ms, mean = 1/rate); empirical: {values}
 
     The constructor validates both and binds `fixed_ms` (a constant's value,
-    else None), `_draw` (every other kind: rng -> one draw in integer ms) and
-    `mean_ms` (the analytic mean before rounding; a normal's truncation bias
+    else None), `_numbers` (what `sample_ms` reads: uniform (lo, hi - lo),
+    normal (mean, std), exponential (rate,), empirical (rounded values, count))
+    and `mean_ms` (the analytic mean before rounding; a normal's truncation bias
     is ignored). An immutable value by convention.
     """
 
-    __slots__ = ("kind", "params", "fixed_ms", "_draw", "mean_ms")
+    __slots__ = ("kind", "params", "fixed_ms", "_numbers", "mean_ms")
 
     def __init__(self, kind: str, params: dict | None = None):
         p = {} if params is None else params
@@ -141,48 +140,45 @@ class Distribution:
                                   f"got {brief(value)}")
             for x in value if kind == "empirical" else (value,):
                 check_number(f"{kind} distribution's {name!r}", x, lo, hi)
-        # Each kind binds its mean and its draw: the module docstring's formula,
-        # rounded half-up as int(x + 0.5), equal to floor(x + 0.5) whenever
-        # x + 0.5 >= 0. Only a normal draw can be negative, so only it clips at 0.
         if kind == "constant":
             self.fixed_ms = round_half_up_ms(p["ms"])
-            mean, draw = p["ms"], None
+            mean, numbers = p["ms"], ()
         elif kind == "uniform":
             lo, hi = p["lo"], p["hi"]
             if lo > hi:
                 raise ConfigError(f"uniform distribution needs 'lo' <= 'hi', "
                                   f"got {brief(lo)} > {brief(hi)}")
-            span, mean = hi - lo, (lo + hi) / 2.0
-
-            def draw(rng):
-                return int(lo + span * rng.random() + 0.5)
+            mean, numbers = (lo + hi) / 2.0, (lo, hi - lo)
         elif kind == "normal":
-            mean, std = p["mean"], p["std"]
-
-            def draw(rng, sqrt=math.sqrt, log=math.log, cos=math.cos, tau=math.tau):
-                x = mean + std * sqrt(-2.0 * log(1.0 - rng.random())) * cos(tau * rng.random())
-                return int(x + 0.5) if x > -0.5 else 0
+            mean, numbers = p["mean"], (p["mean"], p["std"])
         elif kind == "exponential":
-            rate = p["rate"]
-            mean = 1.0 / rate
-
-            def draw(rng):
-                return int(exponential(rng.random(), rate) + 0.5)
+            mean, numbers = 1.0 / p["rate"], (p["rate"],)
         else:  # empirical
             values = p["values"]
-            rounded, n = tuple(int(v + 0.5) for v in values), len(values)
-            mean = math.fsum(values) / n  # statistics.fmean's arithmetic, without its import
-
-            def draw(rng):
-                return rounded[int(rng.random() * n)]
-        self._draw = draw
+            numbers = (tuple(int(v + 0.5) for v in values), len(values))
+            mean = math.fsum(values) / len(values)  # statistics.fmean's arithmetic, without its import
+        self._numbers = numbers
         self.mean_ms = float(mean)
 
     def sample_ms(self, rng: random.Random) -> int:
-        """Draw one delay in integer ms (>= 0); a constant draws nothing."""
-        if self.fixed_ms is not None:
-            return self.fixed_ms
-        return self._draw(rng)
+        """Draw one delay in integer ms (>= 0) by the module docstring's formula for
+        its kind; a constant draws nothing. Rounding half-up is int(x + 0.5), equal
+        to floor(x + 0.5) whenever x + 0.5 >= 0: only a normal draw can be
+        negative, so only it clips at 0."""
+        kind, numbers = self.kind, self._numbers
+        if kind == "uniform":
+            lo, span = numbers
+            return int(lo + span * rng.random() + 0.5)
+        if kind == "normal":
+            mean, std = numbers
+            x = mean + std * sqrt(-2.0 * log(1.0 - rng.random())) * cos(tau * rng.random())
+            return int(x + 0.5) if x > -0.5 else 0
+        if kind == "exponential":
+            return int(-log(1.0 - rng.random()) / numbers[0] + 0.5)
+        if kind == "empirical":
+            rounded, n = numbers
+            return rounded[int(rng.random() * n)]
+        return self.fixed_ms
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **self.params}

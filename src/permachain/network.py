@@ -16,7 +16,7 @@ are: one on the sender's ``drop`` stream (only a passive sender with a drop
 probability above 0 has one), then, if not dropped, one on the sender's
 ``latency`` stream and one on the recipient's ``processing-delay`` stream. A
 constant model consumes no draw: a latency is sampled once per pair, as its
-route is built, and a processing delay once per call. A list of k bodies
+route is built, and a processing delay is read as its `fixed_ms`. A list of k bodies
 draws exactly what k one-body calls would, and an unknown recipient raises
 `KeyError` before any draw. Each node's Byzantine type, drop probability and
 ``receive(sender, bodies)`` are fixed when it registers.
@@ -102,7 +102,7 @@ class Network:
         targets = [routes.get(dst) or self._route(src, dst, out)
                    for dst in recipients if dst != src]
         delay = self.delays.model_for(bodies[0].delay_kind)
-        fixed = None if delay.fixed_ms is None else delay.sample_ms(None)  # draws nothing
+        fixed = delay.fixed_ms
         send, schedule, now = self.send, self.engine.schedule, self.engine.now
         scheduled = 0
         last = shared = None  # the previous body's groups and the bodies they carry

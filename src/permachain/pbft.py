@@ -51,8 +51,7 @@ from .node import Node, primary_of
 
 
 class QuorumRule:
-    def __init__(self, n: int, f: int, quorum: int):
-        self.n = n
+    def __init__(self, f: int, quorum: int):
         self.f = f
         self.quorum = quorum
 
@@ -60,7 +59,7 @@ class QuorumRule:
 def quorum_params(n: int) -> QuorumRule:
     """Fault tolerance and vote threshold for n authorities."""
     f = (n - 1) // 3
-    return QuorumRule(n=n, f=f, quorum=2 * f + 1)
+    return QuorumRule(f=f, quorum=2 * f + 1)
 
 
 class PbftFollower(Node):

@@ -7,16 +7,16 @@ under these protocols (the model assumes no faulty nodes: every `PoaNode` is
 honest), which keeps every chain in the network digest-identical.
 
 The lottery variant differs only in leader selection: each round, every
-authority draws an exponential waiting time from its own stream, as
--log(1 - u) / rate from one `random()` u, and the lowest draw proposes the
-next block after that wait.
+authority draws an exponential waiting time of rate `poet_rate` from its own
+stream, by `Distribution.sample_ms`, and the lowest draw proposes the next
+block after that wait.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .distributions import exponential, round_half_up_ms
+from .distributions import Distribution
 from . import messages as m
 from .engine import COORDINATOR
 from .faults import ByzantineType
@@ -24,17 +24,12 @@ from .ledger import Block, compute_digest, make_block
 from .node import Node, primary_of
 
 
-def poet_elect(authorities: list[int], rate_per_ms: float, streams):
-    """One lottery round: lowest exponential draw wins, ties to lowest id.
-
-    Returns (leader, wait_ms) where wait_ms is the winning draw (>= 1 ms).
-    """
-    def draw(node: int) -> int:
-        u = streams.stream(node, "poet-draw").random()
-        return max(1, round_half_up_ms(exponential(u, rate_per_ms)))
-
-    wait, leader = min((draw(node), node) for node in authorities)
-    return leader, wait
+def poet_elect(authorities: list[int], wait: Distribution, streams):
+    """One lottery round: each authority draws `wait` (at least 1 ms) from its own
+    stream, and the lowest draw wins, ties to lowest id. Returns (leader, wait_ms)."""
+    wait_ms, leader = min((max(1, wait.sample_ms(streams.stream(node, "poet-draw"))), node)
+                          for node in authorities)
+    return leader, wait_ms
 
 
 class Lottery:
@@ -43,11 +38,12 @@ class Lottery:
 
     def __init__(self, world):
         self.world = world
+        self.wait = Distribution("exponential", {"rate": world.config.poet_rate})
         self._holders: Counter = Counter()  # height -> authorities that appended it
 
     def __call__(self) -> None:  # the winner proposes once its waiting time has passed
         world = self.world
-        leader, wait = poet_elect(world.authorities, world.config.poet_rate, world.streams)
+        leader, wait = poet_elect(world.authorities, self.wait, world.streams)
         world.engine.schedule(wait, COORDINATOR, world.nodes[leader].propose_lottery)
 
     def appended(self, block: Block) -> None:

@@ -49,6 +49,10 @@ MUTANTS = [
      "model = self.models.get(key, self.default)", "model = self.models.get(key)",
      [f"{LEDGER}::test_validation_delay_constant_and_fallback",
       f"{NETWORK}::test_pair_specific_model_with_default_fallback"]),
+    ("exponential_draw_multiplies_by_rate", "distributions.py",
+     "/ numbers[0] + 0.5)", "* numbers[0] + 0.5)",
+     [f"{NETWORK}::test_each_kind_draws_its_formula_from_random_alone[exponential-{rate}]"
+      for rate in ("0.05", "1e-09")] + ["tests/test_poa.py::test_poet_election_matches_min_oracle"]),
     ("world_cycle_kept", "orchestrator.py",
      "        world.engine._handlers.clear()\n        world.kickoff = None\n"
      "        for node in world.nodes.values():\n            node.world = None\n", "",

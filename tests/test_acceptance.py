@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_table, quick_run
 from permachain.cli import main
+from permachain.distributions import Distribution
 from permachain.engine import RngStreams
 from permachain.pbft import quorum_params
 from permachain.poa import poet_elect
@@ -182,8 +183,9 @@ def test_criterion_8_lottery_fairness():
     streams = RngStreams(2718)
     rounds = 10_000
     wins = Counter()
+    wait = Distribution("exponential", {"rate": 0.001})
     for _ in range(rounds):
-        leader, _wait = poet_elect([1, 2, 3, 4, 5], 0.001, streams)
+        leader, _wait = poet_elect([1, 2, 3, 4, 5], wait, streams)
         wins[leader] += 1
     elapsed = time.perf_counter() - start
     expected = rounds / 5

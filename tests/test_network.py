@@ -620,9 +620,9 @@ def test_a_constant_model_is_sampled_once_per_pair_or_per_broadcast(monkeypatch)
     engine.run_until_idle()
     assert len(log) == 10 * 4 + 2
     pair, default = table.model_for(("loc-1", "loc-3")), table.default
+    # the constant processing delay is read as its fixed_ms, never sampled
     assert counts == {id(pair): 2,     # routes 1->3 and 3->1
-                      id(default): 4,  # routes 1->2, 1->4, 1->5 and 3->2
-                      id(delays.default): 6}  # one per broadcast call
+                      id(default): 4}  # routes 1->2, 1->4, 1->5 and 3->2
     assert sorted({(s, d, at - sent) for _, s, d, sent, at in recorder.deliveries}) == \
         [(1, 2, 10), (1, 3, 5), (1, 4, 10), (1, 5, 10), (3, 1, 5), (3, 2, 10)]
 

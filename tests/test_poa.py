@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_world, quick_run
 from permachain.engine import RngStreams
-from permachain.distributions import round_half_up_ms
+from permachain.distributions import Distribution, round_half_up_ms
 from permachain.ledger import genesis_block, make_block
 from permachain import messages as m
 from permachain.node import primary_of
@@ -92,7 +92,7 @@ def test_byzantine_types_warn_and_are_ignored_under_poa():
 
 def test_poet_single_authority_always_wins():
     streams = RngStreams(5)
-    leader, wait = poet_elect([42], 0.001, streams)
+    leader, wait = poet_elect([42], Distribution("exponential", {"rate": 0.001}), streams)
     assert leader == 42 and wait >= 1
 
 
@@ -101,8 +101,9 @@ def test_poet_election_matches_min_oracle():
     auths = [3, 1, 4, 5, 9]
     rate = 0.002
     s1, s2 = RngStreams(123), RngStreams(123)
+    lottery_wait = Distribution("exponential", {"rate": rate})
     for _ in range(500):
-        leader, wait = poet_elect(auths, rate, s1)
+        leader, wait = poet_elect(auths, lottery_wait, s1)
         draws = {a: max(1, round_half_up_ms(
             -math.log(1 - s2.stream(a, "poet-draw").random()) / rate)) for a in auths}
         lowest = min(draws.values())
@@ -113,7 +114,7 @@ def test_poet_election_matches_min_oracle():
 def test_poet_ties_break_to_lowest_id():
     # a huge rate clamps every draw to the 1 ms floor, forcing a tie
     streams = RngStreams(1)
-    leader, wait = poet_elect([7, 3, 9], 1000.0, streams)
+    leader, wait = poet_elect([7, 3, 9], Distribution("exponential", {"rate": 1000.0}), streams)
     assert (leader, wait) == (3, 1)
 
 
@@ -146,8 +147,9 @@ def test_poet_fairness_quick():
     streams = RngStreams(2024)
     wins = Counter()
     rounds = 2000
+    wait = Distribution("exponential", {"rate": 0.001})
     for _ in range(rounds):
-        leader, _ = poet_elect([1, 2, 3, 4, 5], 0.001, streams)
+        leader, _ = poet_elect([1, 2, 3, 4, 5], wait, streams)
         wins[leader] += 1
     for a in (1, 2, 3, 4, 5):
         assert abs(wins[a] - rounds / 5) < 120
