@@ -12,12 +12,38 @@ mean is a finite number of milliseconds. A constant distribution holds its value
 
 `Distribution.sample_ms` is the one draw rule: every random latency and
 processing delay, and every poet lottery wait (poa.py), is its formula below on
-`rng.random()` alone, each u in [0, 1):
+`rng.random()` alone, each u in [0, 1), rounded half up as floor(x + 0.5) (an
+empirical value is rounded once, when the distribution is built):
 
     uniform      lo + (hi - lo) * u
     normal       mean + std * sqrt(-2 log(1 - u1)) * cos(2 pi u2)   (Box-Muller)
     exponential  -log(1 - u) / rate
     empirical    values[int(u * len(values))]
+
+Only a normal x can be negative, so only a normal draw clips at 0 (it is 0
+whenever x <= -0.5).
+
+A normal draw takes its result from u1 alone when u1 < t. With a = mean + 0.5
+as a float, k0 = floor(a), d the distance from a to the nearest integer,
+U = ulp(|mean| + 1), b = d - (d * 2**-20 + 4U), s = (b / std)**2 / 2 and
+W = exp(-s) * (1 + 2**-40), t is max(0, 1 - W); t = 0 when b <= 0, and t = 1
+when std = 0. Then u2 is still drawn, so the stream moves on as before, and the
+draw is k = max(k0, 0), which the formula gives too:
+  * u1 < t makes v = 1 - u1, as a float, at least W. If W >= 1/2, t = 1 - W
+    exactly and 1 - u1 > W. If W < 1/2 and u1 >= 1/2, v = 1 - u1 exactly, and
+    u1 and t are multiples of 2**-53 with t within 2**-54 of 1 - W, so
+    v >= 1 - t + 2**-53 > W. If u1 < 1/2, v >= 1/2 > W.
+  * W exceeds exp(-s) by far more than exp's rounding error, so -log v < s
+    (exp(-s) underflows only above s = 708, where t = 1 and every v >= 2**-53
+    has -log v < 37). log, sqrt and cos err by under an ulp and |cos| <= 1, so
+    the computed |std * sqrt(-2 log v) * cos| is below b * (1 + 2**-48) < d - 4U.
+  * So mean + 0.5 plus that product lies over 3.5U inside (k0, k0 + 1), and
+    the two float additions move it by at most U: floor(x + 0.5) = k0. If
+    k0 >= 0, then x + 0.5 > 0, so x > -0.5 and the draw is k0; if k0 < 0, then
+    x + 0.5 < 0 and the draw is 0.
+  * If std = 0, x = mean exactly, and the draw is max(floor(a), 0) = k.
+For the hyperledger-fabric preset, u1 < t on about 86% of consensus-message
+draws, 39% of transaction draws and 12% of block draws.
 """
 
 from __future__ import annotations
@@ -26,7 +52,7 @@ import json
 import math
 import random
 import reprlib
-from math import cos, log, sqrt, tau
+from math import cos, floor, log, sqrt, tau
 
 from .errors import ConfigError
 
@@ -108,7 +134,23 @@ def read_json(path, error=ConfigError):
 
 
 def round_half_up_ms(x: float) -> int:
-    return int(math.floor(x + 0.5))
+    return floor(x + 0.5)
+
+
+def _normal_numbers(mean, std) -> tuple:
+    """(mean, std, k, t): a normal draw is k whenever u1 < t (see the module docstring)."""
+    half = mean + 0.5
+    k0 = floor(half)
+    d = min(half - k0, k0 + 1 - half)
+    b = d - (d * 2**-20 + 4 * math.ulp(abs(mean) + 1))
+    if std == 0:
+        t = 1.0
+    elif b <= 0:
+        t = 0.0
+    else:
+        r = b / std
+        t = max(0.0, 1.0 - math.exp(-0.5 * (r * r)) * (1 + 2**-40))
+    return mean, std, max(k0, 0), t
 
 
 class Distribution:
@@ -120,7 +162,8 @@ class Distribution:
 
     The constructor validates both and binds `fixed_ms` (a constant's value,
     else None), `_numbers` (what `sample_ms` reads: uniform (lo, hi - lo),
-    normal (mean, std), exponential (rate,), empirical (rounded values, count))
+    normal (mean, std, k, t), exponential (rate,), empirical (rounded values,
+    count))
     and `mean_ms` (the analytic mean before rounding; a normal's truncation bias
     is ignored). An immutable value by convention.
     """
@@ -150,31 +193,34 @@ class Distribution:
                                   f"got {brief(lo)} > {brief(hi)}")
             mean, numbers = (lo + hi) / 2.0, (lo, hi - lo)
         elif kind == "normal":
-            mean, numbers = p["mean"], (p["mean"], p["std"])
+            mean, numbers = p["mean"], _normal_numbers(p["mean"], p["std"])
         elif kind == "exponential":
             mean, numbers = 1.0 / p["rate"], (p["rate"],)
         else:  # empirical
             values = p["values"]
-            numbers = (tuple(int(v + 0.5) for v in values), len(values))
+            numbers = (tuple(map(round_half_up_ms, values)), len(values))
             mean = math.fsum(values) / len(values)  # statistics.fmean's arithmetic, without its import
         self._numbers = numbers
         self.mean_ms = float(mean)
 
     def sample_ms(self, rng: random.Random) -> int:
         """Draw one delay in integer ms (>= 0) by the module docstring's formula for
-        its kind; a constant draws nothing. Rounding half-up is int(x + 0.5), equal
-        to floor(x + 0.5) whenever x + 0.5 >= 0: only a normal draw can be
-        negative, so only it clips at 0."""
+        its kind, rounded as floor(x + 0.5); a constant draws nothing. A normal
+        draw clips at 0, and takes the shortcut the module docstring proves."""
         kind, numbers = self.kind, self._numbers
         if kind == "uniform":
             lo, span = numbers
-            return int(lo + span * rng.random() + 0.5)
+            return floor(lo + span * rng.random() + 0.5)
         if kind == "normal":
-            mean, std = numbers
-            x = mean + std * sqrt(-2.0 * log(1.0 - rng.random())) * cos(tau * rng.random())
-            return int(x + 0.5) if x > -0.5 else 0
+            mean, std, k, t = numbers
+            u1 = rng.random()
+            if u1 < t:
+                rng.random()  # the angle the formula would have drawn
+                return k
+            x = mean + std * sqrt(-2.0 * log(1.0 - u1)) * cos(tau * rng.random())
+            return floor(x + 0.5) if x > -0.5 else 0
         if kind == "exponential":
-            return int(-log(1.0 - rng.random()) / numbers[0] + 0.5)
+            return floor(-log(1.0 - rng.random()) / numbers[0] + 0.5)
         if kind == "empirical":
             rounded, n = numbers
             return rounded[int(rng.random() * n)]

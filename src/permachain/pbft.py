@@ -7,7 +7,10 @@ height and the primary keeps a single fresh instance in flight at a time.
 Each vote is held once: `prepares` and `commits` map (view, height, digest)
 to its senders, and `preprepared` maps (view, height) to the proposed block.
 The tallies are defaultdicts written only by votes; every read uses `.get`,
-so a lookup never creates an entry.
+so a lookup never creates an entry. Votes that can no longer act cost little:
+a prepare is checked only once its tally reaches the quorum, a commit only
+above the chain's height, and an announcement at a height already appended is
+not tallied at all.
 
 Safety across views comes from prepare locks: a replica prepares at most one
 digest per height per view, and abandons a lock only for a proposal in a
@@ -82,6 +85,8 @@ class PbftFollower(Node):
         if compute_digest(block) != block.digest:
             self._count("announce_invalid_digest")
             return
+        if block.height <= self.chain.height:
+            return  # _accept would return at once: a tally at an appended height never acts
         senders = self.announcements[block.height, block.digest]
         senders.add(sender)
         if len(senders) == self.announce_threshold:
@@ -201,8 +206,13 @@ class PbftReplica(PbftFollower):
                                      self.world.authorities)
 
     def on_prepare(self, sender: int, msg: m.Prepare) -> None:
-        self.prepares[msg.view, msg.height, msg.digest].add(sender)
-        self._check_prepared(msg.view, msg.height)
+        senders = self.prepares[msg.view, msg.height, msg.digest]
+        senders.add(sender)
+        # preprepared[v, h] is stored only while self.view == v and is checked then,
+        # as is every later growth of its digest's tally; so a check can start to
+        # pass only at a prepare whose tally has reached the quorum
+        if len(senders) >= self.rule.quorum:
+            self._check_prepared(msg.view, msg.height)
 
     def _check_prepared(self, view: int, height: int) -> None:
         block = self.preprepared.get((view, height))
@@ -223,7 +233,11 @@ class PbftReplica(PbftFollower):
 
     def on_commit(self, sender: int, msg: m.Commit) -> None:
         self.commits[msg.view, msg.height, msg.digest].add(sender)
-        self._check_committed(msg.view, msg.height)
+        # at an appended height _accept returns at once; no quorum guard, since a
+        # commit for another digest re-runs _accept on a block that has its quorum
+        # (at a tamperer, counting fork_ignored again)
+        if msg.height > self.chain.height:
+            self._check_committed(msg.view, msg.height)
 
     def _check_committed(self, view: int, height: int) -> None:
         block = self.preprepared.get((view, height))

@@ -145,6 +145,22 @@ MUTANTS = [
      "            return\n",
      '            self._count("fork_ignored")\n',
      [f"{PBFT}::test_active_replica_ignores_an_announced_block_off_its_private_fork"]),
+    ("normal_shortcut_skips_second_uniform", "distributions.py",
+     "                rng.random()  # the angle the formula would have drawn\n", "",
+     ["tests/test_distributions.py::"
+      "test_a_normal_draw_equals_its_formula_on_either_side_of_the_shortcut"]
+     + [f"{NETWORK}::test_each_kind_draws_its_formula_from_random_alone[normal-{case}]"
+        for case in ("2.0-0.5", "5.0-1.0", "1.0-0.25")]
+     + [f"tests/test_golden.py::test_fixture_outputs_match_golden_digests[{name}]"
+        for name in ("pbft-quorum-small", "poet-days-small")]),
+    ("prepare_check_waits_past_quorum", "pbft.py",
+     "if len(senders) >= self.rule.quorum:", "if len(senders) > self.rule.quorum:",
+     [f"{PBFT}::test_prepare_quorum_triggers_single_commit_broadcast",
+      f"{PBFT}::test_commit_quorum_appends_and_announces",
+      "tests/test_golden.py::test_fixture_outputs_match_golden_digests[pbft-quorum-small]"]),
+    ("primary_of_counts_from_one", "node.py",
+     "return authorities[turn % len(authorities)]", "return turn % len(authorities) + 1",
+     ["tests/test_poa.py::test_leader_for_height_rotation"]),
 ]
 
 

@@ -1,5 +1,6 @@
 """Delay distributions: shapes, bounds, and sampling contracts."""
 
+import math
 import random
 import statistics
 
@@ -117,3 +118,38 @@ def test_all_samples_nonnegative_ints(kind, seed):
     for _ in range(20):
         x = dist.sample_ms(g)
         assert isinstance(x, int) and x >= 0
+
+
+class ScriptedStream:
+    """A stream whose random() returns the given values in order, counting them."""
+
+    def __init__(self, values):
+        self.values, self.used = values, 0
+
+    def random(self):
+        self.used += 1
+        return self.values[self.used - 1]
+
+
+UNIT = st.floats(0, 1, exclude_max=True)
+NORMALS = st.one_of(
+    st.sampled_from([(2.0, 0.5), (5.0, 1.0), (1.0, 0.25), (1.4999, 0.3), (7.2, 0.001)]),
+    st.tuples(st.floats(-1e9, 1e9), st.floats(0, 1e9)),
+    # means just off a half-integer, where a draw's bucket is nearest to moving
+    st.tuples(st.builds(lambda n, e: n + 0.5 + e, st.integers(-10**6, 10**6),
+                        st.floats(-1e-6, 1e-6)),
+              st.floats(0, 1)))
+
+
+@given(NORMALS, st.data())
+def test_a_normal_draw_equals_its_formula_on_either_side_of_the_shortcut(spec, data):
+    mean, std = spec
+    dist = Distribution("normal", {"mean": mean, "std": std})
+    t = dist._numbers[3]  # u1 < t takes the shortcut
+    near = [u for u in (t, math.nextafter(t, 0), math.nextafter(t, 1)) if 0 <= u < 1]
+    u1 = data.draw(st.one_of(st.sampled_from(near), UNIT) if near else UNIT)
+    u2 = data.draw(UNIT)
+    stream = ScriptedStream([u1, u2, 0.5])
+    x = mean + std * math.sqrt(-2 * math.log(1 - u1)) * math.cos(2 * math.pi * u2)
+    assert dist.sample_ms(stream) == (math.floor(x + 0.5) if x > -0.5 else 0)
+    assert stream.used == 2

@@ -278,6 +278,13 @@ FORMULA_CASES = [
 ] + [
     {"kind": "normal", "mean": 20, "std": 6}, {"kind": "normal", "mean": 1, "std": 5},
     {"kind": "normal", "mean": 3.5, "std": 0},
+    # the hyperledger-fabric preset's three, then means and stds at the edges of
+    # the shortcut that takes a draw's bucket from u1 alone
+    {"kind": "normal", "mean": 2.0, "std": 0.5}, {"kind": "normal", "mean": 5.0, "std": 1.0},
+    {"kind": "normal", "mean": 1.0, "std": 0.25}, {"kind": "normal", "mean": 1.4999, "std": 0.3},
+    {"kind": "normal", "mean": 7.2, "std": 0.001},
+    {"kind": "normal", "mean": 999_999_999.7, "std": 0.2},
+    {"kind": "normal", "mean": -999_999_999.7, "std": 0.2},
     {"kind": "exponential", "rate": 0.05}, {"kind": "exponential", "rate": 1e-9},
     {"kind": "empirical", "values": [1, 4, 4, 9.5, 30]}, {"kind": "empirical", "values": [7]},
 ]

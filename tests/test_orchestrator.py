@@ -237,8 +237,16 @@ def test_vote_tallies_hold_no_empty_entries(shared_run):
     replicas = [n for n in nodes if isinstance(n, PbftReplica)]
     assert followers and replicas
     for node in followers + replicas:
-        tallies = [node.announcements]
-        if node in replicas:
-            tallies += [node.prepares, node.commits, node.vc_votes]
-        for tally in tallies:
-            assert tally and all(tally.values()), f"node {node.id}"
+        held = [node.announcements] if node in followers else \
+            [node.prepares, node.commits, node.vc_votes]
+        for tally in held:
+            assert tally, f"node {node.id}"
+        for tally in held + [node.announcements]:
+            assert all(tally.values()), f"node {node.id}"
+    # an announcement at an appended height is not tallied, and every replica here
+    # appends each height before its first announcement arrives; in empirical-pbft
+    # some replica still tallies announcements
+    others = [node for node in shared_run("empirical-pbft").result.world.nodes.values()
+              if isinstance(node, PbftReplica)]
+    assert any(node.announcements for node in others)
+    assert all(all(node.announcements.values()) for node in others)
