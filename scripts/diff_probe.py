@@ -2,18 +2,20 @@
 """Print one fingerprint line per seeded random input, to diff two checkouts.
 
 Each input is a small random run: pbft with up to f active or passive faults,
-or fault-free poa or poet, under constant, uniform or exponential latency,
-with short days, short block intervals and (for pbft) short view-change
-timeouts. Inputs run in-process, one at a time, through the same loaders as
-the CLI. For each input the script prints the index, the protocol, the
-authority count and either the SHA-256 of the model's outputs (report JSON,
-timeline, every node's stats) followed by the engine's scheduled, dispatched
-and discarded event counts, or ``ERR <message>`` when the run stops on a
-simulator error or its benign nodes disagree on a committed block (the check
-that report emission makes: ``ERR benign nodes A and B disagree ...``). The
-inputs depend only on --seed and --count, so two checkouts print the same
-hashes exactly when the model behaves the same; the trailing counts differ
-alone when only the event bookkeeping changed.
+or fault-free poa or poet, under constant, uniform, exponential, normal or
+empirical latency, with a constant 1 ms or the hyperledger-fabric preset's
+processing delay (normal per message kind), short days, short block intervals
+and (for pbft) short view-change timeouts. Inputs run in-process, one at a
+time, through the same loaders as the CLI. For each input the script prints
+the index, the protocol, the authority count and either the SHA-256 of the
+model's outputs (report JSON, timeline, every node's stats) followed by the
+engine's scheduled, dispatched and discarded event counts, or
+``ERR <message>`` when the run stops on a simulator error or its benign nodes
+disagree on a committed block (the check that report emission makes:
+``ERR benign nodes A and B disagree ...``). The inputs depend only on --seed
+and --count, so two checkouts print the same hashes exactly when the model
+behaves the same; the trailing counts differ alone when only the event
+bookkeeping changed.
 
 Usage: python scripts/diff_probe.py [--count 100] [--seed 0]
 """
@@ -47,6 +49,8 @@ def random_input(rng: random.Random):
         {"kind": "constant", "ms": rng.randint(0, 50)},
         {"kind": "uniform", "lo": 0, "hi": rng.choice((20, 200, 2000))},
         {"kind": "exponential", "rate": rng.choice((0.02, 0.2, 1.0))},
+        {"kind": "normal", "mean": rng.choice((5, 20.5, 100)), "std": rng.choice((0.25, 5, 40))},
+        {"kind": "empirical", "values": [rng.randint(0, 200) for _ in range(rng.randint(1, 5))]},
     ))
     config = {
         "protocol": protocol,
@@ -59,7 +63,8 @@ def random_input(rng: random.Random):
         "tx_spread_ticks": 1,
         "pbft_timeout_ms": rng.choice((1, 10, 100)),
         "latency": {"default": latency},
-        "processing_delay": {"default": {"kind": "constant", "ms": 1}},
+        "processing_delay": rng.choice(({"default": {"kind": "constant", "ms": 1}},
+                                        {"preset": "hyperledger-fabric"})),
     }
     days = [{"day": day, "loads": {str(rng.randint(1, n_nodes)): rng.randint(1, 10)
                                    for _ in range(rng.randint(1, 4))}}

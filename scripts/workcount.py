@@ -18,10 +18,13 @@ untimed (so lazy set-up is done), and then measures a second `run_all`:
 Both counts repeat exactly from run to run of one tree under one Python
 version. With --against TREE, the script counts TREE too, then runs --pairs
 pairs of timing children per workload, one per tree, alternating which tree
-runs first; each reads `time.process_time()` around its second `run_all`.
-It reports the median of the per-pair ratios (this tree's time over TREE's)
-and how many pairs this tree won with a lower time. --out writes it all as
-JSON, with each tree's `git describe` and the host's Python and CPU count.
+runs first. After its untimed warm-up, each timing child reads
+`time.process_time()` around each of TIMED_RUNS (a constant, 3) further
+`run_all` calls and reports their median, so one host hiccup inside a child
+does not decide its pair. The script reports the median of the per-pair
+ratios (this tree's time over TREE's) and how many pairs this tree won with a
+lower time. --out writes it all as JSON, with each tree's `git describe` and
+the host's Python and CPU count.
 
 Neither count alone supports a speed claim. The opcode count misses C-level
 work (dict and heap operations, hashing, JSON), each count differs between
@@ -51,6 +54,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402  (perfbench's input generator)
+
+TIMED_RUNS = 3  # run_all calls a timing child times; it reports their median
 
 
 def count_opcodes(fn, *args) -> int:
@@ -91,9 +96,12 @@ def child(mode: str, src: str, directory: str) -> dict:
         profile.runcall(run_all, *args)
         return {"calls": pstats.Stats(profile).total_calls,
                 "opcodes": count_opcodes(run_all, *args)}
-    start = time.process_time()
-    run_all(*args)
-    return {"cpu_s": time.process_time() - start}
+    times = []
+    for _ in range(TIMED_RUNS):
+        start = time.process_time()
+        run_all(*args)
+        times.append(time.process_time() - start)
+    return {"cpu_s": statistics.median(times)}
 
 
 def spawn(mode: str, tree: Path, directory: Path) -> dict:

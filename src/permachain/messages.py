@@ -19,8 +19,8 @@ equal when they have the same class and equal fields.
 A body that carries a block is a `_BlockBody` (block) and does not copy the
 block's height or digest: a receiver reads them from the block. `Prepare` and
 `Commit` are each a `_Vote` (view, height, digest) that adds only its handler.
-A `Lock` (view, block) is a prepared certificate: a replica holds one per
-height, and its `ViewChange` carries that same object to the new primary.
+A lock is PBFT's prepared certificate: the `PrePrepare` itself. A replica holds
+the one it prepared per height, and its `ViewChange` carries that same object.
 """
 
 from __future__ import annotations
@@ -115,19 +115,11 @@ class Commit(_Vote):
     handler = "on_commit"
 
 
-class Lock:
-    __slots__ = ("view", "block")
-
-    def __init__(self, view: int, block: Block):
-        self.view = view
-        self.block = block
-
-
 class ViewChange(_Body):
     __slots__ = ("proposed_view", "next_height", "lock")
     handler = "on_viewchange"
 
-    def __init__(self, proposed_view: int, next_height: int, lock: Lock | None = None):
+    def __init__(self, proposed_view: int, next_height: int, lock: PrePrepare | None = None):
         self.proposed_view = proposed_view
         self.next_height = next_height  # sender's chain tip + 1, used by the new primary
         self.lock = lock  # the sender's lock for next_height, if it holds one
@@ -136,8 +128,7 @@ class ViewChange(_Body):
         if self.lock is None:
             return self
         # the vote itself stays legible; only the carried certificate is junked
-        return ViewChange(self.proposed_view, self.next_height,
-                          Lock(self.lock.view, _flip_block(self.lock.block)))
+        return ViewChange(self.proposed_view, self.next_height, self.lock.corrupted())
 
 
 class NewView(_Body):

@@ -14,9 +14,10 @@ not tallied at all.
 
 Safety across views comes from prepare locks: a replica prepares at most one
 digest per height per view, and abandons a lock only for a proposal in a
-strictly higher view. View-change votes carry the sender's next height and
-its current prepared lock (a `messages.Lock`) so the new primary re-proposes
-any block that may have committed instead of inventing a conflicting one.
+strictly higher view. A lock is PBFT's prepared certificate: the `PrePrepare`
+itself. View-change votes carry the sender's next height and its lock there,
+so the new primary re-proposes any block that may have committed instead of
+inventing a conflicting one.
 
 Liveness glue for message-dropping faults:
   * a replica that sees f+1 view-change votes for higher views joins in,
@@ -105,10 +106,9 @@ class PbftReplica(PbftFollower):
         # (view, height, digest) -> senders; my id is in a commit tally once I sent it
         self.prepares: dict[tuple[int, int, int], set] = defaultdict(set)
         self.commits: dict[tuple[int, int, int], set] = defaultdict(set)
-        self.locks: dict[int, m.Lock] = {}
-        self.in_flight = 0  # height of my latest proposal
-        # view-change bookkeeping
-        self.vc_votes: dict[int, dict[int, tuple[int, m.Lock | None]]] = defaultdict(dict)
+        self.locks: dict[int, m.PrePrepare] = {}  # height -> the pre-prepare I prepared
+        # view-change bookkeeping: proposed view -> sender -> vote, with no invalid certificate
+        self.vc_votes: dict[int, dict[int, m.ViewChange]] = defaultdict(dict)
         self.vc_attempts = 0  # views that failed at the next height
         self.my_top_vote = 0
         self._timer_token = 0  # only the latest armed timer may fire
@@ -141,8 +141,11 @@ class PbftReplica(PbftFollower):
         """Block-interval tick: the primary proposes its next height."""
         if primary_of(self.view, self.world.authorities) != self.id:
             return
-        if self.chain.height < self.in_flight:
-            return  # previous instance still unresolved
+        # my last proposal is unresolved iff one is stored at my next height: in a view I
+        # lead only _propose stores one (on_preprepare takes only the primary's, and no
+        # sender receives its own broadcast), and _adopt_view proposes on taking the lead
+        if (self.view, self.next_height) in self.preprepared:
+            return
         self._propose(self.next_height)
 
     def _propose(self, height: int, block: Block | None = None) -> None:
@@ -157,7 +160,6 @@ class PbftReplica(PbftFollower):
         self.preprepared[self.view, height] = block
         # the pre-prepare is the primary's prepare
         self.prepares[self.view, height, block.digest].add(self.id)
-        self.in_flight = height
         self.world.network.broadcast(self.id, m.PrePrepare(self.view, block),
                                      self.world.authorities)
         self._check_prepared(self.view, height)
@@ -184,12 +186,12 @@ class PbftReplica(PbftFollower):
             return  # timer keeps running; tampering suspected
         self.preprepared[view, block.height] = block
         self.prepares[view, block.height, block.digest].add(sender)
-        self._maybe_send_prepare(view, block)
+        self._maybe_send_prepare(msg)
         self._check_prepared(view, block.height)
         self._check_committed(view, block.height)
 
-    def _maybe_send_prepare(self, view: int, block: Block) -> None:
-        height, digest = block.height, block.digest
+    def _maybe_send_prepare(self, msg: m.PrePrepare) -> None:
+        view, height, digest = msg.view, msg.block.height, msg.block.digest
         if height <= self.chain.height:
             # already committed here: re-affirm only the block we hold
             if self.chain.blocks[height].digest != digest:
@@ -200,7 +202,7 @@ class PbftReplica(PbftFollower):
             if lock is not None and lock.block.digest != digest and view <= lock.view:
                 self._count("prepare_refused_locked")
                 return
-            self.locks[height] = m.Lock(view, block)
+            self.locks[height] = msg
         self.prepares[view, height, digest].add(self.id)
         self.world.network.broadcast(self.id, m.Prepare(view, height, digest),
                                      self.world.authorities)
@@ -260,10 +262,9 @@ class PbftReplica(PbftFollower):
     # -- view changes ------------------------------------------------------
 
     def _send_viewchange(self, proposed: int) -> None:
-        lock = self.locks.get(self.next_height)
         self.my_top_vote = max(self.my_top_vote, proposed)
-        vote = m.ViewChange(proposed, self.next_height, lock)
-        self.vc_votes[proposed][self.id] = (self.next_height, lock)
+        vote = m.ViewChange(proposed, self.next_height, self.locks.get(self.next_height))
+        self.vc_votes[proposed][self.id] = vote
         self.world.network.broadcast(self.id, vote, self.world.authorities)
         self._check_viewchange(proposed)
 
@@ -274,8 +275,8 @@ class PbftReplica(PbftFollower):
         lock = msg.lock
         if lock is not None and compute_digest(lock.block) != lock.block.digest:
             self._count("viewchange_invalid_cert")
-            lock = None
-        self.vc_votes[msg.proposed_view][sender] = (msg.next_height, lock)
+            msg = m.ViewChange(msg.proposed_view, msg.next_height)  # an invalid cert is no lock
+        self.vc_votes[msg.proposed_view][sender] = msg
         # join a view change once f+1 peers demand one, even without a timeout
         if self.my_top_vote <= self.view:
             higher = sorted(v for v in self.vc_votes if v > self.view)
@@ -293,8 +294,7 @@ class PbftReplica(PbftFollower):
             return
         self._adopt_view(proposed, votes.values())
 
-    def _adopt_view(self, new_view: int,
-                    votes: Collection[tuple[int, m.Lock | None]] = ()) -> None:
+    def _adopt_view(self, new_view: int, votes: Collection[m.ViewChange] = ()) -> None:
         self.world.recorder.on_view_adopted(self.id, self.view, new_view, self.chain.height)
         self.view = new_view
         self._arm_timer()
@@ -304,10 +304,10 @@ class PbftReplica(PbftFollower):
                                      self.world.authorities)
         pending = self.next_height
         # replay committed blocks the slowest voter is missing
-        for h in range(min([nh for nh, _lock in votes] + [pending]), pending):
+        for h in range(min([v.next_height for v in votes] + [pending]), pending):
             self._propose(h)
         # re-propose the pending height from the strongest certificate (mine first), if any
-        certs = [self.locks.get(pending)] + [lock for nh, lock in votes if nh == pending]
+        certs = [self.locks.get(pending)] + [v.lock for v in votes if v.next_height == pending]
         best = max(filter(None, certs), key=attrgetter("view"), default=None)
         self._propose(pending, None if best is None else best.block)
 

@@ -117,11 +117,6 @@ def quick_run(loads_by_day: dict[int, dict[int, int]], n_authorities: int,
     return run_all(config, table, schedule)
 
 
-@pytest.fixture
-def small_world() -> World:
-    return make_world(4)
-
-
 class SharedRun:
     """One run of a bundled input, loaded and written as `main` does with `--emit-csv`
     (and, for a fixture or one of RECORDED_SCENARIOS, `--emit-records`), with the

@@ -161,6 +161,17 @@ MUTANTS = [
     ("primary_of_counts_from_one", "node.py",
      "return authorities[turn % len(authorities)]", "return turn % len(authorities) + 1",
      ["tests/test_poa.py::test_leader_for_height_rotation"]),
+    ("primary_reproposes_unresolved_height", "pbft.py",
+     "if (self.view, self.next_height) in self.preprepared:", "if False:",
+     [f"{PBFT}::test_primary_waits_for_its_unresolved_proposal",
+      "tests/test_golden.py::test_scenario_outputs_match_golden_digests[pbft-viewchange]"]),
+    ("viewchange_certificate_unforged", "messages.py",
+     "self.lock.corrupted()", "self.lock",
+     ["tests/test_faults.py::test_corrupt_viewchange_junks_only_the_certificate",
+      f"{PBFT}::test_new_primary_reproposes_only_a_valid_certificate[tampered_cert]"]),
+    ("day_prefix_dropped", "orchestrator.py",
+     'raise PermachainError(f"day {day}: {exc}") from exc', "raise",
+     [f"{ORCH}::test_a_simulator_error_names_the_day_it_stopped"]),
 ]
 
 

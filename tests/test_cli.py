@@ -694,6 +694,12 @@ def test_unwritable_propagation_csv_is_io_error(tmp_path, capsys):
     assert "propagation records" in capsys.readouterr().err
 
 
+def test_unwritable_report_json_is_io_error(tmp_path, capsys):
+    (tmp_path / "report.json").mkdir()
+    assert main(["--scenario", "poa-baseline", "--out", str(tmp_path)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: cannot write report to")
+
+
 def test_explicit_files_run_end_to_end(tmp_path, capsys):
     config = {"protocol": "poa", "seed": 5, "block_interval_ms": 1000,
               "block_capacity": 10, "empty_block_threshold": 5,

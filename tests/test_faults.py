@@ -37,7 +37,7 @@ def test_corrupt_is_involution():
 
 def test_corrupt_viewchange_junks_only_the_certificate():
     block = sample_block()
-    vote = m.ViewChange(3, 2, m.Lock(1, block))
+    vote = m.ViewChange(3, 2, m.PrePrepare(1, block))
     bad = vote.corrupted()
     assert bad.proposed_view == 3 and bad.next_height == 2 and bad.lock.view == 1
     assert bad.lock.block.digest != block.digest

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import BUNDLED_INPUTS, make_world, quick_run
 from permachain.config import DAY_LENGTH_MS
+from permachain.errors import PermachainError
 from permachain.ledger import genesis_block, make_block
+from permachain.orchestrator import World
 from permachain.pbft import PbftFollower, PbftReplica
 from permachain.reporting import RunRecorder
 
@@ -225,6 +227,21 @@ def test_run_all_leaves_the_collector_as_it_found_it(collecting, raises, monkeyp
         assert gc.isenabled() is collecting
     finally:
         gc.enable()
+
+
+def test_a_simulator_error_names_the_day_it_stopped(monkeypatch):
+    boom = PermachainError("boom")
+    inject = World._inject
+
+    def inject_until_day_2(self, origin_id, day, count):
+        if day == 2:
+            raise boom
+        inject(self, origin_id, day, count)
+
+    monkeypatch.setattr(World, "_inject", inject_until_day_2)
+    with pytest.raises(PermachainError, match="^day 2: boom$") as info:
+        quick_run({1: {1: 3}, 2: {1: 3}}, n_authorities=4)
+    assert info.value.__cause__ is boom
 
 
 def test_vote_tallies_hold_no_empty_entries(shared_run):

@@ -319,12 +319,12 @@ def test_new_primary_reproposes_only_a_valid_certificate(tampered, invalid_certs
     world = make_world(4)
     r = world.nodes[2]
     prepared = block_at(1, genesis_block().digest, txs=(tx(9),))
-    vote = m.ViewChange(1, 1, m.Lock(0, prepared))
+    vote = m.ViewChange(1, 1, m.PrePrepare(0, prepared))
     for sender in (3, 4):  # a tamperer's vote carries its certificate with a flipped digest
         r.receive(sender, [vote.corrupted() if tampered else vote])
     assert r.view == 1
     assert r.stats.get("viewchange_invalid_cert", 0) == invalid_certs
-    assert (r.vc_votes[1][3][1] is None) == tampered  # an invalid certificate is no lock
+    assert (r.vc_votes[1][3].lock is None) == tampered  # an invalid certificate is no lock
     proposal = r.preprepared[1, 1]
     assert (proposal.digest == prepared.digest) == reproposed
     assert proposal.proposer == (1 if reproposed else 2)  # else a fresh block of its own
@@ -337,12 +337,31 @@ def test_primary_retries_its_locked_block_instead_of_draining_its_pool():
     world = make_world(4)
     r = world.nodes[1]
     locked = block_at(1, genesis_block().digest, txs=(tx(9),))
-    r.locks[1] = m.Lock(0, locked)
+    r.locks[1] = m.PrePrepare(0, locked)
     r.pool.add(tx(1))
     r.maybe_propose()
     assert r.preprepared[0, 1].digest == locked.digest
     assert list(r.pool) == [1]  # the pool was not drained into a fresh block
     assert world.recorder.message_counts["PrePrepare"] == 3
+
+
+def test_primary_waits_for_its_unresolved_proposal():
+    # node 1, the primary of view 0 in a 4-authority group, ticks twice with no
+    # delivery in between; it proposes height 2 only once height 1 is appended
+    world = make_world(4)
+    r = world.nodes[1]
+    r.maybe_propose()
+    r.maybe_propose()
+    assert world.recorder.message_counts["PrePrepare"] == 3
+    assert list(r.preprepared) == [(0, 1)]
+    digest = r.preprepared[0, 1].digest
+    for vote in (m.Prepare, m.Commit):
+        for sender in (2, 3):
+            r.receive(sender, [vote(0, 1, digest)])
+    assert r.chain.height == 1
+    r.maybe_propose()
+    assert list(r.preprepared) == [(0, 1), (0, 2)]
+    assert world.recorder.message_counts["PrePrepare"] == 6
 
 
 def test_newview_heals_lagging_view():

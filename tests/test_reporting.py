@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import warnings
 
 import pytest
@@ -141,6 +142,15 @@ def test_emit_json_refuses_inconsistent_benign_chains(tmp_path):
     with pytest.raises(ConsistencyError):
         emit_json(report, tmp_path / "never.json")
     assert not (tmp_path / "never.json").exists()
+
+
+def test_an_unwritable_output_path_raises_an_os_error_naming_it(tmp_path):
+    result = quick_run({1: {1: 3}}, n_authorities=4, seed=1)
+    with pytest.raises(OSError, match=f"^cannot write report to {re.escape(str(tmp_path))}: "):
+        emit_json(result.report, tmp_path)  # a directory
+    with pytest.raises(OSError,
+                       match=f"^cannot write timeseries to {re.escape(str(tmp_path))}: "):
+        emit_timeseries_csv(result.world.recorder, tmp_path)
 
 
 @pytest.mark.parametrize("protocol, ended_by", [("pbft", "guard"), ("poa", "empty-blocks")])
