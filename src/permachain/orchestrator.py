@@ -146,7 +146,7 @@ def check_inputs(config: RunConfig, table: NodeTable) -> None:
     if stray:
         raise ConfigError(f"drop_prob_overrides names nodes not in the node table: {brief(stray)}")
     n = len(table.authorities)
-    if config.protocol == "pbft" and 2 * quorum_params(n).quorum <= n:
+    if config.protocol == "pbft" and 2 * quorum_params(n)[1] <= n:
         raise ConfigError(f"pbft cannot run with {n} authorities: two quorums of 2f+1 "
                           f"need not intersect when 2(2f+1) <= n")
     kinds = [TRANSACTION, BLOCK] + ([CONSENSUS_MESSAGE] if config.protocol == "pbft" else [])

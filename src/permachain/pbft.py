@@ -12,12 +12,13 @@ a prepare is checked only once its tally reaches the quorum, a commit only
 above the chain's height, and an announcement at a height already appended is
 not tallied at all.
 
-Safety across views comes from prepare locks: a replica prepares at most one
-digest per height per view, and abandons a lock only for a proposal in a
-strictly higher view. A lock is PBFT's prepared certificate: the `PrePrepare`
-itself. View-change votes carry the sender's next height and its lock there,
-so the new primary re-proposes any block that may have committed instead of
-inventing a conflicting one.
+Safety across views comes from prepare locks. A replica prepares at most one
+digest per (view, height), because `preprepared` takes one pre-prepare for
+each. Its lock at a height is the `PrePrepare` it last prepared there, which
+is PBFT's prepared certificate. Its view only grows, so each new lock comes
+from a higher view. View-change votes carry the sender's next height and its
+lock there, so the new primary re-proposes any block that may have committed
+instead of inventing a conflicting one.
 
 Liveness glue for message-dropping faults:
   * a replica that sees f+1 view-change votes for higher views joins in,
@@ -54,16 +55,10 @@ from .ledger import Block, compute_digest, make_block
 from .node import Node, primary_of
 
 
-class QuorumRule:
-    def __init__(self, f: int, quorum: int):
-        self.f = f
-        self.quorum = quorum
-
-
-def quorum_params(n: int) -> QuorumRule:
-    """Fault tolerance and vote threshold for n authorities."""
+def quorum_params(n: int) -> tuple[int, int]:
+    """Fault tolerance f and vote threshold 2f+1 for n authorities."""
     f = (n - 1) // 3
-    return QuorumRule(f=f, quorum=2 * f + 1)
+    return f, 2 * f + 1
 
 
 class PbftFollower(Node):
@@ -76,8 +71,8 @@ class PbftFollower(Node):
 
     def __init__(self, node_id: int, byz: ByzantineType, world):
         super().__init__(node_id, byz, world)
-        self.rule = quorum_params(len(world.authorities))
-        self.announce_threshold = self.rule.quorum  # a replica lowers it to f+1
+        self.f, self.quorum = quorum_params(len(world.authorities))
+        self.announce_threshold = self.quorum  # a replica lowers it to f+1
         # (height, digest) -> announcers
         self.announcements: dict[tuple[int, int], set] = defaultdict(set)
 
@@ -101,7 +96,7 @@ class PbftReplica(PbftFollower):
         super().__init__(node_id, byz, world)
         # f+1 matching valid announcements guarantee at least one announcer
         # that truly committed the block, so this is a safe state transfer.
-        self.announce_threshold = self.rule.f + 1
+        self.announce_threshold = self.f + 1
         self.preprepared: dict[tuple[int, int], Block] = {}  # (view, height) -> block
         # (view, height, digest) -> senders; my id is in a commit tally once I sent it
         self.prepares: dict[tuple[int, int, int], set] = defaultdict(set)
@@ -149,8 +144,6 @@ class PbftReplica(PbftFollower):
         self._propose(self.next_height)
 
     def _propose(self, height: int, block: Block | None = None) -> None:
-        if block is None and height <= self.chain.height:
-            block = self.chain.blocks[height]  # replay a committed block
         if block is None and height in self.locks:
             block = self.locks[height].block  # retry my earlier attempt, same digest
         if block is None:
@@ -167,8 +160,7 @@ class PbftReplica(PbftFollower):
     # -- three phases ----------------------------------------------------
 
     def on_preprepare(self, sender: int, msg: m.PrePrepare) -> None:
-        if msg.view > self.view and sender == primary_of(msg.view, self.world.authorities):
-            self._adopt_view(msg.view)  # proof the network moved on without us
+        self.on_newview(sender, msg)
         if msg.view != self.view:
             self._count("preprepare_wrong_view")
             return
@@ -184,28 +176,19 @@ class PbftReplica(PbftFollower):
         if compute_digest(block) != block.digest:
             self._count("preprepare_invalid_digest")
             return  # timer keeps running; tampering suspected
-        self.preprepared[view, block.height] = block
-        self.prepares[view, block.height, block.digest].add(sender)
-        self._maybe_send_prepare(msg)
-        self._check_prepared(view, block.height)
-        self._check_committed(view, block.height)
-
-    def _maybe_send_prepare(self, msg: m.PrePrepare) -> None:
-        view, height, digest = msg.view, msg.block.height, msg.block.digest
-        if height <= self.chain.height:
-            # already committed here: re-affirm only the block we hold
-            if self.chain.blocks[height].digest != digest:
-                self._count("preprepare_conflicts_committed")
-                return
+        height, digest = block.height, block.digest
+        self.preprepared[view, height] = block
+        self.prepares[view, height, digest].add(sender)
+        if height <= self.chain.height and self.chain.blocks[height].digest != digest:
+            self._count("preprepare_conflicts_committed")  # re-affirm only the block we hold
         else:
-            lock = self.locks.get(height)
-            if lock is not None and lock.block.digest != digest and view <= lock.view:
-                self._count("prepare_refused_locked")
-                return
-            self.locks[height] = msg
-        self.prepares[view, height, digest].add(self.id)
-        self.world.network.broadcast(self.id, m.Prepare(view, height, digest),
-                                     self.world.authorities)
+            if height > self.chain.height:
+                self.locks[height] = msg
+            self.prepares[view, height, digest].add(self.id)
+            self.world.network.broadcast(self.id, m.Prepare(view, height, digest),
+                                         self.world.authorities)
+        self._check_prepared(view, height)
+        self._check_committed(view, height)
 
     def on_prepare(self, sender: int, msg: m.Prepare) -> None:
         senders = self.prepares[msg.view, msg.height, msg.digest]
@@ -213,7 +196,7 @@ class PbftReplica(PbftFollower):
         # preprepared[v, h] is stored only while self.view == v and is checked then,
         # as is every later growth of its digest's tally; so a check can start to
         # pass only at a prepare whose tally has reached the quorum
-        if len(senders) >= self.rule.quorum:
+        if len(senders) >= self.quorum:
             self._check_prepared(msg.view, msg.height)
 
     def _check_prepared(self, view: int, height: int) -> None:
@@ -223,7 +206,7 @@ class PbftReplica(PbftFollower):
         key = (view, height, block.digest)
         if self.id in self.commits.get(key, ()):
             return  # my commit is already out
-        if len(self.prepares.get(key, ())) < self.rule.quorum:
+        if len(self.prepares.get(key, ())) < self.quorum:
             return
         self.commits[key].add(self.id)
         self.world.network.broadcast(self.id, m.Commit(*key), self.world.authorities)
@@ -245,7 +228,7 @@ class PbftReplica(PbftFollower):
         block = self.preprepared.get((view, height))
         if block is None:
             return
-        if len(self.commits.get((view, height, block.digest), ())) >= self.rule.quorum:
+        if len(self.commits.get((view, height, block.digest), ())) >= self.quorum:
             self._accept(block)
 
     # -- appending and catch-up -------------------------------------------
@@ -281,7 +264,7 @@ class PbftReplica(PbftFollower):
         if self.my_top_vote <= self.view:
             higher = sorted(v for v in self.vc_votes if v > self.view)
             distinct = set().union(*(self.vc_votes[v] for v in higher))
-            if len(distinct) >= self.rule.f + 1:
+            if len(distinct) >= self.f + 1:
                 self.vc_attempts += 1
                 self._send_viewchange(higher[0])
         self._check_viewchange(msg.proposed_view)
@@ -290,7 +273,7 @@ class PbftReplica(PbftFollower):
         if proposed <= self.view:
             return
         votes = self.vc_votes.get(proposed, {})
-        if len(votes) < self.rule.quorum:
+        if len(votes) < self.quorum:
             return
         self._adopt_view(proposed, votes.values())
 
@@ -305,12 +288,13 @@ class PbftReplica(PbftFollower):
         pending = self.next_height
         # replay committed blocks the slowest voter is missing
         for h in range(min([v.next_height for v in votes] + [pending]), pending):
-            self._propose(h)
+            self._propose(h, self.chain.blocks[h])
         # re-propose the pending height from the strongest certificate (mine first), if any
         certs = [self.locks.get(pending)] + [v.lock for v in votes if v.next_height == pending]
         best = max(filter(None, certs), key=attrgetter("view"), default=None)
         self._propose(pending, None if best is None else best.block)
 
-    def on_newview(self, sender: int, msg: m.NewView) -> None:
+    def on_newview(self, sender: int, msg: m.NewView | m.PrePrepare) -> None:
+        """Adopt a later view on a `NewView` or a `PrePrepare` from that view's primary."""
         if msg.view > self.view and sender == primary_of(msg.view, self.world.authorities):
             self._adopt_view(msg.view)

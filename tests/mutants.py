@@ -107,7 +107,8 @@ MUTANTS = [
     ("constant_latency_drawn_per_attempt", "network.py",
      "member = None if model.fixed_ms is None else (dst, model.sample_ms(out[2]))",
      "member = None",
-     [f"{NETWORK}::test_a_constant_model_is_sampled_once_per_pair_or_per_broadcast"]),
+     [f"{NETWORK}::"
+      "test_a_constant_latency_is_sampled_once_per_pair_and_a_constant_processing_delay_never"]),
     ("group_recorded_once_whatever_its_bodies", "network.py",
      "record(kind, src, sent_at, members, len(bodies))", "record(kind, src, sent_at, members)",
      [f"{NETWORK}::test_merged_batches_write_the_bytes_of_unmerged_ones[{name}]"
@@ -154,13 +155,14 @@ MUTANTS = [
      + [f"tests/test_golden.py::test_fixture_outputs_match_golden_digests[{name}]"
         for name in ("pbft-quorum-small", "poet-days-small")]),
     ("prepare_check_waits_past_quorum", "pbft.py",
-     "if len(senders) >= self.rule.quorum:", "if len(senders) > self.rule.quorum:",
+     "if len(senders) >= self.quorum:", "if len(senders) > self.quorum:",
      [f"{PBFT}::test_prepare_quorum_triggers_single_commit_broadcast",
       f"{PBFT}::test_commit_quorum_appends_and_announces",
       "tests/test_golden.py::test_fixture_outputs_match_golden_digests[pbft-quorum-small]"]),
     ("primary_of_counts_from_one", "node.py",
      "return authorities[turn % len(authorities)]", "return turn % len(authorities) + 1",
-     ["tests/test_poa.py::test_leader_for_height_rotation"]),
+     ["tests/test_poa.py::test_leader_for_height_rotation",
+      "tests/test_metamorphic.py::test_an_order_preserving_relabel_changes_nothing_but_the_ids"]),
     ("primary_reproposes_unresolved_height", "pbft.py",
      "if (self.view, self.next_height) in self.preprepared:", "if False:",
      [f"{PBFT}::test_primary_waits_for_its_unresolved_proposal",
@@ -172,6 +174,21 @@ MUTANTS = [
     ("day_prefix_dropped", "orchestrator.py",
      'raise PermachainError(f"day {day}: {exc}") from exc', "raise",
      [f"{ORCH}::test_a_simulator_error_names_the_day_it_stopped"]),
+    ("preprepare_adoption_dropped", "pbft.py",
+     "        self.on_newview(sender, msg)\n", "",
+     [f"{PBFT}::test_a_later_views_preprepare_moves_a_replica_only_from_that_views_primary"]),
+    ("replay_proposes_fresh_block", "pbft.py",
+     "self._propose(h, self.chain.blocks[h])", "self._propose(h)",
+     [f"{PBFT}::test_new_primary_replays_its_committed_blocks_unchanged"]),
+    ("committed_conflict_prepared", "pbft.py",
+     "        else:\n            if height > self.chain.height:\n",
+     "        if True:  # counted, and prepared all the same\n"
+     "            if height > self.chain.height:\n",
+     [f"{PBFT}::test_a_preprepare_that_conflicts_with_a_committed_block_is_not_prepared"]),
+    ("view_timer_adds_a_fixed_millisecond", "pbft.py",
+     "block_interval_ms + grace,", "block_interval_ms + grace + 1,",
+     ["tests/test_metamorphic.py::"
+      "test_scaling_every_millisecond_field_scales_every_instant_and_nothing_else"]),
 ]
 
 

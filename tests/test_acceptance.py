@@ -147,14 +147,13 @@ def test_criterion_5_message_count_law():
 @settings(max_examples=200)
 @given(st.integers(1, 200))
 def test_criterion_6_quorum_property(n):
-    rule = quorum_params(n)
-    assert rule.f == (n - 1) // 3
-    assert rule.quorum == 2 * rule.f + 1
+    f, quorum = quorum_params(n)
+    assert f == (n - 1) // 3
+    assert quorum == 2 * f + 1
 
 
 def test_criterion_6_quorum_values():
-    rule = quorum_params(13)
-    ok = (rule.f, rule.quorum) == (4, 9)
+    ok = quorum_params(13) == (4, 9)
     _verdict(6, ok, "n=13 gives f=4, quorum=9; property holds over n in [1,200]")
 
 

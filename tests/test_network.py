@@ -613,7 +613,7 @@ def counted_samples(monkeypatch):
     return counts
 
 
-def test_a_constant_model_is_sampled_once_per_pair_or_per_broadcast(monkeypatch):
+def test_a_constant_latency_is_sampled_once_per_pair_and_a_constant_processing_delay_never(monkeypatch):
     counts = counted_samples(monkeypatch)
     table = latency_table({
         "default": {"kind": "constant", "ms": 10},

@@ -103,7 +103,7 @@ def constant_runs(draw):
     only pbft group sizes whose quorums intersect."""
     protocol = draw(st.sampled_from(["pbft", "poa"]))
     n = draw(st.integers(1, 13).filter(
-        lambda n: protocol == "poa" or 2 * quorum_params(n).quorum > n))
+        lambda n: protocol == "poa" or 2 * quorum_params(n)[1] > n))
     latency, processing = draw(st.integers(0, 300)), draw(st.integers(0, 20))
     interval = draw(st.integers(4 * (latency + processing) + 1, 4 * (latency + processing) + 3000))
     return (protocol, n, draw(st.integers(0, 2)), latency, processing, interval,
