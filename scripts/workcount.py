@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Count the work `run_all` does on perfbench's workloads, and pair its CPU time
-against another source tree.
+"""Count the work `run_all` does on perfbench's workloads or bundled scenarios,
+and pair its CPU time against another source tree.
 
     python scripts/workcount.py [--scale 0.1] [--seed 1] [--workload NAME ...]
-                                [--against TREE] [--pairs 10] [--out FILE.json]
+                                [--scenario NAME] ... [--against TREE] [--pairs 10]
+                                [--out FILE.json]
 
 Each workload's inputs are those of perfbench/inputs.py (imported, never
-edited) at --seed and --scale, written once to a temporary directory. Every
-measurement runs in a child interpreter whose PYTHONPATH is one tree's src/,
-which loads the inputs through `cli.load_inputs`, runs `run_all` once
-untimed (so lazy set-up is done), and then measures a second `run_all`:
+edited) at --seed and --scale, written once to a temporary directory. Each
+--scenario (repeatable) is a bundled scenario, loaded as `permachain
+--scenario NAME` loads it, with its own seed and size. Without --workload,
+every workload runs unless a --scenario is given. Every measurement runs in a
+child interpreter whose PYTHONPATH is one tree's src/, which loads the inputs
+through `cli.load_inputs`, runs `run_all` once untimed (so lazy set-up is
+done), and then measures a second `run_all`:
 
     calls     the function calls cProfile records (Python and C functions)
     opcodes   the bytecode instructions `sys.settrace` sees, with
@@ -79,17 +83,16 @@ def count_opcodes(fn, *args) -> int:
     return count
 
 
-def child(mode: str, src: str, directory: str) -> dict:
-    """One measurement of the permachain under `src` on the inputs in `directory`."""
+def child(mode: str, src: str, argv: str) -> dict:
+    """One measurement of the permachain under `src` on the inputs that the CLI
+    arguments `argv` (a JSON list) name."""
     import permachain
     from permachain.cli import load_inputs
     from permachain.orchestrator import run_all
 
     if not Path(permachain.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"permachain was imported from {permachain.__file__}, not from {src}")
-    d = Path(directory)
-    args = load_inputs(["--config", str(d / "config.json"), "--nodes", str(d / "nodes.csv"),
-                        "--transactions", str(d / "transactions.json")])
+    args = load_inputs(json.loads(argv))
     run_all(*args)
     if mode == "counts":
         profile = cProfile.Profile()
@@ -104,10 +107,10 @@ def child(mode: str, src: str, directory: str) -> dict:
     return {"cpu_s": statistics.median(times)}
 
 
-def spawn(mode: str, tree: Path, directory: Path) -> dict:
+def spawn(mode: str, tree: Path, argv: list[str]) -> dict:
     src = tree / "src"
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    out = subprocess.run([sys.executable, __file__, "--child", mode, str(src), str(directory)],
+    out = subprocess.run([sys.executable, __file__, "--child", mode, str(src), json.dumps(argv)],
                          env=env, capture_output=True, text=True)
     if out.returncode:
         sys.exit(f"a {mode} child on {tree} failed:\n{out.stderr}")
@@ -120,20 +123,25 @@ def describe(tree: Path) -> str | None:
     return out.stdout.strip() or None
 
 
-def measure(workload: str, args, directory: Path) -> dict:
-    row = {"this": spawn("counts", ROOT, directory)}
-    print(f"{workload}: {row['this']['calls']:,} calls, {row['this']['opcodes']:,} opcodes",
+def workload_argv(directory: Path) -> list[str]:
+    return ["--config", str(directory / "config.json"), "--nodes", str(directory / "nodes.csv"),
+            "--transactions", str(directory / "transactions.json")]
+
+
+def measure(name: str, args, argv: list[str]) -> dict:
+    row = {"this": spawn("counts", ROOT, argv)}
+    print(f"{name}: {row['this']['calls']:,} calls, {row['this']['opcodes']:,} opcodes",
           flush=True)
     if args.against is None:
         return row
-    row["against"] = spawn("counts", args.against, directory)
+    row["against"] = spawn("counts", args.against, argv)
     for key in ("calls", "opcodes"):
         base = row["against"][key]
         print(f"  against: {base:,} {key}, ratio {row['this'][key] / base:.4f}")
     pairs = []  # (this tree's run_all CPU seconds, TREE's)
     for i in range(args.pairs):
         step = -1 if i % 2 else 1  # which tree runs first
-        cpu = [spawn("cpu", tree, directory)["cpu_s"] for tree in (ROOT, args.against)[::step]]
+        cpu = [spawn("cpu", tree, argv)["cpu_s"] for tree in (ROOT, args.against)[::step]]
         pairs.append(tuple(cpu[::step]))
     ratios = [this / base for this, base in pairs]
     won = sum(ratio < 1 for ratio in ratios)
@@ -149,8 +157,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.1)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", nargs="+", choices=inputs.WORKLOADS,
-                        default=list(inputs.WORKLOADS))
+    parser.add_argument("--workload", nargs="+", choices=inputs.WORKLOADS)
+    parser.add_argument("--scenario", action="append", default=[],
+                        help="a bundled scenario, by name (repeatable)")
     parser.add_argument("--against", type=Path, help="another tree, with its own src/")
     parser.add_argument("--pairs", type=int, default=10, help="timing pairs per workload (>= 1)")
     parser.add_argument("--out", type=Path, help="write the results here as JSON")
@@ -159,16 +168,20 @@ def main(argv=None) -> int:
         parser.error(f"{args.against} holds no src/permachain")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.workload is None:
+        args.workload = [] if args.scenario else list(inputs.WORKLOADS)
 
     result = {"scale": args.scale, "seed": args.seed, "python": platform.python_version(),
-              "cpus": os.cpu_count(), "this": describe(ROOT), "workloads": {}}
+              "cpus": os.cpu_count(), "this": describe(ROOT), "workloads": {}, "scenarios": {}}
     if args.against is not None:
         result.update(against=describe(args.against), pairs=args.pairs)
     with tempfile.TemporaryDirectory() as tmp:
         for workload in args.workload:
             directory = Path(tmp) / workload
             inputs.write(workload, args.seed, directory, args.scale)
-            result["workloads"][workload] = measure(workload, args, directory)
+            result["workloads"][workload] = measure(workload, args, workload_argv(directory))
+    for name in args.scenario:
+        result["scenarios"][name] = measure(name, args, ["--scenario", name])
     if args.out is not None:
         args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0

@@ -10,8 +10,8 @@ delivery groups (see network.py) or of control calls, not items.
 
 Randomness is never drawn from a global generator: every (node, purpose) pair
 owns an independent named stream, whose values depend on (seed, node, purpose)
-alone. Which draw serves which delivery does not: a sender draws its recipients'
-latencies from one stream in recipient order, so adding or removing a node can
+alone. Which draw serves which delivery does not: a sender draws its audience's
+latencies from one stream in node-table order, so adding or removing a node can
 shift the draws of another. A stream is a stdlib `random.Random`, and
 callers take only `random()` from it: that is the one sequence the Python docs
 promise to reproduce for a given seed across versions.

@@ -5,6 +5,7 @@ delivery group passes to ``receive(sender, bodies)`` (see network.py), so one
 body object is shared by every member of a delivery group and nothing writes
 to it. Each body class carries what the rest of the simulator needs to know
 about it:
+  * ``audience``: who hears it, `AUTHORITIES` or `ALL` nodes (see network.py);
   * ``delay_kind``: which processing-delay distribution a receiver applies;
   * ``handler``: the node method that consumes it (see node.py);
   * ``corrupted()``: the copy an active tamperer sends, built by the class's
@@ -28,6 +29,8 @@ from __future__ import annotations
 from .distributions import BLOCK, CONSENSUS_MESSAGE, TRANSACTION
 from .ledger import DIGEST_MASK, Block, Transaction, value_eq
 
+AUTHORITIES, ALL = "authorities", "all"  # the two audiences a body can name
+
 
 def _flip(digest: int) -> int:
     return ~digest & DIGEST_MASK
@@ -42,8 +45,10 @@ def _flip_block(block: Block) -> Block:
 # --- network message bodies -------------------------------------------------
 
 class _Body:
-    """Defaults for a network body: consensus-message delay, no digest to corrupt."""
+    """Defaults for a network body: heard by the authorities, consensus-message
+    delay, no digest to corrupt."""
     __slots__ = ()
+    audience = AUTHORITIES
     delay_kind = CONSENSUS_MESSAGE
 
     def corrupted(self):
@@ -76,6 +81,7 @@ class TxGossip(_Body):
 class BlockMsg(_BlockBody):
     """Single-round block broadcast (round-robin / lottery protocols)."""
     __slots__ = ()
+    audience = ALL
     delay_kind = BLOCK
     handler = "on_block"
 
@@ -141,6 +147,7 @@ class NewView(_Body):
 
 class BlockAnnounce(_BlockBody):
     __slots__ = ()
+    audience = ALL
     delay_kind = BLOCK
     handler = "on_announce"
 

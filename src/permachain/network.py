@@ -1,25 +1,29 @@
 """Point-to-point message latency and broadcast scheduling.
 
 Latency per location pair and processing delay per body kind come from two
-`DelayTable`s (see distributions.py), bound once per sender and recipient (`_route`).
-`Network.broadcast` is the one delivery path. It takes one body or a list of
-``TxGossip`` bodies (an injection batch; a list of any other kind is refused),
-and once per call their kind and processing-delay model. Body by body, it
-takes an active sender's ``corrupted()`` form and delivers to each recipient
-other than the sender at
+`DelayTable`s (see distributions.py). A body's class names its audience
+(messages.py): the `AUTHORITIES` or `ALL` nodes of the node table that the
+network is built with. `Network.broadcast(src, body)` is the one delivery
+path. It takes one body or a list of ``TxGossip`` bodies (an injection batch;
+a list of any other kind is refused), and once per call their kind, audience
+and processing-delay model. A sender's first broadcast to an audience builds
+its routes to every other member, in table order, and they are kept. Body by
+body, it takes an active sender's ``corrupted()`` form and delivers along each
+route at
 
     now + latency(src, dst) + processing_delay(kind, receiver)
 
 unless a passive sender drops it. The latency alone is the recorded
-propagation delay. Per body, and per recipient in recipient order, the draws
-are: one on the sender's ``drop`` stream (only a passive sender with a drop
+propagation delay. Per body, and per route in table order, the draws are: one
+on the sender's ``drop`` stream (only a passive sender with a drop
 probability above 0 has one), then, if not dropped, one on the sender's
 ``latency`` stream and one on the recipient's ``processing-delay`` stream. A
-constant model consumes no draw: a latency is sampled once per pair, as its
+constant model consumes no draw: a latency is sampled once per route, as the
 route is built, and a processing delay is read as its `fixed_ms`. A list of k bodies
-draws exactly what k one-body calls would, and an unknown recipient raises
-`KeyError` before any draw. Each node's Byzantine type, drop probability and
-``receive(sender, bodies)`` are fixed when it registers.
+draws exactly what k one-body calls would, and a pair with no latency model
+raises `ConfigError` as the routes are built, before any draw. Each node's
+Byzantine type, drop probability and ``receive(sender, bodies)`` are fixed
+when it registers.
 
 A body's recipients that share a total delay form a group (a group of one
 included), ``(src, sent_at, bodies, [(dst, latency), ...])``, scheduled on the
@@ -29,7 +33,7 @@ the same call (the same totals, the same member lists) makes no group of its
 own: it is appended to the `bodies` list that the previous body's groups
 share. Delivering an event walks its groups in order: each records a
 transaction or block group once, with its body count, then calls each
-member's ``receive`` once with the group's bodies, in recipient order.
+member's ``receive`` once with the group's bodies, in route order.
 
 That is the order of one event per recipient and body, but for one swap.
 Adjacent events of one instant run back to back, and a broadcast queues all
@@ -43,7 +47,6 @@ node's pool and committed set, so no node can tell the two orders apart.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 
 from . import messages as m
@@ -59,48 +62,45 @@ DELIVERY = -1
 class Network:
     """Schedules deliveries through the event engine, delivery groups run per
     instant; takes each node's streams and receiver at `register_node` and
-    builds each sender's route to a recipient on first use."""
+    builds a sender's routes to an audience on its first broadcast there."""
 
-    def __init__(self, engine: EventEngine, streams: RngStreams,
+    def __init__(self, engine: EventEngine, streams: RngStreams, table,
                  latency: DelayTable, delays: DelayTable, recorder):
         self.engine = engine
         self.streams = streams
         self.latency = latency
         self.delays = delays
         self.recorder = recorder
-        self._locations: dict[int, str] = {}
-        self._delay_rng: dict[int, random.Random] = {}
+        self._locations = {row.id: row.location for row in table.rows}
+        self._audiences = {m.AUTHORITIES: table.authorities, m.ALL: table.ids}
         self._receivers: dict[int, Callable[[int, list], None]] = {}
-        # sender -> (byz, dst -> route, latency stream, (p, drop stream) or None)
+        # sender -> (byz, audience -> routes, latency stream, (p, drop stream) or None)
         self._outbound: dict[int, tuple] = {}
         engine.register(DELIVERY, self._deliver)
 
-    def register_node(self, node_id: int, location: str, byz: ByzantineType,
-                      drop_prob: float, receive: Callable[[int, list], None]) -> None:
-        self._locations[node_id] = location
-        self._delay_rng[node_id] = self.streams.stream(node_id, "processing-delay")
+    def register_node(self, node_id: int, byz: ByzantineType, drop_prob: float,
+                      receive: Callable[[int, list], None]) -> None:
         self._receivers[node_id] = receive
         drop = ((drop_prob, self.streams.stream(node_id, "drop"))
                 if should_drop(byz, drop_prob) else None)
         self._outbound[node_id] = (byz, {}, self.streams.stream(node_id, "latency"), drop)
 
-    def broadcast(self, src: int, body, recipients) -> int:
+    def broadcast(self, src: int, body) -> int:
         """Deliver `body`, or each body of the non-empty list `body` of `TxGossip`
-        in turn, from `src` to every recipient but `src`.
+        in turn, from `src` to every other member of its class's audience.
 
         Returns how many deliveries were scheduled; the others were dropped."""
-        out = self._outbound[src]
+        byz, routes, rng, drop = self._outbound[src]
         if isinstance(body, list):
             bodies = body
             if set(map(type, bodies)) != {m.TxGossip}:
                 raise TypeError("a broadcast list carries TxGossip bodies only")
         else:
             bodies = (body,)
-        kind = m.kind_of(bodies[0])
-        active = out[0] is ByzantineType.ACTIVE
-        _, routes, _, drop = out
-        targets = [routes.get(dst) or self._route(src, dst, out)
-                   for dst in recipients if dst != src]
+        kind, audience = m.kind_of(bodies[0]), bodies[0].audience
+        targets = routes.get(audience) or routes.setdefault(audience, [
+            self._route(src, dst, rng) for dst in self._audiences[audience] if dst != src])
+        active = byz is ByzantineType.ACTIVE
         delay = self.delays.model_for(bodies[0].delay_kind)
         fixed = delay.fixed_ms
         send, schedule, now = self.send, self.engine.schedule, self.engine.now
@@ -125,13 +125,13 @@ class Network:
             self.recorder.message_dropped(kind, attempted - scheduled)
         return scheduled
 
-    def _route(self, src: int, dst: int, out: tuple) -> tuple:
-        """Build and keep `src`'s route to `dst`: (dst, latency model, (dst, latency)
-        if the model is constant else None, src's latency stream, dst's
-        processing-delay stream). Draws nothing."""
+    def _route(self, src: int, dst: int, rng) -> tuple:
+        """`src`'s route to `dst`: (dst, latency model, (dst, latency) if the model is
+        constant else None, src's latency stream `rng`, dst's processing-delay
+        stream). Draws nothing."""
         model = self.latency.model_for((self._locations[src], self._locations[dst]))
-        member = None if model.fixed_ms is None else (dst, model.sample_ms(out[2]))
-        return out[1].setdefault(dst, (dst, model, member, out[2], self._delay_rng[dst]))
+        member = None if model.fixed_ms is None else (dst, model.sample_ms(rng))
+        return dst, model, member, rng, self.streams.stream(dst, "processing-delay")
 
     def send(self, route: tuple, drop: tuple | None, delay: Distribution,
              fixed: int | None, groups: dict[int, list[tuple[int, int]]]) -> bool:

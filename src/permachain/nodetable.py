@@ -29,7 +29,8 @@ class NodeSpec:
 
 
 class NodeTable:
-    """Rows in input order; equal tables have equal rows."""
+    """Rows in input order, with the ids of every row and of the authority rows (the
+    two broadcast audiences, built once); equal tables have equal rows."""
 
     def __init__(self, rows: tuple[NodeSpec, ...]):
         self.rows = rows
@@ -40,19 +41,13 @@ class NodeTable:
             if row.id in seen:
                 raise NodeTableError(f"row {i}: duplicate node id {brief(row.id)}")
             seen.add(row.id)
-        if not any(r.authority for r in self.rows):
+        self.ids = [r.id for r in rows]
+        self.authorities = [r.id for r in rows if r.authority]
+        if not self.authorities:
             raise NodeTableError("node table defines zero authorities")
 
     def __eq__(self, other):
         return type(other) is NodeTable and other.rows == self.rows
-
-    @property
-    def ids(self) -> list[int]:
-        return [r.id for r in self.rows]
-
-    @property
-    def authorities(self) -> list[int]:
-        return [r.id for r in self.rows if r.authority]
 
     def benign(self) -> set[int]:
         return {r.id for r in self.rows if r.byzantine is ByzantineType.HONEST}

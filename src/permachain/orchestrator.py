@@ -61,7 +61,7 @@ class World:
         self.recorder = RunRecorder(
             self.engine, None if records is None else propagation_writer(records))
 
-        self.network = Network(self.engine, self.streams, config.latency,
+        self.network = Network(self.engine, self.streams, table, config.latency,
                                config.processing_delay, recorder=self.recorder)
 
         authority, follower, kickoff = PROTOCOLS[config.protocol]
@@ -69,8 +69,8 @@ class World:
         for row in table.rows:
             node_class = authority if row.authority else follower
             node = self.nodes[row.id] = node_class(row.id, row.byzantine, self)
-            self.network.register_node(row.id, row.location, node.byz,
-                                       config.drop_prob_for(row.id), node.receive)
+            self.network.register_node(row.id, node.byz, config.drop_prob_for(row.id),
+                                       node.receive)
         self.engine.register(COORDINATOR, run_calls)
         self.kickoff = kickoff(self)
         ignored = [r.id for r in table.rows if self.nodes[r.id].byz is not r.byzantine]
@@ -103,7 +103,7 @@ class World:
             tx = Transaction(tx_id, origin_id, f"tx-{tx_id}", now, day)
             origin.pool.add(tx)
             gossip.append(m.TxGossip(tx))
-        self.network.broadcast(origin_id, gossip, self.authorities)
+        self.network.broadcast(origin_id, gossip)
 
     # -- day termination ------------------------------------------------------
 

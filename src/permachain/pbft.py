@@ -153,8 +153,7 @@ class PbftReplica(PbftFollower):
         self.preprepared[self.view, height] = block
         # the pre-prepare is the primary's prepare
         self.prepares[self.view, height, block.digest].add(self.id)
-        self.world.network.broadcast(self.id, m.PrePrepare(self.view, block),
-                                     self.world.authorities)
+        self.world.network.broadcast(self.id, m.PrePrepare(self.view, block))
         self._check_prepared(self.view, height)
 
     # -- three phases ----------------------------------------------------
@@ -185,8 +184,7 @@ class PbftReplica(PbftFollower):
             if height > self.chain.height:
                 self.locks[height] = msg
             self.prepares[view, height, digest].add(self.id)
-            self.world.network.broadcast(self.id, m.Prepare(view, height, digest),
-                                         self.world.authorities)
+            self.world.network.broadcast(self.id, m.Prepare(view, height, digest))
         self._check_prepared(view, height)
         self._check_committed(view, height)
 
@@ -209,7 +207,7 @@ class PbftReplica(PbftFollower):
         if len(self.prepares.get(key, ())) < self.quorum:
             return
         self.commits[key].add(self.id)
-        self.world.network.broadcast(self.id, m.Commit(*key), self.world.authorities)
+        self.world.network.broadcast(self.id, m.Commit(*key))
         if self.byz is ByzantineType.ACTIVE and height == self.next_height:
             # Self-deluded finalization: an active node believes its own
             # tampered votes, so its quorum is met one round early.
@@ -240,7 +238,7 @@ class PbftReplica(PbftFollower):
         super()._append(block)
         self.vc_attempts = 0
         self._arm_timer()
-        self.world.network.broadcast(self.id, m.BlockAnnounce(block), self.world.all_ids)
+        self.world.network.broadcast(self.id, m.BlockAnnounce(block))
 
     # -- view changes ------------------------------------------------------
 
@@ -248,7 +246,7 @@ class PbftReplica(PbftFollower):
         self.my_top_vote = max(self.my_top_vote, proposed)
         vote = m.ViewChange(proposed, self.next_height, self.locks.get(self.next_height))
         self.vc_votes[proposed][self.id] = vote
-        self.world.network.broadcast(self.id, vote, self.world.authorities)
+        self.world.network.broadcast(self.id, vote)
         self._check_viewchange(proposed)
 
     def on_viewchange(self, sender: int, msg: m.ViewChange) -> None:
@@ -283,8 +281,7 @@ class PbftReplica(PbftFollower):
         self._arm_timer()
         if primary_of(new_view, self.world.authorities) != self.id:
             return
-        self.world.network.broadcast(self.id, m.NewView(new_view),
-                                     self.world.authorities)
+        self.world.network.broadcast(self.id, m.NewView(new_view))
         pending = self.next_height
         # replay committed blocks the slowest voter is missing
         for h in range(min([v.next_height for v in votes] + [pending]), pending):

@@ -73,7 +73,7 @@ class PoaNode(Node):
         block = make_block(self.next_height, 0, self.id, self.chain.tip.digest, txs,
                            self.world.engine.now)
         self._append(block)
-        self.world.network.broadcast(self.id, m.BlockMsg(block), self.world.all_ids)
+        self.world.network.broadcast(self.id, m.BlockMsg(block))
 
     def on_block(self, sender: int, msg: m.BlockMsg) -> None:
         block = msg.block

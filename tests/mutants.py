@@ -105,7 +105,7 @@ MUTANTS = [
      "(byz, next(iter(self._outbound.values()), (0, {}))[1], self.streams",
      [f"{NETWORK}::test_a_route_never_serves_another_sender"]),
     ("constant_latency_drawn_per_attempt", "network.py",
-     "member = None if model.fixed_ms is None else (dst, model.sample_ms(out[2]))",
+     "member = None if model.fixed_ms is None else (dst, model.sample_ms(rng))",
      "member = None",
      [f"{NETWORK}::"
       "test_a_constant_latency_is_sampled_once_per_pair_and_a_constant_processing_delay_never"]),
@@ -185,6 +185,28 @@ MUTANTS = [
      "        if True:  # counted, and prepared all the same\n"
      "            if height > self.chain.height:\n",
      [f"{PBFT}::test_a_preprepare_that_conflicts_with_a_committed_block_is_not_prepared"]),
+    ("announce_heard_by_authorities_only", "messages.py",
+     '    audience = ALL\n    delay_kind = BLOCK\n    handler = "on_announce"',
+     '    audience = AUTHORITIES\n    delay_kind = BLOCK\n    handler = "on_announce"',
+     [f"{NETWORK}::test_each_body_class_reaches_its_audience_but_the_sender_in_table_order",
+      f"{NETWORK}::test_broadcast_counts_its_sends_and_drops_once",
+      "tests/test_oracle.py::"
+      "test_pbft_commits_three_hops_after_the_tick_and_followers_one_later[4-2-10-1]",
+      "tests/test_golden.py::test_scenario_outputs_match_golden_digests[pbft-viewchange]"]),
+    ("route_build_keeps_the_sender", "network.py",
+     " for dst in self._audiences[audience] if dst != src])",
+     " for dst in self._audiences[audience]])",
+     [f"{NETWORK}::test_each_body_class_reaches_its_audience_but_the_sender_in_table_order",
+      f"{NETWORK}::test_broadcast_counts_scheduled",
+      f"{NETWORK}::test_a_group_joined_while_its_event_is_delivered_runs_at_its_tail",
+      "tests/test_faults.py::test_honest_and_active_never_drop"]),
+    ("one_route_list_for_both_audiences", "network.py",
+     "routes.get(audience) or routes.setdefault(audience, [",
+     "routes.get(None) or routes.setdefault(None, [",
+     [f"{NETWORK}::test_each_body_class_reaches_its_audience_but_the_sender_in_table_order",
+      f"{NETWORK}::test_random_models_draw_once_per_attempt_in_stream_order",
+      f"{NETWORK}::test_merged_batches_write_the_bytes_of_unmerged_ones[poa-baseline]",
+      "tests/test_golden.py::test_scenario_outputs_match_golden_digests[poa-baseline]"]),
     ("view_timer_adds_a_fixed_millisecond", "pbft.py",
      "block_interval_ms + grace,", "block_interval_ms + grace + 1,",
      ["tests/test_metamorphic.py::"

@@ -2,10 +2,10 @@
 
 `RefEngine` keeps one heap entry per item, ordered by (fire_at, seq), and
 hands each item to its target's handler as a one-item list. `RefNetwork`
-schedules one event per recipient and body, and makes every draw itself, per
-attempt: the sender's drop stream (a passive sender with p > 0), then, if
-kept, the sender's latency stream and the recipient's processing-delay
-stream. Swap both into `orchestrator` (`orchestrator.EventEngine = RefEngine`,
+schedules one event per body and member of the body's audience but the
+sender, in node-table order, and makes every draw itself, per attempt: the
+sender's drop stream (a passive sender with p > 0), then, if kept, the
+sender's latency stream and the recipient's processing-delay stream. Swap both into `orchestrator` (`orchestrator.EventEngine = RefEngine`,
 `orchestrator.Network = RefNetwork`) to run any input through them; they
 assume an input that `check_inputs` accepted.
 """
@@ -17,7 +17,7 @@ from itertools import count
 
 from permachain.distributions import BLOCK, TRANSACTION
 from permachain.faults import ByzantineType
-from permachain.messages import kind_of
+from permachain.messages import AUTHORITIES, kind_of
 
 
 class RefEngine:
@@ -49,30 +49,33 @@ class RefEngine:
 
 
 class RefNetwork:
-    def __init__(self, engine, streams, latency, delays, recorder):
+    def __init__(self, engine, streams, table, latency, delays, recorder):
         self.engine, self.streams, self.latency, self.delays = engine, streams, latency, delays
         self.recorder = recorder
-        self.nodes: dict = {}  # id -> (location, byz, drop_prob, receive)
+        self.table = table
+        self.nodes: dict = {}  # id -> (byz, drop_prob, receive)
         engine.register("deliver", self._deliver)
 
-    def register_node(self, node_id, location, byz, drop_prob, receive):
-        self.nodes[node_id] = (location, byz, drop_prob, receive)
+    def register_node(self, node_id, byz, drop_prob, receive):
+        self.nodes[node_id] = (byz, drop_prob, receive)
 
-    def broadcast(self, src, body, recipients):
-        location, byz, drop_prob, _ = self.nodes[src]
+    def broadcast(self, src, body):
+        byz, drop_prob, _ = self.nodes[src]
+        location = {row.id: row.location for row in self.table.rows}
         stream = self.streams.stream
         sent = dropped = 0
         for one in body if isinstance(body, list) else [body]:
             if byz is ByzantineType.ACTIVE:
                 one = one.corrupted()
-            for dst in recipients:
-                if dst == src:
+            for row in self.table.rows:
+                dst = row.id
+                if dst == src or (one.audience == AUTHORITIES and not row.authority):
                     continue
                 if byz is ByzantineType.PASSIVE and drop_prob > 0 \
                         and stream(src, "drop").random() < drop_prob:
                     dropped += 1
                     continue
-                lat = self.latency.model_for((location, self.nodes[dst][0])).sample_ms(
+                lat = self.latency.model_for((location[src], location[dst])).sample_ms(
                     stream(src, "latency"))
                 delay = self.delays.model_for(one.delay_kind).sample_ms(
                     stream(dst, "processing-delay"))
@@ -89,4 +92,4 @@ class RefNetwork:
         for src, sent_at, body, dst, lat in items:
             if body.delay_kind in (TRANSACTION, BLOCK):
                 self.recorder.record_delivery(body.delay_kind, src, sent_at, [(dst, lat)], 1)
-            self.nodes[dst][3](src, [body])
+            self.nodes[dst][2](src, [body])

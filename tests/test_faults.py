@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import make_table
 from permachain import messages as m
 from permachain.config import RunConfig
 from permachain.distributions import latency_table, processing_delays
@@ -54,13 +55,13 @@ def test_corrupt_leaves_tx_gossip_alone():
 
 
 def drop_fraction(byz, prob, n=10_000, seed=3):
-    """Share of n single-recipient broadcasts from node 1 that its network drops."""
+    """Share of n broadcasts from node 1 to node 2, its one peer, that its network drops."""
     engine = EventEngine()
-    net = Network(engine, RngStreams(seed), latency_table(None), processing_delays(None),
-                  RunRecorder(engine))
+    net = Network(engine, RngStreams(seed), make_table(2), latency_table(None),
+                  processing_delays(None), RunRecorder(engine))
     for node in (1, 2):
-        net.register_node(node, "here", byz, prob, lambda sender, body: None)
-    return sum(1 - net.broadcast(1, m.TxGossip(tx=None), [2]) for _ in range(n)) / n
+        net.register_node(node, byz, prob, lambda sender, body: None)
+    return sum(1 - net.broadcast(1, m.TxGossip(tx=None)) for _ in range(n)) / n
 
 
 def test_honest_and_active_never_drop():

@@ -19,9 +19,10 @@ from permachain.engine import EventEngine, RngStreams
 from permachain.errors import ConfigError
 from permachain.config import RunConfig
 from permachain.faults import ByzantineType
-from permachain.ledger import Transaction
+from permachain.ledger import Transaction, genesis_block, make_block
 from permachain.network import Network
 from permachain.node import Node
+from permachain.nodetable import parse_node_rows
 from permachain.reporting import RunRecorder, emit_json
 from permachain.workload import parse_schedule
 from reference import RefEngine, RefNetwork
@@ -63,8 +64,9 @@ class LoggedRecorder(RunRecorder):
 
 
 def build_net(n_nodes=13, byz=None, drop_prob=0.4, latency=None, seed=1, overrides=None,
-              receive=lambda node, sender, bodies: None, delays=None):
-    """A bare Network over nodes 1..n_nodes; node i hands each delivery group's
+              receive=lambda node, sender, bodies: None, delays=None, followers=0):
+    """A bare Network over conftest's `make_table` of nodes 1..n_nodes at loc-1..,
+    the last `followers` of them followers; node i hands each delivery group's
     bodies to receive(i, sender, bodies)."""
     byz = byz or {}
     engine = EventEngine()
@@ -74,15 +76,20 @@ def build_net(n_nodes=13, byz=None, drop_prob=0.4, latency=None, seed=1, overrid
     recorder = LoggedRecorder()
     recorder.engine = engine
     faults = RunConfig("pbft", drop_prob=drop_prob, drop_prob_overrides=overrides or {})
-    net = Network(engine, streams, table, delays, recorder=recorder)
+    nodes = make_table(n_nodes - followers, followers)
+    net = Network(engine, streams, nodes, table, delays, recorder=recorder)
     for i in range(1, n_nodes + 1):
-        net.register_node(i, f"loc-{i}", ByzantineType(byz.get(i, 0)), faults.drop_prob_for(i),
+        net.register_node(i, ByzantineType(byz.get(i, 0)), faults.drop_prob_for(i),
                           partial(receive, i))
     return engine, net, recorder
 
 
 def gossip(i=1):
     return m.TxGossip(Transaction(i, 1, "x", 0, 1))
+
+
+def block_one():
+    return make_block(1, 0, 1, genesis_block().digest, (), 0)
 
 
 def logged_net(**kwargs):
@@ -97,32 +104,32 @@ def logged_net(**kwargs):
 
 
 def latencies(net, src, dst, n):
-    """Latencies of n single-recipient broadcasts from src to dst, in send order,
+    """Latencies from src to dst of n gossip broadcasts from src, in send order,
     read from the rows the recorder takes as each one is delivered."""
     rows = net.recorder.deliveries
     start = len(rows)
     for i in range(n):
-        net.broadcast(src, gossip(i), [dst])
+        net.broadcast(src, gossip(i))
         net.engine.run_until_idle()
     return [delivered_at - sent_at for _, s, d, sent_at, delivered_at in rows[start:]
             if (s, d) == (src, dst)]
 
 
 def test_constant_latency_always_ten():
-    _, net, _ = build_net()
+    _, net, _ = build_net(n_nodes=2)
     assert latencies(net, 1, 2, 20) == [10] * 20
 
 
 def test_degenerate_uniform_latency():
     table = latency_table({"default": {"kind": "uniform", "lo": 5, "hi": 5}})
-    _, net, _ = build_net(latency=table)
+    _, net, _ = build_net(n_nodes=2, latency=table)
     assert latencies(net, 1, 2, 20) == [5] * 20
 
 
 def test_empirical_latency_reproducible_and_concentrated():
     table = latency_table({"default": {"kind": "empirical", "values": [3, 7]}})
-    _, net1, _ = build_net(latency=table, seed=9)
-    _, net2, _ = build_net(latency=table, seed=9)
+    _, net1, _ = build_net(n_nodes=2, latency=table, seed=9)
+    _, net2, _ = build_net(n_nodes=2, latency=table, seed=9)
     seq1 = latencies(net1, 1, 2, 10_000)
     seq2 = latencies(net2, 1, 2, 10_000)
     assert seq1 == seq2
@@ -161,12 +168,12 @@ def test_no_model_no_default_errors():
     _, net, _ = build_net(latency=table)
     with pytest.raises(ConfigError,
                        match=r"no latency model for \('loc-1', 'loc-2'\) and no default"):
-        net.broadcast(1, gossip(), [2])
+        net.broadcast(1, gossip())
 
 
 def test_send_schedules_delivery_after_latency_plus_processing():
-    engine, net, recorder, log = logged_net()
-    assert net.broadcast(1, gossip(), [2]) == 1
+    engine, net, recorder, log = logged_net(n_nodes=2)
+    assert net.broadcast(1, gossip()) == 1
     engine.run_until_idle()
     (kind, src, dst, sent_at, delivered_at), = recorder.deliveries
     assert (kind, src, dst) == ("transaction", 1, 2)
@@ -176,25 +183,23 @@ def test_send_schedules_delivery_after_latency_plus_processing():
     assert delivered_at >= sent_at
 
 
-def test_unknown_recipient_raises():
+def test_an_unknown_sender_raises():
     # the loaders refuse an unknown node id; past them, one is a KeyError, never skipped
     _, net, _ = build_net(n_nodes=2)
     with pytest.raises(KeyError):
-        net.broadcast(1, gossip(), [99])
-    with pytest.raises(KeyError):
-        net.broadcast(99, gossip(), [1])
+        net.broadcast(99, gossip())
 
 
 def test_full_dropper_always_drops():
-    _, net, recorder = build_net(byz={1: 2}, drop_prob=1.0)
-    assert not any(net.broadcast(1, gossip(i), [2]) for i in range(20))
+    _, net, recorder = build_net(n_nodes=2, byz={1: 2}, drop_prob=1.0)
+    assert not any(net.broadcast(1, gossip(i)) for i in range(20))
     assert recorder.drop_counts["TxGossip"] == 20
 
 
 def test_passive_drop_fraction_concentrates():
-    _, net, recorder = build_net(byz={1: 2}, drop_prob=0.4)
+    _, net, recorder = build_net(n_nodes=2, byz={1: 2}, drop_prob=0.4)
     n = 10_000
-    dropped = sum(1 - net.broadcast(1, gossip(i), [2]) for i in range(n))
+    dropped = sum(1 - net.broadcast(1, gossip(i)) for i in range(n))
     assert 0.38 <= dropped / n <= 0.42
     assert recorder.drop_counts["TxGossip"] == dropped
     assert recorder.message_counts["TxGossip"] == n - dropped
@@ -202,37 +207,38 @@ def test_passive_drop_fraction_concentrates():
 
 def test_broadcast_counts_scheduled():
     _, net, _ = build_net()
-    assert net.broadcast(1, gossip(), list(range(2, 14))) == 12
-    assert net.broadcast(1, gossip(), []) == 0
+    assert net.broadcast(1, gossip()) == 12
+    _, alone, _ = build_net(n_nodes=3, followers=2)  # node 1 is the only authority
+    assert alone.broadcast(1, gossip()) == 0
     _, net2, _ = build_net(byz={1: 2}, drop_prob=1.0)
-    assert net2.broadcast(1, gossip(), list(range(2, 14))) == 0
+    assert net2.broadcast(1, gossip()) == 0
 
 
 def test_broadcast_mean_scheduled_under_partial_drops():
     # expectation: 8 recipients x 0.6 keep-probability = 4.8
     _, net, _ = build_net(n_nodes=9, byz={1: 2}, drop_prob=0.4)
     rounds = 5000
-    total = sum(net.broadcast(1, gossip(i), list(range(2, 10))) for i in range(rounds))
+    total = sum(net.broadcast(1, gossip(i)) for i in range(rounds))
     assert abs(total / rounds - 4.8) <= 0.1
 
 
 def test_latency_draws_unaffected_by_other_nodes():
-    # per-sender streams: dropping an unrelated node leaves draws unchanged
+    # per-sender streams: nodes outside the audience and another sender's traffic
+    # leave a sender's draws unchanged
     table = latency_table({"default": {"kind": "uniform", "lo": 1, "hi": 30}})
-    _, big, _ = build_net(n_nodes=13, latency=table, seed=5)
+    _, big, _ = build_net(n_nodes=13, followers=10, latency=table, seed=5)
     _, small, _ = build_net(n_nodes=3, latency=table, seed=5)
-    big.broadcast(3, gossip(50), [2])  # unrelated traffic from another sender
+    big.broadcast(3, gossip(50))  # unrelated traffic from another sender
     seq_big = latencies(big, 1, 2, 50)
     seq_small = latencies(small, 1, 2, 50)
     assert seq_big == seq_small
 
 
 def test_active_sender_corrupts_digest_bearing_only():
-    engine, net, _, log = logged_net(byz={1: 1})
-    from permachain.ledger import genesis_block, make_block
+    engine, net, _, log = logged_net(n_nodes=2, byz={1: 1})
     block = make_block(1, 0, 1, genesis_block().digest, (), 0)
-    net.broadcast(1, m.PrePrepare(0, block), [2])
-    net.broadcast(1, gossip(), [2])
+    net.broadcast(1, m.PrePrepare(0, block))
+    net.broadcast(1, gossip())
     engine.run_until_idle()
     got = [body for _t, _node, _sender, body in log]
     assert got[0].block.digest != block.digest  # tampered in transit
@@ -243,8 +249,8 @@ def test_passive_sender_byte_identical_when_not_dropping():
     engine_h, net_h, recorder_h, seen_h = logged_net(byz={}, seed=11)
     engine_p, net_p, recorder_p, seen_p = logged_net(byz={1: 2}, drop_prob=0.0, seed=11)
     body = gossip()
-    net_h.broadcast(1, body, [2])
-    net_p.broadcast(1, body, [2])
+    net_h.broadcast(1, body)
+    net_p.broadcast(1, body)
     engine_h.run_until_idle()
     engine_p.run_until_idle()
     assert seen_h == seen_p
@@ -316,7 +322,7 @@ def test_passive_sender_draws_drop_stream_once_per_recipient():
                 expected.append((i, dst, reference_draw("uniform", table.default.params,
                                                         latency)))
     for i in range(10):
-        net.broadcast(1, gossip(i), range(1, 14))  # the sender itself is skipped
+        net.broadcast(1, gossip(i))  # to every authority but the sender
     net.engine.run_until_idle()
     # each delivery is recorded just before its recipient receives it
     assert [dst for _, _, dst, _, _ in recorder.deliveries] == [node for _, node, _, _ in log]
@@ -332,29 +338,29 @@ def test_only_a_dropping_passive_sender_has_a_drop_stream():
     # 1 active, 2 honest, 3 passive, 4 passive that never drops
     _, net, _ = build_net(byz={1: 1, 3: 2, 4: 2}, drop_prob=0.4, overrides={4: 0.0})
     for src in (1, 2, 4):
-        assert net.broadcast(src, gossip(), range(1, 14)) == 12
+        assert net.broadcast(src, gossip()) == 12
     assert [node for node, purpose in net.streams.asked if purpose == "drop"] == [3]
 
 
 def test_broadcast_counts_its_sends_and_drops_once():
     _, net, recorder = build_net(byz={1: 2}, drop_prob=0.4)
-    scheduled = net.broadcast(1, gossip(), list(range(1, 14)))
+    scheduled = net.broadcast(1, gossip())
     assert 0 < scheduled < 12
     assert recorder.hook_calls == [("sent", "TxGossip", scheduled),
                                    ("dropped", "TxGossip", 12 - scheduled)]
     assert recorder.message_counts == {"TxGossip": scheduled}
     assert recorder.drop_counts == {"TxGossip": 12 - scheduled}
-    recorder.hook_calls.clear()
-    assert net.broadcast(2, m.Prepare(0, 1, 5), [1, 3]) == 2
-    assert net.broadcast(2, m.Prepare(0, 1, 5), [2]) == 0  # only itself: nothing to count
-    assert recorder.hook_calls == [("sent", "Prepare", 2)]
-    assert "Prepare" not in recorder.drop_counts
+    _, net, recorder = build_net(n_nodes=3, followers=2)  # node 1 is the only authority
+    assert net.broadcast(1, m.BlockAnnounce(block_one())) == 2
+    assert net.broadcast(1, m.Prepare(0, 1, 5)) == 0  # only itself: nothing to count
+    assert recorder.hook_calls == [("sent", "BlockAnnounce", 2)]
+    assert "BlockAnnounce" not in recorder.drop_counts
 
 
 def test_one_event_per_delivery_instant():
     engine, net, _, log = logged_net()  # constant 10 ms latency, constant 1 ms processing
     for i in range(10):
-        assert net.broadcast(1, gossip(i), range(1, 14)) == 12
+        assert net.broadcast(1, gossip(i)) == 12
     assert engine.scheduled_count == 1  # the ten groups share one instant, joined
     engine.run_until_idle()
     assert engine.dispatched_count == 1
@@ -371,8 +377,8 @@ def test_a_batch_of_bodies_draws_and_delivers_as_one_broadcast_per_body():
             for _ in range(2)]
     bodies = [gossip(i) for i in range(8)]
     (engine_b, net_b, recorder_b, log_b), (engine_s, net_s, recorder_s, log_s) = nets
-    scheduled = net_b.broadcast(1, bodies, range(1, 14))
-    assert scheduled == sum(net_s.broadcast(1, body, range(1, 14)) for body in bodies)
+    scheduled = net_b.broadcast(1, bodies)
+    assert scheduled == sum(net_s.broadcast(1, body) for body in bodies)
     assert engine_b.scheduled_count == engine_s.scheduled_count  # groups joined alike
     engine_b.run_until_idle()
     engine_s.run_until_idle()
@@ -387,8 +393,9 @@ def test_a_batch_of_bodies_draws_and_delivers_as_one_broadcast_per_body():
         [net_s.streams.stream(*key).random() for key in asked]
 
 
-def mixed_delay_net(receive, **kwargs):
-    """Nodes 1-9; from node 1, nodes 3 and 5 are 5 ms away, node 7 is 20 ms, the rest 10 ms.
+def mixed_delay_net(receive, n_nodes=7, **kwargs):
+    """Nodes 1..n_nodes; from node 1, nodes 3 and 5 are 5 ms away, node 7 is 20 ms,
+    the rest 10 ms.
 
     With 1 ms processing, a broadcast from node 1 to nodes 2-7 arrives at 2, 4
     and 6 after 11 ms, at 3 and 5 after 6 ms and at 7 after 21 ms.
@@ -398,7 +405,7 @@ def mixed_delay_net(receive, **kwargs):
         "pairs": [{"src": "loc-1", "dst": f"loc-{dst}", "kind": "constant", "ms": ms}
                   for dst, ms in ((3, 5), (5, 5), (7, 20))],
     })
-    return build_net(n_nodes=9, latency=table, receive=receive, **kwargs)
+    return build_net(n_nodes=n_nodes, latency=table, receive=receive, **kwargs)
 
 
 def test_grouped_deliveries_keep_the_order_of_one_event_per_recipient():
@@ -415,7 +422,7 @@ def test_grouped_deliveries_keep_the_order_of_one_event_per_recipient():
                         log.extend((engine.now, target) for _ in items))
     for t in (6, 11):
         engine.schedule(t, 8, "scheduled before the broadcast")
-    assert net.broadcast(1, gossip(), range(2, 8)) == 6
+    assert net.broadcast(1, gossip()) == 6
     for t in (6, 11):
         engine.schedule(t, 9, "scheduled after the broadcast")
     assert engine.scheduled_count == 4 + 3
@@ -435,21 +442,21 @@ def test_a_group_joined_while_its_event_is_delivered_runs_at_its_tail():
         body, = bodies
         log.append((engine.now, node, sender, body.tx.tx_id))
         if (node, body.tx.tx_id) == (2, 1):  # total delay 0: joins the event being delivered
-            net.broadcast(2, gossip(2), [3, 4])
+            net.broadcast(2, gossip(2))
 
     zero = latency_table({"default": {"kind": "constant", "ms": 0}})
     delays = processing_delays({"default": {"kind": "constant", "ms": 0}})
-    engine, net, _ = build_net(n_nodes=4, latency=zero, delays=delays, receive=receive)
-    net.broadcast(1, gossip(1), [2, 3])
+    engine, net, _ = build_net(n_nodes=3, latency=zero, delays=delays, receive=receive)
+    net.broadcast(1, gossip(1))
     engine.run_until_idle()
-    assert log == [(0, 2, 1, 1), (0, 3, 1, 1), (0, 3, 2, 2), (0, 4, 2, 2)]
+    assert log == [(0, 2, 1, 1), (0, 3, 1, 1), (0, 1, 2, 2), (0, 3, 2, 2)]
     assert engine.scheduled_count == engine.dispatched_count == 1
 
 
 def test_a_group_past_the_deadline_is_discarded_whole():
     log = []
     engine, net, _ = mixed_delay_net(lambda node, sender, bodies: log.append((engine.now, node)))
-    net.broadcast(1, gossip(), range(2, 8))
+    net.broadcast(1, gossip())
     engine.run_until_idle(deadline=10)
     assert log == [(6, 3), (6, 5)]
     assert (engine.scheduled_count, engine.dispatched_count, engine.discarded_count) == (3, 1, 2)
@@ -470,10 +477,10 @@ def receive_calls(**kwargs):
 def test_a_constant_delay_batch_is_one_group_per_instant():
     k = 6
     engine, net, recorder, calls = receive_calls()
-    assert net.broadcast(1, [gossip(i) for i in range(k)], range(1, 8)) == 6 * k
+    assert net.broadcast(1, [gossip(i) for i in range(k)]) == 6 * k
     one_by_one, net_s, recorder_s, _ = receive_calls()
     for i in range(k):
-        net_s.broadcast(1, gossip(i), range(1, 8))
+        net_s.broadcast(1, gossip(i))
     assert engine.scheduled_count == one_by_one.scheduled_count == 3
     engine.run_until_idle()
     one_by_one.run_until_idle()
@@ -489,12 +496,12 @@ def test_a_batch_merges_only_bodies_with_the_same_members():
     # delay and 3 has its own, and a body's members are those its drops spared
     runs = []
     for batched in (True, False):
-        engine, net, recorder, calls = receive_calls(byz={1: 2}, drop_prob=0.3)
+        engine, net, recorder, calls = receive_calls(n_nodes=4, byz={1: 2}, drop_prob=0.3)
         bodies = [gossip(i) for i in range(20)]
         if batched:
-            scheduled = net.broadcast(1, bodies, range(1, 5))
+            scheduled = net.broadcast(1, bodies)
         else:
-            scheduled = sum(net.broadcast(1, body, range(1, 5)) for body in bodies)
+            scheduled = sum(net.broadcast(1, body) for body in bodies)
         engine.run_until_idle()
         by_node = {}
         for t, node, _, ids in calls:
@@ -513,7 +520,7 @@ def test_a_batch_merges_only_bodies_with_the_same_members():
 def test_broadcast_refuses_a_list_of_other_bodies(bodies):
     engine, net, recorder = build_net()
     with pytest.raises(TypeError, match="TxGossip bodies only"):
-        net.broadcast(1, bodies, range(2, 14))
+        net.broadcast(1, bodies)
     assert engine.scheduled_count == 0
     assert recorder.message_counts == {} and recorder.hook_calls == []
 
@@ -589,11 +596,16 @@ def test_every_bundled_input_writes_the_bytes_of_the_reference_model(name, tmp_p
     assert real == naive
 
 
-def test_an_unknown_recipient_is_refused_before_any_draw():
+def test_a_pair_with_no_latency_model_is_refused_before_any_draw():
+    # loc-1 -> loc-2 has a model and loc-1 -> loc-3 none, with no default
+    table = latency_table({"pairs": [{"src": "loc-1", "dst": "loc-2", "kind": "uniform",
+                                      "lo": 1, "hi": 30}]})
     for byz in ({}, {1: 1}, {1: 2}):  # honest, active and passive (always dropping) senders
-        engine, net, recorder = build_net(n_nodes=3, byz=byz, drop_prob=1.0, seed=2)
-        with pytest.raises(KeyError, match="99"):
-            net.broadcast(1, gossip(), [2, 99])
+        engine, net, recorder = build_net(n_nodes=3, byz=byz, drop_prob=1.0, seed=2,
+                                          latency=table)
+        for _ in range(2):  # a refused audience keeps no partial route list
+            with pytest.raises(ConfigError, match=r"\('loc-1', 'loc-3'\)"):
+                net.broadcast(1, gossip())
         assert engine.scheduled_count == 0 and recorder.hook_calls == []
         for purpose in ("drop", "latency"):
             assert net.streams.stream(1, purpose).random() == \
@@ -621,17 +633,18 @@ def test_a_constant_latency_is_sampled_once_per_pair_and_a_constant_processing_d
     delays = processing_delays({"default": {"kind": "constant", "ms": 1}})
     engine, net, recorder, log = logged_net(n_nodes=5, latency=table, delays=delays)
     for i in range(4):
-        net.broadcast(1, gossip(i), range(1, 6))
-    net.broadcast(1, [gossip(i) for i in range(4, 10)], range(1, 6))
-    net.broadcast(3, gossip(10), [1, 2])
+        net.broadcast(1, gossip(i))
+    net.broadcast(1, [gossip(i) for i in range(4, 10)])
+    net.broadcast(3, gossip(10))
     engine.run_until_idle()
-    assert len(log) == 10 * 4 + 2
+    assert len(log) == 11 * 4
     pair, default = table.model_for(("loc-1", "loc-3")), table.default
     # the constant processing delay is read as its fixed_ms, never sampled
     assert counts == {id(pair): 2,     # routes 1->3 and 3->1
-                      id(default): 4}  # routes 1->2, 1->4, 1->5 and 3->2
+                      id(default): 6}  # routes 1->2, 1->4, 1->5, 3->2, 3->4 and 3->5
     assert sorted({(s, d, at - sent) for _, s, d, sent, at in recorder.deliveries}) == \
-        [(1, 2, 10), (1, 3, 5), (1, 4, 10), (1, 5, 10), (3, 1, 5), (3, 2, 10)]
+        [(1, 2, 10), (1, 3, 5), (1, 4, 10), (1, 5, 10),
+         (3, 1, 5), (3, 2, 10), (3, 4, 10), (3, 5, 10)]
 
 
 def test_random_models_draw_once_per_attempt_in_stream_order():
@@ -644,19 +657,22 @@ def test_random_models_draw_once_per_attempt_in_stream_order():
     delays = processing_delays({"transaction": {"kind": "normal", "mean": 5, "std": 3},
                                 "default": {"kind": "constant", "ms": 2}})
     runs = []
+    nodes = make_table(4, n_followers=2)  # nodes 5 and 6 hear only blocks
     for engine, network in ((EventEngine(), Network), (RefEngine(), RefNetwork)):
         streams, recorder = RngStreams(8), LoggedRecorder()
         recorder.engine = engine
-        net = network(engine, streams, latency, delays, recorder)
+        net = network(engine, streams, nodes, latency, delays, recorder)
         log = []
         for i in range(1, 7):
-            net.register_node(i, f"loc-{i}", ByzantineType(2 if i == 2 else 0), 0.3,
+            net.register_node(i, ByzantineType(2 if i == 2 else 0), 0.3,
                               lambda sender, bodies, i=i: log.extend(
                                   (engine.now, i, sender, body) for body in bodies))
-        net.broadcast(1, [gossip(i) for i in range(5)], range(1, 7))
-        net.broadcast(2, [gossip(i) for i in range(5, 9)], range(1, 7))
-        net.broadcast(1, m.Prepare(0, 1, 5), range(1, 7))
-        net.broadcast(2, gossip(9), [1, 4])
+        net.broadcast(1, [gossip(i) for i in range(5)])
+        net.broadcast(2, [gossip(i) for i in range(5, 9)])
+        net.broadcast(1, m.Prepare(0, 1, 5))
+        net.broadcast(2, m.BlockAnnounce(block_one()))
+        net.broadcast(2, gossip(9))
+        net.broadcast(6, gossip(10))  # a follower gossips to the authorities
         engine.run_until_idle()
         state = [streams.stream(node, purpose).random() for node in range(1, 7)
                  for purpose in ("drop", "latency", "processing-delay")]
@@ -678,6 +694,43 @@ def test_a_route_never_serves_another_sender():
     assert latencies(net, 1, 3, 2) == [5, 5]
     assert latencies(net, 2, 3, 2) == [10, 10]
     assert latencies(net, 3, 1, 1) == [5]
+
+
+def test_each_body_class_reaches_its_audience_but_the_sender_in_table_order(monkeypatch):
+    # authorities 4, 7 and 1 and followers 2 and 5, listed out of id order; the
+    # default delays are constant, so a draw is a route's latency sample
+    counts = counted_samples(monkeypatch)
+    table = parse_node_rows([{"id": i, "authority": int(i in (4, 7, 1)), "location": f"loc-{i}"}
+                             for i in (4, 2, 7, 1, 5)])
+    engine, streams, recorder = EventEngine(), LoggedStreams(3), LoggedRecorder()
+    recorder.engine = engine
+    net = Network(engine, streams, table, latency_table(None), processing_delays(None),
+                  recorder)
+    log = []
+    for i in table.ids:
+        net.register_node(i, ByzantineType.HONEST, 0.0, lambda sender, bodies, i=i: log.extend(
+            (i, sender, type(body).__name__) for body in bodies))
+    block = block_one()
+    bodies = [gossip(), m.BlockMsg(block), m.PrePrepare(0, block), m.Prepare(0, 1, 5),
+              m.Commit(0, 1, 5), m.ViewChange(1, 1), m.NewView(1), m.BlockAnnounce(block)]
+    everyone, authorities = [4, 2, 1, 5], [4, 1]
+    expected = [(dst, 7, type(body).__name__) for body in bodies
+                for dst in (everyone if type(body) in (m.BlockMsg, m.BlockAnnounce)
+                            else authorities)] + [(dst, 2, "TxGossip") for dst in (4, 7, 1)]
+    for sent in range(2):  # the second round builds no route
+        asked, sampled = len(streams.asked), sum(counts.values())
+        for body in bodies:
+            net.broadcast(7, body)
+        net.broadcast(2, gossip())  # a follower gossips to the authorities
+        engine.run_until_idle()
+        assert log == expected
+        log.clear()
+        if sent:
+            assert (len(streams.asked), sum(counts.values())) == (asked, sampled)
+        else:  # one constant latency sample and one processing-delay stream per route
+            assert streams.asked[asked:] == [(dst, "processing-delay")
+                                             for dst in authorities + everyone + [4, 7, 1]]
+            assert sum(counts.values()) - sampled == 2 + 4 + 3
 
 
 class GossipNode(Node):
