@@ -713,11 +713,11 @@ def test_each_body_class_reaches_its_audience_but_the_sender_in_table_order(monk
     block = block_one()
     bodies = [gossip(), m.BlockMsg(block), m.PrePrepare(0, block), m.Prepare(0, 1, 5),
               m.Commit(0, 1, 5), m.ViewChange(1, 1), m.NewView(1), m.BlockAnnounce(block)]
-    everyone, authorities = [4, 2, 1, 5], [4, 1]
+    everyone, authorities = [4, 2, 1, 5], [4, 1]  # node 7's two audiences, without node 7
     expected = [(dst, 7, type(body).__name__) for body in bodies
                 for dst in (everyone if type(body) in (m.BlockMsg, m.BlockAnnounce)
                             else authorities)] + [(dst, 2, "TxGossip") for dst in (4, 7, 1)]
-    for sent in range(2):  # the second round builds no route
+    for second in (False, True):  # the second round builds no route
         asked, sampled = len(streams.asked), sum(counts.values())
         for body in bodies:
             net.broadcast(7, body)
@@ -725,7 +725,7 @@ def test_each_body_class_reaches_its_audience_but_the_sender_in_table_order(monk
         engine.run_until_idle()
         assert log == expected
         log.clear()
-        if sent:
+        if second:
             assert (len(streams.asked), sum(counts.values())) == (asked, sampled)
         else:  # one constant latency sample and one processing-delay stream per route
             assert streams.asked[asked:] == [(dst, "processing-delay")
