@@ -3,11 +3,11 @@
 Latency per location pair and processing delay per body kind come from two
 `DelayTable`s (see distributions.py). A body's class names its audience
 (messages.py): the `AUTHORITIES` or `ALL` nodes of the node table that the
-network is built with. `Network.broadcast(src, body)` is the one delivery
-path. It takes one body or a list of ``TxGossip`` bodies (an injection batch;
-a list of any other kind is refused), and once per call their kind, audience
-and processing-delay model. A sender's first broadcast to an audience builds
-its routes to every other member, in table order, and they are kept. Body by
+network is built with. `Network.broadcast(src, *bodies)` is the one delivery
+path. It takes one body, or several ``TxGossip`` bodies (an injection batch;
+none, or several of any other kind, are refused), and once per call their kind,
+audience and processing-delay model. A sender's first broadcast to an audience
+builds its routes to every other member, in table order, and they are kept. Body by
 body, it takes an active sender's ``corrupted()`` form and delivers along each
 route at
 
@@ -19,7 +19,7 @@ on the sender's ``drop`` stream (only a passive sender with a drop
 probability above 0 has one), then, if not dropped, one on the sender's
 ``latency`` stream and one on the recipient's ``processing-delay`` stream. A
 constant model consumes no draw: a latency is sampled once per route, as the
-route is built, and a processing delay is read as its `fixed_ms`. A list of k bodies
+route is built, and a processing delay is read as its `fixed_ms`. A call with k bodies
 draws exactly what k one-body calls would, and a pair with no latency model
 raises `ConfigError` as the routes are built, before any draw. Each node's
 Byzantine type, drop probability and ``receive(sender, bodies)`` are fixed
@@ -85,18 +85,14 @@ class Network:
                 if should_drop(byz, drop_prob) else None)
         self._outbound[node_id] = (byz, {}, self.streams.stream(node_id, "latency"), drop)
 
-    def broadcast(self, src: int, body) -> int:
-        """Deliver `body`, or each body of the non-empty list `body` of `TxGossip`
-        in turn, from `src` to every other member of its class's audience.
+    def broadcast(self, src: int, *bodies) -> int:
+        """Deliver one body, or several `TxGossip` bodies in turn, from `src` to every
+        other member of their class's audience.
 
         Returns how many deliveries were scheduled; the others were dropped."""
         byz, routes, rng, drop = self._outbound[src]
-        if isinstance(body, list):
-            bodies = body
-            if set(map(type, bodies)) != {m.TxGossip}:
-                raise TypeError("a broadcast list carries TxGossip bodies only")
-        else:
-            bodies = (body,)
+        if len(bodies) != 1 and set(map(type, bodies)) != {m.TxGossip}:
+            raise TypeError("a broadcast of several bodies carries TxGossip bodies only")
         kind, audience = m.kind_of(bodies[0]), bodies[0].audience
         targets = routes.get(audience) or routes.setdefault(audience, [
             self._route(src, dst, rng) for dst in self._audiences[audience] if dst != src])

@@ -103,7 +103,7 @@ class World:
             tx = Transaction(tx_id, origin_id, f"tx-{tx_id}", now, day)
             origin.pool.add(tx)
             gossip.append(m.TxGossip(tx))
-        self.network.broadcast(origin_id, gossip)
+        self.network.broadcast(origin_id, *gossip)
 
     # -- day termination ------------------------------------------------------
 

@@ -126,7 +126,7 @@ MUTANTS = [
      "if delay > agg[2]:", "if delay < agg[2]:",
      ["tests/test_reporting.py::test_aggregates_match_bruteforce_mean_and_max",
       "tests/test_reporting.py::test_a_delivery_group_is_recorded_member_by_member",
-      "tests/test_reporting.py::test_the_bulk_fold_equals_a_member_by_member_fold"]),
+      "tests/test_reporting.py::test_the_aggregates_equal_a_member_by_member_fold"]),
     ("emptied_instant_read_as_holding_an_event", "engine.py",
      "elif bucket and bucket[-1][0] == target:", "elif bucket[-1][0] == target:",
      ["tests/test_engine.py::test_a_raise_drops_the_rest_of_its_own_list"]),
@@ -207,6 +207,19 @@ MUTANTS = [
       f"{NETWORK}::test_random_models_draw_once_per_attempt_in_stream_order",
       f"{NETWORK}::test_merged_batches_write_the_bytes_of_unmerged_ones[poa-baseline]",
       "tests/test_golden.py::test_scenario_outputs_match_golden_digests[poa-baseline]"]),
+    ("several_bodies_refused_only_above_two", "network.py",
+     "if len(bodies) != 1 and set(", "if len(bodies) > 2 and set(",
+     [f"{NETWORK}::test_broadcast_refuses_no_body_or_several_of_other_kinds[{case}]"
+      for case in ("empty", "two_prepares", "two_announces", "gossip_then_prepare")]),
+    ("several_bodies_kind_read_from_the_first", "network.py",
+     "set(map(type, bodies)) != {m.TxGossip}", "type(bodies[0]) is not m.TxGossip",
+     [f"{NETWORK}::test_broadcast_refuses_no_body_or_several_of_other_kinds[{case}]"
+      for case in ("empty", "gossip_then_prepare")]),
+    ("first_view_timer_doubled", "pbft.py",
+     "(2 ** min(self.vc_attempts, 20))", "(2 ** min(self.vc_attempts + 1, 20))",
+     ["tests/test_oracle.py::"
+      f"test_a_silent_primary_is_replaced_one_hop_after_the_timeout[{n}-0-10-1]"
+      for n in (4, 7)] + [f"{PBFT}::test_timeout_grace_doubles_per_failed_view"]),
     ("view_timer_adds_a_fixed_millisecond", "pbft.py",
      "block_interval_ms + grace,", "block_interval_ms + grace + 1,",
      ["tests/test_metamorphic.py::"

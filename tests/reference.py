@@ -5,7 +5,8 @@ hands each item to its target's handler as a one-item list. `RefNetwork`
 schedules one event per body and member of the body's audience but the
 sender, in node-table order, and makes every draw itself, per attempt: the
 sender's drop stream (a passive sender with p > 0), then, if kept, the
-sender's latency stream and the recipient's processing-delay stream. Swap both into `orchestrator` (`orchestrator.EventEngine = RefEngine`,
+sender's latency stream and the recipient's processing-delay stream. Swap
+both into `orchestrator` (`orchestrator.EventEngine = RefEngine`,
 `orchestrator.Network = RefNetwork`) to run any input through them; they
 assume an input that `check_inputs` accepted.
 """
@@ -59,12 +60,12 @@ class RefNetwork:
     def register_node(self, node_id, byz, drop_prob, receive):
         self.nodes[node_id] = (byz, drop_prob, receive)
 
-    def broadcast(self, src, body):
+    def broadcast(self, src, *bodies):
         byz, drop_prob, _ = self.nodes[src]
         location = {row.id: row.location for row in self.table.rows}
         stream = self.streams.stream
         sent = dropped = 0
-        for one in body if isinstance(body, list) else [body]:
+        for one in bodies:
             if byz is ByzantineType.ACTIVE:
                 one = one.corrupted()
             for row in self.table.rows:
@@ -81,7 +82,7 @@ class RefNetwork:
                     stream(dst, "processing-delay"))
                 self.engine.schedule(lat + delay, "deliver", (src, self.engine.now, one, dst, lat))
                 sent += 1
-        kind = kind_of(body[0] if isinstance(body, list) else body)
+        kind = kind_of(bodies[0])
         if sent:
             self.recorder.message_sent(kind, sent)
         if dropped:

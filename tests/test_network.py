@@ -377,7 +377,7 @@ def test_a_batch_of_bodies_draws_and_delivers_as_one_broadcast_per_body():
             for _ in range(2)]
     bodies = [gossip(i) for i in range(8)]
     (engine_b, net_b, recorder_b, log_b), (engine_s, net_s, recorder_s, log_s) = nets
-    scheduled = net_b.broadcast(1, bodies)
+    scheduled = net_b.broadcast(1, *bodies)
     assert scheduled == sum(net_s.broadcast(1, body) for body in bodies)
     assert engine_b.scheduled_count == engine_s.scheduled_count  # groups joined alike
     engine_b.run_until_idle()
@@ -477,7 +477,7 @@ def receive_calls(**kwargs):
 def test_a_constant_delay_batch_is_one_group_per_instant():
     k = 6
     engine, net, recorder, calls = receive_calls()
-    assert net.broadcast(1, [gossip(i) for i in range(k)]) == 6 * k
+    assert net.broadcast(1, *[gossip(i) for i in range(k)]) == 6 * k
     one_by_one, net_s, recorder_s, _ = receive_calls()
     for i in range(k):
         net_s.broadcast(1, gossip(i))
@@ -499,7 +499,7 @@ def test_a_batch_merges_only_bodies_with_the_same_members():
         engine, net, recorder, calls = receive_calls(n_nodes=4, byz={1: 2}, drop_prob=0.3)
         bodies = [gossip(i) for i in range(20)]
         if batched:
-            scheduled = net.broadcast(1, bodies)
+            scheduled = net.broadcast(1, *bodies)
         else:
             scheduled = sum(net.broadcast(1, body) for body in bodies)
         engine.run_until_idle()
@@ -514,15 +514,21 @@ def test_a_batch_merges_only_bodies_with_the_same_members():
     assert n_calls < n_calls_s == scheduled  # some bodies did share their members
 
 
-@pytest.mark.parametrize("bodies", [[m.Prepare(0, 1, 5)], [gossip(), m.Prepare(0, 1, 5)],
-                                    [m.BlockAnnounce(None)]],
-                         ids=["prepare", "gossip_then_prepare", "announce"])
-def test_broadcast_refuses_a_list_of_other_bodies(bodies):
-    engine, net, recorder = build_net()
+@pytest.mark.parametrize("bodies", [[], [m.Prepare(0, 1, 5), m.Prepare(0, 2, 6)],
+                                    [m.BlockAnnounce(None), m.BlockAnnounce(None)],
+                                    [gossip(), m.Prepare(0, 1, 5)]],
+                         ids=["empty", "two_prepares", "two_announces", "gossip_then_prepare"])
+def test_broadcast_refuses_no_body_or_several_of_other_kinds(bodies):
+    # a passive sender with a drop stream: the refusal comes before any draw
+    engine, net, recorder = build_net(byz={1: 2})
     with pytest.raises(TypeError, match="TxGossip bodies only"):
-        net.broadcast(1, bodies)
+        net.broadcast(1, *bodies)
     assert engine.scheduled_count == 0
-    assert recorder.message_counts == {} and recorder.hook_calls == []
+    assert recorder.message_counts == recorder.drop_counts == {}
+    assert recorder.hook_calls == []
+    for purpose in ("drop", "latency"):
+        assert net.streams.stream(1, purpose).random() == \
+            reference_stream(1, 1, purpose).random()
 
 
 OUTPUTS = ("report.json", "timeseries.csv", "propagation.csv")
@@ -634,7 +640,7 @@ def test_a_constant_latency_is_sampled_once_per_pair_and_a_constant_processing_d
     engine, net, recorder, log = logged_net(n_nodes=5, latency=table, delays=delays)
     for i in range(4):
         net.broadcast(1, gossip(i))
-    net.broadcast(1, [gossip(i) for i in range(4, 10)])
+    net.broadcast(1, *[gossip(i) for i in range(4, 10)])
     net.broadcast(3, gossip(10))
     engine.run_until_idle()
     assert len(log) == 11 * 4
@@ -667,8 +673,8 @@ def test_random_models_draw_once_per_attempt_in_stream_order():
             net.register_node(i, ByzantineType(2 if i == 2 else 0), 0.3,
                               lambda sender, bodies, i=i: log.extend(
                                   (engine.now, i, sender, body) for body in bodies))
-        net.broadcast(1, [gossip(i) for i in range(5)])
-        net.broadcast(2, [gossip(i) for i in range(5, 9)])
+        net.broadcast(1, *[gossip(i) for i in range(5)])
+        net.broadcast(2, *[gossip(i) for i in range(5, 9)])
         net.broadcast(1, m.Prepare(0, 1, 5))
         net.broadcast(2, m.BlockAnnounce(block_one()))
         net.broadcast(2, gossip(9))

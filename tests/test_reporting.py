@@ -100,7 +100,7 @@ delivery_groups = st.lists(st.tuples(st.integers(1, 3), group_members), max_size
 
 
 @given(delivery_groups)
-def test_the_bulk_fold_equals_a_member_by_member_fold(groups):
+def test_the_aggregates_equal_a_member_by_member_fold(groups):
     recorder = RunRecorder()
     for i, (src, members) in enumerate(groups):
         recorder.record_delivery("transaction", src, i, members, 1)
