@@ -101,7 +101,7 @@ class World:
         gossip = []
         for tx_id in range(first, first + count):
             tx = Transaction(tx_id, origin_id, f"tx-{tx_id}", now, day)
-            origin.pool.add(tx)
+            origin.pool.setdefault(tx_id, tx)
             gossip.append(m.TxGossip(tx))
         self.network.broadcast(origin_id, *gossip)
 
@@ -199,8 +199,7 @@ def run_day(world: World, day: int, loads: dict[int, int]) -> dict:
     end = engine.run_until_idle(deadline=day_start + config.day_length_ms)
     world.day_active = False
 
-    messages_delta = Counter(world.recorder.message_counts)
-    messages_delta.subtract(messages_before)
+    messages_delta = world.recorder.message_counts - messages_before  # counts never fall
     return {
         "day": day,
         "txs_scheduled": scheduled,
@@ -211,7 +210,7 @@ def run_day(world: World, day: int, loads: dict[int, int]) -> dict:
         "day_end_sim_time": end,
         "view_changes": sum(1 for row in world.recorder.view_change_log[vc_before:]
                             if row[1] == world.reference),
-        "messages_by_kind": {k: v for k, v in sorted(messages_delta.items()) if v},
+        "messages_by_kind": dict(sorted(messages_delta.items())),
         "ended_by": world.day_ended_by,  # "empty-blocks" or "guard"
     }
 

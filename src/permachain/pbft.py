@@ -7,10 +7,10 @@ height and the primary keeps a single fresh instance in flight at a time.
 Each vote is held once: `prepares` and `commits` map (view, height, digest)
 to its senders, and `preprepared` maps (view, height) to the proposed block.
 The tallies are defaultdicts written only by votes; every read uses `.get`,
-so a lookup never creates an entry. Votes that can no longer act cost little:
-a prepare is checked only once its tally reaches the quorum, a commit only
-above the chain's height, and an announcement at a height already appended is
-not tallied at all.
+so a lookup never creates an entry. A commit or an announcement at a height
+already appended is not tallied, as no check can act on it. A prepare always
+is (a late one can still complete this replica's own commit, which lagging
+replicas count), but is checked only once its tally reaches the quorum.
 
 Safety across views comes from prepare locks. A replica prepares at most one
 digest per (view, height), because `preprepared` takes one pre-prepare for
@@ -215,12 +215,10 @@ class PbftReplica(PbftFollower):
         self._check_committed(view, height)
 
     def on_commit(self, sender: int, msg: m.Commit) -> None:
+        if msg.height <= self.chain.height:
+            return  # as in on_announce; _check_prepared reads only my own id in a commit tally
         self.commits[msg.view, msg.height, msg.digest].add(sender)
-        # at an appended height _accept returns at once; no quorum guard, since a
-        # commit for another digest re-runs _accept on a block that has its quorum
-        # (at a tamperer, counting fork_ignored again)
-        if msg.height > self.chain.height:
-            self._check_committed(msg.view, msg.height)
+        self._check_committed(msg.view, msg.height)
 
     def _check_committed(self, view: int, height: int) -> None:
         block = self.preprepared.get((view, height))

@@ -109,8 +109,10 @@ def build_report(world, days: list[dict]) -> dict:
     `days` are `orchestrator.run_day`'s day entries."""
     recorder = world.recorder
     summaries = []
+    hexes: dict[int, str] = {}  # nodes hold the same blocks: format each digest once
     for n in world.all_ids:
-        digests = [digest_hex(d) for d in world.nodes[n].chain.digests_beyond_genesis()]
+        digests = [hexes.get(d) or hexes.setdefault(d, digest_hex(d))
+                   for d in world.nodes[n].chain.digests_beyond_genesis()]
         node = str(n)
         summaries.append({
             "node": n,

@@ -85,11 +85,8 @@ def load_schedule(path: str | Path, known_nodes: set[int]) -> LoadSchedule:
 class TransactionPool(dict):
     """Pending transactions at one node by id, drained FIFO by (created_at, tx_id).
 
-    A dict, so a gossip delivery inserts with `setdefault` and runs no pool method.
+    A dict: every insert is `setdefault(tx.tx_id, tx)`, which keeps a pooled entry.
     """
-
-    def add(self, tx: Transaction) -> None:
-        self.setdefault(tx.tx_id, tx)
 
     def discard(self, tx_ids) -> None:
         deque(map(self.pop, tx_ids, repeat(None)), maxlen=0)  # one C-level loop

@@ -106,15 +106,15 @@ def make_world(n_authorities: int, n_followers: int = 0,
 
 def quick_run(loads_by_day: dict[int, dict[int, int]], n_authorities: int,
               n_followers: int = 0, byzantine: dict[int, int] | None = None,
-              protocol: str = "pbft", **overrides) -> SimulationResult:
-    """Build and run a small simulation in one call."""
+              protocol: str = "pbft", records=None, **overrides) -> SimulationResult:
+    """Build and run a small simulation in one call (`records`: see orchestrator.World)."""
     config = make_config(protocol, **overrides)
     table = make_table(n_authorities, n_followers, byzantine)
     schedule = parse_schedule(
         {"days": [{"day": d, "loads": {str(n): c for n, c in loads.items()}}
                   for d, loads in sorted(loads_by_day.items())]},
         set(table.ids))
-    return run_all(config, table, schedule)
+    return run_all(config, table, schedule, records)
 
 
 class SharedRun:

@@ -224,6 +224,15 @@ MUTANTS = [
      "block_interval_ms + grace,", "block_interval_ms + grace + 1,",
      ["tests/test_metamorphic.py::"
       "test_scaling_every_millisecond_field_scales_every_instant_and_nothing_else"]),
+    # both late-commit mutants leave every output of a whole run as it was (a
+    # tally at an appended height never acts), so only the white-box test sees them
+    ("late_commit_tallied", "pbft.py",
+     "        if msg.height <= self.chain.height:\n            return  # as in on_announce; "
+     "_check_prepared reads only my own id in a commit tally\n", "",
+     [f"{PBFT}::test_a_commit_at_or_below_the_chain_height_is_not_tallied"]),
+    ("commit_at_the_chain_height_tallied", "pbft.py",
+     "if msg.height <= self.chain.height:", "if msg.height < self.chain.height:",
+     [f"{PBFT}::test_a_commit_at_or_below_the_chain_height_is_not_tallied"]),
 ]
 
 

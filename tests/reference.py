@@ -1,24 +1,32 @@
-"""A naive engine and network that the real ones must match byte for byte.
+"""A naive engine, network and recorder that the real ones must match byte for byte.
 
 `RefEngine` keeps one heap entry per item, ordered by (fire_at, seq), and
 hands each item to its target's handler as a one-item list. `RefNetwork`
 schedules one event per body and member of the body's audience but the
 sender, in node-table order, and makes every draw itself, per attempt: the
 sender's drop stream (a passive sender with p > 0), then, if kept, the
-sender's latency stream and the recipient's processing-delay stream. Swap
-both into `orchestrator` (`orchestrator.EventEngine = RefEngine`,
-`orchestrator.Network = RefNetwork`) to run any input through them; they
-assume an input that `check_inputs` accepted.
+sender's latency stream and the recipient's processing-delay stream.
+`RefRecorder` keeps each message sent or dropped, each delivery of a body to
+a member and each append or view adoption as a row, writes each delivery row
+as it comes, and builds the counts, the aggregate table, the timeline and the
+view-change log from the rows when they are read. `swap_into_orchestrator(
+monkeypatch, NAIVE)` runs any input through all three (and `REAL` back through
+the real classes); they assume an input that `check_inputs` accepted.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter, defaultdict
 from itertools import count
 
+from permachain import orchestrator
 from permachain.distributions import BLOCK, TRANSACTION
+from permachain.engine import EventEngine
 from permachain.faults import ByzantineType
 from permachain.messages import AUTHORITIES, kind_of
+from permachain.network import Network
+from permachain.reporting import RunRecorder
 
 
 class RefEngine:
@@ -94,3 +102,66 @@ class RefNetwork:
             if body.delay_kind in (TRANSACTION, BLOCK):
                 self.recorder.record_delivery(body.delay_kind, src, sent_at, [(dst, lat)], 1)
             self.nodes[dst][2](src, [body])
+
+
+class RefRecorder:
+    def __init__(self, engine=None, record_sink=None):
+        self.engine, self.record_sink = engine, record_sink
+        self.sent: list = []        # one kind per message sent
+        self.dropped: list = []     # one kind per message dropped
+        self.deliveries: list = []  # (kind, src, dst, sent_at, delivered_at) per body and member
+        self.events: list = []      # (t, node, height, view, the view left or None if an append)
+
+    def message_sent(self, kind, n):
+        self.sent += [kind] * n
+
+    def message_dropped(self, kind, n):
+        self.dropped += [kind] * n
+
+    def record_delivery(self, kind, src, sent_at, members, times):
+        for _ in range(times):
+            for dst, delay in members:
+                row = (kind, src, dst, sent_at, sent_at + delay)
+                self.deliveries.append(row)
+                if self.record_sink is not None:
+                    self.record_sink.writerow(row)
+
+    def on_append(self, node, block, view):
+        self.events.append((self.engine.now, node, block.height, view, None))
+
+    def on_view_adopted(self, node, old, new, height):
+        self.events.append((self.engine.now, node, height, new, old))
+
+    @property
+    def message_counts(self):
+        return Counter(self.sent)
+
+    @property
+    def drop_counts(self):
+        return Counter(self.dropped)
+
+    @property
+    def timeline(self):
+        return [(t, node, height, view) for t, node, height, view, _ in self.events]
+
+    @property
+    def view_change_log(self):
+        return [(t, node, old, new) for t, node, _, new, old in self.events if old is not None]
+
+    def aggregate_table(self):
+        delays = defaultdict(list)  # (src, dst) -> every delay, in delivery order
+        for _, src, dst, sent_at, delivered_at in self.deliveries:
+            delays[src, dst].append(delivered_at - sent_at)
+        return {f"{src}->{dst}": {"count": len(d), "mean_ms": round(sum(d) / len(d), 3),
+                                  "max_ms": max(d)}
+                for (src, dst), d in sorted(delays.items())}
+
+
+REAL = {"EventEngine": EventEngine, "Network": Network, "RunRecorder": RunRecorder}
+NAIVE = {"EventEngine": RefEngine, "Network": RefNetwork, "RunRecorder": RefRecorder}
+
+
+def swap_into_orchestrator(monkeypatch, classes):
+    """Make `orchestrator` build its worlds from `classes` (REAL or NAIVE)."""
+    for name, cls in classes.items():
+        monkeypatch.setattr(orchestrator, name, cls)

@@ -10,7 +10,9 @@ days of load on any node and, under poet, one of three lottery rates. Every
 run must keep benign chains in prefix agreement, commit no transaction twice
 on any benign chain, account for every scheduled event, start day d at
 (d - 1) * day_length_ms and end it no later than one day length after that,
-and leave no unreachable reference cycle (see `collector_off_run`).
+and leave no unreachable reference cycle (see `collector_off_run`). In the
+long tier, each run of either kind must also write the bytes of the naive
+engine, network and recorder in tests/reference.py, or stop on the same error.
 
 The example count comes from the active Hypothesis profile. The default
 profile is the fast tier in the tier-1 suite; the `long` profile registered in
@@ -20,13 +22,16 @@ conftest.py runs 500 examples:
 """
 
 import gc
+import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import quick_run
-from permachain.errors import ConfigError
+from permachain.errors import ConfigError, PermachainError
 from permachain.reporting import check_benign_consistency
+from reference import NAIVE, REAL, swap_into_orchestrator
 
 LATENCIES = st.one_of(
     st.builds(lambda ms: {"kind": "constant", "ms": ms}, st.integers(1, 50)),
@@ -80,6 +85,28 @@ def test_random_pbft_runs_keep_the_invariants(run):
 @given(poa_runs())
 def test_random_poa_and_poet_runs_keep_the_invariants(run):
     check_invariants(*collector_off_run(run))
+
+
+def outputs(run, classes):
+    """The report, timeline and propagation rows of `run` with `classes`
+    (reference.REAL or reference.NAIVE) swapped into the orchestrator, or the
+    error that stopped it."""
+    records = io.StringIO(newline="")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        swap_into_orchestrator(monkeypatch, classes)
+        try:
+            result = quick_run(**run, empty_block_threshold=3, records=records)
+        except PermachainError as exc:
+            return repr(exc)
+    return (json.dumps(result.report, sort_keys=True), result.world.recorder.timeline,
+            records.getvalue())
+
+
+@pytest.mark.long
+@settings(deadline=None, derandomize=True)
+@given(st.one_of(pbft_runs(), poa_runs()))
+def test_random_runs_write_the_bytes_of_the_reference_model(run):
+    assert outputs(run, REAL) == outputs(run, NAIVE)
 
 
 def collector_off_run(run):

@@ -25,7 +25,7 @@ from permachain.node import Node
 from permachain.nodetable import parse_node_rows
 from permachain.reporting import RunRecorder, emit_json
 from permachain.workload import parse_schedule
-from reference import RefEngine, RefNetwork
+from reference import NAIVE, REAL, RefEngine, RefNetwork, swap_into_orchestrator
 
 
 class LoggedStreams(RngStreams):
@@ -534,11 +534,10 @@ def test_broadcast_refuses_no_body_or_several_of_other_kinds(bodies):
 OUTPUTS = ("report.json", "timeseries.csv", "propagation.csv")
 
 
-def cli_outputs(argv, out, monkeypatch, engine, network):
+def cli_outputs(argv, out, monkeypatch, classes):
     """The report, timeseries and propagation bytes that `main` writes for `argv`
-    with `engine` and `network` swapped into the orchestrator."""
-    monkeypatch.setattr(orchestrator, "EventEngine", engine)
-    monkeypatch.setattr(orchestrator, "Network", network)
+    with `classes` (reference.REAL or reference.NAIVE) swapped into the orchestrator."""
+    swap_into_orchestrator(monkeypatch, classes)
     assert main([*argv, "--out", str(out), "--emit-csv", "--emit-records"]) == EXIT_OK
     return [(out / f).read_bytes() for f in OUTPUTS]
 
@@ -546,7 +545,8 @@ def cli_outputs(argv, out, monkeypatch, engine, network):
 @pytest.mark.parametrize("name", RECORDED_SCENARIOS)
 def test_merged_batches_write_the_bytes_of_unmerged_ones(name, shared_run, tmp_path,
                                                          monkeypatch):
-    # the reference model (tests/reference.py) delivers one body to one recipient per event
+    # the reference model (tests/reference.py) delivers one body to one recipient per
+    # event and records each delivery as a row
     run = shared_run(name)  # the real network's run, before receive is patched
     receive = Node.receive
     calls = 0
@@ -557,7 +557,7 @@ def test_merged_batches_write_the_bytes_of_unmerged_ones(name, shared_run, tmp_p
         receive(node, sender, bodies)
 
     monkeypatch.setattr(Node, "receive", counting_receive)
-    naive = cli_outputs(run.argv, tmp_path, monkeypatch, RefEngine, RefNetwork)
+    naive = cli_outputs(run.argv, tmp_path, monkeypatch, NAIVE)
     assert [(run.out / f).read_bytes() for f in OUTPUTS] == naive
     assert run.receive_calls < calls  # the real network did merge some batches
 
@@ -579,10 +579,9 @@ def test_repeated_injection_batches_write_the_bytes_of_the_reference_model(tmp_p
 
     monkeypatch.setattr(RunRecorder, "record_delivery", counting)
     outputs = []
-    for engine, network in ((EventEngine, Network), (RefEngine, RefNetwork)):
-        monkeypatch.setattr(orchestrator, "EventEngine", engine)
-        monkeypatch.setattr(orchestrator, "Network", network)
-        out = tmp_path / network.__name__
+    for classes in (REAL, NAIVE):
+        swap_into_orchestrator(monkeypatch, classes)
+        out = tmp_path / classes["Network"].__name__
         out.mkdir()
         with open(out / "propagation.csv", "w", newline="") as records:
             result = orchestrator.run_all(config, table, schedule, records)
@@ -596,9 +595,8 @@ def test_repeated_injection_batches_write_the_bytes_of_the_reference_model(tmp_p
 @pytest.mark.parametrize("name", BUNDLED_INPUTS)
 def test_every_bundled_input_writes_the_bytes_of_the_reference_model(name, tmp_path,
                                                                      monkeypatch):
-    real, naive = (cli_outputs(input_argv(name), tmp_path / network.__name__,
-                               monkeypatch, engine, network)
-                   for engine, network in ((EventEngine, Network), (RefEngine, RefNetwork)))
+    real, naive = (cli_outputs(input_argv(name), tmp_path / classes["Network"].__name__,
+                               monkeypatch, classes) for classes in (REAL, NAIVE))
     assert real == naive
 
 

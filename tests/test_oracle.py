@@ -113,6 +113,19 @@ def test_single_authority_pbft_commits_at_its_tick(followers, latency, processin
     assert not {"PrePrepare", "Prepare", "Commit"} & set(world.recorder.message_counts)
 
 
+def check_passive_droppers(n, followers, droppers, drop_prob, latency, processing, **config):
+    """Every benign row of a run whose `droppers` drop with `drop_prob` is on the
+    fault-free pbft form."""
+    world = constant_run("pbft", n, followers, latency, processing, drop_prob=drop_prob,
+                         byzantine=dict.fromkeys(droppers, 2), **config).world
+    hop = latency + processing
+    assert mismatches(world, commit_time("pbft", world.authorities, INTERVAL, hop),
+                      world.benign) == []
+    heights = {world.nodes[node].chain.height for node in world.benign}
+    assert len(heights) == 1 and heights.pop() >= 4
+    assert world.recorder.drop_counts  # the droppers did drop
+
+
 @pytest.mark.parametrize("latency, processing", DELAYS)
 @pytest.mark.parametrize("drop_prob", [1.0, 0.4])
 @pytest.mark.parametrize("followers", [0, 2])
@@ -120,14 +133,30 @@ def test_single_authority_pbft_commits_at_its_tick(followers, latency, processin
 def test_f_passive_droppers_leave_every_benign_commit_on_the_closed_form(
         n, followers, drop_prob, latency, processing):
     f = quorum_params(n)[0]
-    world = constant_run("pbft", n, followers, latency, processing, drop_prob=drop_prob,
-                         byzantine={node: 2 for node in range(n - f + 1, n + 1)}).world
-    hop = latency + processing
-    assert mismatches(world, commit_time("pbft", world.authorities, INTERVAL, hop),
-                      world.benign) == []
-    heights = {world.nodes[node].chain.height for node in world.benign}
-    assert len(heights) == 1 and heights.pop() >= 4
-    assert world.recorder.drop_counts  # the droppers did drop
+    check_passive_droppers(n, followers, range(n - f + 1, n + 1), drop_prob, latency,
+                           processing)
+
+
+@st.composite
+def passive_dropper_runs(draw):
+    """(n, followers, droppers, drop_prob, (L, P)): any f authorities but node 1,
+    view 0's primary, drop, in a group whose quorums intersect."""
+    n = draw(st.sampled_from([n for n in range(4, 32) if 2 * quorum_params(n)[1] > n]))
+    f = quorum_params(n)[0]
+    droppers = draw(st.sets(st.integers(2, n), min_size=f, max_size=f))
+    return (n, draw(st.integers(0, 2)), sorted(droppers), draw(st.sampled_from([0.4, 1.0])),
+            draw(st.sampled_from(DELAYS)))
+
+
+@pytest.mark.long
+@settings(deadline=None, derandomize=True)
+@given(run=passive_dropper_runs())
+def test_f_passive_droppers_placed_at_random_leave_benign_commits_on_the_closed_form(run):
+    n, followers, droppers, drop_prob, (latency, processing) = run
+    # a timeout of one interval outlasts the three hops to a commit; the derived
+    # default, 10 L, ignores P, so the closed form is not left to rest on it
+    check_passive_droppers(n, followers, droppers, drop_prob, latency, processing,
+                           pbft_timeout_ms=INTERVAL)
 
 
 @pytest.mark.parametrize("latency, processing", [d for d in DELAYS if d != (250, 3)])

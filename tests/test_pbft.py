@@ -90,6 +90,28 @@ def test_commit_quorum_appends_and_announces():
     assert r.chain.height == 1
 
 
+def test_a_commit_at_or_below_the_chain_height_is_not_tallied():
+    # in a 4-authority group (quorum 3) replica 2 prepares node 1's block at
+    # height 1 with node 3's prepare and sends its own commit; it tallies the
+    # commits above its chain height and appends at the third, and none after
+    world = make_world(4)
+    r = world.nodes[2]
+    genesis, blk = genesis_block(), block_at(1, genesis_block().digest)
+    r.receive(3, [m.Commit(0, 0, genesis.digest)])  # at height 0, the chain's height
+    assert not r.commits
+    r.receive(1, [m.PrePrepare(0, blk)])
+    r.receive(3, [m.Prepare(0, 1, blk.digest)])
+    r.receive(1, [m.Commit(0, 1, blk.digest)])
+    assert r.commits == {(0, 1, blk.digest): {1, 2}} and r.chain.height == 0
+    r.receive(3, [m.Commit(0, 1, blk.digest)])
+    assert r.commits == {(0, 1, blk.digest): {1, 2, 3}} and r.chain.height == 1
+    other = block_at(1, genesis.digest, txs=(tx(9),))
+    for sender, height, digest in ((4, 1, blk.digest), (4, 1, other.digest),
+                                   (4, 0, genesis.digest)):
+        r.receive(sender, [m.Commit(0, height, digest)])
+    assert r.commits == {(0, 1, blk.digest): {1, 2, 3}} and r.chain.height == 1
+
+
 def test_corrupted_preprepare_never_prepared():
     world = make_world(13)
     r = world.nodes[2]
@@ -367,7 +389,7 @@ def test_primary_retries_its_locked_block_instead_of_draining_its_pool():
     r = world.nodes[1]
     locked = block_at(1, genesis_block().digest, txs=(tx(9),))
     r.locks[1] = m.PrePrepare(0, locked)
-    r.pool.add(tx(1))
+    r.pool.setdefault(1, tx(1))
     r.maybe_propose()
     assert r.preprepared[0, 1].digest == locked.digest
     assert list(r.pool) == [1]  # the pool was not drained into a fresh block

@@ -77,17 +77,17 @@ def tx(i, created):
 def test_take_batch_all_when_under_capacity():
     pool = TransactionPool()
     for i in range(3):
-        pool.add(tx(i, 100))
+        pool.setdefault(i, tx(i, 100))
     got = pool.take_batch(10)
     assert len(got) == 3 and len(pool) == 0
 
 
 def test_take_batch_fifo_by_creation_then_id():
     pool = TransactionPool()
-    pool.add(tx(5, 300))
-    pool.add(tx(1, 100))
-    pool.add(tx(9, 100))
-    pool.add(tx(2, 200))
+    pool.setdefault(5, tx(5, 300))
+    pool.setdefault(1, tx(1, 100))
+    pool.setdefault(9, tx(9, 100))
+    pool.setdefault(2, tx(2, 200))
     got = pool.take_batch(3)
     assert [t.tx_id for t in got] == [1, 9, 2]
     assert 5 in pool
@@ -101,7 +101,7 @@ def test_take_batch_matches_sort_oracle(pairs, capacity):
     pool = TransactionPool()
     txs = [tx(tx_id, created) for created, tx_id in pairs]
     for t in txs:
-        pool.add(t)
+        pool.setdefault(t.tx_id, t)
     expected = sorted(txs, key=lambda t: (t.created_at, t.tx_id))[:capacity]
     assert list(pool.take_batch(capacity)) == expected
 
@@ -112,15 +112,15 @@ def test_take_batch_empty_pool_gives_empty_block_payload():
 
 def test_duplicate_add_is_idempotent():
     pool = TransactionPool()
-    pool.add(tx(1, 50))
-    pool.add(tx(1, 50))
-    assert len(pool) == 1
+    pool.setdefault(1, tx(1, 50))
+    pool.setdefault(1, tx(1, 60))
+    assert len(pool) == 1 and pool[1].created_at == 50  # the first copy stays
 
 
 def test_discard_drops_the_given_ids_and_skips_absent_ones():
     pool = TransactionPool()
     for tx_id in (1, 2, 3, 4):
-        pool.add(tx(tx_id, 0))
+        pool.setdefault(tx_id, tx(tx_id, 0))
     pool.discard((2, 9, 4, 2))
     assert sorted(pool) == [1, 3]
     pool.discard(())
