@@ -15,6 +15,8 @@ is held in `_ahead` until the blocks below it have been appended.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import messages as m
 from .faults import ByzantineType
 from .ledger import Block, Chain
@@ -27,6 +29,8 @@ def primary_of(turn: int, authorities: list[int]) -> int:
 
 
 class Node:
+    """What every node holds; `stats` is a `Counter` of its rejections by reason."""
+
     view = 0  # only pbft replicas change views
 
     def __init__(self, node_id: int, byz: ByzantineType, world):
@@ -36,15 +40,12 @@ class Node:
         self.chain = Chain(node_id)
         self.pool = TransactionPool()
         self.committed_txids: set[int] = set()
-        self.stats: dict[str, int] = {}
+        self.stats: Counter = Counter()
         self._ahead: dict[int, Block] = {}  # height -> accepted block waiting for its parent
 
     @property
     def next_height(self) -> int:
         return self.chain.height + 1
-
-    def _count(self, key: str) -> None:
-        self.stats[key] = self.stats.get(key, 0) + 1
 
     def start_day(self) -> None:
         """Called on every authority as a day begins, before block production."""

@@ -79,7 +79,7 @@ class PbftFollower(Node):
     def on_announce(self, sender: int, msg: m.BlockAnnounce) -> None:
         block = msg.block
         if compute_digest(block) != block.digest:
-            self._count("announce_invalid_digest")
+            self.stats["announce_invalid_digest"] += 1
             return
         if block.height <= self.chain.height:
             return  # _accept would return at once: a tally at an appended height never acts
@@ -161,25 +161,25 @@ class PbftReplica(PbftFollower):
     def on_preprepare(self, sender: int, msg: m.PrePrepare) -> None:
         self.on_newview(sender, msg)
         if msg.view != self.view:
-            self._count("preprepare_wrong_view")
+            self.stats["preprepare_wrong_view"] += 1
             return
         if sender != primary_of(msg.view, self.world.authorities):
-            self._count("preprepare_not_primary")
+            self.stats["preprepare_not_primary"] += 1
             return
         block, view = msg.block, msg.view
         held = self.preprepared.get((view, block.height))
         if held is not None:
             if held.digest != block.digest:
-                self._count("preprepare_conflicting")
+                self.stats["preprepare_conflicting"] += 1
             return
         if compute_digest(block) != block.digest:
-            self._count("preprepare_invalid_digest")
+            self.stats["preprepare_invalid_digest"] += 1
             return  # timer keeps running; tampering suspected
         height, digest = block.height, block.digest
         self.preprepared[view, height] = block
         self.prepares[view, height, digest].add(sender)
         if height <= self.chain.height and self.chain.blocks[height].digest != digest:
-            self._count("preprepare_conflicts_committed")  # re-affirm only the block we hold
+            self.stats["preprepare_conflicts_committed"] += 1  # re-affirm only the block we hold
         else:
             if height > self.chain.height:
                 self.locks[height] = msg
@@ -231,7 +231,7 @@ class PbftReplica(PbftFollower):
 
     def _append(self, block: Block) -> None:
         if self.byz is ByzantineType.ACTIVE and block.parent_digest != self.chain.tip.digest:
-            self._count("fork_ignored")  # honest blocks do not extend my private fork
+            self.stats["fork_ignored"] += 1  # honest blocks do not extend my private fork
             return
         super()._append(block)
         self.vc_attempts = 0
@@ -249,11 +249,11 @@ class PbftReplica(PbftFollower):
 
     def on_viewchange(self, sender: int, msg: m.ViewChange) -> None:
         if msg.proposed_view <= self.view:
-            self._count("viewchange_stale")
+            self.stats["viewchange_stale"] += 1
             return
         lock = msg.lock
         if lock is not None and compute_digest(lock.block) != lock.block.digest:
-            self._count("viewchange_invalid_cert")
+            self.stats["viewchange_invalid_cert"] += 1
             msg = m.ViewChange(msg.proposed_view, msg.next_height)  # an invalid cert is no lock
         self.vc_votes[msg.proposed_view][sender] = msg
         # join a view change once f+1 peers demand one, even without a timeout

@@ -78,7 +78,7 @@ class PoaNode(Node):
     def on_block(self, sender: int, msg: m.BlockMsg) -> None:
         block = msg.block
         if compute_digest(block) != block.digest:
-            self._count("block_invalid_digest")
+            self.stats["block_invalid_digest"] += 1
             return
         self._accept(block)  # latency can reorder broadcasts
 

@@ -1,15 +1,11 @@
 """Run instrumentation and machine-readable outputs.
 
-The recorder folds every transaction and block delivery into exact per-pair
-propagation-delay aggregates and, when given a sink, streams each delivery as
-one raw row of an opt-in propagation CSV as it happens. A delivery group is
-recorded once with its body count k: each member's pair gains k deliveries of
-its delay, as a body-by-body fold would, and its rows are written k times. Raw
-deliveries are never held. It also keeps message counters by kind, the
-view-change log, and a timeline of (sim_time_ms, node_id, chain_height,
-current_view) rows. At the end of a run `build_report` assembles a
-schema-versioned JSON report from the recorder, the nodes' chains and the
-per-day results; the timeline is the optional plot-ready CSV.
+`RunRecorder` folds every transaction and block delivery into exact per-pair
+propagation-delay aggregates as it happens, holding no raw delivery, and keeps
+message counters by kind, the view-change log, and a timeline of (sim_time_ms,
+node_id, chain_height, current_view) rows. At the end of a run `build_report`
+assembles a schema-versioned JSON report from the recorder, the nodes' chains
+and the per-day results; the timeline is the optional plot-ready CSV.
 
 Outputs are byte-stable for a fixed (configuration, seed): keys are sorted,
 row order is dispatch order, and no wall-clock data is embedded.
@@ -32,10 +28,12 @@ PROPAGATION_COLUMNS = ("kind", "src", "dst", "sent_at", "delivered_at")
 
 
 class RunRecorder:
+    """Each (src, dst) pair's [count, sum, max] starts at [0, 0, 0], exact as no delay is
+    negative; a group of k bodies adds k deliveries per member and writes its sink rows k times."""
+
     def __init__(self, engine=None, record_sink=None):
         self.engine = engine  # read for the clock of node hooks
-        # csv writer taking one PROPAGATION_COLUMNS row per delivery
-        self.record_sink = record_sink
+        self.record_sink = record_sink  # csv writer, one PROPAGATION_COLUMNS row per delivery
         self.message_counts: Counter = Counter()
         self.drop_counts: Counter = Counter()
         self.aggregates: dict = {}  # (src, dst) -> [count, sum, max]
@@ -56,14 +54,11 @@ class RunRecorder:
         in delivery order, and each body is delivered to every member."""
         aggregates = self.aggregates
         for dst, delay in members:
-            agg = aggregates.get((src, dst))
-            if agg is None:
-                aggregates[src, dst] = [times, delay * times, delay]
-            else:
-                agg[0] += times
-                agg[1] += delay * times
-                if delay > agg[2]:
-                    agg[2] = delay
+            agg = aggregates.get((src, dst)) or aggregates.setdefault((src, dst), [0, 0, 0])
+            agg[0] += times
+            agg[1] += delay * times
+            if delay > agg[2]:
+                agg[2] = delay
         if self.record_sink is not None:
             self.record_sink.writerows([(kind, src, dst, sent_at, sent_at + delay)
                                         for dst, delay in members] * times)

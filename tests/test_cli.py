@@ -234,6 +234,8 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
                  "'rule'", id="authority_rule_unknown_key"),
     pytest.param({"protocol": "pbft", "authority_rule": None}, "authority_rule",
                  id="authority_rule_null"),
+    pytest.param({"protocol": "pbft", "authority_rule": {"kind": "random"}},
+                 "authority_rule.kind", id="authority_rule_unknown_kind"),
     pytest.param({"protocol": "pbft", "latency": None}, "latency", id="latency_null"),
     pytest.param({"protocol": "pbft", "processing_delay": None}, "processing_delay",
                  id="processing_delay_null"),

@@ -82,6 +82,16 @@ def test_a_group_of_k_bodies_adds_k_deliveries_to_a_recorded_pair():
         "1->3": {"count": 3, "mean_ms": 6.0, "max_ms": 6}}
 
 
+def test_a_pair_whose_every_delivery_takes_no_time_reads_zero():
+    # a pair starts at [0, 0, 0], so this is the one input where its max is the start
+    recorder = RunRecorder()
+    recorder.record_delivery("block", 1, 0, [(2, 0)], 1)
+    recorder.record_delivery("transaction", 1, 5, [(2, 0), (3, 7)], 3)
+    table = recorder.aggregate_table()
+    assert json.dumps(table["1->2"]) == '{"count": 4, "mean_ms": 0.0, "max_ms": 0}'
+    assert table["1->3"] == {"count": 3, "mean_ms": 7.0, "max_ms": 7}
+
+
 def member_by_member(groups):
     """(src, dst) -> [count, sum, max], folded one delivery at a time."""
     aggregates = {}
